@@ -22,7 +22,7 @@ from .errors import (
     ObstructionUnknownError,
 )
 from .polytopes import LogPolytope, delzant_check, polytope_moduli
-from .rational import Vector, is_zero, rank
+from .rational import Vector, gauss_jordan, is_zero, rank
 from .topology import betti_numbers, log_cohomology_dims
 from .welding import WeldedSpace
 
@@ -338,27 +338,12 @@ def _solve_affine(rows, rhs, unknowns):
     """Row-reduce ``rows . x = rhs``; returns (particular, pivot columns)
     with zeros in the free coordinates, or None when inconsistent."""
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(unknowns):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][unknowns] != 0:
-            return None
+    pivots = gauss_jordan(aug, unknowns)
+    if any(row[unknowns] != 0 for row in aug[len(pivots):]):
+        return None
     particular = [Fraction(0)] * unknowns
-    for row_index, col in enumerate(pivots):
-        particular[col] = aug[row_index][unknowns]
+    for row, col in zip(aug, pivots):
+        particular[col] = row[unknowns]
     return particular, pivots
 
 

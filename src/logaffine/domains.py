@@ -29,20 +29,6 @@ class Stratum:
 
 
 @dataclass(frozen=True)
-class CornerQuadrant:
-    """One of the four local quadrants at a codimension-2 stratum.
-
-    ``signs`` gives the side of each of the two local divisor branches;
-    the (+, +) quadrant is the one owned by the domain itself, the
-    other three belong to neighbors after welding.
-    """
-
-    signs: tuple[int, int]
-    owned: bool
-    residues: tuple[Vector, Vector]
-
-
-@dataclass(frozen=True)
 class TropicalDomain:
     """A validated fan together with its stratum poset."""
 
@@ -58,9 +44,6 @@ class TropicalDomain:
     def in_closure(self, s: Stratum, t: Stratum) -> bool:
         """Whether ``t`` lies in the closure of ``s`` (cone reverse order)."""
         return s.cone <= t.cone
-
-    def ray_labels(self, cone: frozenset[int]) -> tuple[str, ...]:
-        return tuple(sorted(self.fan.labels[i] for i in cone))
 
 
 def build_domain(fan: Fan) -> TropicalDomain:
@@ -87,28 +70,3 @@ def residue(domain: TropicalDomain, stratum: Stratum) -> Vector:
         )
     (index,) = stratum.cone
     return domain.fan.vectors[index]
-
-
-def corner_quadrants(domain: TropicalDomain, stratum: Stratum) -> list[CornerQuadrant]:
-    """The four sign quadrants around a codimension-2 stratum.
-
-    Exactly one quadrant (signs (+, +)) is owned by this domain; the
-    remaining three are slots that welding can fill with neighbors.
-    """
-    if stratum.codim != 2:
-        raise GeometryError(
-            f"corner quadrants need a codimension-2 stratum, got codimension {stratum.codim}"
-        )
-    i, j = sorted(stratum.cone)
-    residues = (domain.fan.vectors[i], domain.fan.vectors[j])
-    out: list[CornerQuadrant] = []
-    for si in (1, -1):
-        for sj in (1, -1):
-            out.append(
-                CornerQuadrant(
-                    signs=(si, sj),
-                    owned=(si == 1 and sj == 1),
-                    residues=residues,
-                )
-            )
-    return out

@@ -33,9 +33,6 @@ class Fan:
     labels: tuple[str, ...]
     cones: frozenset[frozenset[int]]
 
-    def label_of(self, index: int) -> str:
-        return self.labels[index]
-
     def index_of_label(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -178,13 +175,6 @@ def cyclic_order(fan: Fan) -> list[int]:
         raise UnsupportedDimensionError("cyclic order is a planar notion")
     key = functools.cmp_to_key(lambda i, j: _direction_cmp(fan.vectors[i], fan.vectors[j]))
     return sorted(range(len(fan.vectors)), key=key)
-
-
-def angular_neighbors(fan: Fan, index: int) -> tuple[int, int]:
-    """(clockwise, counterclockwise) neighbor ray indices of ``index``."""
-    order = cyclic_order(fan)
-    pos = order.index(index)
-    return order[pos - 1], order[(pos + 1) % len(order)]
 
 
 def is_complete_2d(fan: Fan) -> bool:

@@ -27,7 +27,7 @@ from .errors import (
     TransversalityError,
     UnsupportedDimensionError,
 )
-from .fans import Fan
+from .fans import Fan, _direction_cmp
 from .rational import (
     AffineFunctional,
     Vector,
@@ -41,7 +41,7 @@ from .rational import (
     vec_neg,
     vec_scale,
 )
-from .welding import EdgeStratum, WeldedSpace, WeldingSpec
+from .welding import UnionFind, WeldedSpace, WeldingSpec, two_colour
 
 ConstraintRef = tuple[int, str]
 
@@ -388,22 +388,6 @@ def _region_rows(
 # ------------------------------------------------- exact circle sweeps
 
 
-def _dir_half(d: Vector) -> int:
-    return 0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1
-
-
-def _dir_cmp(u: Vector, v: Vector) -> int:
-    hu, hv = _dir_half(u), _dir_half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    c = cross2(u, v)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
-
-
 _AXES: tuple[Vector, ...] = (
     (Fraction(1), Fraction(0)),
     (Fraction(0), Fraction(1)),
@@ -420,7 +404,7 @@ def _circle_samples(criticals: Iterable[Vector]) -> list[Vector]:
         if any(x != 0 for x in d):
             key = primitive(d)
             seen.setdefault(key, tuple(Fraction(x) for x in key))
-    dirs = sorted(seen.values(), key=functools.cmp_to_key(_dir_cmp))
+    dirs = sorted(seen.values(), key=functools.cmp_to_key(_direction_cmp))
     samples = list(dirs)
     for i, d in enumerate(dirs):
         nxt = dirs[(i + 1) % len(dirs)]
@@ -474,6 +458,9 @@ def _domain_compact(
 
 @dataclass
 class _RawInterval:
+    """Bounds of a face line or an edge trace, with the constraint
+    attaining each finite bound."""
+
     lower: Fraction | None
     upper: Fraction | None
     lower_active: str | None
@@ -572,17 +559,9 @@ def _escape(
 # ------------------------------------------------------------- traces
 
 
-@dataclass
-class _RawTrace:
-    lower: Fraction | None
-    upper: Fraction | None
-    lower_active: str | None
-    upper_active: str | None
-
-
 def _side_trace(
     residue: Vector, fns: Mapping[str, AffineFunctional]
-) -> _RawTrace | None:
+) -> _RawInterval | None:
     """Interval of the region's closure on the edge with the given
     residue, in the coordinate ``rot90(residue) . u``."""
     rv = rot90(residue)
@@ -610,7 +589,7 @@ def _side_trace(
             )
         if lower > upper:
             return None
-    return _RawTrace(lower, upper, lower_active, upper_active)
+    return _RawInterval(lower, upper, lower_active, upper_active)
 
 
 # -------------------------------------------------------- corner tests
@@ -630,23 +609,6 @@ def _quadrant_reaches_corner(
             if all(dot(a, c) <= 0 for a in covectors):
                 return True
     return False
-
-
-# --------------------------------------------------------- union-find
-
-
-class _UnionFind:
-    def __init__(self, items: Iterable) -> None:
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y) -> None:
-        self.parent[self.find(x)] = self.find(y)
 
 
 # ---------------------------------------------------------- the build
@@ -699,33 +661,15 @@ def _face_labels(spec: PolytopeSpec) -> dict[ConstraintRef, str]:
     return labels
 
 
-def _delta_orientation(
-    space: WeldedSpace,
-    feasible: list[int],
-    crossing_edges: list[EdgeStratum],
-) -> tuple[bool, dict[int, int] | None]:
-    """Two-color the feasible domains along the edges the polytope
-    actually crosses."""
-    adjacency: dict[int, list[int]] = {d: [] for d in feasible}
-    for e in crossing_edges:
-        d1, d2 = e.domain_ids
-        adjacency[d1].append(d2)
-        adjacency[d2].append(d1)
-    signs: dict[int, int] = {}
-    for root in feasible:
-        if root in signs:
-            continue
-        signs[root] = 1
-        frontier = [root]
-        while frontier:
-            node = frontier.pop()
-            for neighbor in adjacency[node]:
-                if neighbor not in signs:
-                    signs[neighbor] = -signs[node]
-                    frontier.append(neighbor)
-                elif signs[neighbor] == signs[node]:
-                    return False, None
-    return True, signs
+def _crossing_signs(
+    space: WeldedSpace, feasible: Iterable[int], traces: Iterable[EdgeTrace]
+) -> dict[int, int] | None:
+    """Two-colour the feasible domains along the edges the polytope
+    actually crosses (its divisor traces)."""
+    return two_colour(
+        feasible,
+        (space.edge(t.edge_label).domain_ids for t in traces if t.kind == "divisor"),
+    )
 
 
 def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
@@ -761,7 +705,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
         landings[ref] = ends
 
     # edge traces, with the continuation pairs they force
-    raw_traces: dict[str, tuple[str, tuple[int, ...], _RawTrace]] = {}
+    raw_traces: dict[str, tuple[str, tuple[int, ...], _RawInterval]] = {}
     required_pairs: list[tuple[ConstraintRef, ConstraintRef, str]] = []
     binding_refs: set[ConstraintRef] = set()
     for e in space.edges:
@@ -800,7 +744,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     # continuation: forced pairs must be declared, declared groups must
     # be forced together
     group_of = {ref: name for name, members in spec.groups for ref in members}
-    union = _UnionFind([ref for ref, _ in spec.constraints])
+    union = UnionFind([ref for ref, _ in spec.constraints])
     for r1, r2, edge_label in required_pairs:
         g1, g2 = group_of.get(r1), group_of.get(r2)
         if g1 is None or g1 != g2:
@@ -1039,7 +983,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     meetings = 0
     closed_ids = {c.cluster_id for c in space.clusters if c.closed}
     for kind, labels in by_kind.items():
-        uf = _UnionFind(labels)
+        uf = UnionFind(labels)
         joins: dict[str, int] = {lab: 0 for lab in labels}
         for cid in corners_inside:
             germs = [g for g in cluster_germs.get(cid, []) if g[1] == kind]
@@ -1093,10 +1037,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
         )
         for d in feasible
     )
-    crossing_edges = [
-        space.edge(t.edge_label) for t in traces if t.kind == "divisor"
-    ]
-    orientable, _ = _delta_orientation(space, feasible, crossing_edges)
+    orientable = _crossing_signs(space, feasible, traces) is not None
 
     return LogPolytope(
         spec=spec,
@@ -1200,10 +1141,7 @@ def _build_1d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
         )
         for d in feasible
     )
-    crossing_edges = [
-        space.edge(t.edge_label) for t in traces if t.kind == "divisor"
-    ]
-    orientable, _ = _delta_orientation(space, feasible, crossing_edges)
+    orientable = _crossing_signs(space, feasible, traces) is not None
     return LogPolytope(
         spec=spec,
         space=space,
@@ -1382,7 +1320,7 @@ def polytope_topology(p: LogPolytope) -> PolytopeTopology:
         raise GeometryError(
             f"the polytope boundary is not a 1-manifold at {', '.join(bad)}"
         )
-    uf = _UnionFind(degree.keys())
+    uf = UnionFind(degree.keys())
     for a, b in boundary_edges:
         uf.union(a, b)
     circles = len({uf.find(v) for v in degree})
@@ -1442,7 +1380,7 @@ def _polygon_area(halfplanes: list[AffineFunctional]) -> Fraction:
     cx = sum(pt[0] for pt in points) / len(points)
     cy = sum(pt[1] for pt in points) / len(points)
     centered = [(pt, (pt[0] - cx, pt[1] - cy)) for pt in points]
-    centered.sort(key=functools.cmp_to_key(lambda u, v: _dir_cmp(u[1], v[1])))
+    centered.sort(key=functools.cmp_to_key(lambda u, v: _direction_cmp(u[1], v[1])))
     ordered = [pt for pt, _ in centered]
     twice = sum(
         cross2(ordered[i], ordered[(i + 1) % len(ordered)])
@@ -1500,11 +1438,8 @@ def regularized_volume(
         )
     if not p.compact:
         raise NonCompactError("the polytope is not compact")
-    crossing_edges = [
-        p.space.edge(t.edge_label) for t in p.traces if t.kind == "divisor"
-    ]
-    orientable, signs = _delta_orientation(p.space, list(p.feasible), crossing_edges)
-    assert orientable and signs is not None
+    signs = _crossing_signs(p.space, p.feasible, p.traces)
+    assert signs is not None
     norm = signs[min(p.feasible)] * p.spec.orientation
 
     def total(T: Fraction) -> Fraction:

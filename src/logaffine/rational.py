@@ -36,10 +36,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(c, v: Vector) -> Vector:
     c = Fraction(c)
     return tuple(c * a for a in v)
@@ -110,13 +106,18 @@ def _check_same_length(vectors: Sequence[Vector]) -> int:
     return lengths.pop() if lengths else 0
 
 
-def rank(vectors: Sequence[Sequence]) -> int:
-    """Rank of the list of rational vectors, by Gaussian elimination."""
-    rows = [list(as_vector(v)) for v in vectors]
-    _check_same_length([tuple(r) for r in rows])
+def gauss_jordan(rows: list[list[Fraction]], columns: int) -> list[int]:
+    """Reduce ``rows`` in place over their first ``columns`` columns.
+
+    Gauss-Jordan elimination: pivot rows move to the top in order, each
+    scaled to a leading one with zeros above and below it; entries past
+    ``columns`` (an augmented right-hand side) are carried along.
+    Returns the pivot columns, so ``rows[len(pivots):]`` are the rows
+    reduced to zero in the first ``columns`` columns.
+    """
+    pivots: list[int] = []
     r = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
+    for col in range(columns):
         pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if pivot is None:
             continue
@@ -127,10 +128,17 @@ def rank(vectors: Sequence[Sequence]) -> int:
             if i != r and rows[i][col] != 0:
                 f = rows[i][col]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
         r += 1
         if r == len(rows):
             break
-    return r
+    return pivots
+
+
+def rank(vectors: Sequence[Sequence]) -> int:
+    """Rank of the list of rational vectors, by Gaussian elimination."""
+    rows = [list(as_vector(v)) for v in vectors]
+    return len(gauss_jordan(rows, _check_same_length(rows)))
 
 
 def linear_independent(vectors: Sequence[Sequence]) -> bool:
@@ -143,7 +151,8 @@ def linear_independent(vectors: Sequence[Sequence]) -> bool:
 def solve_in_basis(basis: Sequence[Vector], target: Vector) -> tuple[Fraction, ...] | None:
     """Coordinates of ``target`` in the independent ``basis``, or None.
 
-    Returns None when the target lies outside the span.
+    Returns None when the target lies outside the span.  Raises
+    ``DependentGeneratorsError`` when the basis is dependent.
     """
     k = len(basis)
     if k == 0:
@@ -152,26 +161,12 @@ def solve_in_basis(basis: Sequence[Vector], target: Vector) -> tuple[Fraction, .
     # Solve the n x k system basis^T . x = target by elimination on the
     # augmented matrix.
     aug = [[basis[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    r = 0
-    pivots: list[int] = []
-    for col in range(k):
-        pivot = next((i for i in range(r, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise DependentGeneratorsError("basis vectors are dependent")
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(r)
-        r += 1
+    if len(gauss_jordan(aug, k)) < k:
+        raise DependentGeneratorsError("basis vectors are dependent")
     # Consistency: rows past the pivots must have zero right-hand side.
-    for i in range(r, n):
-        if aug[i][k] != 0:
-            return None
-    return tuple(aug[pivots[j]][k] for j in range(k))
+    if any(row[k] != 0 for row in aug[k:]):
+        return None
+    return tuple(row[k] for row in aug[:k])
 
 
 def cone_contains(generators: Sequence[Sequence], point: Sequence, *, strict: bool = False) -> bool:
@@ -182,13 +177,7 @@ def cone_contains(generators: Sequence[Sequence], point: Sequence, *, strict: bo
     origin cone.  Raises ``DependentGeneratorsError`` on dependent
     generators.
     """
-    gens = [as_vector(g) for g in generators]
-    target = as_vector(point)
-    if gens:
-        _check_same_length(gens + [target])
-    if not linear_independent(gens):
-        raise DependentGeneratorsError("cone generators must be independent")
-    coords = solve_in_basis(gens, target)
+    coords = solve_in_basis([as_vector(g) for g in generators], as_vector(point))
     if coords is None:
         return False
     if strict:

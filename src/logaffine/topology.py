@@ -197,8 +197,10 @@ def log_cohomology_dims(space: WeldedSpace) -> tuple[int, ...]:
     Each degree receives the cohomology of the space itself, one copy
     of the divisor components' cohomology one degree down (residues
     along the components), and one class per k-fold crossing in degree
-    k; the top degree is written out even though every term is empty
-    on a surface, so the vanishing is computed rather than assumed.
+    k.  The top degree (3 on a surface, 2 on a line) is zero: there
+    are no cells of that dimension, no divisor component has cohomology
+    one degree below it (no curve has H^2, no point has H^1), and there
+    are no crossings of that order (no triple crossings on a surface).
     """
     if space.dim == 2:
         b = betti_numbers(space)
@@ -207,14 +209,12 @@ def log_cohomology_dims(space: WeldedSpace) -> tuple[int, ...]:
         h0 = b[0]
         h1 = b[1] + sum(b0 for b0, _ in components)
         h2 = b[2] + sum(b1 for _, b1 in components) + crossings
-        h3 = 0 + sum(0 for _ in components) + 0
-        return (h0, h1, h2, h3)
+        return (h0, h1, h2, 0)
     if space.dim == 1:
         b = betti_numbers(space)
         h0 = b[0]
         h1 = b[1] + len(space.divisor_components)
-        h2 = 0 + sum(0 for _ in space.divisor_components)
-        return (h0, h1, h2)
+        return (h0, h1, 0)
     raise UnsupportedDimensionError(
         f"logarithmic cohomology is implemented for dimensions 1 and 2, not {space.dim}"
     )

@@ -15,7 +15,7 @@ any coerced pair is itself obstructed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .domains import TropicalDomain, build_domain
 from .errors import (
@@ -27,7 +27,7 @@ from .errors import (
     WeldingError,
 )
 from .fans import Fan, is_complete, star
-from .rational import Vector, cross2, vector
+from .rational import Vector, cross2
 
 FaceRef = tuple[int, str]
 Quadrant = tuple[int, frozenset[str]]
@@ -124,13 +124,7 @@ def make_welding_spec(
 
 
 def _append_pair(spec: WeldingSpec, pair: MatchedPair) -> WeldingSpec:
-    used = {f for p in spec.pairs for f in p.faces()}
-    for face in pair.faces():
-        if face in used:
-            raise FaceInUseError(f"face {face[0]}.{face[1]} is already welded")
-    result = is_matched_pair(spec, pair)
-    if not result.ok:
-        raise NotMatchedError(f"pair {pair.describe()}: {result.reason}")
+    _require_free_matched(spec, pair)
     return replace(spec, pairs=spec.pairs + (pair,))
 
 
@@ -430,21 +424,35 @@ class WeldedSpace:
                 return e
         raise KeyError(f"no edge {label!r}")
 
-    def component_of_edge(self, label: str) -> DivisorComponent:
-        for comp in self.divisor_components:
-            if label in comp.edge_labels:
-                return comp
-        raise KeyError(f"edge {label!r} is not on the welded divisor")
+
+class UnionFind:
+    """Disjoint sets over a fixed collection of hashable items."""
+
+    def __init__(self, items: Iterable) -> None:
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y) -> None:
+        self.parent[self.find(x)] = self.find(y)
 
 
-def _orientation_signs(spec: WeldingSpec, pairs: Sequence[MatchedPair]):
-    """Two-color the domain adjacency multigraph, if possible."""
-    signs: dict[int, int] = {}
-    adjacency: dict[int, list[int]] = {i: [] for i in spec.domain_ids}
-    for p in pairs:
-        adjacency[p.left[0]].append(p.right[0])
-        adjacency[p.right[0]].append(p.left[0])
-    for root in spec.domain_ids:
+def two_colour(nodes: Iterable, edges: Iterable[tuple]) -> dict | None:
+    """Signs +1/-1 on ``nodes`` such that every edge joins opposite signs.
+
+    The first node of each connected component gets +1.  Returns None
+    when the multigraph is not bipartite (an odd cycle or a loop).
+    """
+    adjacency: dict = {node: [] for node in nodes}
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    signs: dict = {}
+    for root in adjacency:
         if root in signs:
             continue
         signs[root] = 1
@@ -456,8 +464,8 @@ def _orientation_signs(spec: WeldingSpec, pairs: Sequence[MatchedPair]):
                     signs[neighbor] = -signs[node]
                     frontier.append(neighbor)
                 elif signs[neighbor] == signs[node]:
-                    return False, None
-    return True, signs
+                    return None
+    return signs
 
 
 def build_welded_space(spec: WeldingSpec) -> WeldedSpace:
@@ -552,23 +560,26 @@ def _assemble(spec: WeldingSpec) -> WeldedSpace:
                 cluster_of_quadrant[q] = c.cluster_id
 
     # --- edge strata
-    edges: list[EdgeStratum] = []
-    for p in pairs:
-        v = spec.face_vector(p.left)
+    def ends(fan: Fan, face: FaceRef, v: Vector) -> tuple[str | None, str | None]:
+        """The clusters at the tail and head of the stratum of ``face``."""
         tail = head = None
         if spec.dim == 2:
-            left_dom = spec.domain(p.left[0])
-            for cone in star(left_dom.fan, v):
+            for cone in star(fan, v):
                 if len(cone) != 2:
                     continue
                 (w,) = set(cone) - {v}
-                l_w = left_dom.fan.labels[left_dom.fan.index_of_vector(w)]
-                quad: Quadrant = (p.left[0], frozenset({p.left[1], l_w}))
-                cid = cluster_of_quadrant[quad]
+                l_w = fan.labels[fan.index_of_vector(w)]
+                cid = cluster_of_quadrant[(face[0], frozenset({face[1], l_w}))]
                 if cross2(v, w) > 0:
                     tail = cid
                 else:
                     head = cid
+        return tail, head
+
+    edges: list[EdgeStratum] = []
+    for p in pairs:
+        v = spec.face_vector(p.left)
+        tail, head = ends(spec.domain(p.left[0]).fan, p.left, v)
         edges.append(
             EdgeStratum(
                 label=pair_label[p.key()] or p.describe(),
@@ -586,18 +597,7 @@ def _assemble(spec: WeldingSpec) -> WeldedSpace:
             if face in face_to_face:
                 continue
             v = dom.fan.vectors[idx]
-            tail = head = None
-            if spec.dim == 2:
-                for cone in star(dom.fan, v):
-                    if len(cone) != 2:
-                        continue
-                    (w,) = set(cone) - {v}
-                    l_w = dom.fan.labels[dom.fan.index_of_vector(w)]
-                    cid = cluster_of_quadrant[(domain_id, frozenset({label, l_w}))]
-                    if cross2(v, w) > 0:
-                        tail = cid
-                    else:
-                        head = cid
+            tail, head = ends(dom.fan, face, v)
             edges.append(
                 EdgeStratum(
                     label=f"{domain_id}.{label}",
@@ -612,19 +612,7 @@ def _assemble(spec: WeldingSpec) -> WeldedSpace:
 
     # --- divisor components: welded edges joined at crossings
     welded_labels = [e.label for e in edges if e.kind == "welded"]
-    parent: dict[str, str] = {lab: lab for lab in welded_labels}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: str, y: str) -> None:
-        parent[find(x)] = find(y)
-
-    label_of_pair = {p.key(): pair_label[p.key()] for p in pairs}
-    joins = 0
+    uf = UnionFind(welded_labels)
     join_count: dict[str, int] = {lab: 0 for lab in welded_labels}
     for cluster in clusters:
         if not cluster.closed:
@@ -642,18 +630,17 @@ def _assemble(spec: WeldingSpec) -> WeldedSpace:
             ]
             link = shared[0]
             by_residue.setdefault(spec.face_vector(link.left), []).append(
-                label_of_pair[link.key()]
+                pair_label[link.key()]
             )
         for residue_vec, labs in by_residue.items():
             assert len(labs) == 2, (residue_vec, labs)
-            union(labs[0], labs[1])
-            joins += 1
+            uf.union(labs[0], labs[1])
             join_count[labs[0]] += 1
             join_count[labs[1]] += 1
 
     groups: dict[str, list[str]] = {}
     for lab in welded_labels:
-        groups.setdefault(find(lab), []).append(lab)
+        groups.setdefault(uf.find(lab), []).append(lab)
     components: list[DivisorComponent] = []
     for k, (root, labs) in enumerate(
         sorted(groups.items(), key=lambda kv: welded_labels.index(kv[1][0]))
@@ -669,7 +656,7 @@ def _assemble(spec: WeldingSpec) -> WeldedSpace:
             )
         )
 
-    orientable, signs = _orientation_signs(spec, pairs)
+    signs = two_colour(spec.domain_ids, ((p.left[0], p.right[0]) for p in pairs))
     compact: bool | None
     if spec.dim <= 2:
         compact = all(is_complete(dom.fan) for _, dom in spec.domain_items)
@@ -682,28 +669,7 @@ def _assemble(spec: WeldingSpec) -> WeldedSpace:
         edges=tuple(edges),
         clusters=tuple(clusters),
         divisor_components=tuple(components),
-        orientable=orientable,
+        orientable=signs is not None,
         domain_signs=signs,
         compact=compact,
     )
-
-
-def affine_monodromy(space: WeldedSpace, loop: Sequence[int]) -> Vector:
-    """Translation holonomy around a loop of adjacent domains.
-
-    Welding transitions are the identity on the underlying affine
-    space, so the composite translation always vanishes; the loop is
-    still validated for adjacency.
-    """
-    ids = list(loop)
-    if not ids:
-        raise GeometryError("empty loop")
-    adjacency = {
-        frozenset({p.left[0], p.right[0]}) for p in space.pairs
-    }
-    for a, b in zip(ids, ids[1:] + ids[:1]):
-        if a == b:
-            continue
-        if frozenset({a, b}) not in adjacency:
-            raise GeometryError(f"domains {a} and {b} share no welded edge")
-    return vector(*([0] * space.dim))

@@ -1,10 +1,10 @@
-"""Tropical domains: strata, closure order, residues, corner quadrants."""
+"""Tropical domains: strata, closure order, residues."""
 
 from __future__ import annotations
 
 import pytest
 
-from logaffine.domains import build_domain, corner_quadrants, residue
+from logaffine.domains import build_domain, residue
 from logaffine.errors import GeometryError, InvalidFanError
 from logaffine.fans import make_fan
 from logaffine.rational import vector
@@ -51,20 +51,6 @@ def test_residue() -> None:
         residue(dom, dom.stratum(frozenset({1, 2})))
     with pytest.raises(GeometryError):
         residue(dom, dom.stratum(frozenset()))
-
-
-def test_corner_quadrants() -> None:
-    dom = build_domain(wedge_fan())
-    corner = dom.stratum(frozenset({1, 2}))
-    quads = corner_quadrants(dom, corner)
-    assert len(quads) == 4
-    assert [q.signs for q in quads] == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    owned = [q for q in quads if q.owned]
-    assert len(owned) == 1
-    assert owned[0].signs == (1, 1)
-    assert set(owned[0].residues) == {vector(1, 1), vector(0, 1)}
-    with pytest.raises(GeometryError):
-        corner_quadrants(dom, dom.stratum(frozenset({0})))
 
 
 def test_strata_count_matches_cone_count() -> None:

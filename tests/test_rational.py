@@ -21,8 +21,10 @@ from logaffine.rational import (
     is_saturated_lattice_basis,
     linear_independent,
     primitive,
+    rank,
     rot90,
     smith_normal_form,
+    solve_in_basis,
     vector,
 )
 
@@ -131,7 +133,47 @@ def test_linear_independent_dimension_mismatch() -> None:
 )
 def test_linear_independent_matches_minor_oracle(mat: list[list[int]]) -> None:
     rows = [vector(*r) for r in mat]
-    assert linear_independent(rows) == (_det_rank(list(rows)) == len(rows))
+    expected = _det_rank(list(rows))
+    assert rank(rows) == expected
+    assert linear_independent(rows) == (expected == len(rows))
+
+
+# ------------------------------------------------------------- solving
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+        min_size=0,
+        max_size=4,
+    ),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+)
+def test_solve_in_basis_round_trip(
+    mat: list[list[int]], coeffs: list[int], other: list[int]
+) -> None:
+    basis = [vector(*r) for r in mat]
+    coords = tuple(Fraction(c) for c in coeffs[: len(basis)])
+    inside = tuple(
+        sum((c * b[i] for c, b in zip(coords, basis)), Fraction(0)) for i in range(3)
+    )
+    outside = vector(*other)
+    if _det_rank(basis) < len(basis):
+        with pytest.raises(DependentGeneratorsError):
+            solve_in_basis(basis, inside)
+        return
+    assert solve_in_basis(basis, inside) == coords
+    solved = solve_in_basis(basis, outside)
+    if _det_rank(basis + [outside]) > len(basis):
+        assert solved is None
+    else:
+        assert solved is not None
+        assert tuple(
+            sum((c * b[i] for c, b in zip(solved, basis)), Fraction(0))
+            for i in range(3)
+        ) == outside
 
 
 # ------------------------------------------------------- cone membership

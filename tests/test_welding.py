@@ -6,15 +6,12 @@ import pytest
 
 from logaffine.errors import (
     FaceInUseError,
-    GeometryError,
     GloballyObstructedError,
     NotMatchedError,
 )
 from logaffine.fans import make_fan
-from logaffine.rational import vector
 from logaffine.welding import (
     MatchedPair,
-    affine_monodromy,
     build_welded_space,
     coerced_pairs,
     is_locally_obstructed,
@@ -249,20 +246,3 @@ def test_build_welded_space_mobius_band() -> None:
     assert len(space.boundary_corners) == 3
     assert all(len(c.quadrants) == 3 for c in space.boundary_corners)
     assert len(space.crossings) == 0
-
-
-def test_affine_monodromy_vanishes() -> None:
-    spec = quadrant_spec(
-        4,
-        [
-            ((1, "a"), (2, "a")),
-            ((1, "b"), (4, "b")),
-            ((2, "b"), (3, "b")),
-            ((3, "a"), (4, "a")),
-        ],
-    )
-    space = build_welded_space(spec)
-    assert affine_monodromy(space, [1, 2, 3, 4]) == vector(0, 0)
-    assert affine_monodromy(space, [1]) == vector(0, 0)
-    with pytest.raises(GeometryError):
-        affine_monodromy(space, [1, 3])
