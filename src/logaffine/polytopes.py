@@ -6,6 +6,13 @@ A polytope is described per domain by constraints ``a(u) + c >= 0``
 with primitive integer covector ``a``.  Faces continue across welded
 edges; continuation groups are declared in the input and validated
 against the forced geometry.
+
+Every question about a domain's region is answered by clipping one
+line by its half-planes (``_clip``): feasibility, face segments, edge
+traces and clipped areas.  A region with at least one constraint is
+nonempty exactly when some constraint line meets it, and has interior
+exactly when some constraint line meets it in more than a point while
+no constraint of the opposite sign vanishes along that line.
 """
 
 from __future__ import annotations
@@ -342,47 +349,69 @@ class FaceLemmaReport:
     violations: tuple[FaceLemmaCheck, ...]
 
 
-# --------------------------------------------------------- feasibility
+# ------------------------------------------------------ the line clip
 
 
-def _fm_nonempty(rows: list[tuple[tuple[Fraction, ...], Fraction, bool]]) -> bool:
-    """Fourier-Motzkin: does a point satisfy every row ``a.u + c >= 0``
-    (``> 0`` where the strict flag is set)?"""
-    if not rows:
-        return True
-    n = len(rows[0][0])
-    if n == 0:
-        return all((c > 0 if strict else c >= 0) for _, c, strict in rows)
-    lowers, uppers, rest = [], [], []
-    for a, c, strict in rows:
-        k = a[-1]
-        red = a[:-1]
-        if k == 0:
-            rest.append((red, c, strict))
-        elif k > 0:
-            lowers.append((tuple(x / k for x in red), c / k, strict))
+@dataclass
+class _RawInterval:
+    """A line clipped by half-planes: the bounds on its parameter
+    (``None`` = unbounded), every constraint attaining each bound, and
+    the constraints vanishing along the whole line."""
+
+    lower: Fraction | None
+    upper: Fraction | None
+    lower_active: list
+    upper_active: list
+    along: list
+
+
+def _line_of(fn: AffineFunctional) -> tuple[Vector, Vector]:
+    """A point of ``{fn = 0}`` and its direction (zero in dimension 1)."""
+    a = fn.linear
+    base = vec_scale(-Fraction(fn.constant) / dot(a, a), a)
+    return base, rot90(a) if len(a) == 2 else (Fraction(0),)
+
+
+def _clip(
+    base: Vector, direction: Vector, named_fns: Iterable[tuple[object, AffineFunctional]]
+) -> _RawInterval | None:
+    """Clip the line ``base + s * direction`` by each ``g >= 0`` in turn.
+
+    Returns ``None`` once a constraint parallel to the line is negative
+    on it.  Ties at a bound keep every name, in the given order.  The
+    line meets the region in more than a point when the bounds leave
+    an interval of positive length; the region then has interior iff
+    no constraint of the opposite sign is among ``along``.
+    """
+    lower = upper = None
+    lower_active: list = []
+    upper_active: list = []
+    along: list = []
+    for name, g in named_fns:
+        coef = dot(g.linear, direction)
+        val = g(base)
+        if coef == 0:
+            if val < 0:
+                return None
+            if val == 0:
+                along.append(name)
+            continue
+        bound = -val / coef
+        if coef > 0:
+            if lower is None or bound > lower:
+                lower, lower_active = bound, [name]
+            elif bound == lower:
+                lower_active.append(name)
         else:
-            uppers.append((tuple(x / -k for x in red), c / -k, strict))
-    combined = list(rest)
-    for al, cl, sl in lowers:
-        for au, cu, su in uppers:
-            combined.append(
-                (
-                    tuple(x + y for x, y in zip(al, au)),
-                    cl + cu,
-                    sl or su,
-                )
-            )
-    return _fm_nonempty(combined)
+            if upper is None or bound < upper:
+                upper, upper_active = bound, [name]
+            elif bound == upper:
+                upper_active.append(name)
+    return _RawInterval(lower, upper, lower_active, upper_active, along)
 
 
-def _region_rows(
-    fns: Iterable[AffineFunctional], strict: bool
-) -> list[tuple[tuple[Fraction, ...], Fraction, bool]]:
-    return [
-        (tuple(Fraction(x) for x in f.linear), Fraction(f.constant), strict)
-        for f in fns
-    ]
+def _bounded(raw: _RawInterval) -> bool:
+    return raw.lower is not None and raw.upper is not None
 
 
 # ------------------------------------------------- exact circle sweeps
@@ -396,11 +425,13 @@ _AXES: tuple[Vector, ...] = (
 )
 
 
-def _circle_samples(criticals: Iterable[Vector]) -> list[Vector]:
-    """Directions hitting every critical ray and every open arc between
-    consecutive criticals (the four axes are always included)."""
+def _circle_samples(fan: Fan, covectors: list[Vector]) -> list[Vector]:
+    """Directions hitting every critical ray (the fan's rays, the
+    constraint lines and the four axes, each both ways) and every open
+    arc between consecutive criticals."""
+    criticals = list(fan.vectors) + [rot90(a) for a in covectors]
     seen: dict[tuple[int, ...], Vector] = {}
-    for d in list(criticals) + list(_AXES):
+    for d in criticals + [vec_neg(d) for d in criticals] + list(_AXES):
         if any(x != 0 for x in d):
             key = primitive(d)
             seen.setdefault(key, tuple(Fraction(x) for x in key))
@@ -439,14 +470,7 @@ def _domain_compact(
                 if not _support_contains_1d(fan, vec_neg(x)):
                     return False
         return True
-    criticals: list[Vector] = []
-    for a in covectors:
-        criticals.append(rot90(a))
-        criticals.append(vec_neg(rot90(a)))
-    for v in fan.vectors:
-        criticals.append(v)
-        criticals.append(vec_neg(v))
-    for x in _circle_samples(criticals):
+    for x in _circle_samples(fan, covectors):
         if all(dot(a, x) >= 0 for a in covectors):
             if not _support_contains(fan, vec_neg(x)):
                 return False
@@ -456,77 +480,38 @@ def _domain_compact(
 # ----------------------------------------------------- face intervals
 
 
-@dataclass
-class _RawInterval:
-    """Bounds of a face line or an edge trace, with the constraint
-    attaining each finite bound."""
-
-    lower: Fraction | None
-    upper: Fraction | None
-    lower_active: str | None
-    upper_active: str | None
-
-
 def _face_interval(
     ref: ConstraintRef,
-    fn: AffineFunctional,
+    line: tuple[Vector, Vector],
     others: Mapping[str, AffineFunctional],
 ) -> _RawInterval | None:
-    """Parameter interval of ``{fn = 0}`` inside the domain region.
-
-    The line is ``base + s * rot90(a)``.  Returns ``None`` when the
-    face misses the region.
-    """
-    a = fn.linear
-    base = vec_scale(-Fraction(fn.constant) / dot(a, a), a)
-    t = rot90(a)
-    lower = upper = None
-    lower_active: list[str] = []
-    upper_active: list[str] = []
-    for name, g in sorted(others.items()):
-        coef = dot(g.linear, t)
-        val = g(base)
-        if coef == 0:
-            if val < 0:
-                return None
-            if val == 0:
-                raise GeometryError(
-                    f"constraints {ref[0]}.{ref[1]} and {ref[0]}.{name} "
-                    "cut along the same line"
-                )
-            continue
-        bound = -val / coef
-        if coef > 0:
-            if lower is None or bound > lower:
-                lower, lower_active = bound, [name]
-            elif bound == lower:
-                lower_active.append(name)
-        else:
-            if upper is None or bound < upper:
-                upper, upper_active = bound, [name]
-            elif bound == upper:
-                upper_active.append(name)
-    if lower is not None and upper is not None:
-        if lower > upper:
+    """Parameter interval of the face line (from ``_line_of``) inside
+    the domain region, with one constraint at each finite bound.
+    Returns ``None`` when the face misses the region."""
+    raw = _clip(*line, sorted(others.items()))
+    if raw is None:
+        return None
+    if raw.along:
+        raise GeometryError(
+            f"constraints {ref[0]}.{ref[1]} and {ref[0]}.{raw.along[0]} "
+            "cut along the same line"
+        )
+    if _bounded(raw):
+        if raw.lower > raw.upper:
             return None
-        if lower == upper:
+        if raw.lower == raw.upper:
             raise DegenerateVertexError(
                 f"face {ref[0]}.{ref[1]} degenerates to a single point where "
-                f"{', '.join(sorted(set(lower_active + upper_active)))} also vanish"
+                f"{', '.join(sorted(set(raw.lower_active + raw.upper_active)))} also vanish"
             )
-    for bound, active in ((lower, lower_active), (upper, upper_active)):
-        if bound is not None and len(active) > 1:
+    for active in (raw.lower_active, raw.upper_active):
+        if len(active) > 1:
             raise DegenerateVertexError(
                 f"constraints {ref[0]}.{ref[1]}, "
                 + ", ".join(f"{ref[0]}.{n}" for n in active)
                 + " pass through one point"
             )
-    return _RawInterval(
-        lower,
-        upper,
-        lower_active[0] if lower is not None else None,
-        upper_active[0] if upper is not None else None,
-    )
+    return raw
 
 
 def _escape(
@@ -563,33 +548,26 @@ def _side_trace(
     residue: Vector, fns: Mapping[str, AffineFunctional]
 ) -> _RawInterval | None:
     """Interval of the region's closure on the edge with the given
-    residue, in the coordinate ``rot90(residue) . u``."""
+    residue, in the coordinate ``rot90(residue) . u``: the region
+    recedes towards the edge (along ``-residue``) unless a constraint
+    falls that way, and there only the constraints parallel to the
+    residue still bind."""
+    if any(dot(g.linear, residue) > 0 for g in fns.values()):
+        return None
     rv = rot90(residue)
-    pivot = 0 if rv[0] != 0 else 1
-    lower = upper = None
-    lower_active = upper_active = None
-    for name, g in sorted(fns.items()):
-        k = dot(g.linear, residue)
-        if k > 0:
-            return None
-        if k < 0:
-            continue
-        mu = Fraction(g.linear[pivot]) / rv[pivot]
-        bound = -Fraction(g.constant) / mu
-        if mu > 0:
-            if lower is None or bound > lower:
-                lower, lower_active = bound, name
-        else:
-            if upper is None or bound < upper:
-                upper, upper_active = bound, name
-    if lower is not None and upper is not None:
-        if lower == upper:
+    raw = _clip(
+        (Fraction(0), Fraction(0)),
+        vec_scale(1 / dot(rv, rv), rv),
+        [(n, g) for n, g in sorted(fns.items()) if dot(g.linear, residue) == 0],
+    )
+    if _bounded(raw):
+        if raw.lower == raw.upper:
             raise DegenerateVertexError(
                 "the polytope touches an edge stratum in a single point"
             )
-        if lower > upper:
+        if raw.lower > raw.upper:
             return None
-    return _RawInterval(lower, upper, lower_active, upper_active)
+    return raw
 
 
 # -------------------------------------------------------- corner tests
@@ -643,9 +621,20 @@ def build_polytope(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
 def _feasible_domains(space: WeldedSpace, spec: PolytopeSpec) -> list[int]:
     feasible = []
     for d in sorted(space.domain_ids):
-        fns = spec.domain_constraints(d).values()
-        if _fm_nonempty(_region_rows(fns, strict=False)):
-            if not _fm_nonempty(_region_rows(fns, strict=True)):
+        fns = spec.domain_constraints(d)
+        met = interior = not fns  # no constraints: the whole domain
+        for fn in fns.values():
+            raw = _clip(*_line_of(fn), fns.items())
+            if raw is None or (_bounded(raw) and raw.lower > raw.upper):
+                continue
+            met = True
+            if (not _bounded(raw) or raw.lower < raw.upper) and all(
+                dot(fns[n].linear, fn.linear) > 0 for n in raw.along
+            ):
+                interior = True
+                break
+        if met:
+            if not interior:
                 raise GeometryError(f"the region in domain {d} has an empty interior")
             feasible.append(d)
     if not feasible:
@@ -681,18 +670,18 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     edge_index = {e.label: i for i, e in enumerate(space.edges)}
 
     # face segments: parameter interval, then escapes at unbounded ends
+    lines: dict[ConstraintRef, tuple[Vector, Vector]] = {}
     intervals: dict[ConstraintRef, _RawInterval] = {}
     landings: dict[ConstraintRef, dict[str, tuple[str, Fraction]]] = {}
     for ref, fn in spec.constraints:
         if ref[0] not in feasible_set:
             continue
         others = {n: g for n, g in per_domain[ref[0]].items() if n != ref[1]}
-        raw = _face_interval(ref, fn, others)
+        base, t = lines[ref] = _line_of(fn)
+        raw = _face_interval(ref, (base, t), others)
         if raw is None:
             continue
         intervals[ref] = raw
-        base = vec_scale(-Fraction(fn.constant) / dot(fn.linear, fn.linear), fn.linear)
-        t = rot90(fn.linear)
         fan = space.domain(ref[0]).fan
         ends: dict[str, tuple[str, Fraction]] = {}
         for end, bound, direction in (("lower", raw.lower, vec_neg(t)), ("upper", raw.upper, t)):
@@ -717,9 +706,8 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
         if not present:
             continue
         for d, t in present:
-            for name in (t.lower_active, t.upper_active):
-                if name is not None:
-                    binding_refs.add((d, name))
+            for names in (t.lower_active, t.upper_active):
+                binding_refs.update((d, name) for name in names[:1])
         if len(present) == 1:
             (d, t), kind = present[0], "singular"
         else:
@@ -733,11 +721,11 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
             d, t, kind = d1, t1, "divisor"
             if t1.lower is not None:
                 required_pairs.append(
-                    ((d1, t1.lower_active), (d2, t2.lower_active), e.label)
+                    ((d1, t1.lower_active[0]), (d2, t2.lower_active[0]), e.label)
                 )
             if t1.upper is not None:
                 required_pairs.append(
-                    ((d1, t1.upper_active), (d2, t2.upper_active), e.label)
+                    ((d1, t1.upper_active[0]), (d2, t2.upper_active[0]), e.label)
                 )
         raw_traces[e.label] = (kind, tuple(di for di, _ in present), t)
 
@@ -792,16 +780,14 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     # vertices
     interior_keys: dict[tuple[int, Vector], set[str]] = {}
     for ref, raw in intervals.items():
-        fn = spec.constraint(ref)
-        base = vec_scale(-Fraction(fn.constant) / dot(fn.linear, fn.linear), fn.linear)
-        t = rot90(fn.linear)
+        base, t = lines[ref]
         for bound, active in ((raw.lower, raw.lower_active), (raw.upper, raw.upper_active)):
             if bound is None:
                 continue
             point = vec_add(base, vec_scale(bound, t))
             key = (ref[0], point)
             interior_keys.setdefault(key, set()).update(
-                {face_label[ref], face_label[(ref[0], active)]}
+                {face_label[ref], face_label[(ref[0], active[0])]}
             )
     landing_keys: dict[tuple[str, Fraction], set[str]] = {}
     for ref, ends in landings.items():
@@ -902,9 +888,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     segments: list[FaceSegment] = []
     for ref in sorted(intervals):
         raw = intervals[ref]
-        fn = spec.constraint(ref)
-        base = vec_scale(-Fraction(fn.constant) / dot(fn.linear, fn.linear), fn.linear)
-        t = rot90(fn.linear)
+        base, t = lines[ref]
         ends: dict[str, str | None] = {}
         for end, bound in (("lower", raw.lower), ("upper", raw.upper)):
             if bound is not None:
@@ -1095,22 +1079,16 @@ def _build_1d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     for ref, fn in spec.constraints:
         if ref[0] not in feasible_set:
             continue
-        point = (-Fraction(fn.constant) / fn.linear[0],)
-        empty = False
-        for name, g in sorted(per_domain[ref[0]].items()):
-            if name == ref[1]:
-                continue
-            val = g(point)
-            if val < 0:
-                empty = True
-                break
-            if val == 0:
-                raise GeometryError(
-                    f"constraints {ref[0]}.{ref[1]} and {ref[0]}.{name} "
-                    "cut at the same point"
-                )
-        if empty:
+        point, direction = _line_of(fn)
+        others = [(n, g) for n, g in sorted(per_domain[ref[0]].items()) if n != ref[1]]
+        raw = _clip(point, direction, others)
+        if raw is None:
             continue
+        if raw.along:
+            raise GeometryError(
+                f"constraints {ref[0]}.{ref[1]} and {ref[0]}.{raw.along[0]} "
+                "cut at the same point"
+            )
         label = face_label[ref]
         faces.append(PolytopeFace(label, "interior", (ref,), (), False))
         vertices.append(
@@ -1232,11 +1210,7 @@ def is_compact_2d(p: LogPolytope) -> bool:
         for i in cone:
             if any(dot(a, fan.vectors[i]) > 0 for a in covectors):
                 return False
-    criticals: list[Vector] = list(fan.vectors) + [vec_neg(v) for v in fan.vectors]
-    for a in covectors:
-        criticals.append(rot90(a))
-        criticals.append(vec_neg(rot90(a)))
-    for s in _circle_samples(criticals):
+    for s in _circle_samples(fan, covectors):
         if all(dot(a, s) < 0 for a in covectors):
             if not _support_contains(fan, s):
                 return False
@@ -1360,57 +1334,30 @@ def polytope_moduli(p: LogPolytope) -> int:
 # ------------------------------------------------- regularized volume
 
 
-def _polygon_area(halfplanes: list[AffineFunctional]) -> Fraction:
-    points: list[Vector] = []
-    n = len(halfplanes)
-    for i in range(n):
-        ai, ci = halfplanes[i].linear, Fraction(halfplanes[i].constant)
-        for j in range(i + 1, n):
-            aj, cj = halfplanes[j].linear, Fraction(halfplanes[j].constant)
-            det = cross2(ai, aj)
-            if det == 0:
-                continue
-            x = ((-ci) * aj[1] - (-cj) * ai[1]) / det
-            y = (ai[0] * (-cj) - aj[0] * (-ci)) / det
-            pt = (x, y)
-            if all(g(pt) >= 0 for g in halfplanes) and pt not in points:
-                points.append(pt)
-    if len(points) < 3:
-        return Fraction(0)
-    cx = sum(pt[0] for pt in points) / len(points)
-    cy = sum(pt[1] for pt in points) / len(points)
-    centered = [(pt, (pt[0] - cx, pt[1] - cy)) for pt in points]
-    centered.sort(key=functools.cmp_to_key(lambda u, v: _direction_cmp(u[1], v[1])))
-    ordered = [pt for pt, _ in centered]
-    twice = sum(
-        cross2(ordered[i], ordered[(i + 1) % len(ordered)])
-        for i in range(len(ordered))
-    )
-    return abs(twice) / 2
-
-
-def _interval_length(halflines: list[AffineFunctional]) -> Fraction:
-    lower = upper = None
-    for g in halflines:
-        k, c = g.linear[0], Fraction(g.constant)
-        bound = -c / k
-        if k > 0:
-            lower = bound if lower is None else max(lower, bound)
-        else:
-            upper = bound if upper is None else min(upper, bound)
-    if lower is None or upper is None:
-        raise GeometryError("a region stays unbounded after the cutoffs")
-    return max(Fraction(0), upper - lower)
-
-
 def _clipped_measure(p: LogPolytope, domain_id: int, T: Fraction) -> Fraction:
+    """Length or area of the domain region cut off at log-distance
+    ``T`` from every stratum.  The length is the clip of the axis; the
+    area is a shoelace sum over the clipped constraint lines, each edge
+    taken counterclockwise, and a line shared with an earlier
+    constraint of the same sign is counted once."""
     fns = list(p.spec.domain_constraints(domain_id).values())
-    fan = p.space.domain(domain_id).fan
-    for r in fan.vectors:
+    for r in p.space.domain(domain_id).fan.vectors:
         fns.append(AffineFunctional(r, T * dot(r, r)))
-    if p.dim == 1:
-        return _interval_length(fns)
-    return _polygon_area(fns)
+    named = list(enumerate(fns))
+    lines = [((Fraction(0),), (Fraction(1),))] if p.dim == 1 else map(_line_of, fns)
+    twice = Fraction(0)
+    for i, (base, t) in enumerate(lines):
+        raw = _clip(base, t, named)
+        if raw is None or (_bounded(raw) and raw.lower > raw.upper):
+            continue
+        if not _bounded(raw):
+            raise GeometryError("a region stays unbounded after the cutoffs")
+        if p.dim == 1:
+            return raw.upper - raw.lower
+        if not any(j < i and dot(fns[j].linear, fns[i].linear) > 0 for j in raw.along):
+            ends = (vec_add(base, vec_scale(s, t)) for s in (raw.upper, raw.lower))
+            twice += cross2(*ends)
+    return twice / 2
 
 
 def regularized_volume(

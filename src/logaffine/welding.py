@@ -106,12 +106,15 @@ def make_welding_spec(
     free faces and be a matched pair.
     """
     items: list[tuple[int, TropicalDomain]] = []
+    built: dict[Fan, TropicalDomain] = {}
     for domain_id in sorted(domains):
         if not isinstance(domain_id, int) or domain_id < 1:
             raise GeometryError(f"domain ids must be positive integers, got {domain_id!r}")
         dom = domains[domain_id]
         if isinstance(dom, Fan):
-            dom = build_domain(dom)
+            if dom not in built:
+                built[dom] = build_domain(dom)
+            dom = built[dom]
         items.append((domain_id, dom))
     dims = {dom.fan.dim for _, dom in items}
     if len(dims) > 1:

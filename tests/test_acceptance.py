@@ -33,7 +33,6 @@ from logaffine.topology import (
     log_cohomology_dims,
 )
 from logaffine.welding import (
-    MatchedPair,
     build_welded_space,
     coerced_pairs,
     is_locally_obstructed,

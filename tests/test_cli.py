@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from logaffine.cli import main
 
 from conftest import fixture_path

@@ -3,6 +3,8 @@ condition, topology and regularized volume."""
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -22,7 +24,6 @@ from logaffine.errors import (
     UnsupportedDimensionError,
 )
 from logaffine.polytopes import (
-    PolytopeSpec,
     build_polytope,
     check_face_lemmas,
     delzant_check,
@@ -32,8 +33,9 @@ from logaffine.polytopes import (
     polytope_topology,
     regularized_volume,
 )
-from logaffine.rational import AffineFunctional, vector
-from logaffine.welding import build_welded_space
+from logaffine.fans import _direction_cmp, make_fan
+from logaffine.rational import AffineFunctional, cross2, vector
+from logaffine.welding import build_welded_space, make_welding_spec
 
 from conftest import load_built_polytope, load_polytope, load_space, load_welding
 
@@ -704,3 +706,168 @@ def test_full_plane_without_constraints_is_covered() -> None:
         build_welded_space(full_welding), make_polytope_spec(full_welding, [])
     )
     assert is_compact_2d(full)
+
+
+# ------------------------------- the line clip against slow exact oracles
+
+
+def fm_nonempty(rows) -> bool:
+    """Fourier-Motzkin: does a point satisfy every row ``a.u + c >= 0``
+    (``> 0`` where the strict flag is set)?"""
+    if not rows:
+        return True
+    n = len(rows[0][0])
+    if n == 0:
+        return all((c > 0 if strict else c >= 0) for _, c, strict in rows)
+    lowers, uppers, rest = [], [], []
+    for a, c, strict in rows:
+        k = a[-1]
+        red = a[:-1]
+        if k == 0:
+            rest.append((red, c, strict))
+        elif k > 0:
+            lowers.append((tuple(x / k for x in red), c / k, strict))
+        else:
+            uppers.append((tuple(x / -k for x in red), c / -k, strict))
+    combined = list(rest)
+    for al, cl, sl in lowers:
+        for au, cu, su in uppers:
+            combined.append((tuple(x + y for x, y in zip(al, au)), cl + cu, sl or su))
+    return fm_nonempty(combined)
+
+
+def region_rows(fns, strict: bool):
+    return [(tuple(F(x) for x in f.linear), F(f.constant), strict) for f in fns]
+
+
+def is_unbounded(fns) -> bool:
+    """A nonempty region is unbounded iff its recession cone
+    ``{x : a.x >= 0}`` holds a point with some coordinate at +-1."""
+    cone = [(tuple(F(x) for x in f.linear), F(0), False) for f in fns]
+    dim = len(fns[0].linear)
+    return any(
+        fm_nonempty(cone + [(tuple(F(sign * (i == j)) for j in range(dim)), F(-1), False)])
+        for i in range(dim)
+        for sign in (1, -1)
+    )
+
+
+def pairwise_vertex_area(halfplanes) -> Fraction:
+    """Every pair of lines tried as a vertex, the feasible ones sorted
+    by angle around their centroid, then the shoelace sum."""
+    points = []
+    n = len(halfplanes)
+    for i in range(n):
+        ai, ci = halfplanes[i].linear, F(halfplanes[i].constant)
+        for j in range(i + 1, n):
+            aj, cj = halfplanes[j].linear, F(halfplanes[j].constant)
+            det = cross2(ai, aj)
+            if det == 0:
+                continue
+            x = ((-ci) * aj[1] - (-cj) * ai[1]) / det
+            y = (ai[0] * (-cj) - aj[0] * (-ci)) / det
+            pt = (x, y)
+            if all(g(pt) >= 0 for g in halfplanes) and pt not in points:
+                points.append(pt)
+    if len(points) < 3:
+        return F(0)
+    cx = sum(pt[0] for pt in points) / len(points)
+    cy = sum(pt[1] for pt in points) / len(points)
+    centered = [(pt, (pt[0] - cx, pt[1] - cy)) for pt in points]
+    centered.sort(key=functools.cmp_to_key(lambda u, v: _direction_cmp(u[1], v[1])))
+    ordered = [pt for pt, _ in centered]
+    twice = sum(
+        cross2(ordered[i], ordered[(i + 1) % len(ordered)]) for i in range(len(ordered))
+    )
+    return abs(twice) / 2
+
+
+def interval_length(halflines) -> Fraction:
+    lower = max(-F(g.constant) / g.linear[0] for g in halflines if g.linear[0] > 0)
+    upper = min(-F(g.constant) / g.linear[0] for g in halflines if g.linear[0] < 0)
+    return max(F(0), upper - lower)
+
+
+COVECTORS = {
+    1: [(1,), (-1,)],
+    2: [(a, b) for a in range(-2, 3) for b in range(-2, 3) if math.gcd(a, b) == 1],
+}
+
+
+BOUNDS = {1: [((1,), 20), ((-1,), 20)], 2: [((1, 0), 20), ((0, 1), 20), ((-1, -1), 20)]}
+
+
+@st.composite
+def systems(draw, dim: int):
+    """A few random half-planes (half-lines in dimension 1), half the
+    time inside a large bounding triangle (interval), then some of them
+    repeated or negated onto the same line."""
+    rows = draw(
+        st.lists(
+            st.tuples(st.sampled_from(COVECTORS[dim]), st.integers(-4, 4)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    if draw(st.booleans()):
+        rows += BOUNDS[dim]
+    copies = st.tuples(st.integers(0, len(rows) - 1), st.booleans())
+    for i, flip in draw(st.lists(copies, max_size=2)):
+        a, c = rows[i]
+        rows.append((tuple(-x for x in a), -c) if flip else (a, c))
+    return [fn(*a, c=c) for a, c in rows]
+
+
+def empty_fan_polytope(fns):
+    """Build the region of ``fns`` in one domain without strata, or
+    return the error the build raised."""
+    dim = len(fns[0].linear)
+    welding = make_welding_spec({1: make_fan([], [[]], labels=[], dim=dim)}, [])
+    spec = make_polytope_spec(welding, [((1, f"c{i}"), f) for i, f in enumerate(fns)])
+    try:
+        return build_polytope(build_welded_space(welding), spec)
+    except GeometryError as err:
+        return err
+
+
+EMPTY_ERRORS = (
+    "the polytope is empty in every domain",
+    "the region in domain 1 has an empty interior",
+)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_build_matches_fourier_motzkin_and_vertex_area(dim: int, data) -> None:
+    """The build rejects a region as empty or without interior exactly
+    when Fourier-Motzkin does, and a compact region's volume is its
+    brute-force area (length in dimension 1)."""
+    fns = data.draw(systems(dim))
+    built = empty_fan_polytope(fns)
+    if not fm_nonempty(region_rows(fns, strict=False)):
+        expected = EMPTY_ERRORS[0]
+    elif not fm_nonempty(region_rows(fns, strict=True)):
+        expected = EMPTY_ERRORS[1]
+    else:
+        expected = None
+    found = str(built) if isinstance(built, GeometryError) else None
+    assert (found if found in EMPTY_ERRORS else None) == expected
+    if not isinstance(built, GeometryError) and built.compact:
+        oracle = pairwise_vertex_area(fns) if dim == 2 else interval_length(fns)
+        assert regularized_volume(built) == oracle
+
+
+@settings(max_examples=100, deadline=None)
+@given(fns=systems(2))
+def test_clipped_area_matches_vertex_oracle(fns) -> None:
+    """The clipped area alone, on systems the build would reject:
+    repeated lines, opposite lines, empty and unbounded regions."""
+    square = load_built_polytope("unitsquare.poly")
+    constraints = tuple(((1, f"c{i}"), f) for i, f in enumerate(fns))
+    doctored = replace(square, spec=replace(square.spec, constraints=constraints))
+    if fm_nonempty(region_rows(fns, strict=False)) and is_unbounded(fns):
+        with pytest.raises(GeometryError, match="unbounded after the cutoffs"):
+            regularized_volume(doctored)
+    else:
+        assert regularized_volume(doctored) == pairwise_vertex_area(fns)

@@ -7,6 +7,7 @@ import pytest
 from logaffine.errors import (
     FaceInUseError,
     GloballyObstructedError,
+    InvalidFanError,
     NotMatchedError,
 )
 from logaffine.fans import make_fan
@@ -246,3 +247,28 @@ def test_build_welded_space_mobius_band() -> None:
     assert len(space.boundary_corners) == 3
     assert all(len(c.quadrants) == 3 for c in space.boundary_corners)
     assert len(space.crossings) == 0
+
+
+def test_each_distinct_fan_is_built_once(monkeypatch) -> None:
+    from logaffine import welding
+
+    calls = []
+    original = welding.build_domain
+
+    def counting(fan):
+        calls.append(fan)
+        return original(fan)
+
+    monkeypatch.setattr(welding, "build_domain", counting)
+    quad, hexagon = quadrant_fan(), hexagon_fan()
+    spec = make_welding_spec({1: quad, 2: hexagon, 3: quadrant_fan(), 4: quad}, [])
+    assert calls == [quad, hexagon]
+    assert spec.domain(1) is spec.domain(3) is spec.domain(4)
+
+    bad = make_fan([(1, 0), (2, 0)], [[], [0], [1]], labels=["a", "b"])
+    with pytest.raises(InvalidFanError) as shared:
+        make_welding_spec({1: bad, 2: bad, 3: bad}, [])
+    with pytest.raises(InvalidFanError) as alone:
+        make_welding_spec({1: bad}, [])
+    assert shared.value.violations == alone.value.violations
+    assert shared.value.violations
