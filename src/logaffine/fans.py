@@ -142,16 +142,6 @@ def star(fan: Fan, ray) -> set[frozenset[Vector]]:
     }
 
 
-def adjacent_vectors(fan: Fan, ray) -> set[Vector]:
-    """Vectors sharing a cone with the given ray."""
-    idx = _resolve_ray(fan, ray)
-    out: set[Vector] = set()
-    for cone in fan.cones:
-        if idx in cone:
-            out.update(fan.vectors[i] for i in cone if i != idx)
-    return out
-
-
 def _direction_cmp(u: Vector, v: Vector) -> int:
     """Exact counterclockwise comparison starting at direction (1, 0)."""
 

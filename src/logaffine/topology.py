@@ -16,41 +16,140 @@ the top boundary map records each incidence with one fixed
 coefficient; a global sign flip making the two sides cancel exists
 exactly when the adjacency graph is two-colorable, which is the
 orientability test used during welding.
+
+Ranks.  Every boundary matrix here has at most two nonzeros per line:
+per column of the 1-dimensional map of a surface (an edge's head and
+tail), per row of its top map (the one or two domains an edge bounds)
+and per row of the map of a curve.  A line with two nonzeros has
+entries +-1; a line with one holds +-1, or +-2 where a cell meets a
+single neighbour twice; a line whose entries cancel (an edge whose
+head is its tail) is empty and is skipped.  The rank is read off a
+graph whose nodes are the n indices along a line and whose edges are
+the two-entry lines.  A kernel vector x satisfies
+``a x_i + b x_j = 0``, so ``x_j = -ab x_i`` along every edge; x is
+zero on a connected component exactly when some one-entry line meets
+it or the signs ``-ab`` around some cycle multiply to -1.  Each other
+(balanced, unpinned) component carries one kernel vector, unique up
+to scale, so over the rationals
+
+    rank = n - #(balanced components with no one-entry line).
+
+This is exact: no elimination and no division takes place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
 
 from .errors import GeometryError, UnsupportedDimensionError
-from .rational import rank
 from .welding import WeldedSpace
 
 Matrix = tuple[tuple[int, ...], ...]
+Line = tuple[tuple[int, int], ...]
+
+
+def _line(entries: Iterable[tuple[int, int]]) -> Line:
+    """The ``(index, coefficient)`` entries summed per index, zeros dropped."""
+    merged: dict[int, int] = {}
+    for index, coefficient in entries:
+        merged[index] = merged.get(index, 0) + coefficient
+    return tuple((i, c) for i, c in merged.items() if c)
+
+
+def _incidence_rank(n: int, lines: Iterable[Line]) -> int:
+    """Rank over the rationals of a matrix given by sparse lines.
+
+    The lines are all rows or all columns of the matrix and ``n`` is
+    the length of each.  A line holds at most two nonzeros: ``(i, a),
+    (j, b)`` with ``a, b = +-1``, or one entry of any value.
+    """
+    pinned = [False] * n
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for line in lines:
+        if len(line) == 1:
+            pinned[line[0][0]] = True
+        elif len(line) == 2:
+            (i, a), (j, b) = line
+            adjacency[i].append((j, -a * b))
+            adjacency[j].append((i, -a * b))
+    sign = [0] * n
+    kernel = 0
+    for root in range(n):
+        if sign[root]:
+            continue
+        sign[root] = 1
+        free = True
+        frontier = [root]
+        while frontier:
+            i = frontier.pop()
+            free = free and not pinned[i]
+            for j, s in adjacency[i]:
+                if not sign[j]:
+                    sign[j] = s * sign[i]
+                    frontier.append(j)
+                elif sign[j] != s * sign[i]:
+                    free = False
+        kernel += free
+    return n - kernel
+
+
+@dataclass(frozen=True)
+class _Incidence:
+    """A boundary matrix kept as its sparse lines (see ``_line``).
+
+    The lines are the matrix's rows when ``by_row`` holds, else its
+    columns; each has at most two nonzeros, as ``_incidence_rank``
+    needs.
+    """
+
+    lines: tuple[Line, ...]
+    by_row: bool
 
 
 @dataclass(frozen=True)
 class CellComplex:
     """Cells per dimension plus rational boundary matrices.
 
-    ``boundaries[k - 1]`` is the matrix of the boundary map from
-    k-cells to (k-1)-cells, rows indexed like ``cells[k - 1]`` and
-    columns like ``cells[k]``.
+    ``incidences[k - 1]`` holds the boundary map from k-cells to
+    (k-1)-cells as sparse lines; ``boundaries[k - 1]`` is the same map
+    as a dense matrix, built on first read, with rows indexed like
+    ``cells[k - 1]`` and columns like ``cells[k]``.
     """
 
     dim: int
     cells: tuple[tuple[str, ...], ...]
-    boundaries: tuple[Matrix, ...]
+    incidences: tuple[_Incidence, ...]
 
     @property
     def counts(self) -> tuple[int, ...]:
         return tuple(len(layer) for layer in self.cells)
 
+    @cached_property
+    def boundaries(self) -> tuple[Matrix, ...]:
+        matrices = []
+        for k, incidence in enumerate(self.incidences, start=1):
+            dense = [[0] * len(self.cells[k]) for _ in self.cells[k - 1]]
+            for number, line in enumerate(incidence.lines):
+                for index, coefficient in line:
+                    if incidence.by_row:
+                        dense[number][index] = coefficient
+                    else:
+                        dense[index][number] = coefficient
+            matrices.append(tuple(tuple(row) for row in dense))
+        return tuple(matrices)
+
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in enumerate(self.counts))
 
     def betti_numbers(self) -> tuple[int, ...]:
-        ranks = [rank(matrix) for matrix in self.boundaries]
+        ranks = [
+            _incidence_rank(
+                len(self.cells[k if incidence.by_row else k - 1]), incidence.lines
+            )
+            for k, incidence in enumerate(self.incidences, start=1)
+        ]
         ranks = [0] + ranks + [0]
         return tuple(
             n - ranks[k] - ranks[k + 1] for k, n in enumerate(self.counts)
@@ -62,45 +161,46 @@ def _complex_2d(space: WeldedSpace) -> CellComplex:
     edges = tuple(e.label for e in space.edges)
     faces = tuple(str(i) for i in space.domain_ids)
     vertex_index = {v: i for i, v in enumerate(vertices)}
-    edge_index = {e: i for i, e in enumerate(edges)}
-
-    d1 = [[0] * len(edges) for _ in vertices]
-    for j, e in enumerate(space.edges):
-        if e.head is not None:
-            d1[vertex_index[e.head]][j] += 1
-        if e.tail is not None:
-            d1[vertex_index[e.tail]][j] -= 1
-
-    d2 = [[0] * len(faces) for _ in edges]
-    for e in space.edges:
-        for domain_id, _ in e.faces:
-            d2[edge_index[e.label]][space.domain_ids.index(domain_id)] -= 1
-
+    face_index = {d: i for i, d in enumerate(space.domain_ids)}
+    # a column of d1 per edge: +1 at its head, -1 at its tail
+    d1 = tuple(
+        _line(
+            (vertex_index[end], sign)
+            for end, sign in ((e.head, 1), (e.tail, -1))
+            if end is not None
+        )
+        for e in space.edges
+    )
+    # a row of d2 per edge: -1 at each domain it bounds
+    d2 = tuple(
+        _line((face_index[domain_id], -1) for domain_id, _ in e.faces)
+        for e in space.edges
+    )
     return CellComplex(
         dim=2,
         cells=(vertices, edges, faces),
-        boundaries=(
-            tuple(tuple(row) for row in d1),
-            tuple(tuple(row) for row in d2),
-        ),
+        incidences=(_Incidence(d1, by_row=False), _Incidence(d2, by_row=True)),
     )
 
 
 def _complex_1d(space: WeldedSpace) -> CellComplex:
     points = tuple(e.label for e in space.edges)
     segments = tuple(str(i) for i in space.domain_ids)
-    d1 = [[0] * len(segments) for _ in points]
-    for i, e in enumerate(space.edges):
+    segment_index = {d: i for i, d in enumerate(space.domain_ids)}
+    d1 = []
+    for e in space.edges:
+        entries = []
         for domain_id, label in e.faces:
             fan = space.domain(domain_id).fan
             ray = fan.vectors[fan.index_of_label(label)]
             # the point stratum of an outward ray sits at the domain's
             # negative end, of an inward ray at its positive end
-            d1[i][space.domain_ids.index(domain_id)] += -1 if ray[0] > 0 else 1
+            entries.append((segment_index[domain_id], -1 if ray[0] > 0 else 1))
+        d1.append(_line(entries))
     return CellComplex(
         dim=1,
         cells=(points, segments),
-        boundaries=(tuple(tuple(row) for row in d1),),
+        incidences=(_Incidence(tuple(d1), by_row=True),),
     )
 
 

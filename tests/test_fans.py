@@ -1,4 +1,4 @@
-"""Simplicial rational fans: validation, stars, adjacency, completeness."""
+"""Simplicial rational fans: validation, stars, completeness."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import random
 import pytest
 
 from logaffine.errors import UnsupportedDimensionError
-from logaffine.fans import Fan, adjacent_vectors, is_complete_2d, make_fan, star, validate_fan
+from logaffine.fans import Fan, is_complete_2d, make_fan, star, validate_fan
 from logaffine.rational import vector
 
 
@@ -111,14 +111,6 @@ def test_star_accepts_labels_and_rejects_unknown() -> None:
     assert star(fan, "c") == star(fan, vector(0, 1))
     with pytest.raises(KeyError):
         star(fan, vector(5, 5))
-
-
-def test_adjacent_vectors() -> None:
-    fan = wedge_fan()
-    assert adjacent_vectors(fan, vector(0, 1)) == {vector(1, 1)}
-    assert adjacent_vectors(fan, vector(1, 0)) == set()
-    tri = triangle_fan()
-    assert adjacent_vectors(tri, vector(1, 0)) == {vector(0, 1), vector(-1, -1)}
 
 
 # ---------------------------------------------------------- completeness

@@ -1,0 +1,71 @@
+"""Every public function and class in the package has a caller.
+
+A top-level function or class without a leading underscore in a
+package module must either be exported by ``logaffine.__all__`` or be
+read by other code of the package (any top-level statement but its own
+definition); otherwise nothing in the pipeline calls it and only its
+own tests keep it alive.  ``__init__`` only re-exports, so it is not
+scanned and does not count as a reader.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import logaffine
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "logaffine"
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def uncalled_public(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """``module.name`` for each public top-level def no other code reads."""
+    statements = [
+        (module, node)
+        for module, source in sources.items()
+        for node in ast.parse(source).body
+    ]
+    reads = [names_read(node) for _, node in statements]
+    found = []
+    for k, (module, node) in enumerate(statements):
+        if (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in exported
+            and not any(node.name in read for j, read in enumerate(reads) if j != k)
+        ):
+            found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_guard_flags_an_uncalled_public_helper() -> None:
+    sources = {
+        "a": "def used(): pass\ndef exported(): pass\ndef orphan(): pass\n"
+        "def _private(): pass\nclass Orphan: pass\n",
+        "b": "from .a import used\n",
+    }
+    assert uncalled_public(sources, {"exported"}) == ["a.orphan", "a.Orphan"]
+    # a caller in the same module counts, a recursive call does not
+    assert uncalled_public({"a": "def f(): pass\nf()\n"}, set()) == []
+    assert uncalled_public({"a": "def f(n): return f(n - 1)\n"}, set()) == ["a.f"]
+
+
+def test_no_uncalled_public_helpers() -> None:
+    sources = {
+        path.stem: path.read_text()
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert uncalled_public(sources, set(logaffine.__all__)) == []

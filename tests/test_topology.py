@@ -1,10 +1,16 @@
 """Cell complexes, Betti numbers, surface types, divisor topology."""
 
+from dataclasses import replace
+
 import pytest
-from conftest import load_space
+from conftest import fraction_rank, grid_pairs, load_fan, load_space, oracle_betti
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logaffine.errors import GeometryError, UnsupportedDimensionError
+from logaffine.fans import make_fan
 from logaffine.topology import (
+    _incidence_rank,
     betti_numbers,
     cell_complex,
     classify_closed_surface,
@@ -12,6 +18,7 @@ from logaffine.topology import (
     euler_characteristic,
     log_cohomology_dims,
 )
+from logaffine.welding import MatchedPair, build_welded_space, make_welding_spec
 
 # (fixture, cell counts, euler, betti, divisor (comps, closed, crossings), log dims)
 EXPECTED = [
@@ -107,3 +114,70 @@ def test_dimension_three_is_unsupported():
         cell_complex(space)
     with pytest.raises(UnsupportedDimensionError):
         log_cohomology_dims(space)
+
+
+# ------------------------------------------------ ranks against the oracle
+
+
+@st.composite
+def incidence_matrices(draw):
+    """``(n, lines, dense)``: lines of at most two entries over ``n`` indices.
+
+    Most lines join two random indices with random signs; a few hold
+    one entry of +-1 or +-2.  A join of an index to itself sums to a
+    +-2 singleton or to an all-zero line, and lines may repeat.
+    """
+    n = draw(st.integers(min_value=1, max_value=7))
+    index = st.integers(min_value=0, max_value=n - 1)
+    sign = st.sampled_from((1, -1))
+    entry = st.tuples(index, sign)
+    joins = draw(st.lists(st.tuples(entry, entry), max_size=9))
+    single = st.tuples(index, st.sampled_from((1, -1, 2, -2)))
+    singles = draw(st.lists(st.tuples(single), max_size=2))
+    entries = draw(st.permutations(joins + singles))
+    dense = []
+    for line in entries:
+        row = [0] * n
+        for i, c in line:
+            row[i] += c
+        dense.append(row)
+    lines = [tuple((i, c) for i, c in enumerate(row) if c) for row in dense]
+    return n, lines, dense
+
+
+@settings(max_examples=100, deadline=None)
+@given(incidence_matrices())
+@example((2, [((0, 1), (1, 1)), ((0, 1), (1, -1))], [[1, 1], [1, -1]]))
+@example((2, [((0, 2),)], [[2, 0]]))
+def test_incidence_rank_matches_fraction_rank(matrix):
+    n, lines, dense = matrix
+    # the lines as the rows of a matrix, and as the columns of one
+    columns = [list(column) for column in zip(*dense)] or [[]] * n
+    assert _incidence_rank(n, lines) == fraction_rank(dense) == fraction_rank(columns)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_betti_numbers_match_oracle_on_random_weldings(data):
+    m = data.draw(st.sampled_from((1, 2)))
+    pairs = data.draw(st.permutations(grid_pairs("torus", m)))
+    pairs = pairs[: data.draw(st.integers(min_value=0, max_value=len(pairs)))]
+    square = load_fan("square.fan")
+    spec = make_welding_spec(
+        {i: square for i in range(1, 4 * m * m + 1)},
+        [
+            MatchedPair((d1, r1), (d2, r2)) if data.draw(st.booleans())
+            else MatchedPair((d2, r2), (d1, r1))
+            for d1, r1, d2, r2 in pairs
+        ],
+    )
+    space = build_welded_space(spec)
+    assert betti_numbers(space) == oracle_betti(space)
+
+
+def test_segment_welded_to_itself_is_a_circle():
+    segment = make_fan([(1,), (-1,)], [[], [0], [1]], labels=["r", "l"])
+    space = build_welded_space(make_welding_spec({1: segment}, []))
+    (end, _) = space.edges
+    circle = replace(space, edges=(replace(end, faces=((1, "r"), (1, "l"))),))
+    assert oracle_betti(circle) == betti_numbers(circle) == (1, 1)
