@@ -40,7 +40,17 @@ class NotMatchedError(WeldingError):
 
 
 class FaceInUseError(WeldingError):
-    """A face already participates in another weld."""
+    """A face already participates in another weld.
+
+    Attributes:
+        face: the face asked for a second time.
+        holder: the welded pair that already holds it.
+    """
+
+    def __init__(self, message: str, face, holder):
+        super().__init__(message)
+        self.face = face
+        self.holder = holder
 
 
 class GloballyObstructedError(WeldingError):

@@ -35,18 +35,84 @@ class Fan:
 
     def index_of_label(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._label_index[label]
+        except KeyError:
             raise KeyError(f"no ray labelled {label!r}") from None
 
     def index_of_vector(self, v: Vector) -> int:
         try:
-            return self.vectors.index(v)
-        except ValueError:
+            return self._vector_index[v]
+        except KeyError:
             raise KeyError(f"no ray with vector {v}") from None
 
     def two_cones(self) -> list[frozenset[int]]:
         return sorted((c for c in self.cones if len(c) == 2), key=sorted)
+
+    # Lookups built on first use; a frozen dataclass keeps them in its
+    # instance dict, outside the fields that equality and hashing read.
+
+    @functools.cached_property
+    def _label_index(self) -> dict[str, int]:
+        return _first_index(self.labels)
+
+    @functools.cached_property
+    def _vector_index(self) -> dict[Vector, int]:
+        return _first_index(self.vectors)
+
+    @functools.cached_property
+    def stars(self) -> tuple[frozenset[frozenset[Vector]], ...]:
+        """The star of each ray (see ``star``), by ray index."""
+        return tuple(
+            frozenset(
+                frozenset(self.vectors[i] for i in cone) for cone in self.cones if idx in cone
+            )
+            for idx in range(len(self.vectors))
+        )
+
+    @functools.cached_property
+    def corner_neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """For each ray, the other rays of its 2-cones.
+
+        Ordered as the vector pairs of those 2-cones sort, the order in
+        which welding visits the corners of a face.
+        """
+        out: list[list[int]] = [[] for _ in self.vectors]
+        for cone in self.cones:
+            if len(cone) == 2:
+                i, j = cone
+                out[i].append(j)
+                out[j].append(i)
+        return tuple(
+            tuple(sorted(js, key=lambda j: sorted((self.vectors[i], self.vectors[j]))))
+            for i, js in enumerate(out)
+        )
+
+    @functools.cached_property
+    def turns(self) -> tuple[tuple[int | None, int | None], ...]:
+        """For each ray of a plane fan, its 2-cone neighbours on either side.
+
+        ``(ccw, cw)``: the neighbour a counterclockwise turn of less
+        than a half turn reaches, then the one a clockwise turn reaches;
+        None where the ray has no 2-cone on that side.
+        """
+        out = []
+        for i, js in enumerate(self.corner_neighbours):
+            ccw = cw = None
+            for j in js:
+                if cross2(self.vectors[i], self.vectors[j]) > 0:
+                    ccw = j
+                else:
+                    cw = j
+            out.append((ccw, cw))
+        return tuple(out)
+
+
+def _first_index(items: Sequence) -> dict:
+    """Item -> position of its first occurrence, as ``tuple.index`` finds it."""
+    index: dict = {}
+    for i, item in enumerate(items):
+        index.setdefault(item, i)
+    return index
 
 
 @dataclass(frozen=True)
@@ -134,12 +200,7 @@ def star(fan: Fan, ray) -> set[frozenset[Vector]]:
 
     ``ray`` may be a label or the ray vector itself.
     """
-    idx = _resolve_ray(fan, ray)
-    return {
-        frozenset(fan.vectors[i] for i in cone)
-        for cone in fan.cones
-        if idx in cone
-    }
+    return set(fan.stars[_resolve_ray(fan, ray)])
 
 
 def _direction_cmp(u: Vector, v: Vector) -> int:

@@ -242,6 +242,7 @@ def parse_welding_text(text: str, path: str = "<string>", base: Path | None = No
     fan_files: list[tuple[str, str]] = []
     fans: dict[str, Fan] = {}
     domain_fans: list[tuple[int, str]] = []
+    declared: set[int] = set()
     pairs: list[MatchedPair] = []
     pair_labels: set[str] = set()
     for number, line in lines[1:]:
@@ -260,10 +261,11 @@ def parse_welding_text(text: str, path: str = "<string>", base: Path | None = No
             if not name.isdigit() or int(name) < 1:
                 raise SpecFileError(path, number, f"invalid domain id {name!r}")
             domain_id = int(name)
-            if any(i == domain_id for i, _ in domain_fans):
+            if domain_id in declared:
                 raise SpecFileError(path, number, f"duplicate domain id {domain_id}")
             if rest not in fans:
                 raise SpecFileError(path, number, f"unknown fan alias {rest!r}")
+            declared.add(domain_id)
             domain_fans.append((domain_id, rest))
         elif directive == "pair":
             name, rest = _split_assignment(path, number, line, "pair")
@@ -275,9 +277,8 @@ def parse_welding_text(text: str, path: str = "<string>", base: Path | None = No
                 raise SpecFileError(path, number, "expected '<d>.<ray> ~ <d>.<ray>'")
             left = _parse_face_ref(path, number, sides[0])
             right = _parse_face_ref(path, number, sides[1])
-            known = {i for i, _ in domain_fans}
             for ref in (left, right):
-                if ref[0] not in known:
+                if ref[0] not in declared:
                     raise SpecFileError(path, number, f"unknown domain {ref[0]}")
             pairs.append(MatchedPair(left, right, label=name))
         else:

@@ -10,11 +10,25 @@ closes a chain (legal only at length four), overfills a corner
 faces are *coerced* into a weld of their own.  ``weld_pair`` takes
 the transitive closure of this coercion and fails atomically when
 any coerced pair is itself obstructed.
+
+The welds made so far live in one weld index (``_WeldIndex``), which
+``build_welded_space`` creates once and threads through every closure
+and the assembly: face -> partner face, face -> pair holding it,
+face -> label correspondence across its weld (from the one
+``is_matched_pair`` result of that pair), and the set of welded pair
+keys; ``WeldingSpec.domain`` is a mapping too.  A closure runs a queue
+in which each pair gets one match check and one pass over its corners,
+which yields both the obstruction verdict and the pairs it coerces, so
+welding takes near-linear time in the number of welds.  The public checks
+(``is_locally_obstructed``, ``coerced_pairs``, ``weld_pair``) build the
+index of ``spec.pairs`` once per call.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .domains import TropicalDomain, build_domain
@@ -26,8 +40,8 @@ from .errors import (
     NotMatchedError,
     WeldingError,
 )
-from .fans import Fan, is_complete, star
-from .rational import Vector, cross2
+from .fans import Fan, is_complete
+from .rational import Vector
 
 FaceRef = tuple[int, str]
 Quadrant = tuple[int, frozenset[str]]
@@ -66,14 +80,18 @@ class WeldingSpec:
         return tuple(i for i, _ in self.domain_items)
 
     def domain(self, domain_id: int) -> TropicalDomain:
-        for i, dom in self.domain_items:
-            if i == domain_id:
-                return dom
-        raise KeyError(f"no domain {domain_id}")
+        try:
+            return self._domains[domain_id]
+        except KeyError:
+            raise KeyError(f"no domain {domain_id}") from None
 
     def face_vector(self, face: FaceRef) -> Vector:
         dom = self.domain(face[0])
         return dom.fan.vectors[dom.fan.index_of_label(face[1])]
+
+    @cached_property
+    def _domains(self) -> dict[int, TropicalDomain]:
+        return dict(self.domain_items)
 
 
 @dataclass(frozen=True)
@@ -120,15 +138,11 @@ def make_welding_spec(
     if len(dims) > 1:
         raise DimensionMismatchError(f"domains of mixed dimensions {sorted(dims)}")
     dim = dims.pop() if dims else 2
-    spec = WeldingSpec(dim=dim, domain_items=tuple(items), pairs=())
-    for pair in pairs:
-        spec = _append_pair(spec, pair)
+    spec = WeldingSpec(dim=dim, domain_items=tuple(items), pairs=tuple(pairs))
+    listed = _WeldIndex(spec)
+    for pair in spec.pairs:
+        listed.add(pair, listed.require_free_matched(pair).correspondence)
     return spec
-
-
-def _append_pair(spec: WeldingSpec, pair: MatchedPair) -> WeldingSpec:
-    _require_free_matched(spec, pair)
-    return replace(spec, pairs=spec.pairs + (pair,))
 
 
 def is_matched_pair(spec: WeldingSpec, pair: MatchedPair) -> MatchResult:
@@ -147,41 +161,32 @@ def is_matched_pair(spec: WeldingSpec, pair: MatchedPair) -> MatchResult:
             return MatchResult(False, f"domain {face[0]} has no ray {face[1]!r}", None)
     if pair.left[0] == pair.right[0]:
         return MatchResult(False, "both faces belong to the same domain", None)
-    v_left = spec.face_vector(pair.left)
-    v_right = spec.face_vector(pair.right)
+    left_fan = spec.domain(pair.left[0]).fan
+    right_fan = spec.domain(pair.right[0]).fan
+    i_left = left_fan.index_of_label(pair.left[1])
+    i_right = right_fan.index_of_label(pair.right[1])
+    v_left = left_fan.vectors[i_left]
+    v_right = right_fan.vectors[i_right]
     if v_left != v_right:
         return MatchResult(
             False,
             f"face vectors differ: {tuple(map(str, v_left))} vs {tuple(map(str, v_right))}",
             None,
         )
-    left_dom = spec.domain(pair.left[0])
-    right_dom = spec.domain(pair.right[0])
-    star_left = star(left_dom.fan, v_left)
-    star_right = star(right_dom.fan, v_right)
-    if star_left != star_right:
+    star_left = left_fan.stars[i_left]
+    if star_left != right_fan.stars[i_right]:
         return MatchResult(False, "the stars of the welded ray differ", None)
     correspondence: dict[FaceRef, FaceRef] = {}
-    adjacent = set().union(*star_left) - {v_left} if star_left else set()
-    for w in adjacent:
-        l_label = left_dom.fan.labels[left_dom.fan.index_of_vector(w)]
-        r_label = right_dom.fan.labels[right_dom.fan.index_of_vector(w)]
-        correspondence[(pair.left[0], l_label)] = (pair.right[0], r_label)
+    # cones are closed under subsets, so every ray sharing a cone with
+    # the welded one spans a 2-cone with it
+    for j in left_fan.corner_neighbours[i_left]:
+        # one fan object on both sides needs no lookup by vector
+        r = j if right_fan is left_fan else right_fan.index_of_vector(left_fan.vectors[j])
+        correspondence[(pair.left[0], left_fan.labels[j])] = (pair.right[0], right_fan.labels[r])
     return MatchResult(True, None, correspondence)
 
 
 # ------------------------------------------------------- quadrant chains
-
-
-def _weld_maps(pairs: Sequence[MatchedPair]):
-    face_to_face: dict[FaceRef, FaceRef] = {}
-    face_to_pair: dict[FaceRef, MatchedPair] = {}
-    for p in pairs:
-        face_to_face[p.left] = p.right
-        face_to_face[p.right] = p.left
-        face_to_pair[p.left] = p
-        face_to_pair[p.right] = p
-    return face_to_face, face_to_pair
 
 
 def _other_label(corner: frozenset[str], label: str) -> str:
@@ -197,64 +202,126 @@ class _Chain:
     end_face: FaceRef | None  # free face at the far end (open chains)
 
 
-def _walk(spec: WeldingSpec, pairs: Sequence[MatchedPair], start: Quadrant, exit_label: str) -> _Chain:
-    """Follow welds from ``start`` leaving through ``exit_label``."""
-    face_to_face, face_to_pair = _weld_maps(pairs)
-    quads = [start]
-    links: list[MatchedPair] = []
-    current = start
-    label = exit_label
-    while True:
-        face = (current[0], label)
-        partner = face_to_face.get(face)
-        if partner is None:
-            return _Chain(quads, links, closed=False, end_face=face)
-        links.append(face_to_pair[face])
-        other = _other_label(current[1], label)
-        other_vec = spec.face_vector((current[0], other))
-        d2 = partner[0]
-        dom2 = spec.domain(d2)
-        lab2_other = dom2.fan.labels[dom2.fan.index_of_vector(other_vec)]
-        nxt: Quadrant = (d2, frozenset({partner[1], lab2_other}))
-        if nxt == start:
-            return _Chain(quads, links, closed=True, end_face=None)
-        quads.append(nxt)
-        current = nxt
-        label = lab2_other
+class _WeldIndex:
+    """The welds made so far over the domains of ``spec``, as lookups.
 
-
-def _corner_positions(
-    spec: WeldingSpec, pair: MatchedPair
-) -> list[tuple[Quadrant, str, Quadrant, str, tuple[Vector, Vector]]]:
-    """Quadrants at each 2-cone of the welded ray, with their exit faces.
-
-    The exit face of a quadrant is the one *not* being welded: chains
-    of already-welded quadrants extend through it.
+    A new index holds no welds, whatever ``spec.pairs`` lists; ``add``
+    records one matched pair.  ``partner`` and ``holder`` map each
+    welded face to the face across its weld and to its pair, and
+    ``across`` to the labels of its domain renamed to the partner's
+    (the pair's ``is_matched_pair`` correspondence), so a chain steps
+    over a weld with three lookups.  ``keys`` holds the welded pair
+    keys.  Nothing is undone when a check raises: a caller that meets
+    an error drops the index.
     """
-    v = spec.face_vector(pair.left)
-    left_dom = spec.domain(pair.left[0])
-    right_dom = spec.domain(pair.right[0])
-    out = []
-    for cone in sorted(star(left_dom.fan, v), key=sorted):
-        if len(cone) != 2:
-            continue
-        (w,) = set(cone) - {v}
-        l_w = left_dom.fan.labels[left_dom.fan.index_of_vector(w)]
-        r_w = right_dom.fan.labels[right_dom.fan.index_of_vector(w)]
-        ql: Quadrant = (pair.left[0], frozenset({pair.left[1], l_w}))
-        qr: Quadrant = (pair.right[0], frozenset({pair.right[1], r_w}))
-        out.append((ql, l_w, qr, r_w, (v, w)))
-    return out
+
+    def __init__(self, spec: WeldingSpec) -> None:
+        self.spec = spec
+        self.partner: dict[FaceRef, FaceRef] = {}
+        self.holder: dict[FaceRef, MatchedPair] = {}
+        self.across: dict[FaceRef, dict[str, str]] = {}
+        self.keys: set[frozenset[FaceRef]] = set()
+
+    @classmethod
+    def of(cls, spec: WeldingSpec) -> _WeldIndex:
+        """The index of ``spec.pairs`` (matched, as ``make_welding_spec``
+        checks), every listed pair welded."""
+        index = cls(spec)
+        for pair in spec.pairs:
+            index.add(pair, is_matched_pair(spec, pair).correspondence)
+        return index
+
+    def add(self, pair: MatchedPair, correspondence: Mapping[FaceRef, FaceRef]) -> None:
+        forward = {left[1]: right[1] for left, right in correspondence.items()}
+        self.partner[pair.left] = pair.right
+        self.partner[pair.right] = pair.left
+        self.holder[pair.left] = self.holder[pair.right] = pair
+        self.across[pair.left] = forward
+        self.across[pair.right] = {r: l for l, r in forward.items()}
+        self.keys.add(pair.key())
+
+    def require_free(self, pair: MatchedPair) -> None:
+        for face in pair.faces():
+            holder = self.holder.get(face)
+            if holder is not None:
+                raise FaceInUseError(
+                    f"face {face[0]}.{face[1]} is already welded in {holder.describe()}",
+                    face,
+                    holder,
+                )
+
+    def require_free_matched(self, pair: MatchedPair) -> MatchResult:
+        match = is_matched_pair(self.spec, pair)
+        if not match.ok:
+            raise NotMatchedError(f"pair {pair.describe()}: {match.reason}")
+        self.require_free(pair)
+        return match
+
+    def walk(self, start: Quadrant, exit_label: str) -> _Chain:
+        """Follow welds from ``start`` leaving through ``exit_label``."""
+        quads = [start]
+        links: list[MatchedPair] = []
+        current = start
+        label = exit_label
+        while True:
+            face = (current[0], label)
+            partner = self.partner.get(face)
+            if partner is None:
+                return _Chain(quads, links, closed=False, end_face=face)
+            links.append(self.holder[face])
+            label = self.across[face][_other_label(current[1], label)]
+            current = (partner[0], frozenset({partner[1], label}))
+            if current == start:
+                return _Chain(quads, links, closed=True, end_face=None)
+            quads.append(current)
+
+    def corners(
+        self, pair: MatchedPair, correspondence: Mapping[FaceRef, FaceRef]
+    ) -> tuple[ObstructionResult, tuple[MatchedPair, ...]]:
+        """One pass over the corners of the matched, free ``pair``.
+
+        At each 2-cone of the welded ray the chains through the two
+        quadrants leave by the face *not* being welded.  Welding is
+        obstructed when it would close a cycle of length other than
+        four or chain more than four quadrants; two chains of four
+        quadrants in all coerce their free end faces.  Returns the
+        verdict and, when unobstructed, the coerced pairs.
+        """
+        fan = self.spec.domain(pair.left[0]).fan
+        ray = fan.index_of_label(pair.left[1])
+        coerced: dict[frozenset[FaceRef], MatchedPair] = {}
+        for j in fan.corner_neighbours[ray]:
+            l_w = fan.labels[j]
+            r_w = correspondence[(pair.left[0], l_w)][1]
+            ql: Quadrant = (pair.left[0], frozenset({pair.left[1], l_w}))
+            qr: Quadrant = (pair.right[0], frozenset({pair.right[1], r_w}))
+            chain_l = self.walk(ql, l_w)
+            if qr in chain_l.quads:
+                length = len(chain_l.quads)
+                if length != 4:
+                    reason = f"welding closes a {length}-quadrant cycle at"
+                    return _obstructed(reason, fan, ray, j, chain_l.links), ()
+                continue  # the new weld itself closes this corner
+            chain_r = self.walk(qr, r_w)
+            total = len(chain_l.quads) + len(chain_r.quads)
+            if total > 4:
+                reason = f"welding gathers {total} quadrants at"
+                return _obstructed(reason, fan, ray, j, chain_l.links + chain_r.links), ()
+            if total == 4:
+                assert chain_l.end_face is not None and chain_r.end_face is not None
+                faces = sorted((chain_l.end_face, chain_r.end_face))
+                forced = MatchedPair(faces[0], faces[1])
+                coerced.setdefault(forced.key(), forced)
+        ordered = sorted(coerced.values(), key=lambda p: sorted(p.faces()))
+        return ObstructionResult(False, None, ()), tuple(ordered)
 
 
-def _require_free_matched(spec: WeldingSpec, pair: MatchedPair) -> None:
-    result = is_matched_pair(spec, pair)
-    if not result.ok:
-        raise NotMatchedError(f"pair {pair.describe()}: {result.reason}")
-    used = {f for p in spec.pairs for f in p.faces()}
-    for face in pair.faces():
-        if face in used:
-            raise FaceInUseError(f"face {face[0]}.{face[1]} is already welded")
+def _obstructed(
+    reason: str, fan: Fan, ray: int, other: int, links: list[MatchedPair]
+) -> ObstructionResult:
+    v, w = fan.vectors[ray], fan.vectors[other]
+    corner_name = f"corner {{{tuple(map(str, v))}, {tuple(map(str, w))}}}"
+    return ObstructionResult(True, f"{reason} {corner_name}", tuple(links))
 
 
 def is_locally_obstructed(spec: WeldingSpec, pair: MatchedPair) -> ObstructionResult:
@@ -264,28 +331,9 @@ def is_locally_obstructed(spec: WeldingSpec, pair: MatchedPair) -> ObstructionRe
     would close a quadrant cycle of length other than four or chain
     more than four quadrants together.
     """
-    _require_free_matched(spec, pair)
-    for ql, exit_l, qr, exit_r, (v, w) in _corner_positions(spec, pair):
-        corner_name = f"corner {{{tuple(map(str, v))}, {tuple(map(str, w))}}}"
-        chain_l = _walk(spec, spec.pairs, ql, exit_l)
-        if qr in chain_l.quads:
-            length = len(chain_l.quads)
-            if length != 4:
-                return ObstructionResult(
-                    True,
-                    f"welding closes a {length}-quadrant cycle at {corner_name}",
-                    tuple(chain_l.links),
-                )
-            continue
-        chain_r = _walk(spec, spec.pairs, qr, exit_r)
-        total = len(chain_l.quads) + len(chain_r.quads)
-        if total > 4:
-            return ObstructionResult(
-                True,
-                f"welding gathers {total} quadrants at {corner_name}",
-                tuple(chain_l.links + chain_r.links),
-            )
-    return ObstructionResult(False, None, ())
+    index = _WeldIndex.of(spec)
+    match = index.require_free_matched(pair)
+    return index.corners(pair, match.correspondence)[0]
 
 
 def coerced_pairs(spec: WeldingSpec, pair: MatchedPair) -> tuple[MatchedPair, ...]:
@@ -293,25 +341,12 @@ def coerced_pairs(spec: WeldingSpec, pair: MatchedPair) -> tuple[MatchedPair, ..
 
     Requires the pair to be unobstructed.
     """
-    result = is_locally_obstructed(spec, pair)
+    index = _WeldIndex.of(spec)
+    match = index.require_free_matched(pair)
+    result, coerced = index.corners(pair, match.correspondence)
     if result.obstructed:
         raise WeldingError(f"pair {pair.describe()} is obstructed: {result.reason}")
-    coerced: list[MatchedPair] = []
-    seen: set[frozenset[FaceRef]] = set()
-    for ql, exit_l, qr, exit_r, _ in _corner_positions(spec, pair):
-        chain_l = _walk(spec, spec.pairs, ql, exit_l)
-        if qr in chain_l.quads:
-            continue  # the new weld itself closes this corner
-        chain_r = _walk(spec, spec.pairs, qr, exit_r)
-        if len(chain_l.quads) + len(chain_r.quads) != 4:
-            continue
-        assert chain_l.end_face is not None and chain_r.end_face is not None
-        faces = sorted((chain_l.end_face, chain_r.end_face))
-        forced = MatchedPair(faces[0], faces[1])
-        if forced.key() not in seen:
-            seen.add(forced.key())
-            coerced.append(forced)
-    return tuple(sorted(coerced, key=lambda p: sorted(p.faces())))
+    return coerced
 
 
 def weld_pair(spec: WeldingSpec, pair: MatchedPair) -> WeldResult:
@@ -321,23 +356,37 @@ def weld_pair(spec: WeldingSpec, pair: MatchedPair) -> WeldResult:
     added, in welding order.  Raises ``GloballyObstructedError`` when
     any pair in the closure is obstructed or unmatched.
     """
-    _require_free_matched(spec, pair)
-    current = spec
-    queue: list[MatchedPair] = [pair]
+    added = _weld_closure(_WeldIndex.of(spec), pair)
+    return WeldResult(replace(spec, pairs=spec.pairs + added), added)
+
+
+def _weld_closure(index: _WeldIndex, pair: MatchedPair) -> tuple[MatchedPair, ...]:
+    """Weld ``pair`` and its coercion closure into ``index``, in queue order.
+
+    Each queued pair gets one match check and one pass over its
+    corners.  Until the first weld, the pair checked is ``pair``
+    itself: it must be free, and unmatched it raises
+    ``NotMatchedError``; a coerced pair that is already welded is
+    skipped.
+    """
+    queue = deque([pair])
     added: list[MatchedPair] = []
     while queue:
-        item = queue.pop(0)
-        if item.key() in {p.key() for p in current.pairs}:
+        item = queue.popleft()
+        if added and item.key() in index.keys:
             continue
-        match = is_matched_pair(current, item)
+        match = is_matched_pair(index.spec, item)
         if not match.ok:
+            if not added:
+                raise NotMatchedError(f"pair {pair.describe()}: {match.reason}")
             raise GloballyObstructedError(
                 f"coerced pair {item.describe()} is not matched: {match.reason}",
                 pair,
                 item,
                 (),
             )
-        obstruction = is_locally_obstructed(current, item)
+        index.require_free(item)
+        obstruction, coerced = index.corners(item, match.correspondence)
         if obstruction.obstructed:
             raise GloballyObstructedError(
                 f"pair {item.describe()} is obstructed: {obstruction.reason}",
@@ -345,10 +394,10 @@ def weld_pair(spec: WeldingSpec, pair: MatchedPair) -> WeldResult:
                 item,
                 obstruction.witnesses,
             )
-        queue.extend(coerced_pairs(current, item))
-        current = replace(current, pairs=current.pairs + (item,))
+        queue.extend(coerced)
+        index.add(item, match.correspondence)
         added.append(item)
-    return WeldResult(current, tuple(added))
+    return tuple(added)
 
 
 # ------------------------------------------------------- space assembly
@@ -422,10 +471,17 @@ class WeldedSpace:
         return any(e.kind == "boundary" for e in self.edges)
 
     def edge(self, label: str) -> EdgeStratum:
+        try:
+            return self._edges[label]
+        except KeyError:
+            raise KeyError(f"no edge {label!r}") from None
+
+    @cached_property
+    def _edges(self) -> dict[str, EdgeStratum]:
+        edges: dict[str, EdgeStratum] = {}
         for e in self.edges:
-            if e.label == label:
-                return e
-        raise KeyError(f"no edge {label!r}")
+            edges.setdefault(e.label, e)
+        return edges
 
 
 class UnionFind:
@@ -475,19 +531,17 @@ def build_welded_space(spec: WeldingSpec) -> WeldedSpace:
     """Weld every listed pair (in order) and assemble the strata.
 
     A listed pair that an earlier closure already coerced is skipped,
-    keeping its label.
+    keeping its label.  One weld index serves every closure and the
+    assembly.
     """
-    current = replace(spec, pairs=())
+    index = _WeldIndex(spec)
     labels: dict[frozenset[FaceRef], str | None] = {}
     order: list[frozenset[FaceRef]] = []
     for pair in spec.pairs:
-        existing = {p.key() for p in current.pairs}
-        if pair.key() in existing:
+        if pair.key() in index.keys:
             labels[pair.key()] = pair.label or labels[pair.key()]
             continue
-        result = weld_pair(current, pair)
-        current = result.spec
-        for p in result.added:
+        for p in _weld_closure(index, pair):
             labels[p.key()] = p.label
             order.append(p.key())
     auto = 0
@@ -498,14 +552,16 @@ def build_welded_space(spec: WeldingSpec) -> WeldedSpace:
         if label is None:
             auto += 1
             label = f"auto{auto}"
-        final_pairs.append(MatchedPair(faces[0], faces[1], label=label))
-    current = replace(current, pairs=tuple(final_pairs))
-    return _assemble(current)
+        final = MatchedPair(faces[0], faces[1], label=label)
+        # cluster links carry the final labels
+        index.holder[final.left] = index.holder[final.right] = final
+        final_pairs.append(final)
+    return _assemble(replace(spec, pairs=tuple(final_pairs)), index)
 
 
-def _assemble(spec: WeldingSpec) -> WeldedSpace:
+def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
+    """Strata of the welds in ``index``, which holds exactly ``spec.pairs``."""
     pairs = spec.pairs
-    face_to_face, face_to_pair = _weld_maps(pairs)
     pair_label = {p.key(): p.label for p in pairs}
 
     # --- corner clusters (dimension 2 only)
@@ -522,13 +578,13 @@ def _assemble(spec: WeldingSpec) -> WeldedSpace:
             if quad in visited:
                 continue
             l1, l2 = sorted(quad[1])
-            forward = _walk(spec, pairs, quad, l1)
+            forward = index.walk(quad, l1)
             if forward.closed:
                 members = forward.quads
                 links = forward.links
                 closed = True
             else:
-                backward = _walk(spec, pairs, quad, l2)
+                backward = index.walk(quad, l2)
                 members = list(reversed(backward.quads[1:])) + forward.quads
                 links = list(reversed(backward.links)) + forward.links
                 closed = False
@@ -563,26 +619,25 @@ def _assemble(spec: WeldingSpec) -> WeldedSpace:
                 cluster_of_quadrant[q] = c.cluster_id
 
     # --- edge strata
-    def ends(fan: Fan, face: FaceRef, v: Vector) -> tuple[str | None, str | None]:
+    def ends(fan: Fan, face: FaceRef, ray: int) -> tuple[str | None, str | None]:
         """The clusters at the tail and head of the stratum of ``face``."""
-        tail = head = None
-        if spec.dim == 2:
-            for cone in star(fan, v):
-                if len(cone) != 2:
-                    continue
-                (w,) = set(cone) - {v}
-                l_w = fan.labels[fan.index_of_vector(w)]
-                cid = cluster_of_quadrant[(face[0], frozenset({face[1], l_w}))]
-                if cross2(v, w) > 0:
-                    tail = cid
-                else:
-                    head = cid
-        return tail, head
+        if spec.dim != 2:
+            return None, None
+
+        def cluster(j: int | None) -> str | None:
+            if j is None:
+                return None
+            return cluster_of_quadrant[(face[0], frozenset({face[1], fan.labels[j]}))]
+
+        ccw, cw = fan.turns[ray]
+        return cluster(ccw), cluster(cw)
 
     edges: list[EdgeStratum] = []
     for p in pairs:
-        v = spec.face_vector(p.left)
-        tail, head = ends(spec.domain(p.left[0]).fan, p.left, v)
+        fan = spec.domain(p.left[0]).fan
+        ray = fan.index_of_label(p.left[1])
+        v = fan.vectors[ray]
+        tail, head = ends(fan, p.left, ray)
         edges.append(
             EdgeStratum(
                 label=pair_label[p.key()] or p.describe(),
@@ -597,10 +652,10 @@ def _assemble(spec: WeldingSpec) -> WeldedSpace:
     for domain_id, dom in spec.domain_items:
         for idx, label in enumerate(dom.fan.labels):
             face = (domain_id, label)
-            if face in face_to_face:
+            if face in index.partner:
                 continue
             v = dom.fan.vectors[idx]
-            tail, head = ends(dom.fan, face, v)
+            tail, head = ends(dom.fan, face, idx)
             edges.append(
                 EdgeStratum(
                     label=f"{domain_id}.{label}",
@@ -614,24 +669,15 @@ def _assemble(spec: WeldingSpec) -> WeldedSpace:
             )
 
     # --- divisor components: welded edges joined at crossings
-    welded_labels = [e.label for e in edges if e.kind == "welded"]
-    uf = UnionFind(welded_labels)
-    join_count: dict[str, int] = {lab: 0 for lab in welded_labels}
+    welded = [e for e in edges if e.kind == "welded"]
+    uf = UnionFind(e.label for e in welded)
+    join_count: dict[str, int] = {e.label: 0 for e in welded}
     for cluster in clusters:
         if not cluster.closed:
             continue
+        # a crossing's links join its quadrants in cyclic order
         by_residue: dict[Vector, list[str]] = {}
-        quads = list(cluster.quadrants)
-        n = len(quads)
-        for i in range(n):
-            a, b = quads[i], quads[(i + 1) % n]
-            shared = [
-                p
-                for p in cluster.links
-                if {p.left[0], p.right[0]} == {a[0], b[0]}
-                and p.left[1] in (a[1] | b[1])
-            ]
-            link = shared[0]
+        for link in cluster.links:
             by_residue.setdefault(spec.face_vector(link.left), []).append(
                 pair_label[link.key()]
             )
@@ -641,20 +687,19 @@ def _assemble(spec: WeldingSpec) -> WeldedSpace:
             join_count[labs[0]] += 1
             join_count[labs[1]] += 1
 
-    groups: dict[str, list[str]] = {}
-    for lab in welded_labels:
-        groups.setdefault(uf.find(lab), []).append(lab)
+    # groups come out in the order of their first welded edge
+    groups: dict[str, list[EdgeStratum]] = {}
+    for e in welded:
+        groups.setdefault(uf.find(e.label), []).append(e)
     components: list[DivisorComponent] = []
-    for k, (root, labs) in enumerate(
-        sorted(groups.items(), key=lambda kv: welded_labels.index(kv[1][0]))
-    ):
-        member_edges = [e for e in edges if e.label in labs]
+    for k, members in enumerate(groups.values()):
+        labs = [e.label for e in members]
         arcs = sum(join_count[lab] for lab in labs) // 2
         components.append(
             DivisorComponent(
                 label=f"D{k + 1}",
                 edge_labels=tuple(labs),
-                residue=member_edges[0].residue,
+                residue=members[0].residue,
                 closed=(arcs == len(labs)),
             )
         )
@@ -662,7 +707,9 @@ def _assemble(spec: WeldingSpec) -> WeldedSpace:
     signs = two_colour(spec.domain_ids, ((p.left[0], p.right[0]) for p in pairs))
     compact: bool | None
     if spec.dim <= 2:
-        compact = all(is_complete(dom.fan) for _, dom in spec.domain_items)
+        # domains built from one fan share the Fan object: test each once
+        fans = {id(dom.fan): dom.fan for _, dom in spec.domain_items}
+        compact = all(is_complete(fan) for fan in fans.values())
     else:
         compact = None
     return WeldedSpace(

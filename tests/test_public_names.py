@@ -1,17 +1,20 @@
-"""Every public function and class in the package has a caller.
+"""Every function and class in the package has a caller.
 
 A top-level function or class without a leading underscore in a
 package module must either be exported by ``logaffine.__all__`` or be
 read by other code of the package (any top-level statement but its own
 definition); otherwise nothing in the pipeline calls it and only its
-own tests keep it alive.  ``__init__`` only re-exports, so it is not
-scanned and does not count as a reader.
+own tests keep it alive.  A private one (leading underscore) must be
+read by other code of the package, or it is a leftover of a rewrite.
+``__init__`` only re-exports, so it is not scanned and does not count
+as a reader.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Callable
 
 import logaffine
 
@@ -30,8 +33,9 @@ def names_read(tree: ast.AST) -> set[str]:
     return read
 
 
-def uncalled_public(sources: dict[str, str], exported: set[str]) -> list[str]:
-    """``module.name`` for each public top-level def no other code reads."""
+def unread_definitions(sources: dict[str, str], flagged: Callable[[str], bool]) -> list[str]:
+    """``module.name`` for each top-level def whose name ``flagged``
+    accepts and that no other code reads."""
     statements = [
         (module, node)
         for module, source in sources.items()
@@ -42,12 +46,31 @@ def uncalled_public(sources: dict[str, str], exported: set[str]) -> list[str]:
     for k, (module, node) in enumerate(statements):
         if (
             isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
-            and node.name not in exported
+            and flagged(node.name)
             and not any(node.name in read for j, read in enumerate(reads) if j != k)
         ):
             found.append(f"{module}.{node.name}")
     return found
+
+
+def uncalled_public(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """``module.name`` for each public top-level def no other code reads."""
+    return unread_definitions(
+        sources, lambda name: not name.startswith("_") and name not in exported
+    )
+
+
+def unread_private(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each private top-level def no other code reads."""
+    return unread_definitions(sources, lambda name: name.startswith("_"))
+
+
+def package_sources() -> dict[str, str]:
+    return {
+        path.stem: path.read_text()
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
 
 
 def test_guard_flags_an_uncalled_public_helper() -> None:
@@ -62,10 +85,21 @@ def test_guard_flags_an_uncalled_public_helper() -> None:
     assert uncalled_public({"a": "def f(n): return f(n - 1)\n"}, set()) == ["a.f"]
 
 
-def test_no_uncalled_public_helpers() -> None:
+def test_guard_flags_an_unread_private_helper() -> None:
     sources = {
-        path.stem: path.read_text()
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
+        "a": "def _used(): pass\ndef _orphan(): pass\nclass _Gone: pass\n"
+        "def public(): return _used()\n",
+        "b": "from .a import public\n",
     }
-    assert uncalled_public(sources, set(logaffine.__all__)) == []
+    assert unread_private(sources) == ["a._orphan", "a._Gone"]
+    # a reader in another module counts, a recursive call does not
+    assert unread_private({"a": "def _f(): pass\n", "b": "from .a import _f\n"}) == []
+    assert unread_private({"a": "def _f(n): return _f(n - 1)\n"}) == ["a._f"]
+
+
+def test_no_uncalled_public_helpers() -> None:
+    assert uncalled_public(package_sources(), set(logaffine.__all__)) == []
+
+
+def test_no_unread_private_helpers() -> None:
+    assert unread_private(package_sources()) == []

@@ -38,7 +38,7 @@ def closed_forms(variant: str, m: int) -> tuple[tuple[int, ...], tuple[int, ...]
 
 @pytest.mark.parametrize(
     "variant,m",
-    [("torus", 4), ("comb", 4), ("cylinder", 4), ("disc", 4), ("torus", 6)],
+    [("torus", 4), ("comb", 4), ("cylinder", 4), ("disc", 4), ("torus", 6), ("torus", 12)],
 )
 def test_grid_homology_closed_forms(variant: str, m: int) -> None:
     spec = parse_welding_text(grid_text(variant, m), base=FIXTURES).spec

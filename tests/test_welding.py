@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+import weld_oracle
+from conftest import FIXTURES, grid_pairs, load_fan, load_welding
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logaffine.errors import (
     FaceInUseError,
+    GeometryError,
     GloballyObstructedError,
     InvalidFanError,
     NotMatchedError,
@@ -182,8 +189,33 @@ def test_weld_pair_rejects_unmatched() -> None:
 
 
 def test_spec_rejects_duplicate_face_use() -> None:
-    with pytest.raises(FaceInUseError):
+    with pytest.raises(FaceInUseError) as err:
         quadrant_spec(3, [((1, "a"), (2, "a")), ((1, "a"), (3, "a"))])
+    assert str(err.value) == "face 1.a is already welded in w1 (1.a ~ 2.a)"
+    assert err.value.face == (1, "a")
+    assert err.value.holder == MatchedPair((1, "a"), (2, "a"), label="w1")
+
+
+def test_listed_pair_meets_a_face_coerced_earlier() -> None:
+    # welding 2.b ~ 5.b fills the corner of 1, 4, 2 and 5 and coerces
+    # 1.a ~ 5.a, so the listed 1.a ~ 3.a finds face 1.a taken
+    quad, half = quadrant_fan(), three_ray_halfplane_fan()
+    listed = [
+        ((1, "b"), (4, "b")),
+        ((2, "a"), (4, "a")),
+        ((2, "c"), (3, "c")),
+        ((2, "b"), (5, "b")),
+        ((1, "a"), (3, "a")),
+    ]
+    spec = make_welding_spec(
+        {1: quad, 2: half, 3: half, 4: quad, 5: half},
+        [MatchedPair(a, b, label=f"p{k + 1}") for k, (a, b) in enumerate(listed)],
+    )
+    with pytest.raises(FaceInUseError) as err:
+        build_welded_space(spec)
+    assert str(err.value) == "face 1.a is already welded in 1.a ~ 5.a"
+    assert err.value.face == (1, "a")
+    assert err.value.holder.key() == frozenset({(1, "a"), (5, "a")})
 
 
 # ---------------------------------------------------- welded space assembly
@@ -272,3 +304,116 @@ def test_each_distinct_fan_is_built_once(monkeypatch) -> None:
         make_welding_spec({1: bad}, [])
     assert shared.value.violations == alone.value.violations
     assert shared.value.violations
+
+
+# ------------------------------------------------- closure against oracle
+
+
+FANS = ("quadrant.fan", "halfplane3.fan", "square.fan")
+
+
+def outcome(build, spec):
+    """Everything ``build`` makes of ``spec``, or its error and witnesses."""
+    try:
+        space = build(spec)
+    except GeometryError as exc:
+        return (
+            type(exc),
+            str(exc),
+            getattr(exc, "holder", None),
+            getattr(exc, "offending", None),
+            getattr(exc, "witnesses", None),
+        )
+    return (
+        space.pairs,
+        space.edges,
+        space.clusters,
+        space.divisor_components,
+        space.orientable,
+        space.domain_signs,
+        space.compact,
+    )
+
+
+@st.composite
+def grid_weldings(draw):
+    """Random subsets of the pairs of a grid, in random order and orientation."""
+    variant = draw(st.sampled_from(("torus", "comb", "cylinder", "disc")))
+    m = draw(st.sampled_from((1, 2)))
+    pairs = draw(st.permutations(grid_pairs(variant, m)))
+    pairs = pairs[: draw(st.integers(min_value=0, max_value=len(pairs)))]
+    square = load_fan("square.fan")
+    return make_welding_spec(
+        {i: square for i in range(1, 4 * m * m + 1)},
+        [
+            MatchedPair((d1, r1), (d2, r2)) if draw(st.booleans())
+            else MatchedPair((d2, r2), (d1, r1))
+            for d1, r1, d2, r2 in pairs
+        ],
+    )
+
+
+@st.composite
+def matched_weldings(draw):
+    """Random lists of matched pairs with free faces over small fans.
+
+    Each domain's rays get their labels in a random order, so a weld
+    must translate labels.  Some pairs are unlabelled, so the automatic
+    labels and a listed label replacing a coerced pair's both occur.
+    """
+    n = draw(st.integers(min_value=2, max_value=7))
+    fans = {}
+    for i in range(1, n + 1):
+        fan = load_fan(draw(st.sampled_from(FANS)))
+        labels = draw(st.permutations("abcd"))[: len(fan.labels)]
+        fans[i] = replace(fan, labels=tuple(labels))
+    spec = make_welding_spec(fans, [])
+    candidates = [
+        MatchedPair((d1, r1), (d2, r2))
+        for d1 in fans
+        for d2 in fans
+        if d1 < d2
+        for r1 in fans[d1].labels
+        for r2 in fans[d2].labels
+        if weld_oracle.is_matched_pair(spec, MatchedPair((d1, r1), (d2, r2)))[0]
+    ]
+    used: set = set()
+    pairs = []
+    for k, pair in enumerate(draw(st.permutations(candidates))):
+        if used.isdisjoint(pair.faces()) and draw(st.booleans()):
+            used.update(pair.faces())
+            left, right = pair.faces() if draw(st.booleans()) else pair.faces()[::-1]
+            label = f"p{k + 1}" if draw(st.booleans()) else None
+            pairs.append(MatchedPair(left, right, label=label))
+    return make_welding_spec(fans, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.one_of(grid_weldings(), matched_weldings()))
+def test_closure_matches_the_slow_oracle(spec) -> None:
+    assert outcome(build_welded_space, spec) == outcome(weld_oracle.build_welded_space, spec)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.weld")))
+def test_closure_matches_the_slow_oracle_on_fixtures(name: str) -> None:
+    spec = load_welding(name).spec
+    assert outcome(build_welded_space, spec) == outcome(weld_oracle.build_welded_space, spec)
+
+
+def test_each_pair_is_matched_once(monkeypatch) -> None:
+    from logaffine import welding
+
+    calls = []
+    original = welding.is_matched_pair
+
+    def counting(spec, pair):
+        calls.append(pair)
+        return original(spec, pair)
+
+    monkeypatch.setattr(welding, "is_matched_pair", counting)
+    square = load_fan("square.fan")
+    listed = [MatchedPair((d1, r1), (d2, r2)) for d1, r1, d2, r2 in grid_pairs("comb", 3)]
+    spec = make_welding_spec({i: square for i in range(1, 37)}, listed)
+    space = build_welded_space(spec)
+    assert len(space.pairs) > len(listed)  # the closure coerced the other rungs
+    assert len(calls) <= len(listed) + len(space.pairs)
