@@ -3,10 +3,17 @@ invariant-record equivalence."""
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logaffine.classification import (
     cut_report,
@@ -21,14 +28,18 @@ from logaffine.errors import (
     DelzantError,
     DimensionMismatchError,
     GeometryError,
+    UnsupportedDimensionError,
 )
 from logaffine.fans import make_fan
+from logaffine.fileio import parse_polytope_text
 from logaffine.polytopes import build_polytope, make_polytope_spec, polytope_moduli
 from logaffine.rational import AffineFunctional, rank, vector
 from logaffine.topology import betti_numbers
 from logaffine.welding import MatchedPair, build_welded_space, make_welding_spec
 
+import record_oracle
 from conftest import (
+    FIXTURES,
     load_built_polytope,
     load_bundle,
     load_polytope,
@@ -382,3 +393,240 @@ def test_covectors_pin_down_the_automorphism() -> None:
     )
     moved = make_invariant_record(build_polytope(space, moved_spec), bundle)
     assert not records_equivalent(base, moved)
+
+
+# ------------------------------------------------- exact record equivalence
+
+
+def _benchmark_generators():
+    """``perfbench/generators.py``, whose strip texts the benchmark's
+    polygon workload compares."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generators", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+gen = _benchmark_generators()
+
+
+def matmul(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def moved_record(record, t):
+    """``record`` with T applied to its ray vectors and Chern columns
+    and the inverse transpose of T to its covectors."""
+    t = tuple(tuple(F(x) for x in row) for row in t)
+    n = len(t)
+    if n == 1:
+        dual = ((1 / t[0][0],),)
+    else:
+        det = t[0][0] * t[1][1] - t[0][1] * t[1][0]
+        dual = ((t[1][1] / det, -t[1][0] / det), (-t[0][1] / det, t[0][0] / det))
+
+    def apply(m, v):
+        return tuple(sum(m[i][j] * v[j] for j in range(n)) for i in range(n))
+
+    shape = record.polytope
+    shape = replace(
+        shape,
+        domains=tuple(
+            (i, labels, tuple(apply(t, v) for v in vectors), cones)
+            for i, labels, vectors, cones in shape.domains
+        ),
+        constraints=tuple(
+            (ref, apply(dual, linear), constant)
+            for ref, linear, constant in shape.constraints
+        ),
+    )
+    columns = [apply(t, column) for column in zip(*record.chern.chern)]
+    chern = tuple(tuple(column[k] for column in columns) for k in range(n))
+    return replace(record, polytope=shape, chern=replace(record.chern, chern=chern))
+
+
+def strip_record(lo, hi):
+    """The strip record of the rays +-(1, 0) with constraints
+    ``1.lo = lo + 0`` and ``1.hi = hi + 1``, built in memory."""
+    line = make_fan([vector(1, 0), vector(-1, 0)], [(), (0,), (1,)], labels=("a", "c"))
+    welding = make_welding_spec({1: line}, [])
+    spec = make_polytope_spec(
+        welding,
+        [
+            ((1, "lo"), AffineFunctional(vector(*lo), F(0))),
+            ((1, "hi"), AffineFunctional(vector(*hi), F(1))),
+        ],
+    )
+    polytope = build_polytope(build_welded_space(welding), spec)
+    return make_invariant_record(polytope, make_bundle(2, [(), ()]))
+
+
+@lru_cache(maxsize=None)
+def fixture_records():
+    """Every record a fixture builds, with zero Chern vectors: each
+    ``.poly`` fixture and the whole-space polytope of each ``.weld``
+    fixture that is compact, and the strip."""
+    records = {"strip": strip_record((0, 1), (0, -1))}
+    for path in sorted(FIXTURES.glob("*.poly")) + sorted(FIXTURES.glob("*.weld")):
+        try:
+            if path.suffix == ".poly":
+                p = load_built_polytope(path.name)
+            else:
+                p = whole_space_polytope(path.name)
+            records[path.name] = make_invariant_record(p, zero_bundle(p.space, 2))
+        except GeometryError:
+            continue
+    return records
+
+
+def with_chern(record, entries):
+    """``record`` with its Chern vectors filled from ``entries``."""
+    rows = record.chern.chern
+    width = len(rows[0])
+    assert len(rows) * width <= len(entries)
+    chern = tuple(tuple(entries[k * width : (k + 1) * width]) for k in range(len(rows)))
+    return replace(record, chern=make_bundle(len(rows), chern))
+
+
+def assert_equivalence(a, b, expected: bool) -> None:
+    """Both orders give ``expected``, and wherever the bounded search
+    finds a lattice automorphism the exact test agrees."""
+    for x, y in ((a, b), (b, a)):
+        assert records_equivalent(x, y) is expected
+        if record_oracle.records_equivalent(x, y):
+            assert records_equivalent(x, y)
+
+
+@pytest.fixture(scope="module")
+def strip_pairs(tmp_path_factory):
+    """``s -> (strip, sheared strip)`` records of the benchmark's texts."""
+    work = tmp_path_factory.mktemp("strips")
+    for name, text in gen.LIBRARY.items():
+        (work / name).write_text(text)
+    bundle = make_bundle(2, [(), ()])
+
+    def record(text):
+        pf = parse_polytope_text(text, "strip.poly", base=work)
+        polytope = build_polytope(build_welded_space(pf.spec.welding), pf.spec)
+        return make_invariant_record(polytope, bundle)
+
+    def pair(s):
+        (work / f"line{s}.fan").write_text(gen._line_fan(s))
+        (work / f"line{s}.weld").write_text(
+            gen.LIBRARY["line0.weld"].replace("line0", f"line{s}")
+        )
+        return tuple(record(text) for text in gen.strip_texts(s))
+
+    return pair
+
+
+@pytest.mark.parametrize("s", [*range(1, 9), 50])
+def test_sheared_strips_are_equivalent(strip_pairs, s: int) -> None:
+    strip, sheared = strip_pairs(s)
+    assert strip == fixture_records()["strip"]
+    # the shear [[1, 0], [s, 1]] carries the strip onto its image
+    assert moved_record(strip, ((1, 0), (s, 1))) == sheared
+    for a, b in ((strip, sheared), (sheared, strip)):
+        assert records_equivalent(a, b)
+
+
+def test_reflected_strip_needs_a_reversing_map() -> None:
+    strip = fixture_records()["strip"]
+    reflected = strip_record((0, -1), (0, 1))
+    # the rays fix (1, 0), so T = [[1, b], [0, det T]], and only
+    # det T = -1 turns the covectors round: diag(1, -1) is a witness
+    assert moved_record(strip, ((1, 0), (0, -1))) == reflected
+    assert_equivalence(strip, reflected, True)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [((2, 0), (0, 1)), ((1, 0), (0, -3)), ((2, 0), (0, F(1, 2))), ((1, F(1, 2)), (0, 1))],
+    ids=["det 2", "det -3", "rational diagonal", "rational shear"],
+)
+def test_square_moved_off_the_lattice_is_inequivalent(matrix) -> None:
+    square = fixture_records()["unitsquare.poly"]
+    assert_equivalence(square, moved_record(square, matrix), False)
+    assert_equivalence(square, moved_record(square, ((1, 7), (0, 1))), True)
+
+
+def test_reversing_a_line_moves_covectors_with_the_rays() -> None:
+    # on a line T = +-1 is its own inverse transpose, so the covectors
+    # turn round with the rays and never on their own
+    line = fixture_records()["strip"]
+    shape = replace(
+        line.polytope,
+        dim=1,
+        domains=((1, ("a", "c"), ((F(1),), (F(-1),)), ((), (0,), (1,))),),
+        constraints=(((1, "hi"), (F(-1),), F(1)), ((1, "lo"), (F(1),), F(0))),
+    )
+    record = replace(line, polytope=shape, chern=make_bundle(1, [()]))
+    flipped = moved_record(record, ((-1,),))
+    assert_equivalence(record, flipped, True)
+    covectors_only = replace(record, polytope=replace(shape, constraints=flipped.polytope.constraints))
+    assert_equivalence(record, covectors_only, False)
+
+
+def test_equivalence_past_dimension_two_raises() -> None:
+    square = fixture_records()["unitsquare.poly"]
+    solid = replace(square, polytope=replace(square.polytope, dim=3))
+    with pytest.raises(UnsupportedDimensionError, match="not 3"):
+        records_equivalent(solid, solid)
+
+
+def test_bounded_search_finds_nothing_the_exact_test_misses() -> None:
+    hopf = load_bundle("hopf.bundle")
+    records = [
+        record
+        for base in fixture_records().values()
+        for record in (base, with_chern(base, (1,) * 4))
+    ]
+    records += [
+        transformed_sphere_record(matrix, hopf)
+        for matrix in (((1, 1), (0, 1)), ((0, 1), (1, 0)), ((2, 1), (1, 1)))
+    ]
+    for a, b in itertools.product(records, repeat=2):
+        if record_oracle.records_equivalent(a, b):
+            assert records_equivalent(a, b)
+
+
+@st.composite
+def unimodular(draw):
+    """A product of 1-6 elementary matrices with entries up to +-50,
+    with its second column negated about 40% of the time."""
+    t = ((1, 0), (0, 1))
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(-50, 50))
+        t = matmul(t, ((1, k), (0, 1)) if draw(st.booleans()) else ((1, 0), (k, 1)))
+    if draw(st.integers(0, 4)) < 2:
+        t = matmul(t, ((1, 0), (0, -1)))
+    return t
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.deferred(lambda: st.sampled_from(sorted(fixture_records()))),
+    chern=st.just((0,) * 4) | st.tuples(*[st.integers(-3, 3)] * 4),
+    t=unimodular(),
+    k=st.sampled_from([2, 3, -2, -3]),
+    q=st.sampled_from([F(2), F(3), F(1, 2), F(2, 3)]),
+)
+@example(name="strip", chern=(0,) * 4, t=((1, 0), (0, -1)), k=2, q=F(2))
+def test_lattice_images_are_equivalent(name, chern, t, k, q) -> None:
+    record = with_chern(fixture_records()[name], chern)
+    assert_equivalence(record, moved_record(record, t), True)
+    # off the lattice: T = t diag(k, 1) is integral of determinant k and
+    # t diag(q, 1/q) rational of determinant 1.  Either is told apart
+    # once the rays and Chern columns or the covectors alone span the
+    # plane; with both on one line each, it may fix the data.
+    shape = record.polytope
+    if rank(shape.ray_vectors() + tuple(zip(*record.chern.chern))) == 2 or rank(
+        shape.covectors()
+    ) == 2:
+        for off in (((k, 0), (0, 1)), ((q, 0), (0, 1 / q))):
+            assert_equivalence(record, moved_record(record, matmul(t, off)), False)
