@@ -330,7 +330,7 @@ def make_invariant_record(p: LogPolytope, bundle: LogBundle) -> InvariantRecord:
     return InvariantRecord(
         polytope=_polytope_shape(p),
         chern=bundle,
-        moduli_dim=polytope_moduli(p),
+        moduli_dim=polytope_moduli(p) if p.dim == 2 else 0,
     )
 
 

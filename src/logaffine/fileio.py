@@ -118,14 +118,15 @@ def _fraction(path: str, number: int, token: str) -> Fraction:
         raise SpecFileError(path, number, f"invalid rational number {token!r}") from None
 
 
-def _parse_vector(path: str, number: int, token: str) -> Vector:
+def _parse_vector(path: str, number: int, token: str, empty_ok: bool = False) -> Vector:
     token = token.strip()
     if not (token.startswith("(") and token.endswith(")")):
         raise SpecFileError(path, number, f"expected a vector like (1, 0), got {token!r}")
     inner = token[1:-1].strip()
-    if not inner:
+    if not inner and not empty_ok:
         raise SpecFileError(path, number, "empty vector")
-    return vector(*(_fraction(path, number, part.strip()) for part in inner.split(",")))
+    parts = inner.split(",") if inner else []
+    return vector(*(_fraction(path, number, part.strip()) for part in parts))
 
 
 def format_vector(v: Vector) -> str:
@@ -445,7 +446,7 @@ def parse_bundle_text(text: str, path: str = "<string>") -> LogBundle:
             index = int(name)
             if any(i == index for i, _ in chern):
                 raise SpecFileError(path, number, f"duplicate chern index {index}")
-            chern.append((index, _parse_vector(path, number, rest)))
+            chern.append((index, _parse_vector(path, number, rest, empty_ok=True)))
         else:
             raise SpecFileError(path, number, f"unknown directive {directive!r}")
     if rank is None:

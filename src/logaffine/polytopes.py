@@ -21,6 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product, zip_longest
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -389,7 +390,7 @@ def _clip(
     along: list = []
     for name, g in named_fns:
         coef = dot(g.linear, direction)
-        val = g(base)
+        val = dot(g.linear, base) + g.constant
         if coef == 0:
             if val < 0:
                 return None
@@ -1334,17 +1335,65 @@ def polytope_moduli(p: LogPolytope) -> int:
 # ------------------------------------------------- regularized volume
 
 
-def _clipped_measure(p: LogPolytope, domain_id: int, T: Fraction) -> Fraction:
-    """Length or area of the domain region cut off at log-distance
-    ``T`` from every stratum.  The length is the clip of the axis; the
-    area is a shoelace sum over the clipped constraint lines, each edge
-    taken counterclockwise, and a line shared with an earlier
-    constraint of the same sign is counted once."""
-    fns = list(p.spec.domain_constraints(domain_id).values())
-    for r in p.space.domain(domain_id).fan.vectors:
-        fns.append(AffineFunctional(r, T * dot(r, r)))
+@functools.total_ordering
+class _TPoly:
+    """A polynomial in the cutoff ``T`` with exact coefficients, constant
+    first, ordered as its values are for every large ``T``: by the sign
+    of the leading coefficient of a difference."""
+
+    __slots__ = ("coefs",)
+
+    def __init__(self, *coefs) -> None:
+        self.coefs = coefs
+
+    def __add__(self, other) -> _TPoly:
+        b = other.coefs if isinstance(other, _TPoly) else (other,)
+        return _TPoly(*map(sum, zip_longest(self.coefs, b, fillvalue=0)))
+
+    def __mul__(self, other) -> _TPoly:
+        b = other.coefs if isinstance(other, _TPoly) else (other,)
+        out = [0] * (len(self.coefs) + len(b) - 1)
+        for (i, x), (j, y) in product(enumerate(self.coefs), enumerate(b)):
+            out[i + j] += x * y
+        return _TPoly(*out)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self) -> _TPoly:
+        return self * -1
+
+    def __sub__(self, other) -> _TPoly:
+        return self + -other
+
+    def __rsub__(self, other) -> _TPoly:
+        return -self + other
+
+    def __truediv__(self, q) -> _TPoly:
+        return self * (1 / Fraction(q))
+
+    def _lead(self, other):
+        return next((c for c in reversed((self - other).coefs) if c), 0)
+
+    def __eq__(self, other) -> bool:
+        return self._lead(other) == 0
+
+    def __lt__(self, other) -> bool:
+        return self._lead(other) < 0
+
+
+def _clipped_measure(p: LogPolytope, domain_id: int, T=_TPoly(0, 1)) -> Fraction | _TPoly:
+    """Length or area of the domain region cut off at ``r.u + T|r|^2 = 0``
+    for each ray ``r``, ``T`` a number or by default the symbol.  The
+    length is the clip of the axis; the area is a shoelace sum over the
+    clipped constraint lines, each edge taken counterclockwise, and a
+    line shared with an earlier constraint of the same sign is counted
+    once."""
+    own = list(p.spec.domain_constraints(domain_id).values())
+    rays = p.space.domain(domain_id).fan.vectors
+    fns = own + [AffineFunctional(r, T * dot(r, r)) for r in rays]
     named = list(enumerate(fns))
-    lines = [((Fraction(0),), (Fraction(1),))] if p.dim == 1 else map(_line_of, fns)
+    cutoffs = (((-T * r[0], -T * r[1]), rot90(r)) for r in rays)
+    lines = [((Fraction(0),), (Fraction(1),))] if p.dim == 1 else [*map(_line_of, own), *cutoffs]
     twice = Fraction(0)
     for i, (base, t) in enumerate(lines):
         raw = _clip(base, t, named)
@@ -1355,23 +1404,20 @@ def _clipped_measure(p: LogPolytope, domain_id: int, T: Fraction) -> Fraction:
         if p.dim == 1:
             return raw.upper - raw.lower
         if not any(j < i and dot(fns[j].linear, fns[i].linear) > 0 for j in raw.along):
-            ends = (vec_add(base, vec_scale(s, t)) for s in (raw.upper, raw.lower))
+            ends = (tuple(b + s * x for b, x in zip(base, t)) for s in (raw.upper, raw.lower))
             twice += cross2(*ends)
     return twice / 2
 
 
-def regularized_volume(
-    p: LogPolytope, eps: Fraction | None = None
-) -> Fraction:
+def regularized_volume(p: LogPolytope, eps: Fraction | None = None) -> Fraction:
     """Principal-value volume of a compact oriented polytope without
     singular faces.
 
-    Each domain is clipped at log-distance ``T`` from every stratum
-    (``T`` starts at ``max(1, ceil(-ln eps))``) and the signed measures
-    are summed with alternating domain signs; the result is fitted as a
-    quadratic in ``T`` and accepted once the quadratic and linear parts
-    vanish identically, giving the exact limit.
-    """
+    Each domain is clipped once at a symbolic log-distance ``T`` from
+    every stratum; the signed measures, summed with alternating domain
+    signs, are the exact ``a0 + a1 T + a2 T^2`` for every large ``T``.
+    The volume is ``a0`` if ``a1 = a2 = 0`` and diverges otherwise.
+    The excision ``eps`` must lie in (0, 1) but does not change it."""
     if p.dim > 2:
         raise UnsupportedDimensionError(
             "regularized volume is supported in dimensions 1 and 2"
@@ -1385,27 +1431,15 @@ def regularized_volume(
         )
     if not p.compact:
         raise NonCompactError("the polytope is not compact")
+    eps = Fraction(1, 10**9) if eps is None else Fraction(eps)
+    if not 0 < eps < 1:
+        raise GeometryError(f"the excision parameter must be in (0, 1), got {eps}")
     signs = _crossing_signs(p.space, p.feasible, p.traces)
     assert signs is not None
     norm = signs[min(p.feasible)] * p.spec.orientation
-
-    def total(T: Fraction) -> Fraction:
-        return sum(
-            (signs[d] * norm) * _clipped_measure(p, d, T) for d in p.feasible
-        )
-
-    if eps is None:
-        eps = Fraction(1, 10**9)
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise GeometryError(f"the excision parameter must be in (0, 1), got {eps}")
-    t0 = max(1, math.ceil(-(math.log(eps.numerator) - math.log(eps.denominator))))
-    for _ in range(7):
-        f0, f1, f2 = (total(Fraction(t0 + k)) for k in range(3))
-        quad = (f2 - 2 * f1 + f0) / 2
-        lin = (f1 - f0) - quad * (2 * t0 + 1)
-        const = f0 - quad * t0 * t0 - lin * t0
-        if quad == 0 and lin == 0 and total(Fraction(t0 + 3)) == const:
-            return const
-        t0 *= 2
-    raise GeometryError("the regularized volume does not stabilize")
+    total = sum((signs[d] * norm * _clipped_measure(p, d) for d in p.feasible), _TPoly(0))
+    const, *growth = total.coefs
+    if any(growth):
+        terms = ", ".join(f"T^{k}: {c}" for k, c in enumerate(growth, 1) if c)
+        raise GeometryError(f"the regularized volume diverges: nonzero coefficients {terms}")
+    return Fraction(const)

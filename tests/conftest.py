@@ -1,5 +1,7 @@
 """Shared fixture-corpus loaders and the homology oracle for the test suite."""
 
+import importlib.util
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -14,10 +16,42 @@ from logaffine.polytopes import build_polytope
 from logaffine.welding import build_welded_space
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+PERFBENCH = FIXTURES.parent / "perfbench"
 
 
 def fixture_path(name: str) -> Path:
     return FIXTURES / name
+
+
+# An 11 x 8 rectangle on quadrants.weld whose constraint constants (23
+# to 54) exceed the cutoff -ln(1e-9), about 21, at the default excision.
+FAR_RECTANGLE = """logaffine polytope 1
+welding quadrants.weld
+constraint 1.e = (-1, 0) + 34
+constraint 1.n = (0, -1) - 46
+constraint 2.n = (0, -1) - 46
+constraint 2.w = (-1, 0) + 23
+constraint 3.s = (0, -1) - 54
+constraint 3.w = (-1, 0) + 23
+constraint 4.e = (-1, 0) + 34
+constraint 4.s = (0, -1) - 54
+group E = [1.e 4.e]
+group N = [1.n 2.n]
+group S = [3.s 4.s]
+group W = [2.w 3.w]
+orientation +
+"""
+
+
+def benchmark_module(name: str):
+    """A module of ``perfbench/``, registered under its own name because
+    ``oracles`` imports ``generators`` by that name."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 @lru_cache(maxsize=None)

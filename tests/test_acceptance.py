@@ -15,6 +15,9 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from logaffine.classification import cut_report, make_bundle
 from logaffine.cli import main
 from logaffine.polytopes import (
@@ -374,6 +377,17 @@ def test_criterion_6_regularized_volume() -> None:
     )
     whole = regularized_volume(load_built_polytope("rect.poly"))
     assert abs(float(pieces) - float(whole)) <= 1e-8
+
+
+SIDE = st.fractions(min_value=-60, max_value=60, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(west=SIDE, east=SIDE, south=SIDE, north=SIDE)
+def test_rectangle_volume_is_its_closed_form_at_any_distance(west, east, south, north):
+    """Sides far from the strata, or crossing them, leave the principal
+    value the signed product of the side lengths."""
+    assert rectangle_volume(west, east, south, north) == (east - west) * (north - south)
 
 
 # ------------------------------------------------------------ criterion 7

@@ -3,18 +3,16 @@ invariant-record equivalence."""
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
-import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import logaffine.classification as classification
 from logaffine.classification import (
     cut_report,
     effective_moduli_dimension,
@@ -31,7 +29,7 @@ from logaffine.errors import (
     UnsupportedDimensionError,
 )
 from logaffine.fans import make_fan
-from logaffine.fileio import parse_polytope_text
+from logaffine.fileio import parse_bundle_text, parse_polytope_text, serialize_bundle
 from logaffine.polytopes import build_polytope, make_polytope_spec, polytope_moduli
 from logaffine.rational import AffineFunctional, rank, vector
 from logaffine.topology import betti_numbers
@@ -39,6 +37,7 @@ from logaffine.welding import MatchedPair, build_welded_space, make_welding_spec
 
 import record_oracle
 from conftest import (
+    benchmark_module,
     FIXTURES,
     load_built_polytope,
     load_bundle,
@@ -247,6 +246,26 @@ def test_interval_cut() -> None:
     assert all(e.fiber_rank == 0 for e in point_strata)
 
 
+def test_interval_records_from_a_bundle_file(monkeypatch) -> None:
+    """A rank-1 bundle file over an interval has one empty Chern vector;
+    its records compare in the dimension-1 branch."""
+    bundle = parse_bundle_text(serialize_bundle(make_bundle(1, [()])))
+    assert bundle == make_bundle(1, [()])
+    line, symm = (
+        make_invariant_record(load_built_polytope(name), bundle)
+        for name in ("line1d.poly", "symm1d.poly")
+    )
+    assert line.moduli_dim == symm.moduli_dim == 0
+    along = classification._along_one_line
+    calls = []
+    monkeypatch.setattr(
+        classification, "_along_one_line", lambda cols: calls.append(cols) or along(cols)
+    )
+    assert records_equivalent(line, line)
+    assert calls
+    assert not records_equivalent(line, symm)
+
+
 def test_cut_requires_the_lattice_criterion() -> None:
     p = load_built_polytope("delzfail.poly")
     with pytest.raises(DelzantError, match="v1"):
@@ -398,18 +417,8 @@ def test_covectors_pin_down_the_automorphism() -> None:
 # ------------------------------------------------- exact record equivalence
 
 
-def _benchmark_generators():
-    """``perfbench/generators.py``, whose strip texts the benchmark's
-    polygon workload compares."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "generators.py"
-    spec = importlib.util.spec_from_file_location("perfbench_generators", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-gen = _benchmark_generators()
+# the strip texts the benchmark's polygon workload compares
+gen = benchmark_module("generators")
 
 
 def matmul(a, b):

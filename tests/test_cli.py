@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
+
 from logaffine.cli import main
 
-from conftest import fixture_path
+from conftest import FAR_RECTANGLE, fixture_path
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -185,11 +187,29 @@ def test_volume_subcommand(capsys) -> None:
 
 
 def test_volume_flags(capsys) -> None:
-    code, out, _ = run(
-        capsys, "volume", fx("rect.poly"), "--eps", "1/100", "--tol", "0.0"
-    )
+    code, out, _ = run(capsys, "volume", fx("rect.poly"), "--eps", "1/100")
     assert code == 0
     assert "volume = 1.000000000000" in out.splitlines()
+
+
+def test_volume_rejects_a_malformed_eps(capsys) -> None:
+    for token in ("abc", "1/0"):
+        with pytest.raises(SystemExit) as info:
+            main(["volume", fx("rect.poly"), "--eps", token])
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert f"not a rational number: {token!r}" in err
+
+
+def test_volume_far_from_the_strata(tmp_path, capsys) -> None:
+    for name in ("quadrants.weld", "quadrant.fan"):
+        (tmp_path / name).write_text(fixture_path(name).read_text())
+    path = tmp_path / "far.poly"
+    path.write_text(FAR_RECTANGLE)
+    for extra in ((), ("--eps", "1/2"), ("--eps", "1e-25")):
+        code, out, _ = run(capsys, "volume", str(path), *extra)
+        assert code == 0
+        assert "volume_exact = 88" in out.splitlines()
 
 
 def test_volume_error_paths(capsys) -> None:
@@ -202,6 +222,18 @@ def test_volume_error_paths(capsys) -> None:
 
 
 # -------------------------------------------------------------------- cut
+
+
+def test_cut_on_an_interval_with_a_rank_one_bundle(tmp_path, capsys) -> None:
+    bundle = tmp_path / "line.bundle"
+    bundle.write_text("logaffine bundle 1\nrank 1\nchern 1 = ()\n")
+    code, out, _ = run(capsys, "cut", fx("line1d.poly"), str(bundle))
+    assert code == 0
+    assert "moduli = 0" in out.splitlines()
+    code, out, _ = run(capsys, "cut", fx("line1d.poly"), str(bundle), "--record")
+    assert code == 0
+    assert "dim 1" in out.splitlines()
+    assert "chern 1 = ()" in out.splitlines()
 
 
 def test_cut_subcommand(capsys) -> None:

@@ -11,6 +11,7 @@ from logaffine.fileio import (
     parse_bundle_text,
     parse_fan_text,
     parse_polytope_file,
+    parse_polytope_text,
     parse_welding_text,
     serialize_bundle,
     serialize_fan,
@@ -255,6 +256,20 @@ def test_bundle_errors():
 
     err = parse_error(parse_bundle_text, "logaffine bundle 1\nrank 2\nchern 1 = (1)\n")
     assert "1..2" in err.reason
+
+
+def test_only_chern_vectors_may_be_empty():
+    bundle = parse_bundle_text("logaffine bundle 1\nrank 1\nchern 1 = ()\n")
+    assert bundle.chern == ((),)
+    assert parse_bundle_text(serialize_bundle(bundle)) == bundle
+    err = parse_error(parse_fan_text, "logaffine fan 1\ndim 2\nvector a = ()\n")
+    assert err.line == 3 and err.reason == "empty vector"
+    err = parse_error(
+        parse_polytope_text,
+        "logaffine polytope 1\nwelding plane.weld\nconstraint 1.f = () + 0\n",
+        base=FIXTURES,
+    )
+    assert err.line == 3 and err.reason == "empty vector"
 
 
 def test_sniff_and_dispatch():

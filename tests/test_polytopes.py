@@ -34,10 +34,19 @@ from logaffine.polytopes import (
     regularized_volume,
 )
 from logaffine.fans import _direction_cmp, make_fan
+from logaffine.fileio import parse_polytope_text
 from logaffine.rational import AffineFunctional, cross2, vector
 from logaffine.welding import build_welded_space, make_welding_spec
 
-from conftest import load_built_polytope, load_polytope, load_space, load_welding
+import volume_oracle
+from conftest import (
+    FAR_RECTANGLE,
+    FIXTURES,
+    load_built_polytope,
+    load_polytope,
+    load_space,
+    load_welding,
+)
 
 F = Fraction
 
@@ -303,6 +312,63 @@ def test_unit_square_volume_matches_eps_choice() -> None:
     assert regularized_volume(p, eps=F(1, 100)) == 1
     with pytest.raises(GeometryError, match="excision"):
         regularized_volume(p, eps=F(2))
+
+
+@pytest.mark.parametrize("eps", [F(1, 2), F(1, 10**9), F(1, 10**25)])
+def test_volume_far_from_the_strata_is_exact_at_every_eps(eps) -> None:
+    pf = parse_polytope_text(FAR_RECTANGLE, base=FIXTURES)
+    p = build_polytope(build_welded_space(pf.spec.welding), pf.spec)
+    assert regularized_volume(p, eps=eps) == 11 * 8
+
+
+def _without_singular_faces(name: str):
+    p = load_built_polytope(name)
+    return replace(p, faces=p.nonsingular_faces)
+
+
+VOLUME_FIXTURES = [
+    "delzfail.poly",
+    "gen1.poly",
+    "line1d.poly",
+    "rect.poly",
+    "symm1d.poly",
+    "unitsquare.poly",
+]
+
+
+@pytest.mark.parametrize("name", VOLUME_FIXTURES + ["figmodel.poly"])
+def test_volume_matches_the_doubling_fit_oracle(name) -> None:
+    """The exact limit equals the old quadratic fit in ``T``, started
+    past every constraint constant so that its samples see the
+    large-``T`` regions."""
+    p = _without_singular_faces(name)
+    assert not p.singular_faces
+    t0 = volume_oracle.past_every_constant(p)
+    assert regularized_volume(p) == volume_oracle.doubling_fit(p, t0)
+
+
+def test_volume_fixture_list_is_every_fixture_with_a_volume() -> None:
+    with_volume = []
+    for path in sorted(FIXTURES.glob("*.poly")):
+        try:
+            regularized_volume(load_built_polytope(path.name))
+        except GeometryError:
+            continue
+        with_volume.append(path.name)
+    assert with_volume == VOLUME_FIXTURES
+    assert regularized_volume(_without_singular_faces("figmodel.poly")) == F(-1, 2)
+
+
+def test_divergent_volume_names_its_growth_in_the_cutoff() -> None:
+    """Stripping the singular faces of ``compdelt.poly`` skips the
+    singular-face check; the clipped area then grows as ``T^2 / 2``."""
+    p = _without_singular_faces("compdelt.poly")
+    with pytest.raises(GeometryError, match="diverges") as info:
+        regularized_volume(p)
+    assert "T^2: 1/2" in str(info.value)
+    assert "T^1" not in str(info.value)
+    with pytest.raises(GeometryError, match="does not stabilize"):
+        volume_oracle.doubling_fit(p, volume_oracle.past_every_constant(p))
 
 
 # -------------------------------------------------------- lattice failure
