@@ -344,8 +344,9 @@ def parse_polytope_text(
     base = base if base is not None else Path(".")
     welding_path: str | None = None
     welding: WeldingFile | None = None
-    constraints: list[tuple[tuple[int, str], AffineFunctional]] = []
-    groups: list[tuple[str, tuple[tuple[int, str], ...]]] = []
+    domain_ids: set[int] = set()
+    constraints: dict[tuple[int, str], AffineFunctional] = {}
+    groups: dict[str, tuple[tuple[int, str], ...]] = {}
     orientation: int | None = None
     for number, line in lines[1:]:
         directive = line.split(None, 1)[0]
@@ -358,19 +359,20 @@ def parse_polytope_text(
                 raise SpecFileError(path, number, f"welding file not found: {rel}")
             welding_path = rel
             welding = parse_welding_file(weld_path)
+            domain_ids = set(welding.spec.domain_ids)
         elif directive == "constraint":
             if welding is None:
                 raise SpecFileError(path, number, "welding line must come first")
             name, rest = _split_assignment(path, number, line, "constraint")
             ref = _parse_face_ref(path, number, name)
-            if any(r == ref for r, _ in constraints):
+            if ref in constraints:
                 raise SpecFileError(path, number, f"duplicate constraint {name}")
-            if all(i != ref[0] for i in welding.spec.domain_ids):
+            if ref[0] not in domain_ids:
                 raise SpecFileError(path, number, f"unknown domain {ref[0]}")
-            constraints.append((ref, _parse_functional(path, number, rest)))
+            constraints[ref] = _parse_functional(path, number, rest)
         elif directive == "group":
             name, rest = _split_assignment(path, number, line, "group")
-            if any(g == name for g, _ in groups):
+            if name in groups:
                 raise SpecFileError(path, number, f"duplicate group {name!r}")
             members = tuple(
                 _parse_face_ref(path, number, token)
@@ -379,11 +381,11 @@ def parse_polytope_text(
             if not members:
                 raise SpecFileError(path, number, f"group {name!r} is empty")
             for ref in members:
-                if all(r != ref for r, _ in constraints):
+                if ref not in constraints:
                     raise SpecFileError(
                         path, number, f"group member {ref[0]}.{ref[1]} is not a constraint"
                     )
-            groups.append((name, members))
+            groups[name] = members
         elif directive == "orientation":
             if orientation is not None:
                 raise SpecFileError(path, number, "duplicate orientation line")
@@ -397,8 +399,8 @@ def parse_polytope_text(
         raise SpecFileError(path, lines[-1][0], "missing welding line")
     spec = make_polytope_spec(
         welding.spec,
-        constraints,
-        groups,
+        constraints.items(),
+        groups.items(),
         orientation if orientation is not None else 1,
     )
     return PolytopeFile(welding_path=welding_path, welding=welding, spec=spec)

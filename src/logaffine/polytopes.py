@@ -7,12 +7,13 @@ with primitive integer covector ``a``.  Faces continue across welded
 edges; continuation groups are declared in the input and validated
 against the forced geometry.
 
-Every question about a domain's region is answered by clipping one
-line by its half-planes (``_clip``): feasibility, face segments, edge
-traces and clipped areas.  A region with at least one constraint is
-nonempty exactly when some constraint line meets it, and has interior
-exactly when some constraint line meets it in more than a point while
-no constraint of the opposite sign vanishes along that line.
+Every question about a domain's region is answered by clipping a
+line by half-planes (``_clip``).  Each constraint line is clipped once
+by the other constraints of its domain, and feasibility, the face
+segments and the volume all read that clip.  A region with at least one
+constraint is nonempty exactly when some constraint line meets it, and
+has interior exactly when some constraint line meets it in more than a
+point while no constraint of the opposite sign vanishes along that line.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, zip_longest
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -70,13 +72,20 @@ class PolytopeSpec:
     orientation: int = 1
 
     def constraint(self, ref: ConstraintRef) -> AffineFunctional:
-        for r, f in self.constraints:
-            if r == ref:
-                return f
-        raise KeyError(f"no constraint {ref[0]}.{ref[1]}")
+        try:
+            return self._by_domain[ref[0]][ref[1]]
+        except KeyError:
+            raise KeyError(f"no constraint {ref[0]}.{ref[1]}") from None
 
-    def domain_constraints(self, domain_id: int) -> dict[str, AffineFunctional]:
-        return {r[1]: f for r, f in self.constraints if r[0] == domain_id}
+    def domain_constraints(self, domain_id: int) -> Mapping[str, AffineFunctional]:
+        return MappingProxyType(self._by_domain.get(domain_id, {}))
+
+    @functools.cached_property
+    def _by_domain(self) -> dict[int, dict[str, AffineFunctional]]:
+        by_domain: dict[int, dict[str, AffineFunctional]] = {}
+        for (domain_id, name), f in self.constraints:
+            by_domain.setdefault(domain_id, {})[name] = f
+        return by_domain
 
 
 def _validate_covector(ref: ConstraintRef, functional: AffineFunctional) -> None:
@@ -106,6 +115,7 @@ def make_polytope_spec(
     """Validate references and assemble a polytope specification."""
     if orientation not in (1, -1):
         raise GeometryError(f"orientation must be +1 or -1, got {orientation}")
+    domain_ids = set(welding.domain_ids)
     seen: set[ConstraintRef] = set()
     items: list[tuple[ConstraintRef, AffineFunctional]] = []
     for ref, functional in constraints:
@@ -113,7 +123,7 @@ def make_polytope_spec(
         if ref in seen:
             raise GeometryError(f"duplicate constraint {ref[0]}.{ref[1]}")
         seen.add(ref)
-        if ref[0] not in welding.domain_ids:
+        if ref[0] not in domain_ids:
             raise GeometryError(
                 f"constraint {ref[0]}.{ref[1]} references unknown domain {ref[0]}"
             )
@@ -329,27 +339,6 @@ class PolytopeTopology:
     interior_faces: int
 
 
-@dataclass(frozen=True)
-class FaceLemmaCheck:
-    """One evaluation of a covector against an edge residue."""
-
-    face: str
-    member: ConstraintRef
-    edge_label: str
-    relation: str  # "zero" | "negative"
-    value: Fraction
-    ok: bool
-
-
-@dataclass(frozen=True)
-class FaceLemmaReport:
-    """All residue pairings of nonsingular faces, with violations."""
-
-    ok: bool
-    checks: tuple[FaceLemmaCheck, ...]
-    violations: tuple[FaceLemmaCheck, ...]
-
-
 # ------------------------------------------------------ the line clip
 
 
@@ -374,9 +363,11 @@ def _line_of(fn: AffineFunctional) -> tuple[Vector, Vector]:
 
 
 def _clip(
-    base: Vector, direction: Vector, named_fns: Iterable[tuple[object, AffineFunctional]]
+    base: Vector, direction: Vector, named_fns: Iterable[tuple[object, AffineFunctional]],
+    lower=None, upper=None,
 ) -> _RawInterval | None:
-    """Clip the line ``base + s * direction`` by each ``g >= 0`` in turn.
+    """Clip the line ``base + s * direction``, within the optional
+    bounds ``lower <= s <= upper``, by each ``g >= 0`` in turn.
 
     Returns ``None`` once a constraint parallel to the line is negative
     on it.  Ties at a bound keep every name, in the given order.  The
@@ -384,7 +375,6 @@ def _clip(
     an interval of positive length; the region then has interior iff
     no constraint of the opposite sign is among ``along``.
     """
-    lower = upper = None
     lower_active: list = []
     upper_active: list = []
     along: list = []
@@ -481,15 +471,9 @@ def _domain_compact(
 # ----------------------------------------------------- face intervals
 
 
-def _face_interval(
-    ref: ConstraintRef,
-    line: tuple[Vector, Vector],
-    others: Mapping[str, AffineFunctional],
-) -> _RawInterval | None:
-    """Parameter interval of the face line (from ``_line_of``) inside
-    the domain region, with one constraint at each finite bound.
-    Returns ``None`` when the face misses the region."""
-    raw = _clip(*line, sorted(others.items()))
+def _face_interval(ref: ConstraintRef, raw: _RawInterval | None) -> _RawInterval | None:
+    """The face line's clip as an interval with one constraint at each
+    finite bound, or ``None`` when the face misses the region."""
     if raw is None:
         return None
     if raw.along:
@@ -619,28 +603,33 @@ def build_polytope(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     return _build_2d(space, spec)
 
 
-def _feasible_domains(space: WeldedSpace, spec: PolytopeSpec) -> list[int]:
-    feasible = []
+def _feasible_domains(
+    space: WeldedSpace, spec: PolytopeSpec
+) -> tuple[list[int], dict[ConstraintRef, tuple[Vector, Vector, _RawInterval | None]]]:
+    """The domains the region meets, and each constraint line clipped
+    once by the other constraints of its domain, in sorted name order."""
+    feasible, clips = [], {}
     for d in sorted(space.domain_ids):
-        fns = spec.domain_constraints(d)
-        met = interior = not fns  # no constraints: the whole domain
-        for fn in fns.values():
-            raw = _clip(*_line_of(fn), fns.items())
+        items = sorted(spec.domain_constraints(d).items())
+        met = interior = not items  # no constraints: the whole domain
+        for name, fn in items:
+            base, t = _line_of(fn)
+            raw = _clip(base, t, [(n, g) for n, g in items if n != name])
+            clips[(d, name)] = base, t, raw
             if raw is None or (_bounded(raw) and raw.lower > raw.upper):
                 continue
             met = True
             if (not _bounded(raw) or raw.lower < raw.upper) and all(
-                dot(fns[n].linear, fn.linear) > 0 for n in raw.along
+                dot(spec.constraint((d, n)).linear, fn.linear) > 0 for n in raw.along
             ):
                 interior = True
-                break
         if met:
             if not interior:
                 raise GeometryError(f"the region in domain {d} has an empty interior")
             feasible.append(d)
     if not feasible:
         raise GeometryError("the polytope is empty in every domain")
-    return feasible
+    return feasible, clips
 
 
 def _face_labels(spec: PolytopeSpec) -> dict[ConstraintRef, str]:
@@ -663,23 +652,20 @@ def _crossing_signs(
 
 
 def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
-    feasible = _feasible_domains(space, spec)
+    feasible, clips = _feasible_domains(space, spec)
     feasible_set = set(feasible)
-    per_domain = {d: spec.domain_constraints(d) for d in sorted(space.domain_ids)}
     face_label = _face_labels(spec)
     edge_of_face = {f: e.label for e in space.edges for f in e.faces}
     edge_index = {e.label: i for i, e in enumerate(space.edges)}
 
     # face segments: parameter interval, then escapes at unbounded ends
-    lines: dict[ConstraintRef, tuple[Vector, Vector]] = {}
     intervals: dict[ConstraintRef, _RawInterval] = {}
     landings: dict[ConstraintRef, dict[str, tuple[str, Fraction]]] = {}
-    for ref, fn in spec.constraints:
+    for ref, _ in spec.constraints:
         if ref[0] not in feasible_set:
             continue
-        others = {n: g for n, g in per_domain[ref[0]].items() if n != ref[1]}
-        base, t = lines[ref] = _line_of(fn)
-        raw = _face_interval(ref, (base, t), others)
+        base, t, raw = clips[ref]
+        raw = _face_interval(ref, raw)
         if raw is None:
             continue
         intervals[ref] = raw
@@ -700,7 +686,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     binding_refs: set[ConstraintRef] = set()
     for e in space.edges:
         sides = [
-            (face[0], _side_trace(e.residue, per_domain[face[0]]))
+            (face[0], _side_trace(e.residue, spec.domain_constraints(face[0])))
             for face in e.faces
         ]
         present = [(d, t) for d, t in sides if t is not None]
@@ -781,7 +767,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     # vertices
     interior_keys: dict[tuple[int, Vector], set[str]] = {}
     for ref, raw in intervals.items():
-        base, t = lines[ref]
+        base, t, _ = clips[ref]
         for bound, active in ((raw.lower, raw.lower_active), (raw.upper, raw.upper_active)):
             if bound is None:
                 continue
@@ -831,7 +817,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
             w = fan.vectors[fan.index_of_label(l2)]
             if cross2(v, w) < 0:
                 v, w = w, v
-            covectors = [g.linear for g in per_domain[domain_id].values()]
+            covectors = [g.linear for g in spec.domain_constraints(domain_id).values()]
             if _quadrant_reaches_corner(v, w, covectors):
                 reached = True
                 break
@@ -889,7 +875,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     segments: list[FaceSegment] = []
     for ref in sorted(intervals):
         raw = intervals[ref]
-        base, t = lines[ref]
+        base, t, _ = clips[ref]
         ends: dict[str, str | None] = {}
         for end, bound in (("lower", raw.lower), ("upper", raw.upper)):
             if bound is not None:
@@ -1017,7 +1003,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     compact = all(
         _domain_compact(
             space.domain(d).fan,
-            [g.linear for g in per_domain[d].values()],
+            [g.linear for g in spec.domain_constraints(d).values()],
             2,
         )
         for d in feasible
@@ -1048,16 +1034,15 @@ def _build_1d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
             raise ContinuationError(
                 f"group {name!r}: faces cannot continue across edges in dimension 1"
             )
-    feasible = _feasible_domains(space, spec)
+    feasible, clips = _feasible_domains(space, spec)
     feasible_set = set(feasible)
-    per_domain = {d: spec.domain_constraints(d) for d in sorted(space.domain_ids)}
     face_label = _face_labels(spec)
 
     traces: list[EdgeTrace] = []
     for e in space.edges:
         present = []
         for face in e.faces:
-            fns = per_domain[face[0]]
+            fns = spec.domain_constraints(face[0])
             if all(dot(g.linear, e.residue) < 0 for g in fns.values()):
                 present.append(face[0])
         if not present:
@@ -1077,12 +1062,10 @@ def _build_1d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
 
     vertices: list[PolytopeVertex] = []
     faces: list[PolytopeFace] = []
-    for ref, fn in spec.constraints:
+    for ref, _ in spec.constraints:
         if ref[0] not in feasible_set:
             continue
-        point, direction = _line_of(fn)
-        others = [(n, g) for n, g in sorted(per_domain[ref[0]].items()) if n != ref[1]]
-        raw = _clip(point, direction, others)
+        point, _, raw = clips[ref]
         if raw is None:
             continue
         if raw.along:
@@ -1115,7 +1098,7 @@ def _build_1d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     compact = all(
         _domain_compact(
             space.domain(d).fan,
-            [g.linear for g in per_domain[d].values()],
+            [g.linear for g in spec.domain_constraints(d).values()],
             1,
         )
         for d in feasible
@@ -1137,85 +1120,6 @@ def _build_1d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
         orientable=orientable,
         elementary=len(feasible) == 1,
     )
-
-
-# -------------------------------------------------------- face lemmas
-
-
-def check_face_lemmas(p: LogPolytope) -> FaceLemmaReport:
-    """Pair every nonsingular face with the edge residues it must
-    annihilate (edges it lands on) or be negative on (edges meeting the
-    polytope but not the face; checked for elementary polytopes only).
-
-    Covectors are read from the spec, so a doctored spec yields
-    violations rather than errors.
-    """
-    checks: list[FaceLemmaCheck] = []
-    landed_edges = {
-        (s.ref, p.vertex(vid).edge_label)
-        for s in p.segments
-        for vid in (s.lower_vertex, s.upper_vertex)
-        if vid is not None and p.vertex(vid).kind == "landing"
-    }
-    traced = [(t.edge_label, t.residue, t.sides) for t in p.traces]
-    for face in p.nonsingular_faces:
-        for ref in face.members:
-            a = p.spec.constraint(ref).linear
-            for edge_label, residue, _ in traced:
-                if (ref, edge_label) in landed_edges:
-                    value = dot(a, residue)
-                    checks.append(
-                        FaceLemmaCheck(
-                            face.label, ref, edge_label, "zero", value, value == 0
-                        )
-                    )
-    if p.elementary:
-        only = p.feasible[0]
-        for face in p.nonsingular_faces:
-            for ref in face.members:
-                if ref[0] != only:
-                    continue
-                a = p.spec.constraint(ref).linear
-                for edge_label, residue, sides in traced:
-                    if only not in sides or (ref, edge_label) in landed_edges:
-                        continue
-                    value = dot(a, residue)
-                    checks.append(
-                        FaceLemmaCheck(
-                            face.label, ref, edge_label, "negative", value, value < 0
-                        )
-                    )
-    violations = tuple(c for c in checks if not c.ok)
-    return FaceLemmaReport(not violations, tuple(checks), violations)
-
-
-# -------------------------------------------------- compactness tests
-
-
-def is_compact_2d(p: LogPolytope) -> bool:
-    """Exact direction-coverage criterion for an elementary polytope in
-    a single tropical domain: the fan's cones and the closed
-    half-spaces of the constraints must cover every direction, and the
-    open half-spaces must miss every cone."""
-    if p.dim != 2:
-        raise UnsupportedDimensionError("the coverage criterion is 2-dimensional")
-    if len(p.space.spec.domain_items) != 1 or not p.elementary:
-        raise GeometryError(
-            "the coverage criterion needs an elementary polytope in a "
-            "single domain"
-        )
-    (domain_id, domain), = p.space.spec.domain_items
-    fan = domain.fan
-    covectors = [g.linear for g in p.spec.domain_constraints(domain_id).values()]
-    for cone in fan.cones:
-        for i in cone:
-            if any(dot(a, fan.vectors[i]) > 0 for a in covectors):
-                return False
-    for s in _circle_samples(fan, covectors):
-        if all(dot(a, s) < 0 for a in covectors):
-            if not _support_contains(fan, s):
-                return False
-    return True
 
 
 # ----------------------------------------------------- the lattice test
@@ -1381,31 +1285,33 @@ class _TPoly:
         return self._lead(other) < 0
 
 
-def _clipped_measure(p: LogPolytope, domain_id: int, T=_TPoly(0, 1)) -> Fraction | _TPoly:
+def _clipped_measure(p: LogPolytope, domain_id: int) -> Fraction | _TPoly:
     """Length or area of the domain region cut off at ``r.u + T|r|^2 = 0``
-    for each ray ``r``, ``T`` a number or by default the symbol.  The
-    length is the clip of the axis; the area is a shoelace sum over the
-    clipped constraint lines, each edge taken counterclockwise, and a
-    line shared with an earlier constraint of the same sign is counted
-    once."""
-    own = list(p.spec.domain_constraints(domain_id).values())
+    for each ray ``r``, ``T`` the symbolic cutoff.  The length is the
+    clip of the axis; the area is a shoelace sum over the boundary, each
+    edge taken counterclockwise: the build's face segments clipped by
+    the cutoffs, and the cutoff lines clipped by every half-plane."""
+    T = _TPoly(0, 1)
     rays = p.space.domain(domain_id).fan.vectors
-    fns = own + [AffineFunctional(r, T * dot(r, r)) for r in rays]
-    named = list(enumerate(fns))
-    cutoffs = (((-T * r[0], -T * r[1]), rot90(r)) for r in rays)
-    lines = [((Fraction(0),), (Fraction(1),))] if p.dim == 1 else [*map(_line_of, own), *cutoffs]
+    cutoffs = [AffineFunctional(r, T * dot(r, r)) for r in rays]
+    walls = [*p.spec.domain_constraints(domain_id).values(), *cutoffs]
+    if p.dim == 1:
+        pieces = [((Fraction(0),), (Fraction(1),), None, None, walls)]
+    else:
+        own = (s for s in p.segments if s.ref[0] == domain_id)
+        pieces = [(s.base, s.direction, s.lower, s.upper, cutoffs) for s in own]
+        pieces += [((-T * r[0], -T * r[1]), rot90(r), None, None, walls) for r in rays]
     twice = Fraction(0)
-    for i, (base, t) in enumerate(lines):
-        raw = _clip(base, t, named)
+    for base, t, lower, upper, fns in pieces:
+        raw = _clip(base, t, enumerate(fns), lower, upper)
         if raw is None or (_bounded(raw) and raw.lower > raw.upper):
             continue
         if not _bounded(raw):
             raise GeometryError("a region stays unbounded after the cutoffs")
         if p.dim == 1:
             return raw.upper - raw.lower
-        if not any(j < i and dot(fns[j].linear, fns[i].linear) > 0 for j in raw.along):
-            ends = (tuple(b + s * x for b, x in zip(base, t)) for s in (raw.upper, raw.lower))
-            twice += cross2(*ends)
+        ends = (tuple(b + s * x for b, x in zip(base, t)) for s in (raw.upper, raw.lower))
+        twice += cross2(*ends)
     return twice / 2
 
 

@@ -23,7 +23,6 @@ from logaffine.cli import main
 from logaffine.polytopes import (
     build_polytope,
     delzant_check,
-    is_compact_2d,
     make_polytope_spec,
     polytope_topology,
     regularized_volume,
@@ -43,6 +42,7 @@ from logaffine.welding import (
     make_welding_spec,
 )
 
+from polytope_oracle import is_compact_2d
 from conftest import (
     fixture_path,
     load_built_polytope,

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from logaffine.errors import (
@@ -23,11 +24,10 @@ from logaffine.errors import (
     TransversalityError,
     UnsupportedDimensionError,
 )
+from logaffine import polytopes
 from logaffine.polytopes import (
     build_polytope,
-    check_face_lemmas,
     delzant_check,
-    is_compact_2d,
     make_polytope_spec,
     polytope_moduli,
     polytope_topology,
@@ -39,10 +39,13 @@ from logaffine.rational import AffineFunctional, cross2, vector
 from logaffine.welding import build_welded_space, make_welding_spec
 
 import volume_oracle
+from polytope_oracle import check_face_lemmas, is_compact_2d
 from conftest import (
     FAR_RECTANGLE,
     FIXTURES,
+    benchmark_module,
     load_built_polytope,
+    load_fan,
     load_polytope,
     load_space,
     load_welding,
@@ -884,11 +887,13 @@ def systems(draw, dim: int):
     return [fn(*a, c=c) for a, c in rows]
 
 
-def empty_fan_polytope(fns):
-    """Build the region of ``fns`` in one domain without strata, or
-    return the error the build raised."""
-    dim = len(fns[0].linear)
-    welding = make_welding_spec({1: make_fan([], [[]], labels=[], dim=dim)}, [])
+def single_domain_polytope(fns, fan=None):
+    """Build the region of ``fns`` in one domain over ``fan`` (by
+    default the fan without strata), or return the error the build
+    raised."""
+    if fan is None:
+        fan = make_fan([], [[]], labels=[], dim=len(fns[0].linear))
+    welding = make_welding_spec({1: fan}, [])
     spec = make_polytope_spec(welding, [((1, f"c{i}"), f) for i, f in enumerate(fns)])
     try:
         return build_polytope(build_welded_space(welding), spec)
@@ -907,10 +912,11 @@ EMPTY_ERRORS = (
 @given(data=st.data())
 def test_build_matches_fourier_motzkin_and_vertex_area(dim: int, data) -> None:
     """The build rejects a region as empty or without interior exactly
-    when Fourier-Motzkin does, and a compact region's volume is its
-    brute-force area (length in dimension 1)."""
+    when Fourier-Motzkin does, a compact region's volume is its
+    brute-force area (length in dimension 1), and a planar region the
+    build finds not compact is unbounded and has no volume."""
     fns = data.draw(systems(dim))
-    built = empty_fan_polytope(fns)
+    built = single_domain_polytope(fns)
     if not fm_nonempty(region_rows(fns, strict=False)):
         expected = EMPTY_ERRORS[0]
     elif not fm_nonempty(region_rows(fns, strict=True)):
@@ -922,18 +928,138 @@ def test_build_matches_fourier_motzkin_and_vertex_area(dim: int, data) -> None:
     if not isinstance(built, GeometryError) and built.compact:
         oracle = pairwise_vertex_area(fns) if dim == 2 else interval_length(fns)
         assert regularized_volume(built) == oracle
+    elif not isinstance(built, GeometryError) and dim == 2:
+        assert is_unbounded(fns)
+        with pytest.raises(NonCompactError):
+            regularized_volume(built)
 
 
 @settings(max_examples=100, deadline=None)
 @given(fns=systems(2))
 def test_clipped_area_matches_vertex_oracle(fns) -> None:
-    """The clipped area alone, on systems the build would reject:
-    repeated lines, opposite lines, empty and unbounded regions."""
+    """The volume oracle's clipped area, which reads the constraints
+    from the spec, on systems the build would reject: repeated lines,
+    opposite lines, empty and unbounded regions."""
     square = load_built_polytope("unitsquare.poly")
     constraints = tuple(((1, f"c{i}"), f) for i, f in enumerate(fns))
     doctored = replace(square, spec=replace(square.spec, constraints=constraints))
     if fm_nonempty(region_rows(fns, strict=False)) and is_unbounded(fns):
         with pytest.raises(GeometryError, match="unbounded after the cutoffs"):
-            regularized_volume(doctored)
+            volume_oracle.symbolic_volume(doctored)
     else:
-        assert regularized_volume(doctored) == pairwise_vertex_area(fns)
+        assert volume_oracle.symbolic_volume(doctored) == pairwise_vertex_area(fns)
+
+
+# ----------------------------- the volume from the build's face segments
+
+
+gen = benchmark_module("generators")
+oracles = benchmark_module("oracles")
+
+RAY_FANS = [
+    "quadrant.fan",
+    "halfplane3.fan",
+    "square.fan",
+    "hexagon.fan",
+    "corner.fan",
+    "wedge.fan",
+    "triangle.fan",
+    "skew2.fan",
+    "skew3.fan",
+    "skew4.fan",
+    "skew6.fan",
+    "skew7.fan",
+]
+
+
+@st.composite
+def systems_around_the_origin(draw, bounded: bool | None = None):
+    """Half-planes on distinct covectors that hold strictly at the
+    origin, so the region always has interior; inside the bounding
+    triangle when ``bounded``, by default half the time."""
+    covectors = draw(
+        st.lists(st.sampled_from(COVECTORS[2]), min_size=1, max_size=6, unique=True)
+    )
+    rows = [(a, draw(st.integers(1, 6))) for a in covectors]
+    if draw(st.booleans()) if bounded is None else bounded:
+        rows += BOUNDS[2]
+    return [fn(*a, c=c) for a, c in rows]
+
+
+def polygon_functionals(polygon) -> list[AffineFunctional]:
+    return [fn(*n, c=c) for n, c in polygon.sides + polygon.redundant]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(min_value=4, max_value=24),
+    with_redundant=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_polygon_volume_matches_the_symbolic_oracle(k, with_redundant, seed) -> None:
+    """Delzant polygons (a chopped square has at least four sides), with
+    and without constraints that never bind."""
+    polygon = gen.delzant_polygon(random.Random(seed), k, k // 2 if with_redundant else 0)
+    p = single_domain_polytope(polygon_functionals(polygon))
+    assert regularized_volume(p) == volume_oracle.symbolic_volume(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fan_name=st.sampled_from(RAY_FANS), fns=systems_around_the_origin(bounded=True))
+def test_volume_on_fans_with_rays_matches_the_symbolic_oracle(fan_name, fns) -> None:
+    p = single_domain_polytope(fns, load_fan(fan_name))
+    assume(not isinstance(p, GeometryError) and p.compact and not p.singular_faces)
+    assert regularized_volume(p) == volume_oracle.symbolic_volume(p)
+
+
+def test_the_build_clips_each_line_once_and_the_volume_none(monkeypatch) -> None:
+    """The build clips each constraint line once; the volume reads the
+    build's face segments and clips each only by the cutoffs, of which
+    the empty fan has none."""
+    k = 16
+    lines, clipped = [], []
+    line_of, clip = polytopes._line_of, polytopes._clip
+
+    def counting_line_of(f):
+        lines.append(f)
+        return line_of(f)
+
+    def recording_clip(base, direction, named_fns, *bounds):
+        named_fns = list(named_fns)
+        clipped.append(named_fns)
+        return clip(base, direction, named_fns, *bounds)
+
+    monkeypatch.setattr(polytopes, "_line_of", counting_line_of)
+    polygon = gen.delzant_polygon(random.Random(k), k)
+    p = single_domain_polytope(polygon_functionals(polygon))
+    assert len(lines) == k
+    lines.clear()
+    monkeypatch.setattr(polytopes, "_clip", recording_clip)
+    assert regularized_volume(p) == oracles.polygon_area(polygon)
+    assert lines == []
+    assert clipped == [[]] * k
+
+
+# ------------------------------------------- the polytope oracles at large
+
+
+# A strip between two opposite covectors: unbounded both ways.
+STRIP = [fn(-1, -1, c=1), fn(1, 1, c=2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(fns=systems_around_the_origin())
+@example(fns=STRIP)
+def test_empty_fan_compactness_agrees_with_the_coverage_oracle(fns) -> None:
+    p = single_domain_polytope(fns)
+    assume(not isinstance(p, GeometryError))
+    assert is_compact_2d(p) == p.compact == (not is_unbounded(fns))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fan_name=st.sampled_from(RAY_FANS + ["emptyfan.fan"]), fns=systems_around_the_origin())
+def test_every_single_domain_build_passes_the_face_lemmas(fan_name, fns) -> None:
+    p = single_domain_polytope(fns, load_fan(fan_name))
+    assume(not isinstance(p, GeometryError))
+    report = check_face_lemmas(p)
+    assert report.ok, report.violations

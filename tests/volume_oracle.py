@@ -1,12 +1,21 @@
-"""The regularized volume as it was before the symbolic cutoff: the slow path.
+"""The regularized volume by slow, independent paths.
 
-``doubling_fit`` evaluates the signed clipped measure at the numeric
-cutoffs ``T = t0 ... t0 + 3``, fits a quadratic through the first three
-and accepts it once its quadratic and linear parts vanish and the
-fourth value agrees; otherwise it doubles ``t0``, at most seven times.
-Started past the scale of every constraint, the clipped regions have
-their large-``T`` shape at every sampled cutoff, so the fit is the
-exact limit there; started too close, it can accept a wrong constant.
+``clipped_measure`` clips every constraint line of a domain and every
+cutoff line by all of the domain's half-planes, counting a line shared
+by two constraints of the same sign once.  It reads the constraints
+from the spec, not the build's face segments, so it also measures
+regions that the build rejects, and it takes the cutoff ``T`` either
+as a number or, by default, as the symbol.
+
+``symbolic_volume`` is the constant term of the signed sum at the
+symbolic cutoff.  ``doubling_fit`` evaluates the signed sum at the
+numeric cutoffs ``T = t0 ... t0 + 3``, fits a quadratic through the
+first three and accepts it once its quadratic and linear parts vanish
+and the fourth value agrees; otherwise it doubles ``t0``, at most
+seven times.  Started past the scale of every constraint, the clipped
+regions have their large-``T`` shape at every sampled cutoff, so the
+fit is the exact limit there; started too close, it can accept a
+wrong constant.
 """
 
 from __future__ import annotations
@@ -14,18 +23,65 @@ from __future__ import annotations
 from fractions import Fraction
 
 from logaffine.errors import GeometryError
-from logaffine.polytopes import _clipped_measure, _crossing_signs
+from logaffine.polytopes import (
+    _bounded,
+    _clip,
+    _crossing_signs,
+    _line_of,
+    _TPoly,
+)
+from logaffine.rational import AffineFunctional, cross2, dot, rot90
 
 
-def doubling_fit(p, t0: int) -> Fraction:
+def clipped_measure(p, domain_id: int, T=_TPoly(0, 1)) -> Fraction | _TPoly:
+    """Length or area of the domain region cut off at ``r.u + T|r|^2 = 0``
+    for each ray ``r``, ``T`` a number or by default the symbol.  The
+    length is the clip of the axis; the area is a shoelace sum over the
+    clipped constraint lines, each edge taken counterclockwise, and a
+    line shared with an earlier constraint of the same sign is counted
+    once."""
+    own = list(p.spec.domain_constraints(domain_id).values())
+    rays = p.space.domain(domain_id).fan.vectors
+    fns = own + [AffineFunctional(r, T * dot(r, r)) for r in rays]
+    named = list(enumerate(fns))
+    cutoffs = (((-T * r[0], -T * r[1]), rot90(r)) for r in rays)
+    lines = [((Fraction(0),), (Fraction(1),))] if p.dim == 1 else [*map(_line_of, own), *cutoffs]
+    twice = Fraction(0)
+    for i, (base, t) in enumerate(lines):
+        raw = _clip(base, t, named)
+        if raw is None or (_bounded(raw) and raw.lower > raw.upper):
+            continue
+        if not _bounded(raw):
+            raise GeometryError("a region stays unbounded after the cutoffs")
+        if p.dim == 1:
+            return raw.upper - raw.lower
+        if not any(j < i and dot(fns[j].linear, fns[i].linear) > 0 for j in raw.along):
+            ends = (tuple(b + s * x for b, x in zip(base, t)) for s in (raw.upper, raw.lower))
+            twice += cross2(*ends)
+    return twice / 2
+
+
+def signed_total(p, T=_TPoly(0, 1)) -> Fraction | _TPoly:
+    """The clipped measures of the feasible domains, summed with the
+    signs ``regularized_volume`` gives them."""
     signs = _crossing_signs(p.space, p.feasible, p.traces)
     assert signs is not None
     norm = signs[min(p.feasible)] * p.spec.orientation
+    return sum((signs[d] * norm * clipped_measure(p, d, T) for d in p.feasible), _TPoly(0))
 
+
+def symbolic_volume(p) -> Fraction:
+    """The constant term of the signed total at the symbolic cutoff,
+    once its terms in ``T`` and ``T^2`` vanish."""
+    const, *growth = signed_total(p).coefs
+    if any(growth):
+        raise GeometryError("the regularized volume diverges")
+    return Fraction(const)
+
+
+def doubling_fit(p, t0: int) -> Fraction:
     def total(T: Fraction) -> Fraction:
-        return sum(
-            (signs[d] * norm) * _clipped_measure(p, d, T) for d in p.feasible
-        )
+        return signed_total(p, T).coefs[0]
 
     for _ in range(7):
         f0, f1, f2 = (total(Fraction(t0 + k)) for k in range(3))
