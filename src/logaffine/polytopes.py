@@ -7,19 +7,22 @@ with primitive integer covector ``a``.  Faces continue across welded
 edges; continuation groups are declared in the input and validated
 against the forced geometry.
 
-Every question about a domain's region is answered by clipping a
-line by half-planes (``_clip``).  Each constraint line is clipped once
-by the other constraints of its domain, and feasibility, the face
-segments and the volume all read that clip.  A region with at least one
-constraint is nonempty exactly when some constraint line meets it, and
-has interior exactly when some constraint line meets it in more than a
-point while no constraint of the opposite sign vanishes along that line.
+Each planar domain's region is computed once, as its vertex cycle: the
+constraint lines sorted by angle and their half-planes intersected with
+a deque (``_cycle``), in O(k log k) for k constraints.  Feasibility, each
+face's interval, compactness and the corner tests read that cycle; a
+line the cycle drops is checked once, at the vertex its normal points
+to.  The volume clips each face segment by the cutoff lines only
+(``_clip``).  A region without interior is told from an empty one by
+the cycle of the half-planes moved outwards by an infinitesimal.  In
+dimension 1 each constraint point is clipped by the others.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, zip_longest
@@ -37,7 +40,7 @@ from .errors import (
     TransversalityError,
     UnsupportedDimensionError,
 )
-from .fans import Fan, _direction_cmp
+from .fans import Fan, _direction_cmp, _first_index
 from .rational import (
     AffineFunctional,
     Vector,
@@ -45,7 +48,6 @@ from .rational import (
     cross2,
     dot,
     is_saturated_lattice_basis,
-    primitive,
     rot90,
     vec_add,
     vec_neg,
@@ -296,22 +298,32 @@ class LogPolytope:
         return tuple(f for f in self.faces if f.kind != "singular")
 
     def face(self, label: str) -> PolytopeFace:
-        for f in self.faces:
-            if f.label == label:
-                return f
-        raise KeyError(f"no face {label!r}")
+        try:
+            return self.faces[self._face_index[label]]
+        except KeyError:
+            raise KeyError(f"no face {label!r}") from None
 
     def vertex(self, vertex_id: str) -> PolytopeVertex:
-        for v in self.vertices:
-            if v.vertex_id == vertex_id:
-                return v
-        raise KeyError(f"no vertex {vertex_id!r}")
+        try:
+            return self.vertices[self._vertex_index[vertex_id]]
+        except KeyError:
+            raise KeyError(f"no vertex {vertex_id!r}") from None
 
     def trace(self, edge_label: str) -> EdgeTrace | None:
-        for t in self.traces:
-            if t.edge_label == edge_label:
-                return t
-        return None
+        i = self._trace_index.get(edge_label)
+        return None if i is None else self.traces[i]
+
+    @functools.cached_property
+    def _face_index(self) -> dict[str, int]:
+        return _first_index([f.label for f in self.faces])
+
+    @functools.cached_property
+    def _vertex_index(self) -> dict[str, int]:
+        return _first_index([v.vertex_id for v in self.vertices])
+
+    @functools.cached_property
+    def _trace_index(self) -> dict[str, int]:
+        return _first_index([t.edge_label for t in self.traces])
 
 
 @dataclass(frozen=True)
@@ -405,33 +417,97 @@ def _bounded(raw: _RawInterval) -> bool:
     return raw.lower is not None and raw.upper is not None
 
 
-# ------------------------------------------------- exact circle sweeps
+# ------------------------------------------------------- vertex cycles
 
 
-_AXES: tuple[Vector, ...] = (
-    (Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(1)),
-    (Fraction(-1), Fraction(0)),
-    (Fraction(0), Fraction(-1)),
-)
+def _meet(f, g) -> Vector:
+    """The point where the lines ``a.u + c = 0`` of ``f = (a, c)`` and
+    ``g`` cross."""
+    (a, c), (b, d) = f, g
+    det = a[0] * b[1] - a[1] * b[0]
+    return (a[1] * d - b[1] * c) / det, (b[0] * c - a[0] * d) / det
 
 
-def _circle_samples(fan: Fan, covectors: list[Vector]) -> list[Vector]:
-    """Directions hitting every critical ray (the fan's rays, the
-    constraint lines and the four axes, each both ways) and every open
-    arc between consecutive criticals."""
-    criticals = list(fan.vectors) + [rot90(a) for a in covectors]
-    seen: dict[tuple[int, ...], Vector] = {}
-    for d in criticals + [vec_neg(d) for d in criticals] + list(_AXES):
-        if any(x != 0 for x in d):
-            key = primitive(d)
-            seen.setdefault(key, tuple(Fraction(x) for x in key))
-    dirs = sorted(seen.values(), key=functools.cmp_to_key(_direction_cmp))
-    samples = list(dirs)
-    for i, d in enumerate(dirs):
-        nxt = dirs[(i + 1) % len(dirs)]
-        samples.append(vec_add(d, nxt))
-    return [s for s in samples if any(x != 0 for x in s)]
+def _value(f, point: Vector):
+    (a, c) = f
+    return a[0] * point[0] + a[1] * point[1] + c
+
+
+def _half_turn(a: Vector, b: Vector) -> bool:
+    """Whether the counterclockwise turn from ``a`` to ``b`` is at least
+    a half turn (a full one when they are equal)."""
+    c = cross2(a, b)
+    return c < 0 or c == 0 and (a == b or dot(a, b) < 0)
+
+
+def _intersect(lines: list, gap: int | None):
+    """Intersect the half-planes ``a.u + c >= 0`` of ``lines``, pairs
+    ``(a, c)`` on distinct primitive covectors sorted counterclockwise;
+    ``gap`` is the line after which the next turns by a half turn or
+    more (``None``: the covectors surround the origin and the region
+    is bounded).
+
+    Returns ``None`` when the intersection has no interior, otherwise
+    ``(kept, vertices, touching)``: ``kept`` indexes the lines holding
+    an edge of positive length, counterclockwise; ``vertices[j]`` is
+    where the edge of ``kept[j - 1]`` ends and that of ``kept[j]``
+    starts (``None`` at infinity); ``touching`` maps every other line
+    that meets the region to the vertex it touches there.  The
+    constants may be Fractions or ``_TPoly``.
+    """
+    m = len(lines)
+    constant = dict(lines)
+    for a, c in lines:
+        opposite = constant.get((-a[0], -a[1]))
+        if opposite is not None and c + opposite <= 0:
+            return None  # a slab without interior
+    # sorted from just after the gap, the covectors of an open cycle
+    # span at most a half turn: a new line then cuts a suffix of the
+    # chain, so only a closed cycle pops from the front or wraps around
+    order = range(m) if gap is None else [*range(gap + 1, m), *range(gap + 1)]
+    ring: deque = deque()
+    points: deque = deque()  # points[j]: where ring[j] meets ring[j + 1]
+    for i in order:
+        f = lines[i]
+        while len(ring) > 1 and _value(f, points[-1]) <= 0:
+            ring.pop()
+            points.pop()
+        while len(ring) > 1 and _value(f, points[0]) <= 0:
+            ring.popleft()
+            points.popleft()
+        if ring:
+            turn = cross2(lines[ring[-1]][0], f[0])
+            if turn < 0 or turn == 0 and gap is None:
+                return None
+            points.append(_meet(lines[ring[-1]], f) if turn else None)  # None: a strip
+        ring.append(i)
+    if gap is None:
+        while len(ring) > 2 and _value(lines[ring[0]], points[-1]) <= 0:
+            ring.pop()
+            points.pop()
+        while len(ring) > 2 and _value(lines[ring[-1]], points[0]) <= 0:
+            ring.popleft()
+            points.popleft()
+        if len(ring) < 3:
+            return None
+    kept = list(ring)
+    vertices = [None if gap is not None else _meet(lines[ring[-1]], lines[ring[0]]), *points]
+    # each dropped line is lowest on the region at the vertex between
+    # the kept lines around its normal
+    touching = {}
+    j = 0
+    for i in order:
+        if j < len(kept) and kept[j] == i:
+            j += 1
+        elif _value(lines[i], vertices[j % len(kept)]) == 0:
+            touching[i] = j % len(kept)
+    return kept, vertices, touching
+
+
+def _along(a: Vector, point: Vector) -> Fraction:
+    """The parameter of ``point`` on the line ``_line_of`` gives a
+    constraint with covector ``a``."""
+    return (point[1] * a[0] - point[0] * a[1]) / (a[0] * a[0] + a[1] * a[1])
 
 
 def _support_contains(fan: Fan, x: Vector) -> bool:
@@ -446,26 +522,163 @@ def _support_contains(fan: Fan, x: Vector) -> bool:
     return False
 
 
-def _support_contains_1d(fan: Fan, x: Vector) -> bool:
-    return any(v[0] * x[0] > 0 for v in fan.vectors)
+def _in_arc(start: Vector, end: Vector, x: Vector) -> bool:
+    """Whether ``x`` lies on the closed arc from ``start``
+    counterclockwise to ``end``, at most a half turn."""
+    if start == end:
+        return cross2(start, x) == 0 and dot(start, x) > 0
+    return cross2(start, x) >= 0 and cross2(x, end) >= 0
 
 
-def _domain_compact(
-    fan: Fan, covectors: list[Vector], dim: int
-) -> bool:
-    """Every recession direction of the region must point away from a
-    stratum of the fan (the stratum in direction ``d`` sits at ``-d``)."""
-    if dim == 1:
-        for x in ((Fraction(1),), (Fraction(-1),)):
-            if all(dot(a, x) >= 0 for a in covectors):
-                if not _support_contains_1d(fan, vec_neg(x)):
-                    return False
-        return True
-    for x in _circle_samples(fan, covectors):
-        if all(dot(a, x) >= 0 for a in covectors):
-            if not _support_contains(fan, vec_neg(x)):
-                return False
-    return True
+def _covered(fan: Fan, start: Vector, end: Vector) -> bool:
+    """Whether the fan's support holds every direction of the closed arc
+    from ``start`` counterclockwise to ``end``, at most a half turn:
+    tested at both ends, at each ray of the fan strictly inside and
+    once inside each open arc between them."""
+    inside = [r for r in fan.vectors if cross2(start, r) > 0 and cross2(r, end) > 0]
+    inside.sort(key=functools.cmp_to_key(lambda u, v: -cross2(u, v)))
+    dirs = [start, *inside, end] if start != end else [start]
+    samples = dirs + [
+        vec_add(d, e) if cross2(d, e) > 0 else rot90(d) for d, e in zip(dirs, dirs[1:])
+    ]
+    return all(_support_contains(fan, x) for x in samples)
+
+
+_PLANE = (((1, 0), (-1, 0)), ((-1, 0), (1, 0)))
+
+
+class _Cycle:
+    """A planar domain's region, read off its vertex cycle.
+
+    ``raws`` holds each constraint's line clipped by the others, as
+    ``_clip`` gives it wherever ``_face_interval`` reads more than
+    ``None``.  ``arcs`` is the recession cone of the region as closed
+    arcs of directions (start, end), each at most a half turn
+    counterclockwise: none for a closed cycle, the arc between the two
+    unbounded edges for an open one, both ways along a strip and the
+    two halves of the plane when there is no constraint.
+    """
+
+    __slots__ = ("raws", "arcs")
+
+    def __init__(self, raws: dict[str, _RawInterval | None], arcs) -> None:
+        self.raws = raws
+        self.arcs = arcs
+
+    def compact(self, fan: Fan) -> bool:
+        """Every recession direction ``d`` of the region points away
+        from a stratum of the fan (the stratum sits at ``-d``)."""
+        return all(_covered(fan, vec_neg(s), vec_neg(e)) for s, e in self.arcs)
+
+    def reaches_corner(self, v: Vector, w: Vector) -> bool:
+        """Whether the region recedes into the corner through the open
+        quadrant spanned by ``v`` and ``w`` (ordered counterclockwise):
+        whether the negated recession cone meets it, at its middle or
+        at an end of the cone."""
+        for c in [vec_add(v, w), *(vec_neg(x) for arc in self.arcs for x in arc)]:
+            if cross2(v, c) > 0 and cross2(c, w) > 0:
+                if any(_in_arc(s, e, vec_neg(c)) for s, e in self.arcs):
+                    return True
+        return False
+
+
+def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycle | None]:
+    """Whether the half-planes of a planar domain's constraints, sorted
+    by name, meet and have interior, and their region as a ``_Cycle``.
+
+    Only the tightest constraint on each covector bounds the region; a
+    looser one misses it (its clip is ``None``), and one tied with it
+    lies along the same line.  Without interior, the region is nonempty
+    exactly when the half-planes moved out by an infinitesimal ``1/T``
+    have interior: scaled by ``T``, the constants become ``1 + c T``.
+    """
+    if not items:
+        return True, True, _Cycle({}, _PLANE)
+    raws: dict[str, _RawInterval | None] = {}
+    tightest: dict[Vector, tuple[Fraction, list[str]]] = {}
+    for name, fn in items:
+        a, c = (int(fn.linear[0]), int(fn.linear[1])), Fraction(fn.constant)
+        best = tightest.get(a)
+        if best is None or c < best[0]:
+            raws.update(dict.fromkeys(best[1] if best else ()))
+            tightest[a] = c, [name]
+        elif c == best[0]:
+            best[1].append(name)
+        else:
+            raws[name] = None
+    covectors = sorted(tightest, key=functools.cmp_to_key(_direction_cmp))
+    lines = [(a, tightest[a][0]) for a in covectors]
+    m = len(lines)
+    gap = next((i for i in range(m) if _half_turn(covectors[i], covectors[(i + 1) % m])), None)
+    cycle = _intersect(lines, gap)
+    if cycle is None:
+        return _intersect([(a, _TPoly(1, c)) for a, c in lines], gap) is not None, False, None
+    kept, vertices, touching = cycle
+    names = [tightest[a][1] for a in covectors]
+    at: list[list[str]] = [[] for _ in vertices]  # the names vanishing at each vertex
+    p = len(kept)
+    for j, i in enumerate(kept):
+        at[j] += names[i]
+        at[(j + 1) % p] += names[i]
+    for i, j in touching.items():
+        at[j] += names[i]
+    for vanishing in at:
+        vanishing.sort()
+
+    def bound(i: int, j: int | None) -> tuple[Fraction | None, list[str]]:
+        if j is None or vertices[j] is None:
+            return None, []
+        return _along(covectors[i], vertices[j]), [n for n in at[j] if n not in names[i]]
+
+    def clip(i: int, upper: int | None, lower: int | None) -> None:
+        (low, low_active), (up, up_active) = bound(i, lower), bound(i, upper)
+        for name in names[i]:
+            along = [n for n in names[i] if n != name]
+            raws[name] = _RawInterval(low, up, low_active, up_active, along)
+
+    for j, i in enumerate(kept):
+        clip(i, j, (j + 1) % p)
+    for i, j in touching.items():
+        clip(i, j, j)
+    for i, group in enumerate(names):
+        if len(group) > 1 and group[0] not in raws:  # off the region, on one line
+            clip(i, None, None)
+    if gap is None:
+        arcs: tuple = ()
+    else:
+        first, last = covectors[(gap + 1) % m], covectors[gap]
+        arcs = ((vec_neg(rot90(last)), rot90(first)),)
+        if m == 2 and cross2(first, last) == 0:  # a strip
+            arcs += ((rot90(last), rot90(last)),)
+    return True, True, _Cycle(raws, arcs)
+
+
+def _points(items: list[tuple[str, AffineFunctional]]):
+    """Whether the half-lines of a 1-D domain's constraints, sorted by
+    name, meet and have interior, and each constraint point with its
+    clip by the others: the region meets some point exactly when it is
+    nonempty, and has interior when at such a point no constraint of
+    the opposite sign vanishes."""
+    fns = dict(items)
+    points: dict[str, tuple[Vector, _RawInterval | None]] = {}
+    met = interior = not items  # no constraints: the whole domain
+    for name, fn in items:
+        point, t = _line_of(fn)
+        raw = _clip(point, t, [(n, g) for n, g in items if n != name])
+        points[name] = point, raw
+        if raw is not None:
+            met = True
+            interior |= all(dot(fns[n].linear, fn.linear) > 0 for n in raw.along)
+    return met, interior, points
+
+
+def _compact_1d(fan: Fan, covectors: list[Vector]) -> bool:
+    """Every recession direction ``x`` of the interval points away from
+    a stratum of the fan (a ray on the side of ``-x``)."""
+    return all(
+        any(a[0] * x < 0 for a in covectors) or any(v[0] * x < 0 for v in fan.vectors)
+        for x in (1, -1)
+    )
 
 
 # ----------------------------------------------------- face intervals
@@ -555,25 +768,6 @@ def _side_trace(
     return raw
 
 
-# -------------------------------------------------------- corner tests
-
-
-def _quadrant_reaches_corner(
-    v: Vector, w: Vector, covectors: list[Vector]
-) -> bool:
-    """Whether the region recedes into the corner through the open
-    quadrant spanned by ``v`` and ``w`` (ordered counterclockwise)."""
-    candidates = [vec_add(v, w)]
-    for a in covectors:
-        candidates.append(rot90(a))
-        candidates.append(vec_neg(rot90(a)))
-    for c in candidates:
-        if cross2(v, c) > 0 and cross2(c, w) > 0:
-            if all(dot(a, c) <= 0 for a in covectors):
-                return True
-    return False
-
-
 # ---------------------------------------------------------- the build
 
 
@@ -603,33 +797,20 @@ def build_polytope(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     return _build_2d(space, spec)
 
 
-def _feasible_domains(
-    space: WeldedSpace, spec: PolytopeSpec
-) -> tuple[list[int], dict[ConstraintRef, tuple[Vector, Vector, _RawInterval | None]]]:
-    """The domains the region meets, and each constraint line clipped
-    once by the other constraints of its domain, in sorted name order."""
-    feasible, clips = [], {}
+def _feasible(space: WeldedSpace, spec: PolytopeSpec, region_of) -> dict:
+    """Each domain the region meets, in order, with its region as
+    ``region_of`` makes it from the domain's constraints sorted by name
+    (``_cycle`` in dimension 2, ``_points`` in dimension 1)."""
+    regions = {}
     for d in sorted(space.domain_ids):
-        items = sorted(spec.domain_constraints(d).items())
-        met = interior = not items  # no constraints: the whole domain
-        for name, fn in items:
-            base, t = _line_of(fn)
-            raw = _clip(base, t, [(n, g) for n, g in items if n != name])
-            clips[(d, name)] = base, t, raw
-            if raw is None or (_bounded(raw) and raw.lower > raw.upper):
-                continue
-            met = True
-            if (not _bounded(raw) or raw.lower < raw.upper) and all(
-                dot(spec.constraint((d, n)).linear, fn.linear) > 0 for n in raw.along
-            ):
-                interior = True
+        met, interior, region = region_of(sorted(spec.domain_constraints(d).items()))
         if met:
             if not interior:
                 raise GeometryError(f"the region in domain {d} has an empty interior")
-            feasible.append(d)
-    if not feasible:
+            regions[d] = region
+    if not regions:
         raise GeometryError("the polytope is empty in every domain")
-    return feasible, clips
+    return regions
 
 
 def _face_labels(spec: PolytopeSpec) -> dict[ConstraintRef, str]:
@@ -652,23 +833,24 @@ def _crossing_signs(
 
 
 def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
-    feasible, clips = _feasible_domains(space, spec)
-    feasible_set = set(feasible)
+    regions = _feasible(space, spec, _cycle)
+    feasible = list(regions)
     face_label = _face_labels(spec)
     edge_of_face = {f: e.label for e in space.edges for f in e.faces}
     edge_index = {e.label: i for i, e in enumerate(space.edges)}
 
     # face segments: parameter interval, then escapes at unbounded ends
     intervals: dict[ConstraintRef, _RawInterval] = {}
+    lines: dict[ConstraintRef, tuple[Vector, Vector]] = {}
     landings: dict[ConstraintRef, dict[str, tuple[str, Fraction]]] = {}
-    for ref, _ in spec.constraints:
-        if ref[0] not in feasible_set:
+    for ref, fn in spec.constraints:
+        if ref[0] not in regions:
             continue
-        base, t, raw = clips[ref]
-        raw = _face_interval(ref, raw)
+        raw = _face_interval(ref, regions[ref[0]].raws.get(ref[1]))
         if raw is None:
             continue
         intervals[ref] = raw
+        lines[ref] = base, t = _line_of(fn)
         fan = space.domain(ref[0]).fan
         ends: dict[str, tuple[str, Fraction]] = {}
         for end, bound, direction in (("lower", raw.lower, vec_neg(t)), ("upper", raw.upper, t)):
@@ -767,7 +949,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     # vertices
     interior_keys: dict[tuple[int, Vector], set[str]] = {}
     for ref, raw in intervals.items():
-        base, t, _ = clips[ref]
+        base, t = lines[ref]
         for bound, active in ((raw.lower, raw.lower_active), (raw.upper, raw.upper_active)):
             if bound is None:
                 continue
@@ -809,7 +991,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
             continue
         reached = False
         for domain_id, corner_labels in cluster.quadrants:
-            if domain_id not in feasible_set:
+            if domain_id not in regions:
                 continue
             fan = space.domain(domain_id).fan
             l1, l2 = sorted(corner_labels)
@@ -817,8 +999,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
             w = fan.vectors[fan.index_of_label(l2)]
             if cross2(v, w) < 0:
                 v, w = w, v
-            covectors = [g.linear for g in spec.domain_constraints(domain_id).values()]
-            if _quadrant_reaches_corner(v, w, covectors):
+            if regions[domain_id].reaches_corner(v, w):
                 reached = True
                 break
         if reached:
@@ -875,7 +1056,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     segments: list[FaceSegment] = []
     for ref in sorted(intervals):
         raw = intervals[ref]
-        base, t, _ = clips[ref]
+        base, t = lines[ref]
         ends: dict[str, str | None] = {}
         for end, bound in (("lower", raw.lower), ("upper", raw.upper)):
             if bound is not None:
@@ -926,12 +1107,12 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     # close up nonsingular faces: a face is a circle exactly when every
     # segment end is a landing vertex shared with one other segment
     vertex_kind = {v.vertex_id: v.kind for v in vertices}
+    segment_ends: dict[str, list[str | None]] = {}
+    for s in segments:
+        segment_ends.setdefault(s.face_label, []).extend([s.lower_vertex, s.upper_vertex])
     closed_faces: list[PolytopeFace] = []
     for f in nonsingular:
-        end_vertices: list[str | None] = []
-        for s in segments:
-            if s.face_label == f.label:
-                end_vertices.extend([s.lower_vertex, s.upper_vertex])
+        end_vertices = segment_ends.get(f.label, [])
         counts: dict[str, int] = {}
         closed = bool(end_vertices)
         for vid in end_vertices:
@@ -1000,14 +1181,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
             meetings += 1
     crossings_inside = tuple(c for c in corners_inside if c in closed_ids)
 
-    compact = all(
-        _domain_compact(
-            space.domain(d).fan,
-            [g.linear for g in spec.domain_constraints(d).values()],
-            2,
-        )
-        for d in feasible
-    )
+    compact = all(regions[d].compact(space.domain(d).fan) for d in feasible)
     orientable = _crossing_signs(space, feasible, traces) is not None
 
     return LogPolytope(
@@ -1034,8 +1208,8 @@ def _build_1d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
             raise ContinuationError(
                 f"group {name!r}: faces cannot continue across edges in dimension 1"
             )
-    feasible, clips = _feasible_domains(space, spec)
-    feasible_set = set(feasible)
+    regions = _feasible(space, spec, _points)
+    feasible = list(regions)
     face_label = _face_labels(spec)
 
     traces: list[EdgeTrace] = []
@@ -1063,9 +1237,9 @@ def _build_1d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     vertices: list[PolytopeVertex] = []
     faces: list[PolytopeFace] = []
     for ref, _ in spec.constraints:
-        if ref[0] not in feasible_set:
+        if ref[0] not in regions:
             continue
-        point, _, raw = clips[ref]
+        point, raw = regions[ref[0]][ref[1]]
         if raw is None:
             continue
         if raw.along:
@@ -1096,10 +1270,8 @@ def _build_1d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     )
 
     compact = all(
-        _domain_compact(
-            space.domain(d).fan,
-            [g.linear for g in spec.domain_constraints(d).values()],
-            1,
+        _compact_1d(
+            space.domain(d).fan, [g.linear for g in spec.domain_constraints(d).values()]
         )
         for d in feasible
     )

@@ -124,15 +124,22 @@ def make_welding_spec(
     free faces and be a matched pair.
     """
     items: list[tuple[int, TropicalDomain]] = []
+    # a frozen Fan hashes every Fraction of its vectors on each lookup,
+    # so each Fan object is looked up by value once, then by identity
     built: dict[Fan, TropicalDomain] = {}
+    by_identity: dict[int, TropicalDomain] = {}
     for domain_id in sorted(domains):
         if not isinstance(domain_id, int) or domain_id < 1:
             raise GeometryError(f"domain ids must be positive integers, got {domain_id!r}")
         dom = domains[domain_id]
         if isinstance(dom, Fan):
-            if dom not in built:
-                built[dom] = build_domain(dom)
-            dom = built[dom]
+            shared = by_identity.get(id(dom))
+            if shared is None:
+                shared = built.get(dom)
+                if shared is None:
+                    shared = built[dom] = build_domain(dom)
+                by_identity[id(dom)] = shared
+            dom = shared
         items.append((domain_id, dom))
     dims = {dom.fan.dim for _, dom in items}
     if len(dims) > 1:

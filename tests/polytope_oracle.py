@@ -4,16 +4,35 @@
 edge residues the face lemmas constrain.  ``is_compact_2d`` decides
 compactness of a polytope in a single domain by covering the circle of
 directions, not by the recession test of the build.
+
+``clip_regions`` is the planar build's old region computation, kept as
+an oracle for the vertex cycle: ``_feasible_domains`` clips each of a
+domain's k constraint lines by the other k - 1, ``_domain_compact``
+sweeps sampled directions of the whole circle against every covector
+and ``_quadrant_reaches_corner`` tries every constraint line as a
+direction into the corner.  Patched in for ``polytopes._feasible``, it
+makes ``build_polytope`` build a planar polytope the old way.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from logaffine.errors import GeometryError, UnsupportedDimensionError
-from logaffine.polytopes import _circle_samples, _support_contains
-from logaffine.rational import dot
+from logaffine.fans import Fan, _direction_cmp
+from logaffine.polytopes import (
+    ConstraintRef,
+    PolytopeSpec,
+    _bounded,
+    _clip,
+    _line_of,
+    _RawInterval,
+    _support_contains,
+)
+from logaffine.rational import Vector, cross2, dot, primitive, rot90, vec_add, vec_neg
+from logaffine.welding import WeldedSpace
 
 
 @dataclass(frozen=True)
@@ -114,3 +133,129 @@ def is_compact_2d(p) -> bool:
             if not _support_contains(fan, s):
                 return False
     return True
+
+
+# ------------------------------------- the planar build's old region oracle
+
+
+_AXES: tuple[Vector, ...] = (
+    (Fraction(1), Fraction(0)),
+    (Fraction(0), Fraction(1)),
+    (Fraction(-1), Fraction(0)),
+    (Fraction(0), Fraction(-1)),
+)
+
+
+def _circle_samples(fan: Fan, covectors: list[Vector]) -> list[Vector]:
+    """Directions hitting every critical ray (the fan's rays, the
+    constraint lines and the four axes, each both ways) and every open
+    arc between consecutive criticals."""
+    criticals = list(fan.vectors) + [rot90(a) for a in covectors]
+    seen: dict[tuple[int, ...], Vector] = {}
+    for d in criticals + [vec_neg(d) for d in criticals] + list(_AXES):
+        if any(x != 0 for x in d):
+            key = primitive(d)
+            seen.setdefault(key, tuple(Fraction(x) for x in key))
+    dirs = sorted(seen.values(), key=functools.cmp_to_key(_direction_cmp))
+    samples = list(dirs)
+    for i, d in enumerate(dirs):
+        nxt = dirs[(i + 1) % len(dirs)]
+        samples.append(vec_add(d, nxt))
+    return [s for s in samples if any(x != 0 for x in s)]
+
+
+def _support_contains_1d(fan: Fan, x: Vector) -> bool:
+    return any(v[0] * x[0] > 0 for v in fan.vectors)
+
+
+def _domain_compact(
+    fan: Fan, covectors: list[Vector], dim: int
+) -> bool:
+    """Every recession direction of the region must point away from a
+    stratum of the fan (the stratum in direction ``d`` sits at ``-d``)."""
+    if dim == 1:
+        for x in ((Fraction(1),), (Fraction(-1),)):
+            if all(dot(a, x) >= 0 for a in covectors):
+                if not _support_contains_1d(fan, vec_neg(x)):
+                    return False
+        return True
+    for x in _circle_samples(fan, covectors):
+        if all(dot(a, x) >= 0 for a in covectors):
+            if not _support_contains(fan, vec_neg(x)):
+                return False
+    return True
+
+
+def _quadrant_reaches_corner(
+    v: Vector, w: Vector, covectors: list[Vector]
+) -> bool:
+    """Whether the region recedes into the corner through the open
+    quadrant spanned by ``v`` and ``w`` (ordered counterclockwise)."""
+    candidates = [vec_add(v, w)]
+    for a in covectors:
+        candidates.append(rot90(a))
+        candidates.append(vec_neg(rot90(a)))
+    for c in candidates:
+        if cross2(v, c) > 0 and cross2(c, w) > 0:
+            if all(dot(a, c) <= 0 for a in covectors):
+                return True
+    return False
+
+
+def _feasible_domains(
+    space: WeldedSpace, spec: PolytopeSpec
+) -> tuple[list[int], dict[ConstraintRef, tuple[Vector, Vector, _RawInterval | None]]]:
+    """The domains the region meets, and each constraint line clipped
+    once by the other constraints of its domain, in sorted name order."""
+    feasible, clips = [], {}
+    for d in sorted(space.domain_ids):
+        items = sorted(spec.domain_constraints(d).items())
+        met = interior = not items  # no constraints: the whole domain
+        for name, fn in items:
+            base, t = _line_of(fn)
+            raw = _clip(base, t, [(n, g) for n, g in items if n != name])
+            clips[(d, name)] = base, t, raw
+            if raw is None or (_bounded(raw) and raw.lower > raw.upper):
+                continue
+            met = True
+            if (not _bounded(raw) or raw.lower < raw.upper) and all(
+                dot(spec.constraint((d, n)).linear, fn.linear) > 0 for n in raw.along
+            ):
+                interior = True
+        if met:
+            if not interior:
+                raise GeometryError(f"the region in domain {d} has an empty interior")
+            feasible.append(d)
+    if not feasible:
+        raise GeometryError("the polytope is empty in every domain")
+    return feasible, clips
+
+
+class ClipRegion:
+    """One feasible planar domain of the k^2 clip, read as the build
+    reads a vertex cycle: each constraint's clip by the others, the
+    circle-sweep compactness and the corner test on every covector."""
+
+    def __init__(self, raws: dict[str, _RawInterval | None], covectors: list[Vector]):
+        self.raws = raws
+        self.covectors = covectors
+
+    def compact(self, fan: Fan) -> bool:
+        return _domain_compact(fan, self.covectors, 2)
+
+    def reaches_corner(self, v: Vector, w: Vector) -> bool:
+        return _quadrant_reaches_corner(v, w, self.covectors)
+
+
+def clip_regions(space: WeldedSpace, spec: PolytopeSpec, region_of=None) -> dict[int, ClipRegion]:
+    """The feasible domains of a planar polytope and their regions, by
+    the k^2 clip; ``region_of`` (the build's own region maker) is not
+    used."""
+    feasible, clips = _feasible_domains(space, spec)
+    return {
+        d: ClipRegion(
+            {name: clips[(d, name)][2] for name in spec.domain_constraints(d)},
+            [g.linear for g in spec.domain_constraints(d).values()],
+        )
+        for d in feasible
+    }

@@ -8,6 +8,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -39,7 +40,7 @@ from logaffine.rational import AffineFunctional, cross2, vector
 from logaffine.welding import build_welded_space, make_welding_spec
 
 import volume_oracle
-from polytope_oracle import check_face_lemmas, is_compact_2d
+from polytope_oracle import check_face_lemmas, clip_regions, is_compact_2d
 from conftest import (
     FAR_RECTANGLE,
     FIXTURES,
@@ -1012,10 +1013,11 @@ def test_volume_on_fans_with_rays_matches_the_symbolic_oracle(fan_name, fns) -> 
     assert regularized_volume(p) == volume_oracle.symbolic_volume(p)
 
 
-def test_the_build_clips_each_line_once_and_the_volume_none(monkeypatch) -> None:
-    """The build clips each constraint line once; the volume reads the
-    build's face segments and clips each only by the cutoffs, of which
-    the empty fan has none."""
+def test_the_build_clips_no_line_and_the_volume_only_by_the_cutoffs(monkeypatch) -> None:
+    """The build reads each face from its domain's vertex cycle: it
+    calls ``_clip`` never and ``_line_of`` once per face segment.  The
+    volume reads the build's face segments and clips each only by the
+    cutoffs, of which the empty fan has none."""
     k = 16
     lines, clipped = [], []
     line_of, clip = polytopes._line_of, polytopes._clip
@@ -1030,11 +1032,12 @@ def test_the_build_clips_each_line_once_and_the_volume_none(monkeypatch) -> None
         return clip(base, direction, named_fns, *bounds)
 
     monkeypatch.setattr(polytopes, "_line_of", counting_line_of)
-    polygon = gen.delzant_polygon(random.Random(k), k)
-    p = single_domain_polytope(polygon_functionals(polygon))
-    assert len(lines) == k
-    lines.clear()
     monkeypatch.setattr(polytopes, "_clip", recording_clip)
+    polygon = gen.delzant_polygon(random.Random(k), k, k // 2)
+    p = single_domain_polytope(polygon_functionals(polygon))
+    assert clipped == []
+    assert len(lines) == len(p.segments) == k
+    lines.clear()
     assert regularized_volume(p) == oracles.polygon_area(polygon)
     assert lines == []
     assert clipped == [[]] * k
@@ -1063,3 +1066,50 @@ def test_every_single_domain_build_passes_the_face_lemmas(fan_name, fns) -> None
     assume(not isinstance(p, GeometryError))
     report = check_face_lemmas(p)
     assert report.ok, report.violations
+
+
+# ------------------------------------ the vertex cycle against the k^2 clip
+
+
+def assert_built_alike(fns, fan=None) -> None:
+    """The build reading vertex cycles and the build reading the k^2
+    clip and the circle sweep give equal polytopes, or errors of one
+    class and message."""
+    built = single_domain_polytope(fns, fan)
+    with mock.patch.object(polytopes, "_feasible", clip_regions):
+        clipped = single_domain_polytope(fns, fan)
+    if isinstance(clipped, GeometryError):
+        assert (type(built), str(built)) == (type(clipped), str(clipped))
+    else:
+        assert built == clipped
+
+
+# The bounding triangle of ``systems``, as functionals.
+TRIANGLE = [fn(*a, c=c) for a, c in BOUNDS[2]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(fns=systems(2))
+# three lines through one vertex
+@example(fns=[fn(1, 0), fn(0, 1), fn(1, 1)] + TRIANGLE)
+# a line the region only touches, at the vertex of two others
+@example(fns=[fn(1, 1), fn(1, 0), fn(0, 1), fn(-1, 0, c=1), fn(0, -1, c=1)])
+# a line on a same-sign constraint's line, outside the region
+@example(fns=[fn(1, 0), fn(1, 0), fn(1, 0, c=-1)] + TRIANGLE)
+@example(fns=STRIP)
+def test_cycle_build_matches_the_clip_oracle(fns) -> None:
+    assert_built_alike(fns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fan_name=st.sampled_from(RAY_FANS + ["emptyfan.fan"]),
+    fns=systems_around_the_origin(),
+)
+# one half-plane over the fan of genus2.weld, as gen1.poly cuts it
+@example(fan_name="hexagon.fan", fns=[fn(0, -1)])
+@example(fan_name="square.fan", fns=STRIP)
+# a half-strip receding along the quadrant's diagonal, away from its corner
+@example(fan_name="quadrant.fan", fns=[fn(1, -1, c=1), fn(-1, 1, c=1), fn(1, 1, c=1)])
+def test_cycle_build_matches_the_clip_oracle_over_fans(fan_name, fns) -> None:
+    assert_built_alike(fns, load_fan(fan_name))

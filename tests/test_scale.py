@@ -58,7 +58,7 @@ gen = benchmark_module("generators")
 oracles = benchmark_module("oracles")
 
 
-@pytest.mark.parametrize("k", [64, 128])
+@pytest.mark.parametrize("k", [64, 128, 256])
 @pytest.mark.parametrize("with_redundant", [False, True])
 def test_delzant_polygon_volume_closed_form(tmp_path, k: int, with_redundant: bool) -> None:
     for name, text in gen.LIBRARY.items():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 import weld_oracle
@@ -17,7 +18,8 @@ from logaffine.errors import (
     InvalidFanError,
     NotMatchedError,
 )
-from logaffine.fans import make_fan
+from logaffine.fans import Fan, make_fan
+from logaffine.fileio import parse_welding_text
 from logaffine.welding import (
     MatchedPair,
     build_welded_space,
@@ -29,6 +31,7 @@ from logaffine.welding import (
 )
 
 from test_fans import hexagon_fan, triangle_fan
+from test_scale import grid_text
 
 
 def quadrant_fan():
@@ -304,6 +307,40 @@ def test_each_distinct_fan_is_built_once(monkeypatch) -> None:
         make_welding_spec({1: bad}, [])
     assert shared.value.violations == alone.value.violations
     assert shared.value.violations
+
+
+def test_a_shared_fan_is_hashed_per_object_not_per_domain(monkeypatch) -> None:
+    """A frozen ``Fan`` hashes every Fraction of its vectors, so the
+    parse of a grid whose domains share one fan hashes it by value a
+    fixed number of times, and the Fractions with it, whatever the
+    number of domains; an equal but distinct fan is hashed once more."""
+    hashes = {"fan": 0, "fraction": 0}
+    fan_hash, fraction_hash = Fan.__hash__, Fraction.__hash__
+
+    def counting_fan(fan):
+        hashes["fan"] += 1
+        return fan_hash(fan)
+
+    def counting_fraction(q):
+        hashes["fraction"] += 1
+        return fraction_hash(q)
+
+    counts = []
+    for m in (3, 12):
+        text = grid_text("torus", m)
+        monkeypatch.setattr(Fan, "__hash__", counting_fan)
+        monkeypatch.setattr(Fraction, "__hash__", counting_fraction)
+        parse_welding_text(text, base=FIXTURES)
+        monkeypatch.undo()
+        counts.append(dict(hashes))
+        hashes.update(fan=0, fraction=0)
+    assert counts[0] == counts[1]
+    assert counts[1]["fan"] == 2
+
+    quad = quadrant_fan()
+    monkeypatch.setattr(Fan, "__hash__", counting_fan)
+    make_welding_spec({1: quad, 2: quadrant_fan(), 3: quad, 4: quad}, [])
+    assert hashes["fan"] == 3
 
 
 # ------------------------------------------------- closure against oracle
