@@ -1,5 +1,5 @@
-"""Classification data: torus bundles, obstruction status, moduli
-dimensions, cut reports and invariant records.
+"""Classification data: torus bundles, obstruction status, cut reports
+and invariant records.
 
 A compact welded surface together with a log affine polytope and a
 principal torus bundle determines a manifold up to the choices recorded
@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .polytopes import LogPolytope, delzant_check, polytope_moduli
-from .rational import Vector, cross2, dot, is_zero, primitive, rank, rot90, vec_scale
+from .rational import Vector, cross2, dot, is_zero, primitive, rot90, vec_scale
 from .topology import betti_numbers, log_cohomology_dims
 from .welding import WeldedSpace
 
@@ -31,8 +31,6 @@ __all__ = [
     "make_bundle",
     "ObstructionStatus",
     "obstruction_vanishes",
-    "moduli_dimension",
-    "effective_moduli_dimension",
     "StratumEntry",
     "CutReport",
     "cut_report",
@@ -124,40 +122,6 @@ def obstruction_vanishes(space: WeldedSpace, bundle: LogBundle) -> ObstructionSt
         None,
         f"obstruction pairing is not computed in dimension {space.dim}",
     )
-
-
-# ------------------------------------------------------------------- moduli
-
-
-def moduli_dimension(subject: WeldedSpace | LogPolytope) -> int:
-    """Dimension of the space of compatible structures on the subject.
-
-    For a welded space this is the degree-2 logarithmic cohomology
-    dimension; for a polytope it is the matching count of independent
-    deformations supported on the polytope.
-    """
-    if isinstance(subject, LogPolytope):
-        return polytope_moduli(subject)
-    if isinstance(subject, WeldedSpace):
-        return log_cohomology_dims(subject)[2]
-    raise GeometryError(
-        f"expected a welded space or a polytope, got {type(subject).__name__}"
-    )
-
-
-def effective_moduli_dimension(space: WeldedSpace, bundle: LogBundle) -> int:
-    """Moduli dimension after dividing out translation symmetries.
-
-    Translating the torus fibers moves a structure by the span of the
-    Chern vectors inside degree-2 cohomology, so the quotient drops the
-    rational rank of the Chern family.
-    """
-    if not isinstance(space, WeldedSpace):
-        raise GeometryError(
-            f"expected a welded space, got {type(space).__name__}"
-        )
-    _check_bundle_base(space, bundle)
-    return moduli_dimension(space) - rank(bundle.chern)
 
 
 # -------------------------------------------------------------- cut reports

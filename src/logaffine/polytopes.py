@@ -9,13 +9,16 @@ against the forced geometry.
 
 Each planar domain's region is computed once, as its vertex cycle: the
 constraint lines sorted by angle and their half-planes intersected with
-a deque (``_cycle``), in O(k log k) for k constraints.  Feasibility, each
-face's interval, compactness and the corner tests read that cycle; a
-line the cycle drops is checked once, at the vertex its normal points
-to.  The volume clips each face segment by the cutoff lines only
-(``_clip``).  A region without interior is told from an empty one by
-the cycle of the half-planes moved outwards by an infinitesimal.  In
-dimension 1 each constraint point is clipped by the others.
+a deque (``_cycle``), in O(k log k) for k constraints.  The build reads
+everything about the region off that cycle: feasibility, each face's
+segment as two vertices of the cycle (or the fault that rejects it),
+each edge trace from the tightest constraints perpendicular to the
+residue, compactness and the corner tests.  A line the cycle drops is
+checked once, at the vertex its normal points to.  A region without
+interior is told from an empty one by the cycle of the half-planes
+moved outwards by an infinitesimal.  The volume clips each face segment
+by the cutoff lines only (``_clip``); in dimension 1 each constraint
+point is clipped by the others.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .fans import Fan, _direction_cmp, _first_index
 from .rational import (
     AffineFunctional,
     Vector,
-    cone_contains,
     cross2,
     dot,
     is_saturated_lattice_basis,
@@ -504,22 +506,16 @@ def _intersect(lines: list, gap: int | None):
     return kept, vertices, touching
 
 
-def _along(a: Vector, point: Vector) -> Fraction:
-    """The parameter of ``point`` on the line ``_line_of`` gives a
-    constraint with covector ``a``."""
-    return (point[1] * a[0] - point[0] * a[1]) / (a[0] * a[0] + a[1] * a[1])
+def _arc(fan: Fan, cone: frozenset[int]) -> tuple[Vector, Vector]:
+    """The directions a 1- or 2-cone of a planar fan holds, as a closed
+    arc from one generator counterclockwise to the other."""
+    gens = [fan.vectors[i] for i in sorted(cone)]
+    v, w = gens[0], gens[-1]
+    return (v, w) if cross2(v, w) >= 0 else (w, v)
 
 
 def _support_contains(fan: Fan, x: Vector) -> bool:
-    for cone in fan.cones:
-        gens = [fan.vectors[i] for i in sorted(cone)]
-        if len(gens) == 1:
-            if cross2(gens[0], x) == 0 and dot(gens[0], x) > 0:
-                return True
-        elif len(gens) == 2:
-            if cone_contains(gens, x):
-                return True
-    return False
+    return any(_in_arc(*_arc(fan, cone), x) for cone in fan.cones if cone)
 
 
 def _in_arc(start: Vector, end: Vector, x: Vector) -> bool:
@@ -550,20 +546,72 @@ _PLANE = (((1, 0), (-1, 0)), ((-1, 0), (1, 0)))
 class _Cycle:
     """A planar domain's region, read off its vertex cycle.
 
-    ``raws`` holds each constraint's line clipped by the others, as
-    ``_clip`` gives it wherever ``_face_interval`` reads more than
-    ``None``.  ``arcs`` is the recession cone of the region as closed
-    arcs of directions (start, end), each at most a half turn
-    counterclockwise: none for a closed cycle, the arc between the two
-    unbounded edges for an open one, both ways along a strip and the
-    two halves of the plane when there is no constraint.
+    ``faces`` maps the name of each constraint whose line meets the
+    region, or lies along another constraint's line, to the first other
+    name on its line (``None`` when there is none) and its lower and
+    upper ends along ``_line_of``: ``None`` at infinity, else a vertex
+    of the cycle with the other names vanishing there, sorted.
+    ``tightest`` maps each covector to its tightest constant and the
+    names attaining it, sorted.  ``arcs`` is the recession cone of the
+    region as closed arcs of directions (start, end), each at most a
+    half turn counterclockwise: none for a closed cycle, the arc between
+    the two unbounded edges for an open one, both ways along a strip
+    and the two halves of the plane when there is no constraint.
     """
 
-    __slots__ = ("raws", "arcs")
+    __slots__ = ("faces", "tightest", "arcs")
 
-    def __init__(self, raws: dict[str, _RawInterval | None], arcs) -> None:
-        self.raws = raws
+    def __init__(self, faces: dict, tightest: dict, arcs) -> None:
+        self.faces = faces
+        self.tightest = tightest
         self.arcs = arcs
+
+    def face(self, ref: ConstraintRef):
+        """The segment of constraint ``ref`` on the region: ``None`` when
+        its line misses the region, else its lower and upper ends, each
+        ``None`` at infinity or a vertex with the first other name
+        vanishing there.  A line along another constraint's, a segment
+        of a single point and a third line through an end are faults."""
+        d, name = ref
+        if name not in self.faces:
+            return None
+        along, lower, upper = self.faces[name]
+        if along is not None:
+            raise GeometryError(
+                f"constraints {d}.{name} and {d}.{along} cut along the same line"
+            )
+        if lower and upper and lower[0] == upper[0]:
+            raise DegenerateVertexError(
+                f"face {d}.{name} degenerates to a single point where "
+                f"{', '.join(lower[1])} also vanish"
+            )
+        for end in (lower, upper):
+            if end and len(end[1]) > 1:
+                raise DegenerateVertexError(
+                    f"constraints {d}.{name}, "
+                    + ", ".join(f"{d}.{n}" for n in end[1])
+                    + " pass through one point"
+                )
+        return tuple(end and (end[0], end[1][0]) for end in (lower, upper))
+
+    def trace(self, residue: Vector):
+        """The region's closure on the edge stratum with this residue, in
+        the coordinate ``rot90(residue) . u``: ``None`` when the region
+        does not recede towards the edge (along ``-residue``) because a
+        covector is positive on the residue, else its lower and upper
+        ends, each ``None`` when unbounded or the bound with the first
+        tightest name on the covector perpendicular to the residue that
+        sets it.  The region has interior, so the ends never meet."""
+        rv = rot90(residue)
+        ends = [None, None]
+        for a, (c, names) in self.tightest.items():
+            slope = dot(a, residue)
+            if slope > 0:
+                return None
+            if slope == 0:
+                coef = dot(a, rv)
+                ends[coef < 0] = -c * dot(rv, rv) / coef, names[0]
+        return tuple(ends)
 
     def compact(self, fan: Fan) -> bool:
         """Every recession direction ``d`` of the region points away
@@ -587,25 +635,21 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
     by name, meet and have interior, and their region as a ``_Cycle``.
 
     Only the tightest constraint on each covector bounds the region; a
-    looser one misses it (its clip is ``None``), and one tied with it
-    lies along the same line.  Without interior, the region is nonempty
-    exactly when the half-planes moved out by an infinitesimal ``1/T``
-    have interior: scaled by ``T``, the constants become ``1 + c T``.
+    looser one misses it, and one tied with it lies along the same line.
+    Without interior, the region is nonempty exactly when the half-planes
+    moved out by an infinitesimal ``1/T`` have interior: scaled by ``T``,
+    the constants become ``1 + c T``.
     """
     if not items:
-        return True, True, _Cycle({}, _PLANE)
-    raws: dict[str, _RawInterval | None] = {}
+        return True, True, _Cycle({}, {}, _PLANE)
     tightest: dict[Vector, tuple[Fraction, list[str]]] = {}
     for name, fn in items:
         a, c = (int(fn.linear[0]), int(fn.linear[1])), Fraction(fn.constant)
         best = tightest.get(a)
         if best is None or c < best[0]:
-            raws.update(dict.fromkeys(best[1] if best else ()))
             tightest[a] = c, [name]
         elif c == best[0]:
             best[1].append(name)
-        else:
-            raws[name] = None
     covectors = sorted(tightest, key=functools.cmp_to_key(_direction_cmp))
     lines = [(a, tightest[a][0]) for a in covectors]
     m = len(lines)
@@ -624,25 +668,19 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
         at[j] += names[i]
     for vanishing in at:
         vanishing.sort()
-
-    def bound(i: int, j: int | None) -> tuple[Fraction | None, list[str]]:
-        if j is None or vertices[j] is None:
-            return None, []
-        return _along(covectors[i], vertices[j]), [n for n in at[j] if n not in names[i]]
-
-    def clip(i: int, upper: int | None, lower: int | None) -> None:
-        (low, low_active), (up, up_active) = bound(i, lower), bound(i, upper)
-        for name in names[i]:
-            along = [n for n in names[i] if n != name]
-            raws[name] = _RawInterval(low, up, low_active, up_active, along)
-
-    for j, i in enumerate(kept):
-        clip(i, j, (j + 1) % p)
-    for i, j in touching.items():
-        clip(i, j, j)
+    # the lower and upper vertex of each line that meets the region
+    spans = {i: ((j + 1) % p, j) for j, i in enumerate(kept)}
+    spans.update((i, (j, j)) for i, j in touching.items())
+    faces = {}
     for i, group in enumerate(names):
-        if len(group) > 1 and group[0] not in raws:  # off the region, on one line
-            clip(i, None, None)
+        if len(group) > 1:  # a line two constraints share is a fault wherever it lies
+            for n in group:
+                faces[n] = next(o for o in group if o != n), None, None
+        elif i in spans:
+            faces[group[0]] = None, *(
+                vertices[j] and (vertices[j], [n for n in at[j] if n != group[0]])
+                for j in spans[i]
+            )
     if gap is None:
         arcs: tuple = ()
     else:
@@ -650,7 +688,7 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
         arcs = ((vec_neg(rot90(last)), rot90(first)),)
         if m == 2 and cross2(first, last) == 0:  # a strip
             arcs += ((rot90(last), rot90(last)),)
-    return True, True, _Cycle(raws, arcs)
+    return True, True, _Cycle(faces, tightest, arcs)
 
 
 def _points(items: list[tuple[str, AffineFunctional]]):
@@ -681,35 +719,7 @@ def _compact_1d(fan: Fan, covectors: list[Vector]) -> bool:
     )
 
 
-# ----------------------------------------------------- face intervals
-
-
-def _face_interval(ref: ConstraintRef, raw: _RawInterval | None) -> _RawInterval | None:
-    """The face line's clip as an interval with one constraint at each
-    finite bound, or ``None`` when the face misses the region."""
-    if raw is None:
-        return None
-    if raw.along:
-        raise GeometryError(
-            f"constraints {ref[0]}.{ref[1]} and {ref[0]}.{raw.along[0]} "
-            "cut along the same line"
-        )
-    if _bounded(raw):
-        if raw.lower > raw.upper:
-            return None
-        if raw.lower == raw.upper:
-            raise DegenerateVertexError(
-                f"face {ref[0]}.{ref[1]} degenerates to a single point where "
-                f"{', '.join(sorted(set(raw.lower_active + raw.upper_active)))} also vanish"
-            )
-    for active in (raw.lower_active, raw.upper_active):
-        if len(active) > 1:
-            raise DegenerateVertexError(
-                f"constraints {ref[0]}.{ref[1]}, "
-                + ", ".join(f"{ref[0]}.{n}" for n in active)
-                + " pass through one point"
-            )
-    return raw
+# ------------------------------------------------------------ escapes
 
 
 def _escape(
@@ -730,42 +740,12 @@ def _escape(
         if cross2(r, target) == 0 and dot(r, target) > 0:
             return edge_of_face[(domain_id, fan.labels[idx])]
     for cone in fan.two_cones():
-        gens = [fan.vectors[i] for i in sorted(cone)]
-        if cone_contains(gens, target):
+        if _in_arc(*_arc(fan, cone), target):
             labels = "{" + ", ".join(fan.labels[i] for i in sorted(cone)) + "}"
             raise TransversalityError(
                 f"a face of domain {domain_id} runs into the corner {labels}"
             )
     return None
-
-
-# ------------------------------------------------------------- traces
-
-
-def _side_trace(
-    residue: Vector, fns: Mapping[str, AffineFunctional]
-) -> _RawInterval | None:
-    """Interval of the region's closure on the edge with the given
-    residue, in the coordinate ``rot90(residue) . u``: the region
-    recedes towards the edge (along ``-residue``) unless a constraint
-    falls that way, and there only the constraints parallel to the
-    residue still bind."""
-    if any(dot(g.linear, residue) > 0 for g in fns.values()):
-        return None
-    rv = rot90(residue)
-    raw = _clip(
-        (Fraction(0), Fraction(0)),
-        vec_scale(1 / dot(rv, rv), rv),
-        [(n, g) for n, g in sorted(fns.items()) if dot(g.linear, residue) == 0],
-    )
-    if _bounded(raw):
-        if raw.lower == raw.upper:
-            raise DegenerateVertexError(
-                "the polytope touches an edge stratum in a single point"
-            )
-        if raw.lower > raw.upper:
-            return None
-    return raw
 
 
 # ---------------------------------------------------------- the build
@@ -839,64 +819,53 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     edge_of_face = {f: e.label for e in space.edges for f in e.faces}
     edge_index = {e.label: i for i, e in enumerate(space.edges)}
 
-    # face segments: parameter interval, then escapes at unbounded ends
-    intervals: dict[ConstraintRef, _RawInterval] = {}
-    lines: dict[ConstraintRef, tuple[Vector, Vector]] = {}
-    landings: dict[ConstraintRef, dict[str, tuple[str, Fraction]]] = {}
+    # face segments: their ends on the vertex cycle, then escapes at
+    # unbounded ends
+    face_lines: dict[ConstraintRef, tuple[Vector, Vector, tuple]] = {}
+    landings: dict[ConstraintRef, list[tuple[str, Fraction] | None]] = {}
     for ref, fn in spec.constraints:
         if ref[0] not in regions:
             continue
-        raw = _face_interval(ref, regions[ref[0]].raws.get(ref[1]))
-        if raw is None:
+        ends = regions[ref[0]].face(ref)
+        if ends is None:
             continue
-        intervals[ref] = raw
-        lines[ref] = base, t = _line_of(fn)
+        base, t = _line_of(fn)
+        face_lines[ref] = base, t, ends
         fan = space.domain(ref[0]).fan
-        ends: dict[str, tuple[str, Fraction]] = {}
-        for end, bound, direction in (("lower", raw.lower, vec_neg(t)), ("upper", raw.upper, t)):
-            if bound is not None:
-                continue
-            edge_label = _escape(ref[0], fan, direction, edge_of_face)
-            if edge_label is not None:
-                residue = space.edge(edge_label).residue
-                ends[end] = (edge_label, dot(rot90(residue), base))
-        landings[ref] = ends
+        landings[ref] = landed = [None, None]
+        for k, direction in enumerate((vec_neg(t), t)):
+            if ends[k] is None:
+                edge_label = _escape(ref[0], fan, direction, edge_of_face)
+                if edge_label is not None:
+                    residue = space.edge(edge_label).residue
+                    landed[k] = edge_label, dot(rot90(residue), base)
 
-    # edge traces, with the continuation pairs they force
-    raw_traces: dict[str, tuple[str, tuple[int, ...], _RawInterval]] = {}
+    # edge traces, with the continuation pairs they force; a domain the
+    # region misses has no trace either
+    raw_traces: dict[str, tuple[str, tuple[int, ...], tuple]] = {}
     required_pairs: list[tuple[ConstraintRef, ConstraintRef, str]] = []
     binding_refs: set[ConstraintRef] = set()
     for e in space.edges:
-        sides = [
-            (face[0], _side_trace(e.residue, spec.domain_constraints(face[0])))
-            for face in e.faces
-        ]
+        sides = [(d, regions[d].trace(e.residue)) for d, _ in e.faces if d in regions]
         present = [(d, t) for d, t in sides if t is not None]
         if not present:
             continue
         for d, t in present:
-            for names in (t.lower_active, t.upper_active):
-                binding_refs.update((d, name) for name in names[:1])
+            binding_refs.update((d, end[1]) for end in t if end)
+        bounds = [tuple(end and end[0] for end in t) for _, t in present]
         if len(present) == 1:
-            (d, t), kind = present[0], "singular"
+            kind = "singular"
         else:
             (d1, t1), (d2, t2) = present
-            if (t1.lower, t1.upper) != (t2.lower, t2.upper):
+            if bounds[0] != bounds[1]:
                 raise ContinuationError(
                     f"the traces across edge {e.label} disagree: "
-                    f"[{t1.lower}, {t1.upper}] from domain {d1} vs "
-                    f"[{t2.lower}, {t2.upper}] from domain {d2}"
+                    f"[{bounds[0][0]}, {bounds[0][1]}] from domain {d1} vs "
+                    f"[{bounds[1][0]}, {bounds[1][1]}] from domain {d2}"
                 )
-            d, t, kind = d1, t1, "divisor"
-            if t1.lower is not None:
-                required_pairs.append(
-                    ((d1, t1.lower_active[0]), (d2, t2.lower_active[0]), e.label)
-                )
-            if t1.upper is not None:
-                required_pairs.append(
-                    ((d1, t1.upper_active[0]), (d2, t2.upper_active[0]), e.label)
-                )
-        raw_traces[e.label] = (kind, tuple(di for di, _ in present), t)
+            kind = "divisor"
+            required_pairs += [((d1, x[1]), (d2, y[1]), e.label) for x, y in zip(t1, t2) if x]
+        raw_traces[e.label] = (kind, tuple(d for d, _ in present), bounds[0])
 
     # continuation: forced pairs must be declared, declared groups must
     # be forced together
@@ -923,7 +892,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
         face_members.setdefault(face_label[ref], []).append(ref)
     nonsingular: list[PolytopeFace] = []
     for label, members in face_members.items():
-        with_segment = [ref for ref in members if ref in intervals]
+        with_segment = [ref for ref in members if ref in face_lines]
         if not with_segment:
             if any(ref in binding_refs for ref in members):
                 raise GeometryError(
@@ -932,7 +901,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
                 )
             continue
         landed = sorted(
-            {edge for ref in with_segment for edge, _ in landings[ref].values()},
+            {landed[0] for ref in with_segment for landed in landings[ref] if landed},
             key=lambda lab: edge_index[lab],
         )
         nonsingular.append(
@@ -948,22 +917,17 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
 
     # vertices
     interior_keys: dict[tuple[int, Vector], set[str]] = {}
-    for ref, raw in intervals.items():
-        base, t = lines[ref]
-        for bound, active in ((raw.lower, raw.lower_active), (raw.upper, raw.upper_active)):
-            if bound is None:
-                continue
-            point = vec_add(base, vec_scale(bound, t))
-            key = (ref[0], point)
-            interior_keys.setdefault(key, set()).update(
-                {face_label[ref], face_label[(ref[0], active[0])]}
+    for ref, (_, _, ends) in face_lines.items():
+        for point, other in filter(None, ends):
+            interior_keys.setdefault((ref[0], point), set()).update(
+                {face_label[ref], face_label[(ref[0], other)]}
             )
     landing_keys: dict[tuple[str, Fraction], set[str]] = {}
-    for ref, ends in landings.items():
-        for edge_label, position in ends.values():
+    for ref, landed in landings.items():
+        for edge_label, position in filter(None, landed):
             landing_keys.setdefault((edge_label, position), set()).add(face_label[ref])
     for edge_label, (kind, _, t) in raw_traces.items():
-        for bound in (t.lower, t.upper):
+        for bound in t:
             if bound is None:
                 continue
             if (edge_label, bound) not in landing_keys:
@@ -976,11 +940,11 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     cluster_germs: dict[str, list[tuple[str, str, Vector]]] = {}
     for edge_label, (kind, _, t) in raw_traces.items():
         e = space.edge(edge_label)
-        if t.lower is None and e.tail is not None:
+        if t[0] is None and e.tail is not None:
             cluster_germs.setdefault(e.tail, []).append(
                 (edge_label, kind, e.residue)
             )
-        if t.upper is None and e.head is not None:
+        if t[1] is None and e.head is not None:
             cluster_germs.setdefault(e.head, []).append(
                 (edge_label, kind, e.residue)
             )
@@ -1054,52 +1018,47 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
 
     # final segments and traces, wired to vertices
     segments: list[FaceSegment] = []
-    for ref in sorted(intervals):
-        raw = intervals[ref]
-        base, t = lines[ref]
-        ends: dict[str, str | None] = {}
-        for end, bound in (("lower", raw.lower), ("upper", raw.upper)):
-            if bound is not None:
-                point = vec_add(base, vec_scale(bound, t))
-                ends[end] = vertex_ids[("interior", (ref[0], point))]
-            elif end in landings[ref]:
-                ends[end] = vertex_ids[("landing", landings[ref][end])]
+    for ref in sorted(face_lines):
+        base, t, ends = face_lines[ref]
+        bounds: list[Fraction | None] = []
+        vids: list[str | None] = []
+        for end, landed in zip(ends, landings[ref]):
+            if end is not None:
+                bounds.append(dot(end[0], t) / dot(t, t))  # base is normal to t
+                vids.append(vertex_ids[("interior", (ref[0], end[0]))])
             else:
-                ends[end] = None
+                bounds.append(None)
+                vids.append(landed and vertex_ids[("landing", landed)])
         segments.append(
             FaceSegment(
                 ref=ref,
                 face_label=face_label[ref],
                 base=base,
                 direction=t,
-                lower=raw.lower,
-                upper=raw.upper,
-                lower_vertex=ends["lower"],
-                upper_vertex=ends["upper"],
+                lower=bounds[0],
+                upper=bounds[1],
+                lower_vertex=vids[0],
+                upper_vertex=vids[1],
             )
         )
     traces: list[EdgeTrace] = []
     for e in space.edges:
         if e.label not in raw_traces:
             continue
-        kind, sides, t = raw_traces[e.label]
+        kind, sides, (lower, upper) = raw_traces[e.label]
         traces.append(
             EdgeTrace(
                 edge_label=e.label,
                 residue=e.residue,
                 kind=kind,
                 sides=sides,
-                lower=t.lower,
-                upper=t.upper,
+                lower=lower,
+                upper=upper,
                 lower_vertex=(
-                    vertex_ids[("landing", (e.label, t.lower))]
-                    if t.lower is not None
-                    else None
+                    vertex_ids[("landing", (e.label, lower))] if lower is not None else None
                 ),
                 upper_vertex=(
-                    vertex_ids[("landing", (e.label, t.upper))]
-                    if t.upper is not None
-                    else None
+                    vertex_ids[("landing", (e.label, upper))] if upper is not None else None
                 ),
             )
         )

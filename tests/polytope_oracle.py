@@ -10,8 +10,12 @@ an oracle for the vertex cycle: ``_feasible_domains`` clips each of a
 domain's k constraint lines by the other k - 1, ``_domain_compact``
 sweeps sampled directions of the whole circle against every covector
 and ``_quadrant_reaches_corner`` tries every constraint line as a
-direction into the corner.  Patched in for ``polytopes._feasible``, it
-makes ``build_polytope`` build a planar polytope the old way.
+direction into the corner.  Each ``ClipRegion`` supplies what the build
+reads of a vertex cycle: a face's segment ends, or its fault, from its
+clip by ``_face_interval``; an edge's trace from the clip of the
+stratum coordinate by ``_side_trace``; compactness and the corner test.
+Patched in for ``polytopes._feasible``, it makes ``build_polytope``
+build a planar polytope the old way.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from logaffine.errors import GeometryError, UnsupportedDimensionError
+from logaffine.errors import DegenerateVertexError, GeometryError, UnsupportedDimensionError
 from logaffine.fans import Fan, _direction_cmp
 from logaffine.polytopes import (
     ConstraintRef,
@@ -31,7 +35,17 @@ from logaffine.polytopes import (
     _RawInterval,
     _support_contains,
 )
-from logaffine.rational import Vector, cross2, dot, primitive, rot90, vec_add, vec_neg
+from logaffine.rational import (
+    AffineFunctional,
+    Vector,
+    cross2,
+    dot,
+    primitive,
+    rot90,
+    vec_add,
+    vec_neg,
+    vec_scale,
+)
 from logaffine.welding import WeldedSpace
 
 
@@ -231,14 +245,92 @@ def _feasible_domains(
     return feasible, clips
 
 
+def _face_interval(ref: ConstraintRef, raw: _RawInterval | None) -> _RawInterval | None:
+    """The face line's clip as an interval with one constraint at each
+    finite bound, or ``None`` when the face misses the region."""
+    if raw is None:
+        return None
+    if raw.along:
+        raise GeometryError(
+            f"constraints {ref[0]}.{ref[1]} and {ref[0]}.{raw.along[0]} "
+            "cut along the same line"
+        )
+    if _bounded(raw):
+        if raw.lower > raw.upper:
+            return None
+        if raw.lower == raw.upper:
+            raise DegenerateVertexError(
+                f"face {ref[0]}.{ref[1]} degenerates to a single point where "
+                f"{', '.join(sorted(set(raw.lower_active + raw.upper_active)))} also vanish"
+            )
+    for active in (raw.lower_active, raw.upper_active):
+        if len(active) > 1:
+            raise DegenerateVertexError(
+                f"constraints {ref[0]}.{ref[1]}, "
+                + ", ".join(f"{ref[0]}.{n}" for n in active)
+                + " pass through one point"
+            )
+    return raw
+
+
+def _side_trace(
+    residue: Vector, fns: dict[str, AffineFunctional]
+) -> _RawInterval | None:
+    """Interval of the region's closure on the edge with the given
+    residue, in the coordinate ``rot90(residue) . u``: the region
+    recedes towards the edge (along ``-residue``) unless a constraint
+    falls that way, and there only the constraints parallel to the
+    residue still bind."""
+    if any(dot(g.linear, residue) > 0 for g in fns.values()):
+        return None
+    rv = rot90(residue)
+    raw = _clip(
+        (Fraction(0), Fraction(0)),
+        vec_scale(1 / dot(rv, rv), rv),
+        [(n, g) for n, g in sorted(fns.items()) if dot(g.linear, residue) == 0],
+    )
+    if _bounded(raw):
+        if raw.lower == raw.upper:
+            raise DegenerateVertexError(
+                "the polytope touches an edge stratum in a single point"
+            )
+        if raw.lower > raw.upper:
+            return None
+    return raw
+
+
+def _ends(raw: _RawInterval, point_of) -> tuple:
+    """The lower and upper ends of a clip as the build reads them: each
+    ``None`` when unbounded, else ``point_of`` its bound with the first
+    constraint attaining it."""
+    return tuple(
+        None if bound is None else (point_of(bound), active[0])
+        for bound, active in ((raw.lower, raw.lower_active), (raw.upper, raw.upper_active))
+    )
+
+
 class ClipRegion:
     """One feasible planar domain of the k^2 clip, read as the build
     reads a vertex cycle: each constraint's clip by the others, the
-    circle-sweep compactness and the corner test on every covector."""
+    stratum coordinate clipped by the constraints parallel to the
+    residue, the circle-sweep compactness and the corner test on every
+    covector."""
 
-    def __init__(self, raws: dict[str, _RawInterval | None], covectors: list[Vector]):
+    def __init__(self, raws: dict[str, _RawInterval | None], fns: dict[str, AffineFunctional]):
         self.raws = raws
-        self.covectors = covectors
+        self.fns = fns
+        self.covectors = [g.linear for g in fns.values()]
+
+    def face(self, ref: ConstraintRef):
+        raw = _face_interval(ref, self.raws.get(ref[1]))
+        if raw is None:
+            return None
+        base, t = _line_of(self.fns[ref[1]])
+        return _ends(raw, lambda s: vec_add(base, vec_scale(s, t)))
+
+    def trace(self, residue: Vector):
+        raw = _side_trace(residue, self.fns)
+        return None if raw is None else _ends(raw, lambda s: s)
 
     def compact(self, fan: Fan) -> bool:
         return _domain_compact(fan, self.covectors, 2)
@@ -255,7 +347,7 @@ def clip_regions(space: WeldedSpace, spec: PolytopeSpec, region_of=None) -> dict
     return {
         d: ClipRegion(
             {name: clips[(d, name)][2] for name in spec.domain_constraints(d)},
-            [g.linear for g in spec.domain_constraints(d).values()],
+            dict(spec.domain_constraints(d)),
         )
         for d in feasible
     }

@@ -15,10 +15,8 @@ from hypothesis import strategies as st
 import logaffine.classification as classification
 from logaffine.classification import (
     cut_report,
-    effective_moduli_dimension,
     make_bundle,
     make_invariant_record,
-    moduli_dimension,
     obstruction_vanishes,
     records_equivalent,
 )
@@ -32,7 +30,7 @@ from logaffine.fans import make_fan
 from logaffine.fileio import parse_bundle_text, parse_polytope_text, serialize_bundle
 from logaffine.polytopes import build_polytope, make_polytope_spec, polytope_moduli
 from logaffine.rational import AffineFunctional, rank, vector
-from logaffine.topology import betti_numbers
+from logaffine.topology import betti_numbers, log_cohomology_dims
 from logaffine.welding import MatchedPair, build_welded_space, make_welding_spec
 
 import record_oracle
@@ -142,7 +140,7 @@ def test_obstruction_on_one_dimensional_space() -> None:
     [("sphere.weld", 10), ("torus.weld", 9), ("genus2.weld", 13)],
 )
 def test_moduli_dimension_of_spaces(weld_name: str, expected: int) -> None:
-    assert moduli_dimension(load_space(weld_name)) == expected
+    assert log_cohomology_dims(load_space(weld_name))[2] == expected
 
 
 def test_moduli_dimension_formula_term_by_term() -> None:
@@ -150,45 +148,20 @@ def test_moduli_dimension_formula_term_by_term() -> None:
         space = load_space(name)
         closed = sum(1 for c in space.divisor_components if c.closed)
         expected = betti_numbers(space)[2] + closed + len(space.crossings)
-        assert moduli_dimension(space) == expected
+        assert log_cohomology_dims(space)[2] == expected
 
 
-def test_moduli_dimension_of_polytopes() -> None:
-    assert moduli_dimension(load_built_polytope("unitsquare.poly")) == 0
-    assert moduli_dimension(load_built_polytope("gen1.poly")) == 5
-    assert moduli_dimension(whole_space_polytope("sphere.weld")) == 10
-
-
-def test_moduli_dimension_rejects_other_inputs() -> None:
-    with pytest.raises(GeometryError, match="welded space or a polytope"):
-        moduli_dimension("sphere")
-
-
-def test_effective_moduli_dimension() -> None:
-    sphere = load_space("sphere.weld")
-    assert effective_moduli_dimension(sphere, load_bundle("trivial.bundle")) == 10
-    assert effective_moduli_dimension(sphere, load_bundle("hopf.bundle")) == 9
-    assert effective_moduli_dimension(sphere, make_bundle(2, [(1,), (2,)])) == 9
-    assert effective_moduli_dimension(load_space("torus.weld"), make_bundle(2, [(3,), (0,)])) == 8
-
-
-def test_effective_moduli_never_exceeds_moduli() -> None:
-    for name in ("sphere.weld", "torus.weld", "genus2.weld"):
-        space = load_space(name)
-        width = betti_numbers(space)[2]
-        for chern in itertools.product((0, 1), repeat=2):
-            bundle = make_bundle(2, [tuple([c] * width) for c in chern])
-            effective = effective_moduli_dimension(space, bundle)
-            assert effective <= moduli_dimension(space)
-            if effective == moduli_dimension(space):
-                assert rank(bundle.chern) == 0
-
-
-def test_effective_moduli_validates_chern_length() -> None:
-    with pytest.raises(DimensionMismatchError, match="degree-2"):
-        effective_moduli_dimension(
-            load_space("sphere.weld"), make_bundle(2, [(1, 0), (0, 0)])
-        )
+@pytest.mark.parametrize(
+    "polytope, expected",
+    [
+        (lambda: load_built_polytope("unitsquare.poly"), 0),
+        (lambda: load_built_polytope("gen1.poly"), 5),
+        (lambda: whole_space_polytope("sphere.weld"), 10),
+    ],
+    ids=["unitsquare", "gen1", "sphere"],
+)
+def test_moduli_dimension_of_polytopes(polytope, expected: int) -> None:
+    assert polytope_moduli(polytope()) == expected
 
 
 # ------------------------------------------------------------- cut reports

@@ -36,11 +36,11 @@ from logaffine.polytopes import (
 )
 from logaffine.fans import _direction_cmp, make_fan
 from logaffine.fileio import parse_polytope_text
-from logaffine.rational import AffineFunctional, cross2, vector
+from logaffine.rational import AffineFunctional, cone_contains, cross2, vector
 from logaffine.welding import build_welded_space, make_welding_spec
 
 import volume_oracle
-from polytope_oracle import check_face_lemmas, clip_regions, is_compact_2d
+from polytope_oracle import _side_trace, check_face_lemmas, clip_regions, is_compact_2d
 from conftest import (
     FAR_RECTANGLE,
     FIXTURES,
@@ -547,9 +547,19 @@ def test_three_concurrent_faces_are_rejected() -> None:
         build_polytope(space, spec)
 
 
-def test_empty_interior_is_rejected() -> None:
-    with pytest.raises(GeometryError, match="empty interior"):
-        plane_polytope([((1, "lo"), fn(1, 0)), ((1, "hi"), fn(-1, 0))])
+@pytest.mark.parametrize(
+    "constraints, fan_name",
+    [
+        ([fn(1, 0), fn(-1, 0)], "emptyfan.fan"),
+        # the zero-width slab y >= 0, -y >= 0 over a fan with rays
+        ([fn(0, 1), fn(0, -1)], "square.fan"),
+    ],
+    ids=["empty-fan", "square-fan"],
+)
+def test_empty_interior_is_rejected(constraints, fan_name: str) -> None:
+    built = single_domain_polytope(constraints, load_fan(fan_name))
+    assert isinstance(built, GeometryError)
+    assert "empty interior" in str(built)
 
 
 def test_everywhere_empty_polytope_is_rejected() -> None:
@@ -1013,11 +1023,14 @@ def test_volume_on_fans_with_rays_matches_the_symbolic_oracle(fan_name, fns) -> 
     assert regularized_volume(p) == volume_oracle.symbolic_volume(p)
 
 
-def test_the_build_clips_no_line_and_the_volume_only_by_the_cutoffs(monkeypatch) -> None:
-    """The build reads each face from its domain's vertex cycle: it
-    calls ``_clip`` never and ``_line_of`` once per face segment.  The
-    volume reads the build's face segments and clips each only by the
-    cutoffs, of which the empty fan has none."""
+def test_the_build_clips_no_line_and_the_volume_only_by_the_cutoffs(
+    monkeypatch, tmp_path
+) -> None:
+    """The build reads each face and edge trace from its domain's vertex
+    cycle: it calls ``_clip`` never, also for the strips of the
+    ``polygon`` benchmark beside their rays, and ``_line_of`` once per
+    face segment.  The volume reads the build's face segments and clips
+    each only by the cutoffs, of which the empty fan has none."""
     k = 16
     lines, clipped = [], []
     line_of, clip = polytopes._line_of, polytopes._clip
@@ -1033,6 +1046,14 @@ def test_the_build_clips_no_line_and_the_volume_only_by_the_cutoffs(monkeypatch)
 
     monkeypatch.setattr(polytopes, "_line_of", counting_line_of)
     monkeypatch.setattr(polytopes, "_clip", recording_clip)
+    for name, text in gen.LIBRARY.items():
+        (tmp_path / name).write_text(text)
+    for text in gen.strip_texts(3):
+        pf = parse_polytope_text(text, "strip.poly", base=tmp_path)
+        strip = build_polytope(build_welded_space(pf.spec.welding), pf.spec)
+        assert len(strip.traces) == 2
+    assert clipped == []
+    lines.clear()
     polygon = gen.delzant_polygon(random.Random(k), k, k // 2)
     p = single_domain_polytope(polygon_functionals(polygon))
     assert clipped == []
@@ -1080,6 +1101,10 @@ def assert_built_alike(fns, fan=None) -> None:
         clipped = single_domain_polytope(fns, fan)
     if isinstance(clipped, GeometryError):
         assert (type(built), str(built)) == (type(clipped), str(clipped))
+        if "empty in every domain" in str(clipped) and fan is not None:
+            # the build reads no trace where the region is empty: none is there
+            named = {f"c{i}": f for i, f in enumerate(fns)}
+            assert all(_side_trace(r, named) is None for r in fan.vectors)
     else:
         assert built == clipped
 
@@ -1104,7 +1129,7 @@ def test_cycle_build_matches_the_clip_oracle(fns) -> None:
 @settings(max_examples=200, deadline=None)
 @given(
     fan_name=st.sampled_from(RAY_FANS + ["emptyfan.fan"]),
-    fns=systems_around_the_origin(),
+    fns=st.one_of(systems_around_the_origin(), systems(2)),
 )
 # one half-plane over the fan of genus2.weld, as gen1.poly cuts it
 @example(fan_name="hexagon.fan", fns=[fn(0, -1)])
@@ -1113,3 +1138,24 @@ def test_cycle_build_matches_the_clip_oracle(fns) -> None:
 @example(fan_name="quadrant.fan", fns=[fn(1, -1, c=1), fn(-1, 1, c=1), fn(1, 1, c=1)])
 def test_cycle_build_matches_the_clip_oracle_over_fans(fan_name, fns) -> None:
     assert_built_alike(fns, load_fan(fan_name))
+
+
+# ------------------------------------------- the cone test of the fan support
+
+
+CONES = [
+    (name, cone) for name in RAY_FANS for cone in sorted(load_fan(name).cones, key=sorted) if cone
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fan_cone=st.sampled_from(CONES),
+    x=st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(any),
+)
+def test_the_arc_of_a_cone_holds_what_cone_contains_does(fan_cone, x) -> None:
+    fan_name, cone = fan_cone
+    fan = load_fan(fan_name)
+    gens = [fan.vectors[i] for i in sorted(cone)]
+    x = vector(*x)
+    assert polytopes._in_arc(*polytopes._arc(fan, cone), x) == cone_contains(gens, x)
