@@ -14,19 +14,16 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import UnsupportedDimensionError
-from .rational import (
-    Vector,
-    as_vector,
-    cone_contains,
-    cross2,
-    is_zero,
-    linear_independent,
-)
+from .rational import Vector, as_vector, cross2, gauss_jordan, is_zero, primitive
+
+Direction = tuple[int, int]
 
 
 @dataclass(frozen=True)
 class Fan:
-    """An immutable fan; cones store indices into ``vectors``."""
+    """An immutable fan; cones store indices into ``vectors``.  A plane
+    fan also gives its cones and its support as arcs of directions
+    (``arcs``, ``support``), each computed once per fan."""
 
     dim: int
     vectors: tuple[Vector, ...]
@@ -106,6 +103,62 @@ class Fan:
             out.append((ccw, cw))
         return tuple(out)
 
+    @functools.cached_property
+    def arcs(self) -> dict[frozenset[int], tuple[Direction, Direction]]:
+        """Each nonempty cone of a plane fan as the closed arc of
+        directions it holds (see ``_arc``), computed once per fan."""
+        return {cone: _arc(self, cone) for cone in self.cones if cone}
+
+    @functools.cached_property
+    def support(self) -> tuple[tuple[Direction, Direction | None], ...]:
+        """The support of a plane fan as disjoint closed arcs of integer
+        directions in counterclockwise order, each ``(start, end)`` from
+        its start counterclockwise to its end (``None`` for the whole
+        circle): the cones' arcs sorted by start with ``_direction_cmp``
+        and merged wherever one starts on another.  A merged arc may
+        exceed a half turn."""
+        merged: list = []
+        by_start = functools.cmp_to_key(lambda a, b: _direction_cmp(a[0], b[0]))
+        for s, e in sorted(self.arcs.values(), key=by_start):
+            if merged and _holds(merged[-1], s):
+                merged[-1] = _join(merged[-1], s, e)
+            else:
+                merged.append((s, e))
+        while len(merged) > 1 and _holds(merged[-1], merged[0][0]):  # across (1, 0)
+            merged[0] = _join(merged.pop(), *merged[0])
+        return tuple(merged)
+
+
+def _arc(fan: Fan, cone: frozenset[int]) -> tuple[Direction, Direction]:
+    """The directions a 1- or 2-cone of a plane fan holds, as a closed
+    arc of primitive integer directions from one generator
+    counterclockwise to the other (a ray's arc starts and ends on it)."""
+    v, w = (primitive(fan.vectors[i]) for i in (min(cone), max(cone)))
+    return (v, w) if cross2(v, w) >= 0 else (w, v)
+
+
+def _ccw(b: Direction, u: Direction, v: Direction) -> int:
+    """Compare the counterclockwise turns from ``b`` to ``u`` and to ``v``:
+    ``_direction_cmp`` with ``b`` in place of (1, 0)."""
+    return _direction_cmp(
+        (b[0] * u[0] + b[1] * u[1], b[0] * u[1] - b[1] * u[0]),
+        (b[0] * v[0] + b[1] * v[1], b[0] * v[1] - b[1] * v[0]),
+    )
+
+
+def _holds(arc: tuple[Direction, Direction | None], x: Direction) -> bool:
+    """Whether the closed arc ``(start, end)`` holds the direction ``x``."""
+    return arc[1] is None or _ccw(arc[0], x, arc[1]) <= 0
+
+
+def _join(arc, s: Direction, e: Direction):
+    """The union of ``arc`` and the arc from ``s``, which it holds, to
+    ``e``: the whole circle when that arc runs past the start of ``arc``."""
+    start, end = arc
+    if end is None or _ccw(start, e, s) < 0:
+        return start, None
+    return start, e if _ccw(start, end, e) < 0 else end
+
 
 def _first_index(items: Sequence) -> dict:
     """Item -> position of its first occurrence, as ``tuple.index`` finds it."""
@@ -171,18 +224,20 @@ def validate_fan(fan: Fan) -> FanReport:
         if any(i < 0 or i >= n for i in cone):
             violations.append(f"cone with out-of-range generator index {sorted(cone)}")
             continue
-        gens = [fan.vectors[i] for i in cone]
-        if not linear_independent(gens):
+        # one elimination per cone: its generators as columns, every
+        # other ray as an augmented column solved in them
+        others = [j for j in range(n) if j not in cone]
+        rows = [[fan.vectors[i][r] for i in (*cone, *others)] for r in range(fan.dim)]
+        k = len(cone)
+        if len(gauss_jordan(rows, k)) < k:
             violations.append(f"cone {name(cone)} has dependent generators")
             continue
         for i in cone:
             sub = cone - {i}
             if sub not in fan.cones:
                 violations.append(f"cones are not closed under subsets: {name(sub)} missing")
-        for j in range(n):
-            if j in cone:
-                continue
-            if cone_contains(gens, fan.vectors[j]):
+        for col, j in enumerate(others, k):
+            if all(row[col] >= 0 for row in rows[:k]) and not any(row[col] for row in rows[k:]):
                 violations.append(
                     f"vector {fan.labels[j]} lies in the closed hull of cone {name(cone)}"
                 )

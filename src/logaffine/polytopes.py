@@ -16,9 +16,13 @@ each edge trace from the tightest constraints perpendicular to the
 residue, compactness and the corner tests.  A line the cycle drops is
 checked once, at the vertex its normal points to.  A region without
 interior is told from an empty one by the cycle of the half-planes
-moved outwards by an infinitesimal.  The volume clips each face segment
-by the cutoff lines only (``_clip``); in dimension 1 each constraint
-point is clipped by the others.
+moved outwards by an infinitesimal.  The region is compact when each
+arc of directions it recedes along, negated, lies in one arc of the
+fan's support, which every ``Fan`` merges from its cones once.  The
+volume clips each face segment by the cutoff lines only (``_clip``); in
+dimension 1 each constraint point is clipped by the others.  Its cutoff
+is a symbol ``T`` and its measures are polynomials in ``T``
+(``_TPoly``), whose arithmetic skips zero coefficients.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, zip_longest
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -43,7 +46,7 @@ from .errors import (
     TransversalityError,
     UnsupportedDimensionError,
 )
-from .fans import Fan, _direction_cmp, _first_index
+from .fans import Fan, _ccw, _direction_cmp, _first_index, _holds
 from .rational import (
     AffineFunctional,
     Vector,
@@ -506,38 +509,15 @@ def _intersect(lines: list, gap: int | None):
     return kept, vertices, touching
 
 
-def _arc(fan: Fan, cone: frozenset[int]) -> tuple[Vector, Vector]:
-    """The directions a 1- or 2-cone of a planar fan holds, as a closed
-    arc from one generator counterclockwise to the other."""
-    gens = [fan.vectors[i] for i in sorted(cone)]
-    v, w = gens[0], gens[-1]
-    return (v, w) if cross2(v, w) >= 0 else (w, v)
-
-
-def _support_contains(fan: Fan, x: Vector) -> bool:
-    return any(_in_arc(*_arc(fan, cone), x) for cone in fan.cones if cone)
-
-
-def _in_arc(start: Vector, end: Vector, x: Vector) -> bool:
-    """Whether ``x`` lies on the closed arc from ``start``
-    counterclockwise to ``end``, at most a half turn."""
-    if start == end:
-        return cross2(start, x) == 0 and dot(start, x) > 0
-    return cross2(start, x) >= 0 and cross2(x, end) >= 0
-
-
 def _covered(fan: Fan, start: Vector, end: Vector) -> bool:
     """Whether the fan's support holds every direction of the closed arc
-    from ``start`` counterclockwise to ``end``, at most a half turn:
-    tested at both ends, at each ray of the fan strictly inside and
-    once inside each open arc between them."""
-    inside = [r for r in fan.vectors if cross2(start, r) > 0 and cross2(r, end) > 0]
-    inside.sort(key=functools.cmp_to_key(lambda u, v: -cross2(u, v)))
-    dirs = [start, *inside, end] if start != end else [start]
-    samples = dirs + [
-        vec_add(d, e) if cross2(d, e) > 0 else rot90(d) for d, e in zip(dirs, dirs[1:])
-    ]
-    return all(_support_contains(fan, x) for x in samples)
+    of integer directions from ``start`` counterclockwise to ``end``, at
+    most a half turn: whether, counted counterclockwise from the start of
+    one arc of ``Fan.support``, ``start`` comes no later than ``end`` and
+    ``end`` no later than that arc's end."""
+    return any(
+        e is None or _ccw(s, start, end) <= 0 and _ccw(s, end, e) <= 0 for s, e in fan.support
+    )
 
 
 _PLANE = (((1, 0), (-1, 0)), ((-1, 0), (1, 0)))
@@ -552,11 +532,12 @@ class _Cycle:
     upper ends along ``_line_of``: ``None`` at infinity, else a vertex
     of the cycle with the other names vanishing there, sorted.
     ``tightest`` maps each covector to its tightest constant and the
-    names attaining it, sorted.  ``arcs`` is the recession cone of the
-    region as closed arcs of directions (start, end), each at most a
-    half turn counterclockwise: none for a closed cycle, the arc between
-    the two unbounded edges for an open one, both ways along a strip
-    and the two halves of the plane when there is no constraint.
+    names attaining it, sorted.  ``arcs`` holds the directions of the
+    strata the region recedes towards, its recession cone negated, as
+    closed arcs of integer directions (start, end), each at most a half
+    turn counterclockwise: none for a closed cycle, the arc between the
+    two unbounded edges for an open one, both ways along a strip and
+    the two halves of the plane when there is no constraint.
     """
 
     __slots__ = ("faces", "tightest", "arcs")
@@ -602,30 +583,30 @@ class _Cycle:
         ends, each ``None`` when unbounded or the bound with the first
         tightest name on the covector perpendicular to the residue that
         sets it.  The region has interior, so the ends never meet."""
-        rv = rot90(residue)
         ends = [None, None]
         for a, (c, names) in self.tightest.items():
             slope = dot(a, residue)
             if slope > 0:
                 return None
             if slope == 0:
+                rv = rot90(residue)
                 coef = dot(a, rv)
                 ends[coef < 0] = -c * dot(rv, rv) / coef, names[0]
         return tuple(ends)
 
     def compact(self, fan: Fan) -> bool:
         """Every recession direction ``d`` of the region points away
-        from a stratum of the fan (the stratum sits at ``-d``)."""
-        return all(_covered(fan, vec_neg(s), vec_neg(e)) for s, e in self.arcs)
+        from a stratum of the fan (the stratum sits at ``-d``): each of
+        ``arcs`` lies in one arc of the fan's support."""
+        return all(_covered(fan, s, e) for s, e in self.arcs)
 
     def reaches_corner(self, v: Vector, w: Vector) -> bool:
         """Whether the region recedes into the corner through the open
         quadrant spanned by ``v`` and ``w`` (ordered counterclockwise):
-        whether the negated recession cone meets it, at its middle or
-        at an end of the cone."""
-        for c in [vec_add(v, w), *(vec_neg(x) for arc in self.arcs for x in arc)]:
+        whether ``arcs`` meet it, at its middle or at an end of an arc."""
+        for c in [vec_add(v, w), *(x for arc in self.arcs for x in arc)]:
             if cross2(v, c) > 0 and cross2(c, w) > 0:
-                if any(_in_arc(s, e, vec_neg(c)) for s, e in self.arcs):
+                if any(_holds(arc, c) for arc in self.arcs):
                     return True
         return False
 
@@ -685,9 +666,9 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
         arcs: tuple = ()
     else:
         first, last = covectors[(gap + 1) % m], covectors[gap]
-        arcs = ((vec_neg(rot90(last)), rot90(first)),)
+        arcs = ((rot90(last), vec_neg(rot90(first))),)
         if m == 2 and cross2(first, last) == 0:  # a strip
-            arcs += ((rot90(last), rot90(last)),)
+            arcs += ((vec_neg(rot90(last)),) * 2,)
     return True, True, _Cycle(faces, tightest, arcs)
 
 
@@ -740,7 +721,7 @@ def _escape(
         if cross2(r, target) == 0 and dot(r, target) > 0:
             return edge_of_face[(domain_id, fan.labels[idx])]
     for cone in fan.two_cones():
-        if _in_arc(*_arc(fan, cone), target):
+        if _holds(fan.arcs[cone], target):
             labels = "{" + ", ".join(fan.labels[i] for i in sorted(cone)) + "}"
             raise TransversalityError(
                 f"a face of domain {domain_id} runs into the corner {labels}"
@@ -1370,11 +1351,12 @@ def polytope_moduli(p: LogPolytope) -> int:
 # ------------------------------------------------- regularized volume
 
 
-@functools.total_ordering
 class _TPoly:
     """A polynomial in the cutoff ``T`` with exact coefficients, constant
-    first, ordered as its values are for every large ``T``: by the sign
-    of the leading coefficient of a difference."""
+    first, ordered as its values are for every large ``T``: by the
+    highest coefficient in which two differ.  Zero coefficients are
+    skipped, and a scalar touches the constant or scales each
+    coefficient only."""
 
     __slots__ = ("coefs",)
 
@@ -1382,20 +1364,29 @@ class _TPoly:
         self.coefs = coefs
 
     def __add__(self, other) -> _TPoly:
-        b = other.coefs if isinstance(other, _TPoly) else (other,)
-        return _TPoly(*map(sum, zip_longest(self.coefs, b, fillvalue=0)))
+        a = self.coefs
+        if not isinstance(other, _TPoly):
+            return _TPoly(a[0] + other, *a[1:]) if other else self
+        b = other.coefs
+        if len(a) < len(b):
+            a, b = b, a
+        return _TPoly(*[x + y if x and y else x or y for x, y in zip(a, b)], *a[len(b):])
 
     def __mul__(self, other) -> _TPoly:
-        b = other.coefs if isinstance(other, _TPoly) else (other,)
-        out = [0] * (len(self.coefs) + len(b) - 1)
-        for (i, x), (j, y) in product(enumerate(self.coefs), enumerate(b)):
-            out[i + j] += x * y
+        if not isinstance(other, _TPoly):
+            return _TPoly(*[x and x * other for x in self.coefs])
+        out = [0] * (len(self.coefs) + len(other.coefs) - 1)
+        for i, x in enumerate(self.coefs):
+            if x:
+                for j, y in enumerate(other.coefs):
+                    if y:
+                        out[i + j] += x * y
         return _TPoly(*out)
 
     __radd__, __rmul__ = __add__, __mul__
 
     def __neg__(self) -> _TPoly:
-        return self * -1
+        return _TPoly(*[-x for x in self.coefs])
 
     def __sub__(self, other) -> _TPoly:
         return self + -other
@@ -1407,13 +1398,31 @@ class _TPoly:
         return self * (1 / Fraction(q))
 
     def _lead(self, other):
-        return next((c for c in reversed((self - other).coefs) if c), 0)
+        """The highest coefficient of ``self - other`` that is not zero,
+        else 0, without forming the difference."""
+        a = self.coefs
+        b = other.coefs if isinstance(other, _TPoly) else (other,)
+        for k in range(max(len(a), len(b)) - 1, -1, -1):
+            x = a[k] if k < len(a) else 0
+            y = b[k] if k < len(b) else 0
+            if x != y:
+                return x - y
+        return 0
 
     def __eq__(self, other) -> bool:
         return self._lead(other) == 0
 
     def __lt__(self, other) -> bool:
         return self._lead(other) < 0
+
+    def __le__(self, other) -> bool:
+        return self._lead(other) <= 0
+
+    def __gt__(self, other) -> bool:
+        return self._lead(other) > 0
+
+    def __ge__(self, other) -> bool:
+        return self._lead(other) >= 0
 
 
 def _clipped_measure(p: LogPolytope, domain_id: int) -> Fraction | _TPoly:

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package reduces to small exact computations:
-ranks and solving on lists of rational vectors, membership in
-finitely generated convex cones, and Smith normal form over the
-integers for lattice-saturation tests.  Vectors are plain tuples of
+Gauss-Jordan elimination on rational rows (ranks, solving and cone
+membership) and Smith normal form over the integers for
+lattice-saturation tests.  Vectors are plain tuples of
 ``fractions.Fraction`` so they hash and compare structurally.
 """
 
@@ -96,14 +96,7 @@ class AffineFunctional:
         return f"({body}) {sign} {abs(self.constant)}"
 
 
-# ------------------------------------------------------------------ rank
-
-
-def _check_same_length(vectors: Sequence[Vector]) -> int:
-    lengths = {len(v) for v in vectors}
-    if len(lengths) > 1:
-        raise DimensionMismatchError(f"mixed vector lengths {sorted(lengths)}")
-    return lengths.pop() if lengths else 0
+# ------------------------------------------------------- elimination
 
 
 def gauss_jordan(rows: list[list[Fraction]], columns: int) -> list[int]:
@@ -133,56 +126,6 @@ def gauss_jordan(rows: list[list[Fraction]], columns: int) -> list[int]:
         if r == len(rows):
             break
     return pivots
-
-
-def rank(vectors: Sequence[Sequence]) -> int:
-    """Rank of the list of rational vectors, by Gaussian elimination."""
-    rows = [list(as_vector(v)) for v in vectors]
-    return len(gauss_jordan(rows, _check_same_length(rows)))
-
-
-def linear_independent(vectors: Sequence[Sequence]) -> bool:
-    """Whether the rational vectors are linearly independent."""
-    vs = [as_vector(v) for v in vectors]
-    _check_same_length(vs)
-    return rank(vs) == len(vs)
-
-
-def solve_in_basis(basis: Sequence[Vector], target: Vector) -> tuple[Fraction, ...] | None:
-    """Coordinates of ``target`` in the independent ``basis``, or None.
-
-    Returns None when the target lies outside the span.  Raises
-    ``DependentGeneratorsError`` when the basis is dependent.
-    """
-    k = len(basis)
-    if k == 0:
-        return () if is_zero(target) else None
-    n = _check_same_length(list(basis) + [target])
-    # Solve the n x k system basis^T . x = target by elimination on the
-    # augmented matrix.
-    aug = [[basis[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    if len(gauss_jordan(aug, k)) < k:
-        raise DependentGeneratorsError("basis vectors are dependent")
-    # Consistency: rows past the pivots must have zero right-hand side.
-    if any(row[k] != 0 for row in aug[k:]):
-        return None
-    return tuple(row[k] for row in aug[:k])
-
-
-def cone_contains(generators: Sequence[Sequence], point: Sequence, *, strict: bool = False) -> bool:
-    """Membership of ``point`` in the cone spanned by independent generators.
-
-    With ``strict=True`` tests membership in the relative interior
-    (all coefficients positive).  The empty generator list denotes the
-    origin cone.  Raises ``DependentGeneratorsError`` on dependent
-    generators.
-    """
-    coords = solve_in_basis([as_vector(g) for g in generators], as_vector(point))
-    if coords is None:
-        return False
-    if strict:
-        return all(c > 0 for c in coords)
-    return all(c >= 0 for c in coords)
 
 
 # ------------------------------------------------------------ Smith form

@@ -2,8 +2,16 @@
 
 ``check_face_lemmas`` pairs each nonsingular face's covector with the
 edge residues the face lemmas constrain.  ``is_compact_2d`` decides
-compactness of a polytope in a single domain by covering the circle of
-directions, not by the recession test of the build.
+compactness of a polytope in a single domain by the definition the
+build states (every recession direction ``d`` has ``-d`` in the fan's
+support), swept over sampled directions of the whole circle rather
+than read off the recession arcs.
+
+``covered_by_samples`` is the build's old test of the fan's support on
+an arc of directions: both ends, every ray strictly inside and one
+direction inside each open arc between them, each tested against
+every cone's arc, computed anew per direction by ``support_contains``
+(``_arc`` and ``_in_arc`` are the build's old cone test).
 
 ``clip_regions`` is the planar build's old region computation, kept as
 an oracle for the vertex cycle: ``_feasible_domains`` clips each of a
@@ -33,7 +41,6 @@ from logaffine.polytopes import (
     _clip,
     _line_of,
     _RawInterval,
-    _support_contains,
 )
 from logaffine.rational import (
     AffineFunctional,
@@ -118,16 +125,12 @@ def check_face_lemmas(p) -> FaceLemmaReport:
 
 
 def is_compact_2d(p) -> bool:
-    """Direction-coverage criterion for an elementary polytope in a
-    single tropical domain: the fan's cones and the open half-planes
-    ``a.x > 0`` of the constraint covectors must cover every direction,
-    and those half-planes must miss every ray of a cone.
-
-    A direction ``s`` on which every covector is at most zero makes
-    ``-s`` a recession direction of the region, and is uncovered unless
-    the fan holds ``s``; so a strip between two opposite covectors on
-    the empty fan is not compact.
-    """
+    """Compactness of an elementary polytope in a single tropical
+    domain: every direction ``x`` on which no covector is negative (a
+    recession direction of the region) has ``-x`` in the fan's support,
+    tested at the sampled directions of ``_domain_compact``.  So a strip
+    between two opposite covectors on the empty fan is not compact, and
+    any region over a complete fan is."""
     if p.dim != 2:
         raise UnsupportedDimensionError("the coverage criterion is 2-dimensional")
     if len(p.space.spec.domain_items) != 1 or not p.elementary:
@@ -136,17 +139,45 @@ def is_compact_2d(p) -> bool:
             "single domain"
         )
     (domain_id, domain), = p.space.spec.domain_items
-    fan = domain.fan
     covectors = [g.linear for g in p.spec.domain_constraints(domain_id).values()]
-    for cone in fan.cones:
-        for i in cone:
-            if any(dot(a, fan.vectors[i]) > 0 for a in covectors):
-                return False
-    for s in _circle_samples(fan, covectors):
-        if all(dot(a, s) <= 0 for a in covectors):
-            if not _support_contains(fan, s):
-                return False
-    return True
+    return _domain_compact(domain.fan, covectors, 2)
+
+
+# ------------------------------------------------ the sampled fan support
+
+
+def _arc(fan: Fan, cone: frozenset[int]) -> tuple[Vector, Vector]:
+    """The directions a 1- or 2-cone of a planar fan holds, as a closed
+    arc from one generator counterclockwise to the other."""
+    gens = [fan.vectors[i] for i in sorted(cone)]
+    v, w = gens[0], gens[-1]
+    return (v, w) if cross2(v, w) >= 0 else (w, v)
+
+
+def _in_arc(start: Vector, end: Vector, x: Vector) -> bool:
+    """Whether ``x`` lies on the closed arc from ``start``
+    counterclockwise to ``end``, at most a half turn."""
+    if start == end:
+        return cross2(start, x) == 0 and dot(start, x) > 0
+    return cross2(start, x) >= 0 and cross2(x, end) >= 0
+
+
+def support_contains(fan: Fan, x: Vector) -> bool:
+    return any(_in_arc(*_arc(fan, cone), x) for cone in fan.cones if cone)
+
+
+def covered_by_samples(fan: Fan, start: Vector, end: Vector) -> bool:
+    """Whether the fan's support holds every direction of the closed arc
+    from ``start`` counterclockwise to ``end``, at most a half turn:
+    tested at both ends, at each ray of the fan strictly inside and
+    once inside each open arc between them."""
+    inside = [r for r in fan.vectors if cross2(start, r) > 0 and cross2(r, end) > 0]
+    inside.sort(key=functools.cmp_to_key(lambda u, v: -cross2(u, v)))
+    dirs = [start, *inside, end] if start != end else [start]
+    samples = dirs + [
+        vec_add(d, e) if cross2(d, e) > 0 else rot90(d) for d, e in zip(dirs, dirs[1:])
+    ]
+    return all(support_contains(fan, x) for x in samples)
 
 
 # ------------------------------------- the planar build's old region oracle
@@ -195,7 +226,7 @@ def _domain_compact(
         return True
     for x in _circle_samples(fan, covectors):
         if all(dot(a, x) >= 0 for a in covectors):
-            if not _support_contains(fan, vec_neg(x)):
+            if not support_contains(fan, vec_neg(x)):
                 return False
     return True
 

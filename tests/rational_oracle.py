@@ -1,0 +1,107 @@
+"""Rank, solving and cone membership by one elimination per question.
+
+``rank``, ``linear_independent``, ``solve_in_basis`` and
+``cone_contains`` answer one question each with its own Gauss-Jordan
+run; ``validate_by_solves`` checks the cone axioms of a fan with them,
+one solve per (cone, ray) pair.  ``fans.validate_fan`` instead runs one
+elimination per cone, with every other ray as an augmented column, and
+must give the same violations in the same order.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from logaffine.errors import DependentGeneratorsError, DimensionMismatchError
+from logaffine.fans import Fan
+from logaffine.rational import Vector, as_vector, gauss_jordan, is_zero
+
+
+def _check_same_length(vectors: Sequence[Vector]) -> int:
+    lengths = {len(v) for v in vectors}
+    if len(lengths) > 1:
+        raise DimensionMismatchError(f"mixed vector lengths {sorted(lengths)}")
+    return lengths.pop() if lengths else 0
+
+
+def rank(vectors: Sequence[Sequence]) -> int:
+    """Rank of the list of rational vectors, by Gaussian elimination."""
+    rows = [list(as_vector(v)) for v in vectors]
+    return len(gauss_jordan(rows, _check_same_length(rows)))
+
+
+def linear_independent(vectors: Sequence[Sequence]) -> bool:
+    """Whether the rational vectors are linearly independent."""
+    vs = [as_vector(v) for v in vectors]
+    _check_same_length(vs)
+    return rank(vs) == len(vs)
+
+
+def solve_in_basis(basis: Sequence[Vector], target: Vector) -> tuple[Fraction, ...] | None:
+    """Coordinates of ``target`` in the independent ``basis``, or None.
+
+    Returns None when the target lies outside the span.  Raises
+    ``DependentGeneratorsError`` when the basis is dependent.
+    """
+    k = len(basis)
+    if k == 0:
+        return () if is_zero(target) else None
+    n = _check_same_length(list(basis) + [target])
+    # Solve the n x k system basis^T . x = target by elimination on the
+    # augmented matrix.
+    aug = [[basis[j][i] for j in range(k)] + [target[i]] for i in range(n)]
+    if len(gauss_jordan(aug, k)) < k:
+        raise DependentGeneratorsError("basis vectors are dependent")
+    # Consistency: rows past the pivots must have zero right-hand side.
+    if any(row[k] != 0 for row in aug[k:]):
+        return None
+    return tuple(row[k] for row in aug[:k])
+
+
+def cone_contains(generators: Sequence[Sequence], point: Sequence, *, strict: bool = False) -> bool:
+    """Membership of ``point`` in the cone spanned by independent generators.
+
+    With ``strict=True`` tests membership in the relative interior
+    (all coefficients positive).  The empty generator list denotes the
+    origin cone.  Raises ``DependentGeneratorsError`` on dependent
+    generators.
+    """
+    coords = solve_in_basis([as_vector(g) for g in generators], as_vector(point))
+    if coords is None:
+        return False
+    if strict:
+        return all(c > 0 for c in coords)
+    return all(c >= 0 for c in coords)
+
+
+def cone_violations(fan: Fan) -> list[str]:
+    """The cone axioms' violations of a fan whose vectors are valid, in
+    the order ``validate_fan`` reports them, by one rank test per cone
+    and one solve per (cone, ray) pair."""
+    violations: list[str] = []
+    n = len(fan.vectors)
+
+    def name(cone: frozenset[int]) -> str:
+        return "{" + " ".join(fan.labels[i] for i in sorted(cone)) + "}"
+
+    if frozenset() not in fan.cones:
+        violations.append("the empty cone is missing")
+    for cone in sorted(fan.cones, key=lambda c: (len(c), sorted(c))):
+        if any(i < 0 or i >= n for i in cone):
+            violations.append(f"cone with out-of-range generator index {sorted(cone)}")
+            continue
+        gens = [fan.vectors[i] for i in cone]
+        if not linear_independent(gens):
+            violations.append(f"cone {name(cone)} has dependent generators")
+            continue
+        for i in cone:
+            sub = cone - {i}
+            if sub not in fan.cones:
+                violations.append(f"cones are not closed under subsets: {name(sub)} missing")
+        for j in range(n):
+            if j not in cone and cone_contains(gens, fan.vectors[j]):
+                violations.append(
+                    f"vector {fan.labels[j]} lies in the closed hull of cone {name(cone)}"
+                )
+    return violations

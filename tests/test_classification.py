@@ -29,11 +29,12 @@ from logaffine.errors import (
 from logaffine.fans import make_fan
 from logaffine.fileio import parse_bundle_text, parse_polytope_text, serialize_bundle
 from logaffine.polytopes import build_polytope, make_polytope_spec, polytope_moduli
-from logaffine.rational import AffineFunctional, rank, vector
+from logaffine.rational import AffineFunctional, vector
 from logaffine.topology import betti_numbers, log_cohomology_dims
 from logaffine.welding import MatchedPair, build_welded_space, make_welding_spec
 
 import record_oracle
+from rational_oracle import rank
 from conftest import (
     benchmark_module,
     FIXTURES,

@@ -5,10 +5,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from conftest import FIXTURES
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logaffine.errors import UnsupportedDimensionError
 from logaffine.fans import Fan, is_complete_2d, make_fan, star, validate_fan
+from logaffine.fileio import parse_fan_file
 from logaffine.rational import vector
+from rational_oracle import cone_violations
 
 
 def wedge_fan() -> Fan:
@@ -90,6 +95,35 @@ def test_validate_rejects_vector_on_cone_boundary() -> None:
     # A duplicate direction (2,0) sits on the closed hull of the ray (1,0).
     fan = make_fan([(1, 0), (2, 0)], [[], [0], [1]], labels=["a", "b"])
     assert not validate_fan(fan).ok
+
+
+@st.composite
+def fans_with_valid_vectors(draw) -> Fan:
+    """Distinct nonzero vectors in dimension 1 to 3 and random cones of
+    up to three indices, the last index out of range, half the time
+    with their faces added: every cone violation shows up."""
+    dim = draw(st.integers(1, 3))
+    entry = st.tuples(*[st.integers(-2, 2)] * dim).filter(any)
+    vectors = draw(st.lists(entry, max_size=5, unique=True))
+    index = st.integers(0, len(vectors))
+    cones = draw(st.lists(st.frozensets(index, max_size=3), max_size=6))
+    if draw(st.booleans()):
+        cones += [cone - {i} for cone in cones for i in cone]
+    return make_fan(vectors, cones, dim=dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fan=fans_with_valid_vectors())
+def test_one_elimination_per_cone_matches_one_solve_per_ray(fan: Fan) -> None:
+    assert validate_fan(fan).violations == tuple(cone_violations(fan))
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.fan")), ids=lambda p: p.name)
+def test_fixture_fans_validate_as_by_one_solve_per_ray(path) -> None:
+    fan = parse_fan_file(path)
+    report = validate_fan(fan)
+    assert report.violations == tuple(cone_violations(fan))
+    assert report.ok == (path.name != "badfan.fan")
 
 
 # ------------------------------------------------------------------ star

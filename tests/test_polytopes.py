@@ -25,7 +25,7 @@ from logaffine.errors import (
     TransversalityError,
     UnsupportedDimensionError,
 )
-from logaffine import polytopes
+from logaffine import fans, polytopes
 from logaffine.polytopes import (
     build_polytope,
     delzant_check,
@@ -36,11 +36,18 @@ from logaffine.polytopes import (
 )
 from logaffine.fans import _direction_cmp, make_fan
 from logaffine.fileio import parse_polytope_text
-from logaffine.rational import AffineFunctional, cone_contains, cross2, vector
+from logaffine.rational import AffineFunctional, cross2, vector
 from logaffine.welding import build_welded_space, make_welding_spec
 
 import volume_oracle
-from polytope_oracle import _side_trace, check_face_lemmas, clip_regions, is_compact_2d
+from polytope_oracle import (
+    _side_trace,
+    check_face_lemmas,
+    clip_regions,
+    covered_by_samples,
+    is_compact_2d,
+)
+from rational_oracle import cone_contains
 from conftest import (
     FAR_RECTANGLE,
     FIXTURES,
@@ -344,11 +351,13 @@ VOLUME_FIXTURES = [
 def test_volume_matches_the_doubling_fit_oracle(name) -> None:
     """The exact limit equals the old quadratic fit in ``T``, started
     past every constraint constant so that its samples see the
-    large-``T`` regions."""
+    large-``T`` regions, and the symbolic oracle, which clips every
+    line by every half-plane on the old polynomial kernel."""
     p = _without_singular_faces(name)
     assert not p.singular_faces
     t0 = volume_oracle.past_every_constant(p)
-    assert regularized_volume(p) == volume_oracle.doubling_fit(p, t0)
+    volume = regularized_volume(p)
+    assert volume == volume_oracle.symbolic_volume(p) == volume_oracle.doubling_fit(p, t0)
 
 
 def test_volume_fixture_list_is_every_fixture_with_a_volume() -> None:
@@ -1064,6 +1073,53 @@ def test_the_build_clips_no_line_and_the_volume_only_by_the_cutoffs(
     assert clipped == [[]] * k
 
 
+# ---------------------------------------- the kernel of the symbolic cutoff
+
+
+COEFFICIENTS = st.one_of(
+    st.sampled_from([0, F(0)]), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)
+)
+# a polynomial of degree 0 to 2 in T as its coefficients, or a scalar
+TERMS = st.one_of(st.lists(COEFFICIENTS, min_size=1, max_size=3), COEFFICIENTS)
+
+
+def coefficients(x) -> tuple:
+    return x.coefs if isinstance(x, (polytopes._TPoly, volume_oracle.TPoly)) else (x,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=TERMS, y=TERMS)
+def test_the_cutoff_kernel_computes_as_the_old_one(x, y) -> None:
+    """Sums, differences, products, quotients by a scalar, negation and
+    comparison give the coefficients and the order that the zero-filling
+    kernel the volume oracle measures with gives."""
+    assume(isinstance(x, list) or isinstance(y, list))
+    kernels = [
+        [k(*v) if isinstance(v, list) else v for v in (x, y)]
+        for k in (polytopes._TPoly, volume_oracle.TPoly)
+    ]
+    (a, b), (c, d) = kernels
+    for op in (
+        lambda u, v: u + v,
+        lambda u, v: u - v,
+        lambda u, v: u * v,
+        lambda u, v: -u,
+        lambda u, v: -v,
+    ):
+        assert coefficients(op(a, b)) == coefficients(op(c, d))
+    if not isinstance(y, list) and y:
+        assert coefficients(a / y) == coefficients(c / y)
+    for compare in (
+        lambda u, v: u == v,
+        lambda u, v: u != v,
+        lambda u, v: u < v,
+        lambda u, v: u <= v,
+        lambda u, v: u > v,
+        lambda u, v: u >= v,
+    ):
+        assert compare(a, b) == compare(c, d)
+
+
 # ------------------------------------------- the polytope oracles at large
 
 
@@ -1078,6 +1134,17 @@ def test_empty_fan_compactness_agrees_with_the_coverage_oracle(fns) -> None:
     p = single_domain_polytope(fns)
     assume(not isinstance(p, GeometryError))
     assert is_compact_2d(p) == p.compact == (not is_unbounded(fns))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fan_name=st.sampled_from(RAY_FANS), fns=systems_around_the_origin())
+# the complete square fan covers a half-plane's every recession direction
+@example(fan_name="square.fan", fns=[fn(-1, 0, c=5)])
+@example(fan_name="hexagon.fan", fns=[fn(-1, 0, c=4), fn(-1, 1, c=-1)])
+def test_compactness_over_fans_agrees_with_the_coverage_oracle(fan_name, fns) -> None:
+    p = single_domain_polytope(fns, load_fan(fan_name))
+    assume(not isinstance(p, GeometryError))
+    assert is_compact_2d(p) == p.compact
 
 
 @settings(max_examples=150, deadline=None)
@@ -1158,4 +1225,30 @@ def test_the_arc_of_a_cone_holds_what_cone_contains_does(fan_cone, x) -> None:
     fan = load_fan(fan_name)
     gens = [fan.vectors[i] for i in sorted(cone)]
     x = vector(*x)
-    assert polytopes._in_arc(*polytopes._arc(fan, cone), x) == cone_contains(gens, x)
+    assert fans._holds(fan.arcs[cone], x) == cone_contains(gens, x)
+
+
+DIRECTIONS = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any)
+
+
+@st.composite
+def arcs_of_directions(draw) -> tuple:
+    """A closed arc of integer directions, counterclockwise from its
+    start to its end: a single direction, a half turn or less."""
+    start = draw(DIRECTIONS)
+    kind = draw(st.sampled_from(["single", "half turn", "less"]))
+    if kind == "single":
+        return start, start
+    if kind == "half turn":
+        return start, (-start[0], -start[1])
+    return start, draw(DIRECTIONS.filter(lambda d: cross2(start, d) > 0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(fan_name=st.sampled_from(RAY_FANS + ["emptyfan.fan"]), arc=arcs_of_directions())
+@example(fan_name="skew2.fan", arc=((1, 0), (0, 1)))  # across the gap of a 3/4-turn support
+@example(fan_name="wedge.fan", arc=((1, 0), (1, 1)))  # from a lone ray into a 2-cone
+@example(fan_name="halfplane3.fan", arc=((1, 0), (-1, 0)))
+def test_the_merged_support_covers_what_the_sampling_does(fan_name, arc) -> None:
+    fan = load_fan(fan_name)
+    assert polytopes._covered(fan, *arc) == covered_by_samples(fan, *arc)

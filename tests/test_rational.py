@@ -16,17 +16,14 @@ from logaffine.errors import (
 )
 from logaffine.rational import (
     AffineFunctional,
-    cone_contains,
     cross2,
     is_saturated_lattice_basis,
-    linear_independent,
     primitive,
-    rank,
     rot90,
     smith_normal_form,
-    solve_in_basis,
     vector,
 )
+from rational_oracle import cone_contains, linear_independent, rank, solve_in_basis
 
 
 # ---------------------------------------------------------------- helpers

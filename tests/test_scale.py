@@ -6,6 +6,10 @@ cylinder or a disc has the Betti numbers of that surface and log
 cohomology h = (1, h1, h2, 0): one class per divisor component in
 degree 1, and one per closed component and per crossing in degree 2.
 
+The whole space of the m = 12 torus grid (576 domains, no constraint)
+is a compact polytope of genus one, and the support of the one fan its
+domains share is read once, not once per domain.
+
 A Delzant k-gon chopped from a square, with or without redundant
 constraints, has the area the benchmark's oracle gives in closed form.
 """
@@ -17,8 +21,14 @@ import random
 import pytest
 from conftest import FIXTURES, benchmark_module, grid_pairs
 
+from logaffine import fans
 from logaffine.fileio import parse_polytope_text, parse_welding_text
-from logaffine.polytopes import build_polytope, regularized_volume
+from logaffine.polytopes import (
+    build_polytope,
+    make_polytope_spec,
+    polytope_topology,
+    regularized_volume,
+)
 from logaffine.topology import betti_numbers, log_cohomology_dims
 from logaffine.welding import build_welded_space
 
@@ -52,6 +62,26 @@ def test_grid_homology_closed_forms(variant: str, m: int) -> None:
     betti, log_dims = closed_forms(variant, m)
     assert betti_numbers(space) == betti
     assert log_cohomology_dims(space) == log_dims
+
+
+def test_whole_torus_reads_its_fan_support_once(monkeypatch) -> None:
+    arcs = []
+    arc = fans._arc
+
+    def counting_arc(fan, cone):
+        arcs.append(fan)
+        return arc(fan, cone)
+
+    monkeypatch.setattr(fans, "_arc", counting_arc)
+    spec = parse_welding_text(grid_text("torus", 12), base=FIXTURES).spec
+    p = build_polytope(build_welded_space(spec), make_polytope_spec(spec, []))
+    assert len(p.feasible) == 576
+    assert p.compact
+    top = polytope_topology(p)
+    assert (top.euler, top.genus, top.boundary_circles) == (0, 1, 0)
+    (fan,) = {id(f): f for f in arcs}.values()
+    assert all(spec.domain(d).fan is fan for d in spec.domain_ids)
+    assert len(arcs) == len(fan.cones) - 1  # one arc per nonempty cone
 
 
 gen = benchmark_module("generators")

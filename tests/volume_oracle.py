@@ -7,6 +7,11 @@ from the spec, not the build's face segments, so it also measures
 regions that the build rejects, and it takes the cutoff ``T`` either
 as a number or, by default, as the symbol.
 
+``TPoly`` is the polynomial in ``T`` the volume was first computed
+with: every sum zero-fills the shorter coefficient list, every product
+multiplies each pair of coefficients and negation multiplies by -1.
+The oracle measures with it, not with the kernel that it checks.
+
 ``symbolic_volume`` is the constant term of the signed sum at the
 symbolic cutoff.  ``doubling_fit`` evaluates the signed sum at the
 numeric cutoffs ``T = t0 ... t0 + 3``, fits a quadratic through the
@@ -20,20 +25,62 @@ wrong constant.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from itertools import product, zip_longest
 
 from logaffine.errors import GeometryError
-from logaffine.polytopes import (
-    _bounded,
-    _clip,
-    _crossing_signs,
-    _line_of,
-    _TPoly,
-)
+from logaffine.polytopes import _bounded, _clip, _crossing_signs, _line_of
 from logaffine.rational import AffineFunctional, cross2, dot, rot90
 
 
-def clipped_measure(p, domain_id: int, T=_TPoly(0, 1)) -> Fraction | _TPoly:
+@functools.total_ordering
+class TPoly:
+    """A polynomial in the cutoff ``T`` with exact coefficients, constant
+    first, ordered as its values are for every large ``T``: by the sign
+    of the leading coefficient of a difference."""
+
+    __slots__ = ("coefs",)
+
+    def __init__(self, *coefs) -> None:
+        self.coefs = coefs
+
+    def __add__(self, other) -> TPoly:
+        b = other.coefs if isinstance(other, TPoly) else (other,)
+        return TPoly(*map(sum, zip_longest(self.coefs, b, fillvalue=0)))
+
+    def __mul__(self, other) -> TPoly:
+        b = other.coefs if isinstance(other, TPoly) else (other,)
+        out = [0] * (len(self.coefs) + len(b) - 1)
+        for (i, x), (j, y) in product(enumerate(self.coefs), enumerate(b)):
+            out[i + j] += x * y
+        return TPoly(*out)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self) -> TPoly:
+        return self * -1
+
+    def __sub__(self, other) -> TPoly:
+        return self + -other
+
+    def __rsub__(self, other) -> TPoly:
+        return -self + other
+
+    def __truediv__(self, q) -> TPoly:
+        return self * (1 / Fraction(q))
+
+    def _lead(self, other):
+        return next((c for c in reversed((self - other).coefs) if c), 0)
+
+    def __eq__(self, other) -> bool:
+        return self._lead(other) == 0
+
+    def __lt__(self, other) -> bool:
+        return self._lead(other) < 0
+
+
+def clipped_measure(p, domain_id: int, T=TPoly(0, 1)) -> Fraction | TPoly:
     """Length or area of the domain region cut off at ``r.u + T|r|^2 = 0``
     for each ray ``r``, ``T`` a number or by default the symbol.  The
     length is the clip of the axis; the area is a shoelace sum over the
@@ -61,13 +108,13 @@ def clipped_measure(p, domain_id: int, T=_TPoly(0, 1)) -> Fraction | _TPoly:
     return twice / 2
 
 
-def signed_total(p, T=_TPoly(0, 1)) -> Fraction | _TPoly:
+def signed_total(p, T=TPoly(0, 1)) -> Fraction | TPoly:
     """The clipped measures of the feasible domains, summed with the
     signs ``regularized_volume`` gives them."""
     signs = _crossing_signs(p.space, p.feasible, p.traces)
     assert signs is not None
     norm = signs[min(p.feasible)] * p.spec.orientation
-    return sum((signs[d] * norm * clipped_measure(p, d, T) for d in p.feasible), _TPoly(0))
+    return sum((signs[d] * norm * clipped_measure(p, d, T) for d in p.feasible), TPoly(0))
 
 
 def symbolic_volume(p) -> Fraction:
