@@ -22,6 +22,16 @@ which yields both the obstruction verdict and the pairs it coerces, so
 welding takes near-linear time in the number of welds.  The public checks
 (``is_locally_obstructed``, ``coerced_pairs``, ``weld_pair``) build the
 index of ``spec.pairs`` once per call.
+
+The assembly reads the strata off the index through one table per
+``Fan`` object, not per domain: the fan's quadrants in sorted-label
+order with their positions, and for each ray its vector, its tail and
+head quadrants (``Fan.turns``) and an int residue id, which equal
+vectors share across fans.  Quadrants are visited in (domain id,
+sorted labels) order, so each corner cluster is named when its least
+quadrant is met, and a crossing joins its links by residue id.  The
+Fractions of a fan's vectors are hashed a fixed number of times per
+fan, whatever the number of domains.
 """
 
 from __future__ import annotations
@@ -85,10 +95,6 @@ class WeldingSpec:
         except KeyError:
             raise KeyError(f"no domain {domain_id}") from None
 
-    def face_vector(self, face: FaceRef) -> Vector:
-        dom = self.domain(face[0])
-        return dom.fan.vectors[dom.fan.index_of_label(face[1])]
-
     @cached_property
     def _domains(self) -> dict[int, TropicalDomain]:
         return dict(self.domain_items)
@@ -146,9 +152,11 @@ def make_welding_spec(
         raise DimensionMismatchError(f"domains of mixed dimensions {sorted(dims)}")
     dim = dims.pop() if dims else 2
     spec = WeldingSpec(dim=dim, domain_items=tuple(items), pairs=tuple(pairs))
+    # only the face -> pair holders: the listed pairs are welded later
     listed = _WeldIndex(spec)
     for pair in spec.pairs:
-        listed.add(pair, listed.require_free_matched(pair).correspondence)
+        listed.require_free_matched(pair)
+        listed.holder[pair.left] = listed.holder[pair.right] = pair
     return spec
 
 
@@ -567,136 +575,121 @@ def build_welded_space(spec: WeldingSpec) -> WeldedSpace:
 
 
 def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
-    """Strata of the welds in ``index``, which holds exactly ``spec.pairs``."""
-    pairs = spec.pairs
-    pair_label = {p.key(): p.label for p in pairs}
+    """Strata of the welds in ``index``, which holds exactly ``spec.pairs``.
 
-    # --- corner clusters (dimension 2 only)
+    Domains are read in id order, whatever the order of ``spec.domain_items``.
+    """
+    pairs = spec.pairs
+    plane = spec.dim == 2
+    domains = sorted(spec.domain_items, key=lambda item: item[0])
+
+    # --- one table per Fan object: its quadrants (sorted labels, label
+    # set, position) in sorted-label order, and per ray label its vector,
+    # residue id and tail and head quadrant label sets
+    residue_ids: dict[Vector, int] = {}
+    tables: dict[int, tuple[Fan, list, dict]] = {}
+    for _, dom in domains:
+        fan = dom.fan
+        if id(fan) in tables:
+            continue
+        cones = fan.two_cones() if plane else []
+        corner = {cone: frozenset(fan.labels[i] for i in cone) for cone in cones}
+        quads = sorted(
+            (sorted(labels), labels, frozenset(fan.vectors[i] for i in cone))
+            for cone, labels in corner.items()
+        )
+        rays = {}
+        for i, v in enumerate(fan.vectors):
+            # a missing turn (None) names no 2-cone: no quadrant on that side
+            ends = [corner.get(frozenset((i, j))) for j in fan.turns[i]] if plane else [None] * 2
+            rays[fan.labels[i]] = (v, residue_ids.setdefault(v, len(residue_ids)), *ends)
+        tables[id(fan)] = (fan, quads, rays)
+
+    # --- corner clusters (dimension 2 only), met in (domain id, sorted
+    # labels) order: a cluster's first quadrant met is its least
     clusters: list[CornerCluster] = []
     cluster_of_quadrant: dict[Quadrant, str] = {}
-    if spec.dim == 2:
-        all_quads: list[Quadrant] = []
-        for domain_id, dom in spec.domain_items:
-            for cone in sorted(dom.fan.two_cones(), key=sorted):
-                quad_labels = frozenset(dom.fan.labels[i] for i in cone)
-                all_quads.append((domain_id, quad_labels))
-        visited: set[Quadrant] = set()
-        for quad in all_quads:
-            if quad in visited:
+    for domain_id, dom in domains:
+        for (l1, l2), labels, position in tables[id(dom.fan)][1]:
+            quad = (domain_id, labels)
+            if quad in cluster_of_quadrant:
                 continue
-            l1, l2 = sorted(quad[1])
             forward = index.walk(quad, l1)
             if forward.closed:
-                members = forward.quads
-                links = forward.links
-                closed = True
+                members, links = forward.quads, forward.links
+                if len(members) != 4:
+                    raise GeometryError(
+                        f"corner cycle of length {len(members)} at quadrant {quad}"
+                    )
             else:
                 backward = index.walk(quad, l2)
-                members = list(reversed(backward.quads[1:])) + forward.quads
-                links = list(reversed(backward.links)) + forward.links
-                closed = False
-            visited.update(members)
-            if closed and len(members) != 4:
-                raise GeometryError(
-                    f"corner cycle of length {len(members)} at quadrant {quad}"
-                )
-            if not closed and len(members) > 3:
-                raise GeometryError(
-                    f"unresolved corner chain of length {len(members)} at quadrant {quad}"
-                )
-            dom = spec.domain(quad[0])
-            position = frozenset(
-                dom.fan.vectors[dom.fan.index_of_label(lab)] for lab in quad[1]
-            )
+                members = backward.quads[:0:-1] + forward.quads
+                links = backward.links[::-1] + forward.links
+                if len(members) > 3:
+                    raise GeometryError(
+                        f"unresolved corner chain of length {len(members)} at quadrant {quad}"
+                    )
+            cluster_id = f"c{len(clusters) + 1}"
+            for q in members:
+                cluster_of_quadrant[q] = cluster_id
             clusters.append(
-                CornerCluster(
-                    cluster_id="",
-                    position=position,
-                    quadrants=tuple(members),
-                    closed=closed,
-                    links=tuple(links),
-                )
+                CornerCluster(cluster_id, position, tuple(members), forward.closed, tuple(links))
             )
-        clusters.sort(key=lambda c: min((q[0], sorted(q[1])) for q in c.quadrants))
-        clusters = [
-            replace(c, cluster_id=f"c{k + 1}") for k, c in enumerate(clusters)
-        ]
-        for c in clusters:
-            for q in c.quadrants:
-                cluster_of_quadrant[q] = c.cluster_id
 
     # --- edge strata
-    def ends(fan: Fan, face: FaceRef, ray: int) -> tuple[str | None, str | None]:
-        """The clusters at the tail and head of the stratum of ``face``."""
-        if spec.dim != 2:
-            return None, None
+    def ray(face: FaceRef) -> tuple:
+        """The vector, residue id and tail and head quadrant labels of ``face``'s ray."""
+        return tables[id(spec.domain(face[0]).fan)][2][face[1]]
 
-        def cluster(j: int | None) -> str | None:
-            if j is None:
-                return None
-            return cluster_of_quadrant[(face[0], frozenset({face[1], fan.labels[j]}))]
-
-        ccw, cw = fan.turns[ray]
-        return cluster(ccw), cluster(cw)
+    def stratum(
+        label: str,
+        kind: str,
+        face: FaceRef,
+        faces: tuple[FaceRef, ...],
+        domain_ids: tuple[int, ...],
+    ) -> EdgeStratum:
+        v, _, tail, head = ray(face)
+        return EdgeStratum(
+            label=label,
+            kind=kind,
+            faces=faces,
+            residue=v,
+            domain_ids=domain_ids,
+            tail=None if tail is None else cluster_of_quadrant[(face[0], tail)],
+            head=None if head is None else cluster_of_quadrant[(face[0], head)],
+        )
 
     edges: list[EdgeStratum] = []
     for p in pairs:
-        fan = spec.domain(p.left[0]).fan
-        ray = fan.index_of_label(p.left[1])
-        v = fan.vectors[ray]
-        tail, head = ends(fan, p.left, ray)
-        edges.append(
-            EdgeStratum(
-                label=pair_label[p.key()] or p.describe(),
-                kind="welded",
-                faces=tuple(sorted(p.faces())),
-                residue=v,
-                domain_ids=tuple(sorted({p.left[0], p.right[0]})),
-                tail=tail,
-                head=head,
-            )
-        )
-    for domain_id, dom in spec.domain_items:
-        for idx, label in enumerate(dom.fan.labels):
+        # the faces of a matched pair lie in two domains
+        a, b = (p.left, p.right) if p.left < p.right else (p.right, p.left)
+        edges.append(stratum(p.label, "welded", p.left, (a, b), (a[0], b[0])))
+    for domain_id, dom in domains:
+        for label in dom.fan.labels:
             face = (domain_id, label)
-            if face in index.partner:
-                continue
-            v = dom.fan.vectors[idx]
-            tail, head = ends(dom.fan, face, idx)
-            edges.append(
-                EdgeStratum(
-                    label=f"{domain_id}.{label}",
-                    kind="boundary",
-                    faces=(face,),
-                    residue=v,
-                    domain_ids=(domain_id,),
-                    tail=tail,
-                    head=head,
-                )
-            )
+            if face not in index.partner:
+                name = f"{domain_id}.{label}"
+                edges.append(stratum(name, "boundary", face, (face,), (domain_id,)))
 
     # --- divisor components: welded edges joined at crossings
-    welded = [e for e in edges if e.kind == "welded"]
-    uf = UnionFind(e.label for e in welded)
-    join_count: dict[str, int] = {e.label: 0 for e in welded}
+    uf = UnionFind(p.label for p in pairs)
+    join_count: dict[str, int] = {p.label: 0 for p in pairs}
     for cluster in clusters:
         if not cluster.closed:
             continue
         # a crossing's links join its quadrants in cyclic order
-        by_residue: dict[Vector, list[str]] = {}
+        by_residue: dict[int, list[str]] = {}
         for link in cluster.links:
-            by_residue.setdefault(spec.face_vector(link.left), []).append(
-                pair_label[link.key()]
-            )
-        for residue_vec, labs in by_residue.items():
-            assert len(labs) == 2, (residue_vec, labs)
+            by_residue.setdefault(ray(link.left)[1], []).append(link.label)
+        for labs in by_residue.values():
+            assert len(labs) == 2, labs
             uf.union(labs[0], labs[1])
             join_count[labs[0]] += 1
             join_count[labs[1]] += 1
 
     # groups come out in the order of their first welded edge
     groups: dict[str, list[EdgeStratum]] = {}
-    for e in welded:
+    for e in edges[: len(pairs)]:
         groups.setdefault(uf.find(e.label), []).append(e)
     components: list[DivisorComponent] = []
     for k, members in enumerate(groups.values()):
@@ -711,14 +704,11 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
             )
         )
 
-    signs = two_colour(spec.domain_ids, ((p.left[0], p.right[0]) for p in pairs))
-    compact: bool | None
+    signs = two_colour((i for i, _ in domains), ((p.left[0], p.right[0]) for p in pairs))
+    compact: bool | None = None
     if spec.dim <= 2:
         # domains built from one fan share the Fan object: test each once
-        fans = {id(dom.fan): dom.fan for _, dom in spec.domain_items}
-        compact = all(is_complete(fan) for fan in fans.values())
-    else:
-        compact = None
+        compact = all(is_complete(fan) for fan, _, _ in tables.values())
     return WeldedSpace(
         spec=spec,
         dim=spec.dim,

@@ -5,6 +5,10 @@ torus rows plus one column of rungs, closure welds the rest), a
 cylinder or a disc has the Betti numbers of that surface and log
 cohomology h = (1, h1, h2, 0): one class per divisor component in
 degree 1, and one per closed component and per crossing in degree 2.
+The open grids at m = 12 (576 domains) reach the boundary edges and
+open corner chains of the assembly at scale, and the weld of a grid
+hashes Fractions a fixed number of times whatever its size: the
+assembly keys its residues and positions per fan, not per domain.
 
 The whole space of the m = 12 torus grid (576 domains, no constraint)
 is a compact polytope of genus one, and the support of the one fan its
@@ -17,6 +21,7 @@ constraints, has the area the benchmark's oracle gives in closed form.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from conftest import FIXTURES, benchmark_module, grid_pairs
@@ -54,7 +59,16 @@ def closed_forms(variant: str, m: int) -> tuple[tuple[int, ...], tuple[int, ...]
 
 @pytest.mark.parametrize(
     "variant,m",
-    [("torus", 4), ("comb", 4), ("cylinder", 4), ("disc", 4), ("torus", 6), ("torus", 12)],
+    [
+        ("torus", 4),
+        ("comb", 4),
+        ("cylinder", 4),
+        ("disc", 4),
+        ("torus", 6),
+        ("torus", 12),
+        ("disc", 12),
+        ("cylinder", 12),
+    ],
 )
 def test_grid_homology_closed_forms(variant: str, m: int) -> None:
     spec = parse_welding_text(grid_text(variant, m), base=FIXTURES).spec
@@ -62,6 +76,26 @@ def test_grid_homology_closed_forms(variant: str, m: int) -> None:
     betti, log_dims = closed_forms(variant, m)
     assert betti_numbers(space) == betti
     assert log_cohomology_dims(space) == log_dims
+
+
+@pytest.mark.parametrize("variant", ["torus", "disc"])
+def test_the_weld_hashes_fractions_per_fan_not_per_domain(monkeypatch, variant: str) -> None:
+    hashes = []
+    fraction_hash = Fraction.__hash__
+
+    def counting(q):
+        hashes.append(q)
+        return fraction_hash(q)
+
+    counts = []
+    for m in (3, 12):
+        spec = parse_welding_text(grid_text(variant, m), base=FIXTURES).spec
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        build_welded_space(spec)
+        monkeypatch.undo()
+        counts.append(len(hashes))
+        hashes.clear()
+    assert counts[0] == counts[1]
 
 
 def test_whole_torus_reads_its_fan_support_once(monkeypatch) -> None:

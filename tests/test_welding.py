@@ -22,6 +22,8 @@ from logaffine.fans import Fan, make_fan
 from logaffine.fileio import parse_welding_text
 from logaffine.welding import (
     MatchedPair,
+    _assemble,
+    _WeldIndex,
     build_welded_space,
     coerced_pairs,
     is_locally_obstructed,
@@ -284,6 +286,52 @@ def test_build_welded_space_mobius_band() -> None:
     assert len(space.crossings) == 0
 
 
+def test_a_crossing_of_two_fans_joins_equal_residues_across_them() -> None:
+    """Two distinct fans carry the residues (1, 0) and (0, 1) under
+    other labels and ray indices; the crossing still joins each
+    residue's two edges, whichever fan the left face of a link is in."""
+    quad = load_fan("quadrant.fan")
+    other = make_fan(
+        [(0, 1), (-1, -1), (1, 0)], [[], [0], [1], [2], [0, 2]], labels=["y", "z", "x"]
+    )
+    spec = make_welding_spec(
+        {1: quad, 2: other, 3: quad, 4: other},
+        [
+            MatchedPair((1, "a"), (2, "x"), label="h1"),
+            MatchedPair((2, "y"), (3, "b"), label="v1"),
+            MatchedPair((3, "a"), (4, "x"), label="h2"),
+        ],
+    )
+    space = build_welded_space(spec)
+    assert outcome(build_welded_space, spec) == outcome(weld_oracle.build_welded_space, spec)
+    assert len(space.crossings) == 1
+    assert [c.edge_labels for c in space.divisor_components] == [("h1", "h2"), ("v1", "auto1")]
+
+
+@pytest.mark.parametrize(
+    "faces,message",
+    [
+        ([((1, "a"), (2, "a")), ((1, "b"), (2, "b"))], "corner cycle of length 2"),
+        # the closure would coerce 4.a ~ 1.a
+        (
+            [((1, "b"), (2, "b")), ((2, "a"), (3, "a")), ((3, "b"), (4, "b"))],
+            "unresolved corner chain of length 4",
+        ),
+    ],
+)
+def test_assemble_rejects_corners_the_closure_never_leaves(faces, message: str) -> None:
+    spec = quadrant_spec(4, faces)
+    index = _WeldIndex(spec)
+    for pair in spec.pairs:
+        index.add(pair, is_matched_pair(spec, pair).correspondence)
+    with pytest.raises(GeometryError) as err:
+        _assemble(spec, index)
+    with pytest.raises(GeometryError) as oracle:
+        weld_oracle.assemble(spec)
+    assert str(err.value) == str(oracle.value)
+    assert str(err.value).startswith(message)
+
+
 def test_each_distinct_fan_is_built_once(monkeypatch) -> None:
     from logaffine import welding
 
@@ -426,9 +474,13 @@ def matched_weldings(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(spec=st.one_of(grid_weldings(), matched_weldings()))
-def test_closure_matches_the_slow_oracle(spec) -> None:
-    assert outcome(build_welded_space, spec) == outcome(weld_oracle.build_welded_space, spec)
+@given(spec=st.one_of(grid_weldings(), matched_weldings()), data=st.data())
+def test_closure_matches_the_slow_oracle(spec, data) -> None:
+    expected = outcome(weld_oracle.build_welded_space, spec)
+    assert outcome(build_welded_space, spec) == expected
+    # a spec built by hand may list its domains in any order
+    items = data.draw(st.permutations(spec.domain_items))
+    assert outcome(build_welded_space, replace(spec, domain_items=tuple(items))) == expected
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.weld")))
