@@ -111,6 +111,17 @@ def grid_pairs(variant: str, m: int) -> list[tuple[int, str, int, str]]:
     return pairs
 
 
+def grid_text(variant: str, m: int) -> str:
+    """The welding file of the 2m x 2m square-fan grid ``grid_pairs`` lists."""
+    lines = ["logaffine welding 1", "fan S = square.fan"]
+    lines += [f"domain {i} = S" for i in range(1, 4 * m * m + 1)]
+    lines += [
+        f"pair p{k} = {d1}.{r1} ~ {d2}.{r2}"
+        for k, (d1, r1, d2, r2) in enumerate(grid_pairs(variant, m), start=1)
+    ]
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------- homology oracle
 
 

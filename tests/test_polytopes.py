@@ -3,7 +3,9 @@ condition, topology and regularized volume."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -27,6 +29,7 @@ from logaffine.errors import (
 )
 from logaffine import fans, polytopes
 from logaffine.polytopes import (
+    LogPolytope,
     build_polytope,
     delzant_check,
     make_polytope_spec,
@@ -35,7 +38,7 @@ from logaffine.polytopes import (
     regularized_volume,
 )
 from logaffine.fans import _direction_cmp, make_fan
-from logaffine.fileio import parse_polytope_text
+from logaffine.fileio import parse_polytope_text, parse_welding_text
 from logaffine.rational import AffineFunctional, cross2, vector
 from logaffine.welding import build_welded_space, make_welding_spec
 
@@ -52,6 +55,7 @@ from conftest import (
     FAR_RECTANGLE,
     FIXTURES,
     benchmark_module,
+    grid_text,
     load_built_polytope,
     load_fan,
     load_polytope,
@@ -1252,3 +1256,132 @@ def arcs_of_directions(draw) -> tuple:
 def test_the_merged_support_covers_what_the_sampling_does(fan_name, arc) -> None:
     fan = load_fan(fan_name)
     assert polytopes._covered(fan, *arc) == covered_by_samples(fan, *arc)
+
+
+# ------------------------------------------------- field-for-field guard
+
+# The first 8 hex digits of the SHA-256 of ``repr`` of each field of the
+# built ``LogPolytope`` but its spec and space, in ``DIGEST_FIELDS``
+# order, for every fixture ``.poly`` (or its build error) and the whole
+# space of every grid welding at m = 1, 2, 3.  Vertex numbering, landing
+# positions and segment bounds all show here, and the CLI output shows
+# few of them.
+DIGEST_FIELDS = [
+    f.name for f in dataclasses.fields(LogPolytope) if f.name not in ("spec", "space")
+]
+FIELD_DIGESTS = {
+    "compdelt.poly": (
+        "d4735e3a 28cb03b0 62d1cf74 a34877da ebd1ee57 a9424e6c "
+        "2e38e77b 2e38e77b 6b86b273 3cbc87c7 3cbc87c7 3cbc87c7"
+    ),
+    "compdelt_nof2.poly": (
+        "d4735e3a 28cb03b0 7cea3d81 d2b51c2c 51f35c36 535a8c23 "
+        "2e38e77b 2e38e77b 6b86b273 60a33e6c 3cbc87c7 3cbc87c7"
+    ),
+    "delzfail.poly": (
+        "d4735e3a 28cb03b0 2e38e77b d08eb25b 41e9e690 75e50fd1 "
+        "2e38e77b 2e38e77b 5feceb66 3cbc87c7 3cbc87c7 3cbc87c7"
+    ),
+    "dim3.poly": (
+        "UnsupportedDimensionError: polytopes are supported in dimensions 1 and 2, not 3"
+    ),
+    "figmodel.poly": (
+        "d4735e3a cf4dabed f1c2e99b aac07011 a99d566f e0424914 "
+        "b019935b 2e38e77b 6b86b273 3cbc87c7 3cbc87c7 60a33e6c"
+    ),
+    "gen1.poly": (
+        "d4735e3a d22b0938 72bc9a43 776b59c1 6ad90fae cb7520b0 "
+        "3d68ba34 da650639 5feceb66 3cbc87c7 3cbc87c7 60a33e6c"
+    ),
+    "line1d.poly": (
+        "6b86b273 cf4dabed b831de7b 2e38e77b 28db37c3 c4052226 "
+        "65d27658 2e38e77b 5feceb66 3cbc87c7 3cbc87c7 60a33e6c"
+    ),
+    "rect.poly": (
+        "d4735e3a d22b0938 27e7bea0 86b8a0e4 93d61616 dc027e14 "
+        "6d0b9a5a f03615e1 5feceb66 3cbc87c7 3cbc87c7 60a33e6c"
+    ),
+    "symm1d.poly": (
+        "6b86b273 cf4dabed b831de7b 2e38e77b 28db37c3 62d4c632 "
+        "65d27658 2e38e77b 5feceb66 3cbc87c7 3cbc87c7 60a33e6c"
+    ),
+    "unitsquare.poly": (
+        "d4735e3a 28cb03b0 2e38e77b 60bcc1c9 5cf1205d 642b3b41 "
+        "2e38e77b 2e38e77b 5feceb66 3cbc87c7 3cbc87c7 3cbc87c7"
+    ),
+    "torus-1": (
+        "d4735e3a d22b0938 51be4f9c 2e38e77b 2e38e77b 9adcffbd "
+        "748d53c9 3e093359 5feceb66 3cbc87c7 3cbc87c7 60a33e6c"
+    ),
+    "torus-2": (
+        "d4735e3a c8b8f6aa 25dcbf7b 2e38e77b 2e38e77b 6637f679 "
+        "68bf12ea 893111a5 5feceb66 3cbc87c7 3cbc87c7 60a33e6c"
+    ),
+    "torus-3": (
+        "d4735e3a fa580b9b 4764a404 2e38e77b 2e38e77b 1e65b85d "
+        "9707a366 5bb07ccf 5feceb66 3cbc87c7 3cbc87c7 60a33e6c"
+    ),
+    "comb-1": (
+        "d4735e3a d22b0938 47be3ff4 2e38e77b 2e38e77b 9adcffbd "
+        "8ebf8fbd 3e093359 5feceb66 3cbc87c7 3cbc87c7 60a33e6c"
+    ),
+    "comb-2": (
+        "d4735e3a c8b8f6aa db321f92 2e38e77b 2e38e77b 6637f679 "
+        "fe638aa9 893111a5 5feceb66 3cbc87c7 3cbc87c7 60a33e6c"
+    ),
+    "comb-3": (
+        "d4735e3a fa580b9b e2f3a797 2e38e77b 2e38e77b 1e65b85d "
+        "5a0f83c2 5bb07ccf 5feceb66 3cbc87c7 3cbc87c7 60a33e6c"
+    ),
+    "cylinder-1": (
+        "d4735e3a d22b0938 875a68ea 2e38e77b 46789b17 b81f9d24 "
+        "d57b3bf9 6505fe02 4b227777 3cbc87c7 3cbc87c7 60a33e6c"
+    ),
+    "cylinder-2": (
+        "d4735e3a c8b8f6aa a3269b0e 2e38e77b 4650603b 6e3d68bf "
+        "8e14e1f1 23c25834 2c624232 3cbc87c7 3cbc87c7 60a33e6c"
+    ),
+    "cylinder-3": (
+        "d4735e3a fa580b9b e9a8df1f 2e38e77b 3fe0f320 d9f9e672 "
+        "35cd634c 0c06b805 6b51d431 3cbc87c7 3cbc87c7 60a33e6c"
+    ),
+    "disc-1": (
+        "d4735e3a d22b0938 135d69c3 2e38e77b ca0965ca 05e52b72 "
+        "c506ef3f f03615e1 2c624232 3cbc87c7 3cbc87c7 60a33e6c"
+    ),
+    "disc-2": (
+        "d4735e3a c8b8f6aa 028903c8 2e38e77b 2145ae7f 7be443f3 "
+        "c1ba5ef7 94fc4ad2 b17ef6d1 3cbc87c7 3cbc87c7 60a33e6c"
+    ),
+    "disc-3": (
+        "d4735e3a fa580b9b b292579a 2e38e77b e6daeaaf 4c18ca35 "
+        "f2f53ef8 c51e4057 c2356069 3cbc87c7 3cbc87c7 60a33e6c"
+    ),
+}
+
+
+def _built(case: str):
+    if case.endswith(".poly"):
+        return load_built_polytope(case)
+    variant, m = case.split("-")
+    spec = parse_welding_text(grid_text(variant, int(m)), base=FIXTURES).spec
+    return build_polytope(build_welded_space(spec), make_polytope_spec(spec, []))
+
+
+def test_the_field_guard_covers_every_fixture_polytope() -> None:
+    poly = sorted(p.name for p in FIXTURES.glob("*.poly"))
+    assert sorted(c for c in FIELD_DIGESTS if c.endswith(".poly")) == poly
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_DIGESTS))
+def test_every_field_of_the_build_is_pinned(case: str) -> None:
+    expected = FIELD_DIGESTS[case]
+    try:
+        p = _built(case)
+    except GeometryError as e:
+        assert f"{type(e).__name__}: {e}" == expected
+        return
+    got = {
+        f: hashlib.sha256(repr(getattr(p, f)).encode()).hexdigest()[:8] for f in DIGEST_FIELDS
+    }
+    assert got == dict(zip(DIGEST_FIELDS, expected.split()))

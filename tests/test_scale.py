@@ -24,7 +24,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import FIXTURES, benchmark_module, grid_pairs
+from conftest import FIXTURES, benchmark_module, grid_text
 
 from logaffine import fans
 from logaffine.fileio import parse_polytope_text, parse_welding_text
@@ -36,16 +36,6 @@ from logaffine.polytopes import (
 )
 from logaffine.topology import betti_numbers, log_cohomology_dims
 from logaffine.welding import build_welded_space
-
-
-def grid_text(variant: str, m: int) -> str:
-    lines = ["logaffine welding 1", "fan S = square.fan"]
-    lines += [f"domain {i} = S" for i in range(1, 4 * m * m + 1)]
-    lines += [
-        f"pair p{k} = {d1}.{r1} ~ {d2}.{r2}"
-        for k, (d1, r1, d2, r2) in enumerate(grid_pairs(variant, m), start=1)
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def closed_forms(variant: str, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import weld_oracle
-from conftest import FIXTURES, grid_pairs, load_fan, load_welding
+from conftest import FIXTURES, grid_pairs, grid_text, load_fan, load_welding
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +33,6 @@ from logaffine.welding import (
 )
 
 from test_fans import hexagon_fan, triangle_fan
-from test_scale import grid_text
 
 
 def quadrant_fan():
