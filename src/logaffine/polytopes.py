@@ -23,6 +23,14 @@ volume clips each face segment by the cutoff lines only (``_clip``); in
 dimension 1 each constraint point is clipped by the others.  Its cutoff
 is a symbol ``T`` and its measures are polynomials in ``T``
 (``_TPoly``), whose arithmetic skips zero coefficients.
+
+The planar build numbers its vertices through one table, from a key to
+the labels of the faces through the vertex: ``(0, domain id, point)``
+for a vertex of a cycle, ``(1, edge index, position)`` for a face
+landing on an edge stratum and ``(2, k, cluster id)`` for the k-th
+corner cluster inside the polytope.  The sorted keys are the vertex
+order; segment and trace ends look their vertices up by key, and each
+face, segment and trace is made once.
 """
 
 from __future__ import annotations
@@ -793,6 +801,12 @@ def _crossing_signs(
     )
 
 
+def _quadrant_rays(fan: Fan, labels) -> tuple[Vector, Vector]:
+    """The two rays of a quadrant of the fan, counterclockwise."""
+    v, w = (fan.vectors[fan.index_of_label(lab)] for lab in sorted(labels))
+    return (w, v) if cross2(v, w) < 0 else (v, w)
+
+
 def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     regions = _feasible(space, spec, _cycle)
     feasible = list(regions)
@@ -800,10 +814,12 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     edge_of_face = {f: e.label for e in space.edges for f in e.faces}
     edge_index = {e.label: i for i, e in enumerate(space.edges)}
 
-    # face segments: their ends on the vertex cycle, then escapes at
-    # unbounded ends
-    face_lines: dict[ConstraintRef, tuple[Vector, Vector, tuple]] = {}
-    landings: dict[ConstraintRef, list[tuple[str, Fraction] | None]] = {}
+    # face segments: the vertex-table key at each end, a vertex of the
+    # cycle or, at an unbounded end, the landing of its escape (None
+    # when the escape is open); the table gathers the faces through
+    # each vertex
+    table: dict[tuple, set[str]] = {}
+    face_lines: dict[ConstraintRef, tuple[Vector, Vector, list, list]] = {}
     for ref, fn in spec.constraints:
         if ref[0] not in regions:
             continue
@@ -811,22 +827,31 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
         if ends is None:
             continue
         base, t = _line_of(fn)
-        face_lines[ref] = base, t, ends
         fan = space.domain(ref[0]).fan
-        landings[ref] = landed = [None, None]
-        for k, direction in enumerate((vec_neg(t), t)):
-            if ends[k] is None:
+        bounds: list[Fraction | None] = []
+        keys: list[tuple | None] = []
+        for end, direction in zip(ends, (vec_neg(t), t)):
+            if end is not None:
+                key = 0, ref[0], end[0]
+                bounds.append(dot(end[0], t) / dot(t, t))  # base is normal to t
+                table.setdefault(key, set()).update({face_label[ref], face_label[(ref[0], end[1])]})
+            else:
                 edge_label = _escape(ref[0], fan, direction, edge_of_face)
+                key = None
                 if edge_label is not None:
-                    residue = space.edge(edge_label).residue
-                    landed[k] = edge_label, dot(rot90(residue), base)
+                    position = dot(rot90(space.edge(edge_label).residue), base)
+                    key = 1, edge_index[edge_label], position
+                    table.setdefault(key, set()).add(face_label[ref])
+                bounds.append(None)
+            keys.append(key)
+        face_lines[ref] = base, t, bounds, keys
 
-    # edge traces, with the continuation pairs they force; a domain the
-    # region misses has no trace either
-    raw_traces: dict[str, tuple[str, tuple[int, ...], tuple]] = {}
+    # edge traces by edge index, with the continuation pairs they force;
+    # a domain the region misses has no trace either
+    traced: dict[int, tuple[str, tuple[int, ...], tuple]] = {}
     required_pairs: list[tuple[ConstraintRef, ConstraintRef, str]] = []
     binding_refs: set[ConstraintRef] = set()
-    for e in space.edges:
+    for i, e in enumerate(space.edges):
         sides = [(d, regions[d].trace(e.residue)) for d, _ in e.faces if d in regions]
         present = [(d, t) for d, t in sides if t is not None]
         if not present:
@@ -846,7 +871,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
                 )
             kind = "divisor"
             required_pairs += [((d1, x[1]), (d2, y[1]), e.label) for x, y in zip(t1, t2) if x]
-        raw_traces[e.label] = (kind, tuple(d for d, _ in present), bounds[0])
+        traced[i] = kind, tuple(d for d, _ in present), bounds[0]
 
     # continuation: forced pairs must be declared, declared groups must
     # be forced together
@@ -867,7 +892,8 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
                 "into each other across any edge"
             )
 
-    # faces from constraints
+    # faces from constraints; a face is a circle exactly when every
+    # segment end is a landing shared with one other segment
     face_members: dict[str, list[ConstraintRef]] = {}
     for ref, _ in spec.constraints:
         face_members.setdefault(face_label[ref], []).append(ref)
@@ -881,245 +907,142 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
                     "as a nonsingular face"
                 )
             continue
-        landed = sorted(
-            {landed[0] for ref in with_segment for landed in landings[ref] if landed},
-            key=lambda lab: edge_index[lab],
-        )
+        ends: dict[tuple | None, int] = {}
+        for ref in with_segment:
+            for key in face_lines[ref][3]:
+                ends[key] = ends.get(key, 0) + 1
+        landed = sorted({key[1] for key in ends if key and key[0] == 1})
         nonsingular.append(
             PolytopeFace(
                 label=label,
                 kind="log" if landed else "interior",
                 members=tuple(sorted(members)),
-                edges=tuple(landed),
-                closed=False,  # refined below once vertices exist
+                edges=tuple(space.edges[i].label for i in landed),
+                closed=all(key and key[0] == 1 and n == 2 for key, n in ends.items()),
             )
         )
-    nonsingular.sort(key=lambda f: (f.members[0][0], f.members[0][1]))
-
-    # vertices
-    interior_keys: dict[tuple[int, Vector], set[str]] = {}
-    for ref, (_, _, ends) in face_lines.items():
-        for point, other in filter(None, ends):
-            interior_keys.setdefault((ref[0], point), set()).update(
-                {face_label[ref], face_label[(ref[0], other)]}
-            )
-    landing_keys: dict[tuple[str, Fraction], set[str]] = {}
-    for ref, landed in landings.items():
-        for edge_label, position in filter(None, landed):
-            landing_keys.setdefault((edge_label, position), set()).add(face_label[ref])
-    for edge_label, (kind, _, t) in raw_traces.items():
+    nonsingular.sort(key=lambda f: f.members[0])
+    for i, (_, _, t) in traced.items():
         for bound in t:
-            if bound is None:
-                continue
-            if (edge_label, bound) not in landing_keys:
+            if bound is not None and (1, i, bound) not in table:
                 raise GeometryError(
                     f"no face lands at the endpoint {bound} of the trace on "
-                    f"edge {edge_label}"
+                    f"edge {space.edges[i].label}"
                 )
 
-    # corner clusters contained in the polytope
+    # corner clusters contained in the polytope: a trace runs into them,
+    # or a region recedes into one of their quadrants
     cluster_germs: dict[str, list[tuple[str, str, Vector]]] = {}
-    for edge_label, (kind, _, t) in raw_traces.items():
-        e = space.edge(edge_label)
-        if t[0] is None and e.tail is not None:
-            cluster_germs.setdefault(e.tail, []).append(
-                (edge_label, kind, e.residue)
-            )
-        if t[1] is None and e.head is not None:
-            cluster_germs.setdefault(e.head, []).append(
-                (edge_label, kind, e.residue)
-            )
-    corners_inside: list[str] = []
-    for cluster in space.clusters:
-        if cluster.cluster_id in cluster_germs:
-            corners_inside.append(cluster.cluster_id)
-            continue
-        reached = False
-        for domain_id, corner_labels in cluster.quadrants:
-            if domain_id not in regions:
-                continue
-            fan = space.domain(domain_id).fan
-            l1, l2 = sorted(corner_labels)
-            v = fan.vectors[fan.index_of_label(l1)]
-            w = fan.vectors[fan.index_of_label(l2)]
-            if cross2(v, w) < 0:
-                v, w = w, v
-            if regions[domain_id].reaches_corner(v, w):
-                reached = True
-                break
-        if reached:
-            corners_inside.append(cluster.cluster_id)
+    for i, (kind, _, (lower, upper)) in traced.items():
+        e = space.edges[i]
+        for bound, cid in ((lower, e.tail), (upper, e.head)):
+            if bound is None and cid is not None:
+                cluster_germs.setdefault(cid, []).append((e.label, kind, e.residue))
+    corners_inside = [
+        c.cluster_id
+        for c in space.clusters
+        if c.cluster_id in cluster_germs
+        or any(
+            regions[d].reaches_corner(*_quadrant_rays(space.domain(d).fan, labels))
+            for d, labels in c.quadrants
+            if d in regions
+        )
+    ]
+    table.update(((2, k, cid), set()) for k, cid in enumerate(corners_inside))
 
-    def _cluster_sort_key(cid: str):
-        return (len(cid), cid)
-
-    corners_inside.sort(key=_cluster_sort_key)
-
-    # assign vertex ids
-    vertex_ids: dict = {}
+    # number the vertices: interior ones by (domain, point), landings by
+    # (edge index, position), then the corners inside in cluster order
+    vertex_id: dict[tuple, str] = {}
     vertices: list[PolytopeVertex] = []
-
-    def _new_vertex(**kw) -> str:
-        vid = f"v{len(vertices) + 1}"
-        vertices.append(PolytopeVertex(vertex_id=vid, **kw))
-        return vid
-
-    for key in sorted(interior_keys):
-        domain_id, point = key
-        vertex_ids[("interior", key)] = _new_vertex(
-            kind="interior",
-            domain_id=domain_id,
-            point=point,
-            edge_label=None,
-            position=None,
-            cluster_id=None,
-            faces=tuple(sorted(interior_keys[key])),
-        )
-    for key in sorted(landing_keys, key=lambda k: (edge_index[k[0]], k[1])):
-        edge_label, position = key
-        vertex_ids[("landing", key)] = _new_vertex(
-            kind="landing",
-            domain_id=None,
-            point=None,
-            edge_label=edge_label,
-            position=position,
-            cluster_id=None,
-            faces=tuple(sorted(landing_keys[key])),
-        )
-    for cid in corners_inside:
-        vertex_ids[("corner", cid)] = _new_vertex(
-            kind="corner",
-            domain_id=None,
-            point=None,
-            edge_label=None,
-            position=None,
-            cluster_id=cid,
-            faces=(),
-        )
-
-    # final segments and traces, wired to vertices
-    segments: list[FaceSegment] = []
-    for ref in sorted(face_lines):
-        base, t, ends = face_lines[ref]
-        bounds: list[Fraction | None] = []
-        vids: list[str | None] = []
-        for end, landed in zip(ends, landings[ref]):
-            if end is not None:
-                bounds.append(dot(end[0], t) / dot(t, t))  # base is normal to t
-                vids.append(vertex_ids[("interior", (ref[0], end[0]))])
-            else:
-                bounds.append(None)
-                vids.append(landed and vertex_ids[("landing", landed)])
-        segments.append(
-            FaceSegment(
-                ref=ref,
-                face_label=face_label[ref],
-                base=base,
-                direction=t,
-                lower=bounds[0],
-                upper=bounds[1],
-                lower_vertex=vids[0],
-                upper_vertex=vids[1],
-            )
-        )
-    traces: list[EdgeTrace] = []
-    for e in space.edges:
-        if e.label not in raw_traces:
-            continue
-        kind, sides, (lower, upper) = raw_traces[e.label]
-        traces.append(
-            EdgeTrace(
-                edge_label=e.label,
-                residue=e.residue,
-                kind=kind,
-                sides=sides,
-                lower=lower,
-                upper=upper,
-                lower_vertex=(
-                    vertex_ids[("landing", (e.label, lower))] if lower is not None else None
-                ),
-                upper_vertex=(
-                    vertex_ids[("landing", (e.label, upper))] if upper is not None else None
-                ),
+    for key in sorted(table):
+        kind, where, at = key
+        vertex_id[key] = f"v{len(vertices) + 1}"
+        vertices.append(
+            PolytopeVertex(
+                vertex_id=vertex_id[key],
+                kind=("interior", "landing", "corner")[kind],
+                domain_id=where if kind == 0 else None,
+                point=at if kind == 0 else None,
+                edge_label=space.edges[where].label if kind == 1 else None,
+                position=at if kind == 1 else None,
+                cluster_id=at if kind == 2 else None,
+                faces=tuple(sorted(table[key])),
             )
         )
 
-    # close up nonsingular faces: a face is a circle exactly when every
-    # segment end is a landing vertex shared with one other segment
-    vertex_kind = {v.vertex_id: v.kind for v in vertices}
-    segment_ends: dict[str, list[str | None]] = {}
-    for s in segments:
-        segment_ends.setdefault(s.face_label, []).extend([s.lower_vertex, s.upper_vertex])
-    closed_faces: list[PolytopeFace] = []
-    for f in nonsingular:
-        end_vertices = segment_ends.get(f.label, [])
-        counts: dict[str, int] = {}
-        closed = bool(end_vertices)
-        for vid in end_vertices:
-            if vid is None or vertex_kind[vid] != "landing":
-                closed = False
-                break
-            counts[vid] = counts.get(vid, 0) + 1
-        closed = closed and all(c == 2 for c in counts.values())
-        closed_faces.append(
-            PolytopeFace(f.label, f.kind, f.members, f.edges, closed)
+    segments = [
+        FaceSegment(
+            ref=ref,
+            face_label=face_label[ref],
+            base=base,
+            direction=t,
+            lower=bounds[0],
+            upper=bounds[1],
+            lower_vertex=keys[0] and vertex_id[keys[0]],
+            upper_vertex=keys[1] and vertex_id[keys[1]],
         )
+        for ref, (base, t, bounds, keys) in sorted(face_lines.items())
+    ]
+    traces = [
+        EdgeTrace(
+            edge_label=space.edges[i].label,
+            residue=space.edges[i].residue,
+            kind=kind,
+            sides=sides,
+            lower=lower,
+            upper=upper,
+            lower_vertex=None if lower is None else vertex_id[(1, i, lower)],
+            upper_vertex=None if upper is None else vertex_id[(1, i, upper)],
+        )
+        for i, (kind, sides, (lower, upper)) in traced.items()
+    ]
 
-    # join singular traces and divisor arcs across corners
-    by_kind: dict[str, list[str]] = {"singular": [], "divisor": []}
-    for t in traces:
-        by_kind[t.kind].append(t.edge_label)
-    components: dict[str, tuple[tuple[str, ...], Vector, bool]] = {}
-    singular_faces: list[PolytopeFace] = []
-    trace_components: list[TraceComponent] = []
+    # join singular traces and divisor arcs across corners: a corner
+    # joins the two germs of one kind and residue it holds; a corner off
+    # the crossings where distinct residues meet is a meeting
+    joined = UnionFind(t.edge_label for t in traces)
+    joins = {t.edge_label: 0 for t in traces}
     meetings = 0
     closed_ids = {c.cluster_id for c in space.clusters if c.closed}
-    for kind, labels in by_kind.items():
-        uf = UnionFind(labels)
-        joins: dict[str, int] = {lab: 0 for lab in labels}
-        for cid in corners_inside:
-            germs = [g for g in cluster_germs.get(cid, []) if g[1] == kind]
-            by_residue: dict[Vector, list[str]] = {}
-            for edge_label, _, residue in germs:
-                by_residue.setdefault(residue, []).append(edge_label)
-            for residue, labs in sorted(by_residue.items()):
-                if len(labs) == 2:
-                    uf.union(labs[0], labs[1])
-                    joins[labs[0]] += 1
-                    joins[labs[1]] += 1
-        grouped: dict[str, list[str]] = {}
-        for lab in sorted(labels, key=lambda lab: edge_index[lab]):
-            grouped.setdefault(uf.find(lab), []).append(lab)
-        ordered = sorted(grouped.values(), key=lambda labs: edge_index[labs[0]])
-        for k, labs in enumerate(ordered):
-            residue = space.edge(labs[0]).residue
-            closed = sum(joins[lab] for lab in labs) // 2 == len(labs)
-            if kind == "singular":
-                singular_faces.append(
-                    PolytopeFace(
-                        label=f"s{k + 1}",
-                        kind="singular",
-                        members=(),
-                        edges=tuple(labs),
-                        closed=closed,
-                    )
-                )
-            else:
-                trace_components.append(
-                    TraceComponent(
-                        label=f"t{k + 1}",
-                        edges=tuple(labs),
-                        residue=residue,
-                        closed=closed,
-                    )
-                )
     for cid in corners_inside:
-        if cid in closed_ids:
-            continue
-        residues = {g[2] for g in cluster_germs.get(cid, [])}
-        if len(residues) >= 2:
+        germs = cluster_germs.get(cid, [])
+        by_residue: dict[tuple[str, Vector], list[str]] = {}
+        for edge_label, kind, residue in germs:
+            by_residue.setdefault((kind, residue), []).append(edge_label)
+        for labs in by_residue.values():
+            if len(labs) == 2:
+                joined.union(*labs)
+                joins[labs[0]] += 1
+                joins[labs[1]] += 1
+        if cid not in closed_ids and len({g[2] for g in germs}) >= 2:
             meetings += 1
-    crossings_inside = tuple(c for c in corners_inside if c in closed_ids)
+    grouped: dict[str, list[EdgeTrace]] = {}
+    for t in traces:  # in edge order, so each group starts at its first edge
+        grouped.setdefault(joined.find(t.edge_label), []).append(t)
+    singular_faces: list[PolytopeFace] = []
+    trace_components: list[TraceComponent] = []
+    for group in grouped.values():
+        labs = tuple(t.edge_label for t in group)
+        closed = sum(joins[lab] for lab in labs) // 2 == len(labs)
+        if group[0].kind == "singular":
+            singular_faces.append(
+                PolytopeFace(
+                    label=f"s{len(singular_faces) + 1}",
+                    kind="singular",
+                    members=(),
+                    edges=labs,
+                    closed=closed,
+                )
+            )
+        else:
+            trace_components.append(
+                TraceComponent(
+                    label=f"t{len(trace_components) + 1}",
+                    edges=labs,
+                    residue=group[0].residue,
+                    closed=closed,
+                )
+            )
 
     compact = all(regions[d].compact(space.domain(d).fan) for d in feasible)
     orientable = _crossing_signs(space, feasible, traces) is not None
@@ -1131,10 +1054,10 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
         feasible=tuple(feasible),
         traces=tuple(traces),
         segments=tuple(segments),
-        faces=tuple(closed_faces) + tuple(singular_faces),
+        faces=tuple(nonsingular) + tuple(singular_faces),
         vertices=tuple(vertices),
         trace_components=tuple(trace_components),
-        crossings_inside=crossings_inside,
+        crossings_inside=tuple(c for c in corners_inside if c in closed_ids),
         boundary_corner_meetings=meetings,
         compact=compact,
         orientable=orientable,
