@@ -1353,19 +1353,29 @@ def _clipped_measure(p: LogPolytope, domain_id: int) -> Fraction | _TPoly:
     for each ray ``r``, ``T`` the symbolic cutoff.  The length is the
     clip of the axis; the area is a shoelace sum over the boundary, each
     edge taken counterclockwise: the build's face segments clipped by
-    the cutoffs, and the cutoff lines clipped by every half-plane."""
+    the cutoffs, and the cutoff lines clipped by every half-plane.  An
+    edge on the line of ``a.u + c = 0``, from ``l`` to ``u`` along
+    ``base + s t`` with ``base = -c a / |a|^2`` and ``t = rot90(a)``,
+    adds ``cross2(base + u t, base + l t) = c (u - l)``, so the sum
+    needs no end points."""
     T = _TPoly(0, 1)
     rays = p.space.domain(domain_id).fan.vectors
     cutoffs = [AffineFunctional(r, T * dot(r, r)) for r in rays]
     walls = [*p.spec.domain_constraints(domain_id).values(), *cutoffs]
     if p.dim == 1:
-        pieces = [((Fraction(0),), (Fraction(1),), None, None, walls)]
+        pieces = [((Fraction(0),), (Fraction(1),), None, None, walls, None)]
     else:
-        own = (s for s in p.segments if s.ref[0] == domain_id)
-        pieces = [(s.base, s.direction, s.lower, s.upper, cutoffs) for s in own]
-        pieces += [((-T * r[0], -T * r[1]), rot90(r), None, None, walls) for r in rays]
+        pieces = [
+            (s.base, s.direction, s.lower, s.upper, cutoffs, p.spec.constraint(s.ref).constant)
+            for s in p.segments
+            if s.ref[0] == domain_id
+        ]
+        pieces += [
+            ((-T * f.linear[0], -T * f.linear[1]), rot90(f.linear), None, None, walls, f.constant)
+            for f in cutoffs
+        ]
     twice = Fraction(0)
-    for base, t, lower, upper, fns in pieces:
+    for base, t, lower, upper, fns, c in pieces:
         raw = _clip(base, t, enumerate(fns), lower, upper)
         if raw is None or (_bounded(raw) and raw.lower > raw.upper):
             continue
@@ -1373,8 +1383,7 @@ def _clipped_measure(p: LogPolytope, domain_id: int) -> Fraction | _TPoly:
             raise GeometryError("a region stays unbounded after the cutoffs")
         if p.dim == 1:
             return raw.upper - raw.lower
-        ends = (tuple(b + s * x for b, x in zip(base, t)) for s in (raw.upper, raw.lower))
-        twice += cross2(*ends)
+        twice += (raw.upper - raw.lower) * c
     return twice / 2
 
 
