@@ -274,6 +274,17 @@ def test_genus_one_polytope() -> None:
     assert regularized_volume(p) == 0
 
 
+def test_a_face_landing_at_both_ends_on_two_edges_is_not_closed() -> None:
+    # each landing holds one segment end: an arc between two strata, not a circle
+    welding = make_welding_spec({1: load_fan("halfplane3.fan")}, [])
+    spec = make_polytope_spec(welding, [((1, "n"), fn(0, -1, c=1))])
+    p = build_polytope(build_welded_space(welding), spec)
+    (s,) = p.segments
+    assert [p.vertex(v).kind for v in (s.lower_vertex, s.upper_vertex)] == ["landing"] * 2
+    face = p.face("1.n")
+    assert (face.kind, face.edges, face.closed) == ("log", ("1.a", "1.c"), False)
+
+
 # ------------------------------------------------------- welded rectangle
 
 

@@ -14,6 +14,33 @@ The whole space of the m = 12 torus grid (576 domains, no constraint)
 is a compact polytope of genus one, and the support of the one fan its
 domains share is read once, not once per domain.
 
+The whole space of a grid is the region in every domain, so it has no
+face segment and its vertices are the corner clusters, all inside: the
+grid points, 4m^2 on the torus (and the comb, welded to the same
+space), 4m^2 + 2m on the cylinder and (2m+1)^2 on the disc.  Each edge
+stratum carries a trace: a divisor trace on each welded pair and a
+singular one on each free face.  The 4m^2 domains have four faces each;
+the cylinder leaves 4m free and the disc 8m, so the traces number 8m^2,
+8m^2 + 2m and 8m^2 + 4m, of which 8m^2, 8m^2 - 2m and 8m^2 - 4m are
+divisor traces.  A corner joins the two traces of one residue through
+it, so the divisor arcs are the grid lines: 2m closed lines each way on
+the torus (4m); 2m - 1 closed lines around the cylinder and 2m open
+ones across it (4m - 1); 2m - 1 open lines each way on the disc
+(4m - 2).  The singular traces are the boundary: two circles on the
+cylinder, one singular face each, and one circle on the disc, one
+singular face per side of the square, where the residue turns.  The
+crossings inside are the closed clusters, the interior grid points:
+4m^2, 2m(2m - 1) and (2m - 1)^2.  Every other corner is a boundary
+point where traces of two residues meet: 4m on the cylinder, 8m on the
+disc.  Then chi = vertices - (segments + traces) + domains is 0, 0 and
+1, the torus has genus one and no boundary, and the cylinder genus zero.
+``polytope_moduli`` counts one for a closed orientable polytope without
+faces, one per closed arc, per crossing and per meeting: (2m+1)^2 on the
+torus, h2 of its log cohomology.  On the open grids it differs from h2:
+(2m+1)^2 - 2 against 4m^2 - 1 on the cylinder, (2m+1)^2 against
+(2m-1)^2 on the disc.  Which one the paper's count should match is not
+settled, so the moduli are pinned on the closed grids only.
+
 A Delzant k-gon chopped from a square, with or without redundant
 constraints, has the area the benchmark's oracle gives in closed form.
 """
@@ -31,6 +58,7 @@ from logaffine.fileio import parse_polytope_text, parse_welding_text
 from logaffine.polytopes import (
     build_polytope,
     make_polytope_spec,
+    polytope_moduli,
     polytope_topology,
     regularized_volume,
 )
@@ -86,6 +114,58 @@ def test_the_weld_hashes_fractions_per_fan_not_per_domain(monkeypatch, variant: 
         counts.append(len(hashes))
         hashes.clear()
     assert counts[0] == counts[1]
+
+
+def whole_space_forms(variant: str, m: int) -> dict[str, int]:
+    """Counts of the whole-space polytope of a grid, derived above."""
+    if variant in ("torus", "comb"):
+        return dict(
+            vertices=4 * m * m, traces=8 * m * m, divisor_traces=8 * m * m,
+            components=4 * m, closed_components=4 * m, crossings=4 * m * m,
+            singular_faces=0, meetings=0, euler=0, genus=1, circles=0,
+        )
+    if variant == "cylinder":
+        return dict(
+            vertices=4 * m * m + 2 * m, traces=8 * m * m + 2 * m, divisor_traces=8 * m * m - 2 * m,
+            components=4 * m - 1, closed_components=2 * m - 1, crossings=2 * m * (2 * m - 1),
+            singular_faces=2, meetings=4 * m, euler=0, genus=0, circles=2,
+        )
+    return dict(
+        vertices=(2 * m + 1) ** 2, traces=8 * m * m + 4 * m, divisor_traces=8 * m * m - 4 * m,
+        components=4 * m - 2, closed_components=0, crossings=(2 * m - 1) ** 2,
+        singular_faces=4, meetings=8 * m, euler=1, genus=0, circles=1,
+    )
+
+
+@pytest.mark.parametrize(
+    "variant,m",
+    [(v, m) for v in ("torus", "comb", "cylinder", "disc") for m in (1, 2, 3)]
+    + [("torus", 12), ("disc", 12)],
+)
+def test_whole_grid_polytope_closed_forms(variant: str, m: int) -> None:
+    spec = parse_welding_text(grid_text(variant, m), base=FIXTURES).spec
+    space = build_welded_space(spec)
+    p = build_polytope(space, make_polytope_spec(spec, []))
+    top = polytope_topology(p)
+    assert not p.segments
+    assert all(v.kind == "corner" for v in p.vertices)
+    assert {
+        "vertices": len(p.vertices),
+        "traces": len(p.traces),
+        "divisor_traces": sum(t.kind == "divisor" for t in p.traces),
+        "components": len(p.trace_components),
+        "closed_components": sum(c.closed for c in p.trace_components),
+        "crossings": len(p.crossings_inside),
+        "singular_faces": len(p.singular_faces),
+        "meetings": p.boundary_corner_meetings,
+        "euler": top.euler,
+        "genus": top.genus,
+        "circles": top.boundary_circles,
+    } == whole_space_forms(variant, m)
+    if variant in ("torus", "comb"):  # the open grids' moduli are not pinned
+        assert polytope_moduli(p) == (2 * m + 1) ** 2
+        if m <= 3:
+            assert polytope_moduli(p) == log_cohomology_dims(space)[2]
 
 
 def test_whole_torus_reads_its_fan_support_once(monkeypatch) -> None:
