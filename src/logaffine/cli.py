@@ -13,6 +13,7 @@ error, 3 unsupported feature.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -259,7 +260,10 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused by every
+    later call in the process: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="logaffine",
         description="Validate, report on and draw log affine workspace files.",

@@ -22,7 +22,9 @@ fan's support, which every ``Fan`` merges from its cones once.  The
 volume clips each face segment by the cutoff lines only (``_clip``); in
 dimension 1 each constraint point is clipped by the others.  Its cutoff
 is a symbol ``T`` and its measures are polynomials in ``T``
-(``_TPoly``), whose arithmetic skips zero coefficients.
+(``_TPoly``), whose arithmetic skips zero coefficients; ``_clip`` sums
+each value from the constant, so a ``_TPoly`` constant or point keeps
+the ``_TPoly`` on the left of every operation.
 
 The planar build numbers its vertices through one table, from a key to
 the labels of the faces through the vertex: ``(0, domain id, point)``
@@ -405,7 +407,7 @@ def _clip(
     along: list = []
     for name, g in named_fns:
         coef = dot(g.linear, direction)
-        val = dot(g.linear, base) + g.constant
+        val = sum((b * a for a, b in zip(g.linear, base)), g.constant)
         if coef == 0:
             if val < 0:
                 return None
@@ -1348,7 +1350,7 @@ class _TPoly:
         return self._lead(other) >= 0
 
 
-def _clipped_measure(p: LogPolytope, domain_id: int) -> Fraction | _TPoly:
+def _clipped_measure(p: LogPolytope, domain_id: int) -> _TPoly:
     """Length or area of the domain region cut off at ``r.u + T|r|^2 = 0``
     for each ray ``r``, ``T`` the symbolic cutoff.  The length is the
     clip of the axis; the area is a shoelace sum over the boundary, each
@@ -1357,11 +1359,15 @@ def _clipped_measure(p: LogPolytope, domain_id: int) -> Fraction | _TPoly:
     edge on the line of ``a.u + c = 0``, from ``l`` to ``u`` along
     ``base + s t`` with ``base = -c a / |a|^2`` and ``t = rot90(a)``,
     adds ``cross2(base + u t, base + l t) = c (u - l)``, so the sum
-    needs no end points."""
+    needs no end points.  The constraints' constants are made ``_TPoly``
+    once, so every sum and product that mixes a ``Fraction`` with a
+    ``_TPoly`` has the ``_TPoly`` on its left and never fails first in
+    ``Fraction``'s operator dispatch."""
     T = _TPoly(0, 1)
     rays = p.space.domain(domain_id).fan.vectors
     cutoffs = [AffineFunctional(r, T * dot(r, r)) for r in rays]
-    walls = [*p.spec.domain_constraints(domain_id).values(), *cutoffs]
+    constraints = p.spec.domain_constraints(domain_id).values()
+    walls = [*(AffineFunctional(g.linear, _TPoly(g.constant)) for g in constraints), *cutoffs]
     if p.dim == 1:
         pieces = [((Fraction(0),), (Fraction(1),), None, None, walls, None)]
     else:
@@ -1374,7 +1380,7 @@ def _clipped_measure(p: LogPolytope, domain_id: int) -> Fraction | _TPoly:
             ((-T * f.linear[0], -T * f.linear[1]), rot90(f.linear), None, None, walls, f.constant)
             for f in cutoffs
         ]
-    twice = Fraction(0)
+    twice = _TPoly(0)
     for base, t, lower, upper, fns, c in pieces:
         raw = _clip(base, t, enumerate(fns), lower, upper)
         if raw is None or (_bounded(raw) and raw.lower > raw.upper):
@@ -1415,7 +1421,7 @@ def regularized_volume(p: LogPolytope, eps: Fraction | None = None) -> Fraction:
     signs = _crossing_signs(p.space, p.feasible, p.traces)
     assert signs is not None
     norm = signs[min(p.feasible)] * p.spec.orientation
-    total = sum((signs[d] * norm * _clipped_measure(p, d) for d in p.feasible), _TPoly(0))
+    total = sum((_clipped_measure(p, d) * (signs[d] * norm) for d in p.feasible), _TPoly(0))
     const, *growth = total.coefs
     if any(growth):
         terms = ", ".join(f"T^{k}: {c}" for k, c in enumerate(growth, 1) if c)

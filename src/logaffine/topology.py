@@ -35,6 +35,15 @@ to scale, so over the rationals
     rank = n - #(balanced components with no one-entry line).
 
 This is exact: no elimination and no division takes place.
+
+Derived once.  ``cell_complex`` builds a space's complex on its first
+call and keeps it in the space's instance ``__dict__``, as
+``cached_property`` does, so the dataclass fields, ``==`` and ``repr``
+are those of the space alone and ``dataclasses.replace`` gives a space
+with no complex yet.  The complex computes its Betti numbers once, so
+``euler_characteristic``, ``betti_numbers``, ``classify_closed_surface``
+and ``log_cohomology_dims`` of one space share one complex and one set
+of ranks.
 """
 
 from __future__ import annotations
@@ -144,6 +153,10 @@ class CellComplex:
         return sum((-1) ** k * n for k, n in enumerate(self.counts))
 
     def betti_numbers(self) -> tuple[int, ...]:
+        return self._betti
+
+    @cached_property
+    def _betti(self) -> tuple[int, ...]:
         ranks = [
             _incidence_rank(
                 len(self.cells[k if incidence.by_row else k - 1]), incidence.lines
@@ -205,14 +218,20 @@ def _complex_1d(space: WeldedSpace) -> CellComplex:
 
 
 def cell_complex(space: WeldedSpace) -> CellComplex:
-    """The canonical cell decomposition of a welded space."""
+    """The canonical cell decomposition of a welded space, built once per space."""
+    cached = space.__dict__.get("_cell_complex")
+    if cached is not None:
+        return cached
     if space.dim == 2:
-        return _complex_2d(space)
-    if space.dim == 1:
-        return _complex_1d(space)
-    raise UnsupportedDimensionError(
-        f"cell decomposition is implemented for dimensions 1 and 2, not {space.dim}"
-    )
+        built = _complex_2d(space)
+    elif space.dim == 1:
+        built = _complex_1d(space)
+    else:
+        raise UnsupportedDimensionError(
+            f"cell decomposition is implemented for dimensions 1 and 2, not {space.dim}"
+        )
+    space.__dict__["_cell_complex"] = built
+    return built
 
 
 def euler_characteristic(space: WeldedSpace) -> int:

@@ -14,14 +14,24 @@ any coerced pair is itself obstructed.
 The welds made so far live in one weld index (``_WeldIndex``), which
 ``build_welded_space`` creates once and threads through every closure
 and the assembly: face -> partner face, face -> pair holding it,
-face -> label correspondence across its weld (from the one
-``is_matched_pair`` result of that pair), and the set of welded pair
+face -> label correspondence across its weld (the label map of that
+pair's fan-ray pair, see below), and the set of welded pair
 keys; ``WeldingSpec.domain`` is a mapping too.  A closure runs a queue
 in which each pair gets one match check and one pass over its corners,
 which yields both the obstruction verdict and the pairs it coerces, so
 welding takes near-linear time in the number of welds.  The public checks
 (``is_locally_obstructed``, ``coerced_pairs``, ``weld_pair``) build the
 index of ``spec.pairs`` once per call.
+
+Matching is derived once per fan-ray pair.  Whether two faces match,
+and how the labels around them correspond, depends only on the two
+fans and the two ray labels, so each spec keeps one memo of
+``is_matched_pair``'s verdict and label map keyed by ``(id(left fan),
+left label, id(right fan), right label)``; the ids are stable because
+the spec holds its fans.  The checks that name domains (unknown domain
+or label, both faces in one domain) still run for every pair.  On a
+grid of one fan, parsing the spec and welding it evaluate
+``is_matched_pair`` once per distinct pair of labels.
 
 The assembly reads the strata off the index through one table per
 ``Fan`` object, not per domain: the fan's quadrants in sorted-label
@@ -99,6 +109,15 @@ class WeldingSpec:
     def _domains(self) -> dict[int, TropicalDomain]:
         return dict(self.domain_items)
 
+    @cached_property
+    def _matches(self) -> dict[tuple[int, str, int, str], tuple]:
+        """``_match``'s memo: reasons and label maps per fan-ray pair."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        # the memo is keyed by object ids, which a copy's fans do not share
+        return {k: v for k, v in self.__dict__.items() if k != "_matches"}
+
 
 @dataclass(frozen=True)
 class MatchResult:
@@ -167,15 +186,9 @@ def is_matched_pair(spec: WeldingSpec, pair: MatchedPair) -> MatchResult:
     the left side to the face of the same adjacent vector on the
     right side.
     """
-    for face in pair.faces():
-        try:
-            dom = spec.domain(face[0])
-        except KeyError:
-            return MatchResult(False, f"unknown domain {face[0]}", None)
-        if face[1] not in dom.fan.labels:
-            return MatchResult(False, f"domain {face[0]} has no ray {face[1]!r}", None)
-    if pair.left[0] == pair.right[0]:
-        return MatchResult(False, "both faces belong to the same domain", None)
+    reason = _face_reason(spec, pair)
+    if reason is not None:
+        return MatchResult(False, reason, None)
     left_fan = spec.domain(pair.left[0]).fan
     right_fan = spec.domain(pair.right[0]).fan
     i_left = left_fan.index_of_label(pair.left[1])
@@ -201,6 +214,44 @@ def is_matched_pair(spec: WeldingSpec, pair: MatchedPair) -> MatchResult:
     return MatchResult(True, None, correspondence)
 
 
+def _face_reason(spec: WeldingSpec, pair: MatchedPair) -> str | None:
+    """Why ``pair`` names no two faces of two domains of ``spec``, or None."""
+    for face in pair.faces():
+        try:
+            dom = spec.domain(face[0])
+        except KeyError:
+            return f"unknown domain {face[0]}"
+        if face[1] not in dom.fan.labels:
+            return f"domain {face[0]} has no ray {face[1]!r}"
+    if pair.left[0] == pair.right[0]:
+        return "both faces belong to the same domain"
+    return None
+
+
+def _match(spec: WeldingSpec, pair: MatchedPair) -> tuple[str | None, dict[str, str] | None]:
+    """``is_matched_pair`` through the spec's memo.
+
+    Returns the reason ``pair`` is not matched (None when it is) and,
+    when it is, the map from the left domain's labels around the welded
+    ray to the right domain's.  The map is shared: do not modify it.
+    """
+    reason = _face_reason(spec, pair)
+    if reason is not None:
+        return reason, None
+    (left_id, left_label), (right_id, right_label) = pair.left, pair.right
+    domains = spec._domains
+    key = (id(domains[left_id].fan), left_label, id(domains[right_id].fan), right_label)
+    memo = spec._matches
+    found = memo.get(key)
+    if found is None:
+        match = is_matched_pair(spec, pair)
+        labels = None
+        if match.ok:
+            labels = {left[1]: right[1] for left, right in match.correspondence.items()}
+        found = memo[key] = (match.reason, labels)
+    return found
+
+
 # ------------------------------------------------------- quadrant chains
 
 
@@ -224,7 +275,7 @@ class _WeldIndex:
     records one matched pair.  ``partner`` and ``holder`` map each
     welded face to the face across its weld and to its pair, and
     ``across`` to the labels of its domain renamed to the partner's
-    (the pair's ``is_matched_pair`` correspondence), so a chain steps
+    (the pair's label map from ``_match``), so a chain steps
     over a weld with three lookups.  ``keys`` holds the welded pair
     keys.  Nothing is undone when a check raises: a caller that meets
     an error drops the index.
@@ -243,11 +294,11 @@ class _WeldIndex:
         checks), every listed pair welded."""
         index = cls(spec)
         for pair in spec.pairs:
-            index.add(pair, is_matched_pair(spec, pair).correspondence)
+            index.add(pair, _match(spec, pair)[1])
         return index
 
-    def add(self, pair: MatchedPair, correspondence: Mapping[FaceRef, FaceRef]) -> None:
-        forward = {left[1]: right[1] for left, right in correspondence.items()}
+    def add(self, pair: MatchedPair, forward: Mapping[str, str]) -> None:
+        """Weld ``pair``, whose left labels ``forward`` renames to its right ones."""
         self.partner[pair.left] = pair.right
         self.partner[pair.right] = pair.left
         self.holder[pair.left] = self.holder[pair.right] = pair
@@ -265,12 +316,13 @@ class _WeldIndex:
                     holder,
                 )
 
-    def require_free_matched(self, pair: MatchedPair) -> MatchResult:
-        match = is_matched_pair(self.spec, pair)
-        if not match.ok:
-            raise NotMatchedError(f"pair {pair.describe()}: {match.reason}")
+    def require_free_matched(self, pair: MatchedPair) -> Mapping[str, str]:
+        """The label map of ``pair``, which must be matched and free."""
+        reason, labels = _match(self.spec, pair)
+        if labels is None:
+            raise NotMatchedError(f"pair {pair.describe()}: {reason}")
         self.require_free(pair)
-        return match
+        return labels
 
     def walk(self, start: Quadrant, exit_label: str) -> _Chain:
         """Follow welds from ``start`` leaving through ``exit_label``."""
@@ -291,9 +343,10 @@ class _WeldIndex:
             quads.append(current)
 
     def corners(
-        self, pair: MatchedPair, correspondence: Mapping[FaceRef, FaceRef]
+        self, pair: MatchedPair, forward: Mapping[str, str]
     ) -> tuple[ObstructionResult, tuple[MatchedPair, ...]]:
-        """One pass over the corners of the matched, free ``pair``.
+        """One pass over the corners of the matched, free ``pair``, whose
+        left labels ``forward`` renames to its right ones.
 
         At each 2-cone of the welded ray the chains through the two
         quadrants leave by the face *not* being welded.  Welding is
@@ -307,7 +360,7 @@ class _WeldIndex:
         coerced: dict[frozenset[FaceRef], MatchedPair] = {}
         for j in fan.corner_neighbours[ray]:
             l_w = fan.labels[j]
-            r_w = correspondence[(pair.left[0], l_w)][1]
+            r_w = forward[l_w]
             ql: Quadrant = (pair.left[0], frozenset({pair.left[1], l_w}))
             qr: Quadrant = (pair.right[0], frozenset({pair.right[1], r_w}))
             chain_l = self.walk(ql, l_w)
@@ -347,8 +400,7 @@ def is_locally_obstructed(spec: WeldingSpec, pair: MatchedPair) -> ObstructionRe
     more than four quadrants together.
     """
     index = _WeldIndex.of(spec)
-    match = index.require_free_matched(pair)
-    return index.corners(pair, match.correspondence)[0]
+    return index.corners(pair, index.require_free_matched(pair))[0]
 
 
 def coerced_pairs(spec: WeldingSpec, pair: MatchedPair) -> tuple[MatchedPair, ...]:
@@ -357,8 +409,7 @@ def coerced_pairs(spec: WeldingSpec, pair: MatchedPair) -> tuple[MatchedPair, ..
     Requires the pair to be unobstructed.
     """
     index = _WeldIndex.of(spec)
-    match = index.require_free_matched(pair)
-    result, coerced = index.corners(pair, match.correspondence)
+    result, coerced = index.corners(pair, index.require_free_matched(pair))
     if result.obstructed:
         raise WeldingError(f"pair {pair.describe()} is obstructed: {result.reason}")
     return coerced
@@ -390,18 +441,18 @@ def _weld_closure(index: _WeldIndex, pair: MatchedPair) -> tuple[MatchedPair, ..
         item = queue.popleft()
         if added and item.key() in index.keys:
             continue
-        match = is_matched_pair(index.spec, item)
-        if not match.ok:
+        reason, labels = _match(index.spec, item)
+        if labels is None:
             if not added:
-                raise NotMatchedError(f"pair {pair.describe()}: {match.reason}")
+                raise NotMatchedError(f"pair {pair.describe()}: {reason}")
             raise GloballyObstructedError(
-                f"coerced pair {item.describe()} is not matched: {match.reason}",
+                f"coerced pair {item.describe()} is not matched: {reason}",
                 pair,
                 item,
                 (),
             )
         index.require_free(item)
-        obstruction, coerced = index.corners(item, match.correspondence)
+        obstruction, coerced = index.corners(item, labels)
         if obstruction.obstructed:
             raise GloballyObstructedError(
                 f"pair {item.describe()} is obstructed: {obstruction.reason}",
@@ -410,7 +461,7 @@ def _weld_closure(index: _WeldIndex, pair: MatchedPair) -> tuple[MatchedPair, ..
                 obstruction.witnesses,
             )
         queue.extend(coerced)
-        index.add(item, match.correspondence)
+        index.add(item, labels)
         added.append(item)
     return tuple(added)
 

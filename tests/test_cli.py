@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from logaffine.cli import main
+import logaffine
+from logaffine.cli import _build_parser, main
 
-from conftest import FAR_RECTANGLE, fixture_path
+from conftest import FAR_RECTANGLE, PERFBENCH, fixture_path
+
+ROOT = PERFBENCH.parent
+RECORDED = json.loads((PERFBENCH / "cli_expected.json").read_text())
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -199,6 +210,46 @@ def test_volume_rejects_a_malformed_eps(capsys) -> None:
         err = capsys.readouterr().err
         assert info.value.code == 2
         assert f"not a rational number: {token!r}" in err
+
+
+def _digest(code: int, out: str, err: str) -> tuple[int, str, str]:
+    return code, hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest()
+
+
+def _recorded(invocation: str) -> tuple[int, str, str]:
+    entry = RECORDED[invocation]
+    return entry["exit"], entry["sha256"], entry["stderr_sha256"]
+
+
+def test_a_parse_error_leaves_the_shared_parser_usable(capsys, monkeypatch) -> None:
+    """One parser serves every ``main`` call of a process, also after a
+    call that exits on a malformed option."""
+    monkeypatch.chdir(ROOT)
+    with pytest.raises(SystemExit) as info:
+        main(["volume", "fixtures/rect.poly", "--eps", "abc"])
+    assert info.value.code == 2
+    assert "not a rational number: 'abc'" in capsys.readouterr().err
+    invocation = "volume fixtures/gen1.poly"
+    code = main(invocation.split(" "))
+    captured = capsys.readouterr()
+    assert _digest(code, captured.out, captured.err) == _recorded(invocation)
+    assert _build_parser() is _build_parser()
+
+
+@pytest.mark.parametrize("invocation", ["cohomology fixtures/torus.weld", "volume fixtures/compdelt.poly"])
+def test_a_fresh_process_prints_the_recorded_output(invocation: str) -> None:
+    """``python -m logaffine.cli`` builds its own parser: one success and
+    one exit 1, each in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(logaffine.__file__).resolve().parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "logaffine.cli", *invocation.split(" ")],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert _digest(done.returncode, done.stdout, done.stderr) == _recorded(invocation)
 
 
 def test_volume_far_from_the_strata(tmp_path, capsys) -> None:

@@ -3,7 +3,7 @@
 from dataclasses import replace
 
 import pytest
-from conftest import fraction_rank, grid_pairs, load_fan, load_space, oracle_betti
+from conftest import fraction_rank, grid_pairs, load_fan, load_space, load_welding, oracle_betti
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -173,6 +173,49 @@ def test_betti_numbers_match_oracle_on_random_weldings(data):
     )
     space = build_welded_space(spec)
     assert betti_numbers(space) == oracle_betti(space)
+
+
+@pytest.mark.parametrize("variant", ["torus", "disc", None])
+def test_each_space_builds_one_complex_and_one_set_of_ranks(variant, monkeypatch):
+    """A closed grid, an open grid and ``line1d.weld``: every report on
+    one space shares its complex and its Betti ranks."""
+    from logaffine import topology
+
+    if variant is None:
+        spec = load_welding("line1d.weld").spec
+    else:
+        square = load_fan("square.fan")
+        spec = make_welding_spec(
+            {i: square for i in range(1, 17)},
+            [MatchedPair((d1, r1), (d2, r2)) for d1, r1, d2, r2 in grid_pairs(variant, 2)],
+        )
+    space, fresh = build_welded_space(spec), build_welded_space(spec)
+    calls = {"_complex_2d": 0, "_complex_1d": 0, "_incidence_rank": 0}
+    for name in calls:
+        original = getattr(topology, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(topology, name, counting)
+    for _ in range(2):
+        euler_characteristic(space)
+        betti_numbers(space)
+        if variant == "torus":
+            classify_closed_surface(space)
+        divisor_topology(space)
+        log_cohomology_dims(space)
+    assert calls == {
+        "_complex_2d": int(space.dim == 2),
+        "_complex_1d": int(space.dim == 1),
+        "_incidence_rank": space.dim,
+    }
+    # the complex is kept outside the fields: equality, repr and replace
+    # see the space alone
+    assert space == fresh and repr(space) == repr(fresh)
+    assert cell_complex(replace(space)) is not cell_complex(space)
+    assert calls["_complex_2d"] + calls["_complex_1d"] == 2
 
 
 def test_segment_welded_to_itself_is_a_circle():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -322,7 +324,8 @@ def test_assemble_rejects_corners_the_closure_never_leaves(faces, message: str) 
     spec = quadrant_spec(4, faces)
     index = _WeldIndex(spec)
     for pair in spec.pairs:
-        index.add(pair, is_matched_pair(spec, pair).correspondence)
+        correspondence = is_matched_pair(spec, pair).correspondence
+        index.add(pair, {left[1]: right[1] for left, right in correspondence.items()})
     with pytest.raises(GeometryError) as err:
         _assemble(spec, index)
     with pytest.raises(GeometryError) as oracle:
@@ -486,6 +489,63 @@ def test_closure_matches_the_slow_oracle(spec, data) -> None:
 def test_closure_matches_the_slow_oracle_on_fixtures(name: str) -> None:
     spec = load_welding(name).spec
     assert outcome(build_welded_space, spec) == outcome(weld_oracle.build_welded_space, spec)
+
+
+@pytest.mark.parametrize("variant", ["torus", "comb", "cylinder", "disc"])
+def test_each_fan_ray_pair_is_matched_once(variant: str, monkeypatch) -> None:
+    """A square grid welds rays a, b, c and d each to the same ray of
+    one shared fan: four fan-ray pairs, however many faces it welds."""
+    from logaffine import welding
+
+    calls = []
+    original = welding.is_matched_pair
+
+    def counting(spec, pair):
+        calls.append(pair)
+        return original(spec, pair)
+
+    monkeypatch.setattr(welding, "is_matched_pair", counting)
+    spec = parse_welding_text(grid_text(variant, 2), base=FIXTURES).spec
+    space = build_welded_space(spec)
+    assert len(space.pairs) >= len(spec.pairs) > 4
+    assert len(calls) == 4
+    # the memo is private: the spec still equals one built afresh
+    monkeypatch.undo()
+    assert spec == parse_welding_text(grid_text(variant, 2), base=FIXTURES).spec
+
+
+def test_a_copied_spec_leaves_the_match_memo_behind() -> None:
+    """The memo is keyed by fan ids, which a copy's fans do not share."""
+    spec = parse_welding_text(grid_text("torus", 1), base=FIXTURES).spec
+    space = build_welded_space(spec)
+    assert "_matches" in spec.__dict__
+    for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert "_matches" not in copied.__dict__
+        assert copied == spec
+        assert build_welded_space(copied) == space
+
+
+def test_a_memoized_mismatch_keeps_each_pairs_message() -> None:
+    """The verdict is shared by fan-ray pair, the domain checks are not."""
+    quad = quadrant_fan()
+    spec = make_welding_spec({1: quad, 2: quad, 3: quad}, [])
+    messages = []
+    for pair in (
+        MatchedPair((1, "a"), (2, "b")),
+        MatchedPair((2, "a"), (3, "b")),
+        MatchedPair((1, "a"), (1, "b")),
+        MatchedPair((1, "a"), (4, "b")),
+    ):
+        with pytest.raises(NotMatchedError) as err:
+            weld_pair(spec, pair)
+        messages.append(str(err.value))
+        assert str(err.value).endswith(is_matched_pair(spec, pair).reason)
+    assert messages[0].startswith("pair 1.a ~ 2.b: face vectors differ")
+    assert messages[1].startswith("pair 2.a ~ 3.b: face vectors differ")
+    assert messages[2:] == [
+        "pair 1.a ~ 1.b: both faces belong to the same domain",
+        "pair 1.a ~ 4.b: unknown domain 4",
+    ]
 
 
 def test_each_pair_is_matched_once(monkeypatch) -> None:
