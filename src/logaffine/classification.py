@@ -261,8 +261,7 @@ class InvariantRecord:
 def _polytope_shape(p: LogPolytope) -> PolytopeShape:
     welding = p.spec.welding
     domains = []
-    for domain_id, dom in welding.domain_items:
-        fan = dom.fan
+    for domain_id, fan in welding.domain_items:
         cones = tuple(sorted(tuple(sorted(c)) for c in fan.cones))
         domains.append((domain_id, fan.labels, fan.vectors, cones))
     pairs = tuple(

@@ -829,7 +829,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
         if ends is None:
             continue
         base, t = _line_of(fn)
-        fan = space.domain(ref[0]).fan
+        fan = space.fan(ref[0])
         bounds: list[Fraction | None] = []
         keys: list[tuple | None] = []
         for end, direction in zip(ends, (vec_neg(t), t)):
@@ -945,7 +945,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
         for c in space.clusters
         if c.cluster_id in cluster_germs
         or any(
-            regions[d].reaches_corner(*_quadrant_rays(space.domain(d).fan, labels))
+            regions[d].reaches_corner(*_quadrant_rays(space.fan(d), labels))
             for d, labels in c.quadrants
             if d in regions
         )
@@ -1046,7 +1046,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
                 )
             )
 
-    compact = all(regions[d].compact(space.domain(d).fan) for d in feasible)
+    compact = all(regions[d].compact(space.fan(d)) for d in feasible)
     orientable = _crossing_signs(space, feasible, traces) is not None
 
     return LogPolytope(
@@ -1136,7 +1136,7 @@ def _build_1d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
 
     compact = all(
         _compact_1d(
-            space.domain(d).fan, [g.linear for g in spec.domain_constraints(d).values()]
+            space.fan(d), [g.linear for g in spec.domain_constraints(d).values()]
         )
         for d in feasible
     )
@@ -1359,15 +1359,21 @@ def _clipped_measure(p: LogPolytope, domain_id: int) -> _TPoly:
     edge on the line of ``a.u + c = 0``, from ``l`` to ``u`` along
     ``base + s t`` with ``base = -c a / |a|^2`` and ``t = rot90(a)``,
     adds ``cross2(base + u t, base + l t) = c (u - l)``, so the sum
-    needs no end points.  The constraints' constants are made ``_TPoly``
-    once, so every sum and product that mixes a ``Fraction`` with a
-    ``_TPoly`` has the ``_TPoly`` on its left and never fails first in
-    ``Fraction``'s operator dispatch."""
+    needs no end points.  The constraints' constants and, where there
+    are rays, the face segments' ends are made ``_TPoly`` once, so every
+    sum, difference, product and bound comparison that mixes a
+    ``Fraction`` with a ``_TPoly`` has the ``_TPoly`` on its left and
+    never fails first in ``Fraction``'s operator dispatch."""
     T = _TPoly(0, 1)
-    rays = p.space.domain(domain_id).fan.vectors
+    rays = p.space.fan(domain_id).vectors
     cutoffs = [AffineFunctional(r, T * dot(r, r)) for r in rays]
     constraints = p.spec.domain_constraints(domain_id).values()
     walls = [*(AffineFunctional(g.linear, _TPoly(g.constant)) for g in constraints), *cutoffs]
+
+    def end(x):
+        # without a cutoff no bound is a _TPoly, and Fractions are faster
+        return _TPoly(x) if cutoffs and x is not None else x
+
     if p.dim == 1:
         pieces = [((Fraction(0),), (Fraction(1),), None, None, walls, None)]
     else:
@@ -1382,7 +1388,7 @@ def _clipped_measure(p: LogPolytope, domain_id: int) -> _TPoly:
         ]
     twice = _TPoly(0)
     for base, t, lower, upper, fns, c in pieces:
-        raw = _clip(base, t, enumerate(fns), lower, upper)
+        raw = _clip(base, t, enumerate(fns), end(lower), end(upper))
         if raw is None or (_bounded(raw) and raw.lower > raw.upper):
             continue
         if not _bounded(raw):

@@ -183,8 +183,7 @@ def render_welding(spec: WeldingSpec) -> str:
         for face in pair.faces():
             pair_of[face] = pair.label or "~"
     body: list[str] = []
-    for index, (domain_id, dom) in enumerate(spec.domain_items):
-        fan = dom.fan
+    for index, (domain_id, fan) in enumerate(spec.domain_items):
         shown = Fan(
             dim=fan.dim,
             vectors=fan.vectors,
@@ -212,9 +211,9 @@ def render_polytope(spec: PolytopeSpec) -> str:
     reach = max(constants) if constants else Fraction(1)
     scale = float(CONE_RADIUS / reach)
     body: list[str] = []
-    for index, (domain_id, dom) in enumerate(welding.domain_items):
+    for index, (domain_id, fan) in enumerate(welding.domain_items):
         center = _panel_center(index)
-        body.extend(_fan_panel(dom.fan, center, f"domain {domain_id}"))
+        body.extend(_fan_panel(fan, center, f"domain {domain_id}"))
         for ref, functional in spec.constraints:
             if ref[0] != domain_id:
                 continue

@@ -55,7 +55,6 @@ from typing import Iterable
 from .errors import GeometryError, UnsupportedDimensionError
 from .welding import WeldedSpace
 
-Matrix = tuple[tuple[int, ...], ...]
 Line = tuple[tuple[int, int], ...]
 
 
@@ -119,12 +118,11 @@ class _Incidence:
 
 @dataclass(frozen=True)
 class CellComplex:
-    """Cells per dimension plus rational boundary matrices.
+    """Cells per dimension plus rational boundary maps.
 
     ``incidences[k - 1]`` holds the boundary map from k-cells to
-    (k-1)-cells as sparse lines; ``boundaries[k - 1]`` is the same map
-    as a dense matrix, built on first read, with rows indexed like
-    ``cells[k - 1]`` and columns like ``cells[k]``.
+    (k-1)-cells as sparse lines, with rows indexed like ``cells[k - 1]``
+    and columns like ``cells[k]``.
     """
 
     dim: int
@@ -134,20 +132,6 @@ class CellComplex:
     @property
     def counts(self) -> tuple[int, ...]:
         return tuple(len(layer) for layer in self.cells)
-
-    @cached_property
-    def boundaries(self) -> tuple[Matrix, ...]:
-        matrices = []
-        for k, incidence in enumerate(self.incidences, start=1):
-            dense = [[0] * len(self.cells[k]) for _ in self.cells[k - 1]]
-            for number, line in enumerate(incidence.lines):
-                for index, coefficient in line:
-                    if incidence.by_row:
-                        dense[number][index] = coefficient
-                    else:
-                        dense[index][number] = coefficient
-            matrices.append(tuple(tuple(row) for row in dense))
-        return tuple(matrices)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in enumerate(self.counts))
@@ -204,7 +188,7 @@ def _complex_1d(space: WeldedSpace) -> CellComplex:
     for e in space.edges:
         entries = []
         for domain_id, label in e.faces:
-            fan = space.domain(domain_id).fan
+            fan = space.fan(domain_id)
             ray = fan.vectors[fan.index_of_label(label)]
             # the point stratum of an outward ray sits at the domain's
             # negative end, of an inward ray at its positive end

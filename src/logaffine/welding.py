@@ -1,5 +1,6 @@
 """Welding tropical domains along matched codimension-1 faces.
 
+A domain is held as its validated ``Fan``, whose cones are its strata.
 Two faces form a *matched pair* when they carry the same ray vector
 and the stars of that ray agree on both sides.  Welds at a shared
 corner position chain the local quadrants of the participating
@@ -14,9 +15,9 @@ any coerced pair is itself obstructed.
 The welds made so far live in one weld index (``_WeldIndex``), which
 ``build_welded_space`` creates once and threads through every closure
 and the assembly: face -> partner face, face -> pair holding it,
-face -> label correspondence across its weld (the label map of that
+face -> label correspondence across its weld (a label map of that
 pair's fan-ray pair, see below), and the set of welded pair
-keys; ``WeldingSpec.domain`` is a mapping too.  A closure runs a queue
+keys; ``WeldingSpec.fan`` is a mapping too.  A closure runs a queue
 in which each pair gets one match check and one pass over its corners,
 which yields both the obstruction verdict and the pairs it coerces, so
 welding takes near-linear time in the number of welds.  The public checks
@@ -26,12 +27,13 @@ index of ``spec.pairs`` once per call.
 Matching is derived once per fan-ray pair.  Whether two faces match,
 and how the labels around them correspond, depends only on the two
 fans and the two ray labels, so each spec keeps one memo of
-``is_matched_pair``'s verdict and label map keyed by ``(id(left fan),
-left label, id(right fan), right label)``; the ids are stable because
-the spec holds its fans.  The checks that name domains (unknown domain
-or label, both faces in one domain) still run for every pair.  On a
-grid of one fan, parsing the spec and welding it evaluate
-``is_matched_pair`` once per distinct pair of labels.
+``is_matched_pair``'s verdict and label maps (left to right and back)
+keyed by ``(id(left fan), left label, id(right fan), right label)``;
+the ids are stable because the spec holds its fans.  The checks that
+name domains (unknown domain or label, both faces in one domain) still
+run for every pair, on the fan's label dict.  On a grid of one fan,
+parsing the spec and welding it evaluate ``is_matched_pair`` once per
+distinct pair of labels.
 
 The assembly reads the strata off the index through one table per
 ``Fan`` object, not per domain: the fan's quadrants in sorted-label
@@ -51,16 +53,16 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .domains import TropicalDomain, build_domain
 from .errors import (
     DimensionMismatchError,
     FaceInUseError,
     GeometryError,
     GloballyObstructedError,
+    InvalidFanError,
     NotMatchedError,
     WeldingError,
 )
-from .fans import Fan, is_complete
+from .fans import Fan, is_complete, validate_fan
 from .rational import Vector
 
 FaceRef = tuple[int, str]
@@ -89,29 +91,29 @@ class MatchedPair:
 
 @dataclass(frozen=True)
 class WeldingSpec:
-    """Domains indexed by id plus an ordered list of welded pairs."""
+    """Domains (validated fans) by id plus an ordered list of welded pairs."""
 
     dim: int
-    domain_items: tuple[tuple[int, TropicalDomain], ...]
+    domain_items: tuple[tuple[int, Fan], ...]
     pairs: tuple[MatchedPair, ...]
 
     @property
     def domain_ids(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.domain_items)
 
-    def domain(self, domain_id: int) -> TropicalDomain:
+    def fan(self, domain_id: int) -> Fan:
         try:
-            return self._domains[domain_id]
+            return self._fans[domain_id]
         except KeyError:
             raise KeyError(f"no domain {domain_id}") from None
 
     @cached_property
-    def _domains(self) -> dict[int, TropicalDomain]:
+    def _fans(self) -> dict[int, Fan]:
         return dict(self.domain_items)
 
     @cached_property
     def _matches(self) -> dict[tuple[int, str, int, str], tuple]:
-        """``_match``'s memo: reasons and label maps per fan-ray pair."""
+        """``_match``'s memo: reasons and label maps both ways per fan-ray pair."""
         return {}
 
     def __getstate__(self) -> dict:
@@ -140,33 +142,35 @@ class WeldResult:
 
 
 def make_welding_spec(
-    domains: Mapping[int, Fan | TropicalDomain],
+    domains: Mapping[int, Fan],
     pairs: Sequence[MatchedPair],
 ) -> WeldingSpec:
     """Validate and assemble a welding specification.
 
-    Domains are validated fans; every pair must reference existing
-    free faces and be a matched pair.
+    Each distinct fan is validated once (``InvalidFanError``) and equal
+    fans become one object; every pair must reference existing free
+    faces and be a matched pair.
     """
-    items: list[tuple[int, TropicalDomain]] = []
+    items: list[tuple[int, Fan]] = []
     # a frozen Fan hashes every Fraction of its vectors on each lookup,
     # so each Fan object is looked up by value once, then by identity
-    built: dict[Fan, TropicalDomain] = {}
-    by_identity: dict[int, TropicalDomain] = {}
+    validated: dict[Fan, Fan] = {}
+    by_identity: dict[int, Fan] = {}
     for domain_id in sorted(domains):
         if not isinstance(domain_id, int) or domain_id < 1:
             raise GeometryError(f"domain ids must be positive integers, got {domain_id!r}")
-        dom = domains[domain_id]
-        if isinstance(dom, Fan):
-            shared = by_identity.get(id(dom))
+        fan = domains[domain_id]
+        shared = by_identity.get(id(fan))
+        if shared is None:
+            shared = validated.get(fan)
             if shared is None:
-                shared = built.get(dom)
-                if shared is None:
-                    shared = built[dom] = build_domain(dom)
-                by_identity[id(dom)] = shared
-            dom = shared
-        items.append((domain_id, dom))
-    dims = {dom.fan.dim for _, dom in items}
+                report = validate_fan(fan)
+                if not report.ok:
+                    raise InvalidFanError(list(report.violations))
+                shared = validated[fan] = fan
+            by_identity[id(fan)] = shared
+        items.append((domain_id, shared))
+    dims = {fan.dim for _, fan in items}
     if len(dims) > 1:
         raise DimensionMismatchError(f"domains of mixed dimensions {sorted(dims)}")
     dim = dims.pop() if dims else 2
@@ -189,8 +193,8 @@ def is_matched_pair(spec: WeldingSpec, pair: MatchedPair) -> MatchResult:
     reason = _face_reason(spec, pair)
     if reason is not None:
         return MatchResult(False, reason, None)
-    left_fan = spec.domain(pair.left[0]).fan
-    right_fan = spec.domain(pair.right[0]).fan
+    left_fan = spec.fan(pair.left[0])
+    right_fan = spec.fan(pair.right[0])
     i_left = left_fan.index_of_label(pair.left[1])
     i_right = right_fan.index_of_label(pair.right[1])
     v_left = left_fan.vectors[i_left]
@@ -216,39 +220,44 @@ def is_matched_pair(spec: WeldingSpec, pair: MatchedPair) -> MatchResult:
 
 def _face_reason(spec: WeldingSpec, pair: MatchedPair) -> str | None:
     """Why ``pair`` names no two faces of two domains of ``spec``, or None."""
+    fans = spec._fans
     for face in pair.faces():
-        try:
-            dom = spec.domain(face[0])
-        except KeyError:
+        fan = fans.get(face[0])
+        if fan is None:
             return f"unknown domain {face[0]}"
-        if face[1] not in dom.fan.labels:
+        if face[1] not in fan._label_index:
             return f"domain {face[0]} has no ray {face[1]!r}"
     if pair.left[0] == pair.right[0]:
         return "both faces belong to the same domain"
     return None
 
 
-def _match(spec: WeldingSpec, pair: MatchedPair) -> tuple[str | None, dict[str, str] | None]:
+def _match(
+    spec: WeldingSpec, pair: MatchedPair
+) -> tuple[str | None, dict[str, str] | None, dict[str, str] | None]:
     """``is_matched_pair`` through the spec's memo.
 
     Returns the reason ``pair`` is not matched (None when it is) and,
     when it is, the map from the left domain's labels around the welded
-    ray to the right domain's.  The map is shared: do not modify it.
+    ray to the right domain's and its inverse (else None twice).  The
+    maps are shared: do not modify them.
     """
     reason = _face_reason(spec, pair)
     if reason is not None:
-        return reason, None
+        return reason, None, None
     (left_id, left_label), (right_id, right_label) = pair.left, pair.right
-    domains = spec._domains
-    key = (id(domains[left_id].fan), left_label, id(domains[right_id].fan), right_label)
+    fans = spec._fans
+    key = (id(fans[left_id]), left_label, id(fans[right_id]), right_label)
     memo = spec._matches
     found = memo.get(key)
     if found is None:
         match = is_matched_pair(spec, pair)
-        labels = None
         if match.ok:
-            labels = {left[1]: right[1] for left, right in match.correspondence.items()}
-        found = memo[key] = (match.reason, labels)
+            forward = {left[1]: right[1] for left, right in match.correspondence.items()}
+            found = (None, forward, {r: l for l, r in forward.items()})
+        else:
+            found = (match.reason, None, None)
+        memo[key] = found
     return found
 
 
@@ -275,7 +284,7 @@ class _WeldIndex:
     records one matched pair.  ``partner`` and ``holder`` map each
     welded face to the face across its weld and to its pair, and
     ``across`` to the labels of its domain renamed to the partner's
-    (the pair's label map from ``_match``), so a chain steps
+    (one of the pair's two label maps from ``_match``), so a chain steps
     over a weld with three lookups.  ``keys`` holds the welded pair
     keys.  Nothing is undone when a check raises: a caller that meets
     an error drops the index.
@@ -294,16 +303,19 @@ class _WeldIndex:
         checks), every listed pair welded."""
         index = cls(spec)
         for pair in spec.pairs:
-            index.add(pair, _match(spec, pair)[1])
+            index.add(pair, *_match(spec, pair)[1:])
         return index
 
-    def add(self, pair: MatchedPair, forward: Mapping[str, str]) -> None:
-        """Weld ``pair``, whose left labels ``forward`` renames to its right ones."""
+    def add(
+        self, pair: MatchedPair, forward: Mapping[str, str], backward: Mapping[str, str]
+    ) -> None:
+        """Weld ``pair``, whose left labels ``forward`` renames to its right
+        ones and ``backward`` back."""
         self.partner[pair.left] = pair.right
         self.partner[pair.right] = pair.left
         self.holder[pair.left] = self.holder[pair.right] = pair
         self.across[pair.left] = forward
-        self.across[pair.right] = {r: l for l, r in forward.items()}
+        self.across[pair.right] = backward
         self.keys.add(pair.key())
 
     def require_free(self, pair: MatchedPair) -> None:
@@ -318,11 +330,11 @@ class _WeldIndex:
 
     def require_free_matched(self, pair: MatchedPair) -> Mapping[str, str]:
         """The label map of ``pair``, which must be matched and free."""
-        reason, labels = _match(self.spec, pair)
-        if labels is None:
+        reason, forward, _ = _match(self.spec, pair)
+        if forward is None:
             raise NotMatchedError(f"pair {pair.describe()}: {reason}")
         self.require_free(pair)
-        return labels
+        return forward
 
     def walk(self, start: Quadrant, exit_label: str) -> _Chain:
         """Follow welds from ``start`` leaving through ``exit_label``."""
@@ -355,7 +367,7 @@ class _WeldIndex:
         quadrants in all coerce their free end faces.  Returns the
         verdict and, when unobstructed, the coerced pairs.
         """
-        fan = self.spec.domain(pair.left[0]).fan
+        fan = self.spec.fan(pair.left[0])
         ray = fan.index_of_label(pair.left[1])
         coerced: dict[frozenset[FaceRef], MatchedPair] = {}
         for j in fan.corner_neighbours[ray]:
@@ -441,8 +453,8 @@ def _weld_closure(index: _WeldIndex, pair: MatchedPair) -> tuple[MatchedPair, ..
         item = queue.popleft()
         if added and item.key() in index.keys:
             continue
-        reason, labels = _match(index.spec, item)
-        if labels is None:
+        reason, forward, backward = _match(index.spec, item)
+        if forward is None:
             if not added:
                 raise NotMatchedError(f"pair {pair.describe()}: {reason}")
             raise GloballyObstructedError(
@@ -452,7 +464,7 @@ def _weld_closure(index: _WeldIndex, pair: MatchedPair) -> tuple[MatchedPair, ..
                 (),
             )
         index.require_free(item)
-        obstruction, coerced = index.corners(item, labels)
+        obstruction, coerced = index.corners(item, forward)
         if obstruction.obstructed:
             raise GloballyObstructedError(
                 f"pair {item.describe()} is obstructed: {obstruction.reason}",
@@ -461,7 +473,7 @@ def _weld_closure(index: _WeldIndex, pair: MatchedPair) -> tuple[MatchedPair, ..
                 obstruction.witnesses,
             )
         queue.extend(coerced)
-        index.add(item, labels)
+        index.add(item, forward, backward)
         added.append(item)
     return tuple(added)
 
@@ -521,8 +533,8 @@ class WeldedSpace:
     def domain_ids(self) -> tuple[int, ...]:
         return self.spec.domain_ids
 
-    def domain(self, domain_id: int) -> TropicalDomain:
-        return self.spec.domain(domain_id)
+    def fan(self, domain_id: int) -> Fan:
+        return self.spec.fan(domain_id)
 
     @property
     def crossings(self) -> tuple[CornerCluster, ...]:
@@ -639,8 +651,7 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
     # residue id and tail and head quadrant label sets
     residue_ids: dict[Vector, int] = {}
     tables: dict[int, tuple[Fan, list, dict]] = {}
-    for _, dom in domains:
-        fan = dom.fan
+    for _, fan in domains:
         if id(fan) in tables:
             continue
         cones = fan.two_cones() if plane else []
@@ -660,8 +671,8 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
     # labels) order: a cluster's first quadrant met is its least
     clusters: list[CornerCluster] = []
     cluster_of_quadrant: dict[Quadrant, str] = {}
-    for domain_id, dom in domains:
-        for (l1, l2), labels, position in tables[id(dom.fan)][1]:
+    for domain_id, fan in domains:
+        for (l1, l2), labels, position in tables[id(fan)][1]:
             quad = (domain_id, labels)
             if quad in cluster_of_quadrant:
                 continue
@@ -690,7 +701,7 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
     # --- edge strata
     def ray(face: FaceRef) -> tuple:
         """The vector, residue id and tail and head quadrant labels of ``face``'s ray."""
-        return tables[id(spec.domain(face[0]).fan)][2][face[1]]
+        return tables[id(spec.fan(face[0]))][2][face[1]]
 
     def stratum(
         label: str,
@@ -715,8 +726,8 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
         # the faces of a matched pair lie in two domains
         a, b = (p.left, p.right) if p.left < p.right else (p.right, p.left)
         edges.append(stratum(p.label, "welded", p.left, (a, b), (a[0], b[0])))
-    for domain_id, dom in domains:
-        for label in dom.fan.labels:
+    for domain_id, fan in domains:
+        for label in fan.labels:
             face = (domain_id, label)
             if face not in index.partner:
                 name = f"{domain_id}.{label}"

@@ -154,7 +154,7 @@ def oracle_betti(space) -> tuple[int, ...]:
         d1 = [[0] * len(segments) for _ in points]
         for i, e in enumerate(space.edges):
             for domain_id, label in e.faces:
-                fan = space.domain(domain_id).fan
+                fan = space.fan(domain_id)
                 ray = fan.vectors[fan.index_of_label(label)]
                 d1[i][segments.index(domain_id)] += -1 if ray[0] > 0 else 1
         r1 = fraction_rank(d1)

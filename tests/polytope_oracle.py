@@ -138,9 +138,9 @@ def is_compact_2d(p) -> bool:
             "the coverage criterion needs an elementary polytope in a "
             "single domain"
         )
-    (domain_id, domain), = p.space.spec.domain_items
+    (domain_id, fan), = p.space.spec.domain_items
     covectors = [g.linear for g in p.spec.domain_constraints(domain_id).values()]
-    return _domain_compact(domain.fan, covectors, 2)
+    return _domain_compact(fan, covectors, 2)
 
 
 # ------------------------------------------------ the sampled fan support

@@ -176,7 +176,7 @@ def test_criterion_3_welding_calculus() -> None:
 
     # the three-pair corner configuration forces exactly one extra pair
     base = load_welding("corgl.weld").spec
-    domains = {i: base.domain(i) for i in base.domain_ids}
+    domains = {i: base.fan(i) for i in base.domain_ids}
     reduced = make_welding_spec(domains, base.pairs[:2])
     forced = coerced_pairs(reduced, base.pairs[2])
     assert [p.key() for p in forced] == [frozenset({(3, "b"), (4, "b")})]
@@ -184,7 +184,7 @@ def test_criterion_3_welding_calculus() -> None:
     # a weld closing a two-quadrant corner cycle is rejected
     bad1 = load_welding("cond1.weld").spec
     spec1 = make_welding_spec(
-        {i: bad1.domain(i) for i in bad1.domain_ids}, bad1.pairs[:1]
+        {i: bad1.fan(i) for i in bad1.domain_ids}, bad1.pairs[:1]
     )
     result = is_locally_obstructed(spec1, bad1.pairs[1])
     assert result.obstructed and "2-quadrant cycle" in result.reason
@@ -194,7 +194,7 @@ def test_criterion_3_welding_calculus() -> None:
     # witnesses are exactly the three earlier welds that crowd it
     bad2 = load_welding("cond2.weld").spec
     spec2 = make_welding_spec(
-        {i: bad2.domain(i) for i in bad2.domain_ids}, bad2.pairs[:3]
+        {i: bad2.fan(i) for i in bad2.domain_ids}, bad2.pairs[:3]
     )
     result = is_locally_obstructed(spec2, bad2.pairs[3])
     assert result.obstructed and "5 quadrants" in result.reason
@@ -211,7 +211,7 @@ def test_criterion_3_welding_calculus() -> None:
     for name in names:
         spec = load_welding(name).spec
         reference = space_signature(build_welded_space(spec))
-        fan_of = {i: spec.domain(i) for i in spec.domain_ids}
+        fan_of = {i: spec.fan(i) for i in spec.domain_ids}
         for _ in range(20):
             shuffled = list(spec.pairs)
             rng.shuffle(shuffled)

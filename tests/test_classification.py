@@ -71,8 +71,7 @@ def transformed_sphere_record(matrix, bundle):
 
     welding = load_welding("sphere.weld").spec
     fans = {}
-    for domain_id, dom in welding.domain_items:
-        fan = dom.fan
+    for domain_id, fan in welding.domain_items:
         fans[domain_id] = make_fan(
             [apply(v) for v in fan.vectors],
             [tuple(c) for c in fan.cones],

@@ -387,6 +387,25 @@ def test_volume_fixture_list_is_every_fixture_with_a_volume() -> None:
     assert regularized_volume(_without_singular_faces("figmodel.poly")) == F(-1, 2)
 
 
+@pytest.mark.parametrize("name", VOLUME_FIXTURES)
+def test_the_volume_reflects_no_operation_onto_a_tpoly(monkeypatch, name) -> None:
+    """Every operand the volume mixes with a ``_TPoly`` is one itself or
+    sits on its right, so no ``Fraction`` operator is tried first."""
+    p = load_built_polytope(name)
+    expected = regularized_volume(p)
+    calls = []
+    for method in ("__radd__", "__rmul__", "__rsub__"):
+        original = getattr(polytopes._TPoly, method)
+
+        def counting(self, other, method=method, original=original):
+            calls.append(method)
+            return original(self, other)
+
+        monkeypatch.setattr(polytopes._TPoly, method, counting)
+    assert regularized_volume(p) == expected
+    assert calls == []
+
+
 def test_divergent_volume_names_its_growth_in_the_cutoff() -> None:
     """Stripping the singular faces of ``compdelt.poly`` skips the
     singular-face check; the clipped area then grows as ``T^2 / 2``."""
@@ -757,7 +776,7 @@ def test_coverage_criterion_is_unimodular_invariant(k: int, swap: bool) -> None:
     mit = _inverse_transpose(m)
     for name, expected in (("compdelt.poly", True), ("compdelt_nof2.poly", False)):
         pf = load_polytope(name)
-        fan = pf.spec.welding.domain(1).fan
+        fan = pf.spec.welding.fan(1)
         new_fan = make_fan(
             [_apply_matrix(m, v) for v in fan.vectors],
             [sorted(c) for c in fan.cones],
@@ -780,7 +799,7 @@ def test_coverage_criterion_is_relabeling_invariant() -> None:
     from logaffine.welding import make_welding_spec
 
     pf = load_polytope("compdelt.poly")
-    fan = pf.spec.welding.domain(1).fan
+    fan = pf.spec.welding.fan(1)
     renamed = make_fan(
         fan.vectors, [sorted(c) for c in fan.cones], labels=("q", "p")
     )

@@ -6,6 +6,8 @@ read by other code of the package (any top-level statement but its own
 definition); otherwise nothing in the pipeline calls it and only its
 own tests keep it alive.  A private one (leading underscore) must be
 read by other code of the package, or it is a leftover of a rewrite.
+So must every method or property of a top-level class but the
+dunders, whether or not the class is exported.
 ``__init__`` only re-exports, so it is not scanned and does not count
 as a reader.
 """
@@ -65,6 +67,30 @@ def unread_private(sources: dict[str, str]) -> list[str]:
     return unread_definitions(sources, lambda name: name.startswith("_"))
 
 
+def unread_members(sources: dict[str, str]) -> list[str]:
+    """``module.Class.name`` for each non-dunder method or property of a
+    top-level class that no other code reads (its class's other members
+    count)."""
+    units: list[tuple[str | None, ast.AST]] = []  # (owning class, statement)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef):
+                units += [(f"{module}.{node.name}", member) for member in node.body]
+            else:
+                units.append((None, node))
+    reads = [names_read(node) for _, node in units]
+    found = []
+    for k, (owner, node) in enumerate(units):
+        if (
+            owner is not None
+            and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and not any(node.name in read for j, read in enumerate(reads) if j != k)
+        ):
+            found.append(f"{owner}.{node.name}")
+    return found
+
+
 def package_sources() -> dict[str, str]:
     return {
         path.stem: path.read_text()
@@ -97,9 +123,30 @@ def test_guard_flags_an_unread_private_helper() -> None:
     assert unread_private({"a": "def _f(n): return _f(n - 1)\n"}) == ["a._f"]
 
 
+def test_guard_flags_an_unread_method() -> None:
+    sources = {
+        "a": "class A:\n"
+        "    def used(self): pass\n"
+        "    def orphan(self): pass\n"
+        "    @property\n"
+        "    def shown(self): return self.used()\n"
+        "    def __repr__(self): return 'A'\n"
+        "def f(): pass\n",
+        "b": "from .a import A\nA().shown\n",
+    }
+    # a reader in the same class counts; a dunder or a function is not a member
+    assert unread_members(sources) == ["a.A.orphan"]
+    # a recursive call does not count
+    assert unread_members({"a": "class A:\n    def f(self): return self.f()\n"}) == ["a.A.f"]
+
+
 def test_no_uncalled_public_helpers() -> None:
     assert uncalled_public(package_sources(), set(logaffine.__all__)) == []
 
 
 def test_no_unread_private_helpers() -> None:
     assert unread_private(package_sources()) == []
+
+
+def test_no_unread_methods() -> None:
+    assert unread_members(package_sources()) == []

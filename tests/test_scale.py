@@ -184,7 +184,7 @@ def test_whole_torus_reads_its_fan_support_once(monkeypatch) -> None:
     top = polytope_topology(p)
     assert (top.euler, top.genus, top.boundary_circles) == (0, 1, 0)
     (fan,) = {id(f): f for f in arcs}.values()
-    assert all(spec.domain(d).fan is fan for d in spec.domain_ids)
+    assert all(spec.fan(d) is fan for d in spec.domain_ids)
     assert len(arcs) == len(fan.cones) - 1  # one arc per nonempty cone
 
 

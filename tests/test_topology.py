@@ -54,11 +54,17 @@ def test_frozen_topology(name, counts, euler, betti, divisor, logdims):
 @pytest.mark.parametrize("name,counts,euler,betti,divisor,logdims", EXPECTED)
 def test_boundary_of_boundary_vanishes(name, counts, euler, betti, divisor, logdims):
     complex_ = cell_complex(load_space(name))
-    d1, d2 = complex_.boundaries
+    d1, d2 = complex_.incidences
     n0, n1, n2 = complex_.counts
-    for i in range(n0):
-        for k in range(n2):
-            assert sum(d1[i][j] * d2[j][k] for j in range(n1)) == 0
+    # both maps are kept as one sparse line per edge: d1's columns, d2's rows
+    assert (d1.by_row, d2.by_row) == (False, True)
+    assert len(d1.lines) == len(d2.lines) == n1
+    product = [[0] * n2 for _ in range(n0)]
+    for column, row in zip(d1.lines, d2.lines):
+        for i, a in column:
+            for k, b in row:
+                product[i][k] += a * b
+    assert product == [[0] * n2 for _ in range(n0)]
 
 
 @pytest.mark.parametrize("name,counts,euler,betti,divisor,logdims", EXPECTED)

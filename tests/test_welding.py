@@ -325,7 +325,8 @@ def test_assemble_rejects_corners_the_closure_never_leaves(faces, message: str) 
     index = _WeldIndex(spec)
     for pair in spec.pairs:
         correspondence = is_matched_pair(spec, pair).correspondence
-        index.add(pair, {left[1]: right[1] for left, right in correspondence.items()})
+        forward = {left[1]: right[1] for left, right in correspondence.items()}
+        index.add(pair, forward, {r: l for l, r in forward.items()})
     with pytest.raises(GeometryError) as err:
         _assemble(spec, index)
     with pytest.raises(GeometryError) as oracle:
@@ -338,17 +339,17 @@ def test_each_distinct_fan_is_built_once(monkeypatch) -> None:
     from logaffine import welding
 
     calls = []
-    original = welding.build_domain
+    original = welding.validate_fan
 
     def counting(fan):
         calls.append(fan)
         return original(fan)
 
-    monkeypatch.setattr(welding, "build_domain", counting)
+    monkeypatch.setattr(welding, "validate_fan", counting)
     quad, hexagon = quadrant_fan(), hexagon_fan()
     spec = make_welding_spec({1: quad, 2: hexagon, 3: quadrant_fan(), 4: quad}, [])
     assert calls == [quad, hexagon]
-    assert spec.domain(1) is spec.domain(3) is spec.domain(4)
+    assert spec.fan(1) is spec.fan(3) is spec.fan(4)
 
     bad = make_fan([(1, 0), (2, 0)], [[], [0], [1]], labels=["a", "b"])
     with pytest.raises(InvalidFanError) as shared:

@@ -88,7 +88,7 @@ def clipped_measure(p, domain_id: int, T=TPoly(0, 1)) -> Fraction | TPoly:
     line shared with an earlier constraint of the same sign is counted
     once."""
     own = list(p.spec.domain_constraints(domain_id).values())
-    rays = p.space.domain(domain_id).fan.vectors
+    rays = p.space.fan(domain_id).vectors
     fns = own + [AffineFunctional(r, T * dot(r, r)) for r in rays]
     named = list(enumerate(fns))
     cutoffs = (((-T * r[0], -T * r[1]), rot90(r)) for r in rays)

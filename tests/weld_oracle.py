@@ -33,15 +33,15 @@ from logaffine.welding import (
 )
 
 
-def domain(spec, domain_id):
-    for i, dom in spec.domain_items:
+def fan_of(spec, domain_id):
+    for i, fan in spec.domain_items:
         if i == domain_id:
-            return dom
+            return fan
     raise KeyError(f"no domain {domain_id}")
 
 
 def face_vector(spec, face):
-    fan = domain(spec, face[0]).fan
+    fan = fan_of(spec, face[0])
     return fan.vectors[fan.labels.index(face[1])]
 
 
@@ -58,10 +58,10 @@ def is_matched_pair(spec, pair):
     """``(ok, reason, correspondence)``, as ``welding.is_matched_pair``."""
     for face in pair.faces():
         try:
-            dom = domain(spec, face[0])
+            fan = fan_of(spec, face[0])
         except KeyError:
             return False, f"unknown domain {face[0]}", None
-        if face[1] not in dom.fan.labels:
+        if face[1] not in fan.labels:
             return False, f"domain {face[0]} has no ray {face[1]!r}", None
     if pair.left[0] == pair.right[0]:
         return False, "both faces belong to the same domain", None
@@ -73,17 +73,17 @@ def is_matched_pair(spec, pair):
             f"face vectors differ: {tuple(map(str, v_left))} vs {tuple(map(str, v_right))}",
             None,
         )
-    left_dom = domain(spec, pair.left[0])
-    right_dom = domain(spec, pair.right[0])
-    star_left = star(left_dom.fan, v_left)
-    if star_left != star(right_dom.fan, v_right):
+    left_fan = fan_of(spec, pair.left[0])
+    right_fan = fan_of(spec, pair.right[0])
+    star_left = star(left_fan, v_left)
+    if star_left != star(right_fan, v_right):
         return False, "the stars of the welded ray differ", None
     correspondence = {}
     adjacent = set().union(*star_left) - {v_left} if star_left else set()
     for w in adjacent:
-        correspondence[(pair.left[0], label_of_vector(left_dom.fan, w))] = (
+        correspondence[(pair.left[0], label_of_vector(left_fan, w))] = (
             pair.right[0],
-            label_of_vector(right_dom.fan, w),
+            label_of_vector(right_fan, w),
         )
     return True, None, correspondence
 
@@ -118,7 +118,7 @@ def walk(spec, pairs, start, exit_label):
         links.append(face_to_pair[face])
         (other,) = current[1] - {label}
         other_vec = face_vector(spec, (current[0], other))
-        lab2_other = label_of_vector(domain(spec, partner[0]).fan, other_vec)
+        lab2_other = label_of_vector(fan_of(spec, partner[0]), other_vec)
         nxt = (partner[0], frozenset({partner[1], lab2_other}))
         if nxt == start:
             return Chain(quads, links, True, None)
@@ -128,8 +128,8 @@ def walk(spec, pairs, start, exit_label):
 
 def corner_positions(spec, pair):
     v = face_vector(spec, pair.left)
-    left_fan = domain(spec, pair.left[0]).fan
-    right_fan = domain(spec, pair.right[0]).fan
+    left_fan = fan_of(spec, pair.left[0])
+    right_fan = fan_of(spec, pair.right[0])
     out = []
     for cone in sorted(star(left_fan, v), key=sorted):
         if len(cone) != 2:
@@ -255,9 +255,9 @@ def assemble(spec):
     clusters, cluster_of_quadrant = [], {}
     if spec.dim == 2:
         all_quads = [
-            (domain_id, frozenset(dom.fan.labels[i] for i in cone))
-            for domain_id, dom in spec.domain_items
-            for cone in sorted(dom.fan.two_cones(), key=sorted)
+            (domain_id, frozenset(fan.labels[i] for i in cone))
+            for domain_id, fan in spec.domain_items
+            for cone in sorted(fan.two_cones(), key=sorted)
         ]
         visited = set()
         for quad in all_quads:
@@ -279,7 +279,7 @@ def assemble(spec):
                 raise GeometryError(
                     f"unresolved corner chain of length {len(members)} at quadrant {quad}"
                 )
-            fan = domain(spec, quad[0]).fan
+            fan = fan_of(spec, quad[0])
             position = frozenset(fan.vectors[fan.labels.index(lab)] for lab in quad[1])
             clusters.append(CornerCluster("", position, tuple(members), closed, tuple(links)))
         clusters.sort(key=lambda c: min((q[0], sorted(q[1])) for q in c.quadrants))
@@ -305,7 +305,7 @@ def assemble(spec):
     edges = []
     for p in pairs:
         v = face_vector(spec, p.left)
-        tail, head = ends(domain(spec, p.left[0]).fan, p.left, v)
+        tail, head = ends(fan_of(spec, p.left[0]), p.left, v)
         edges.append(
             EdgeStratum(
                 label=pair_label[p.key()] or p.describe(),
@@ -317,13 +317,13 @@ def assemble(spec):
                 head=head,
             )
         )
-    for domain_id, dom in spec.domain_items:
-        for idx, label in enumerate(dom.fan.labels):
+    for domain_id, fan in spec.domain_items:
+        for idx, label in enumerate(fan.labels):
             face = (domain_id, label)
             if face in face_to_face:
                 continue
-            v = dom.fan.vectors[idx]
-            tail, head = ends(dom.fan, face, v)
+            v = fan.vectors[idx]
+            tail, head = ends(fan, face, v)
             edges.append(
                 EdgeStratum(f"{domain_id}.{label}", "boundary", (face,), v, (domain_id,), tail, head)
             )
@@ -366,7 +366,7 @@ def assemble(spec):
         )
 
     signs = two_colour(spec.domain_ids, ((p.left[0], p.right[0]) for p in pairs))
-    compact = all(is_complete(dom.fan) for _, dom in spec.domain_items) if spec.dim <= 2 else None
+    compact = all(is_complete(fan) for _, fan in spec.domain_items) if spec.dim <= 2 else None
     return WeldedSpace(
         spec=spec,
         dim=spec.dim,
