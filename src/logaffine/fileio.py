@@ -453,7 +453,7 @@ def parse_bundle_text(text: str, path: str = "<string>") -> LogBundle:
             raise SpecFileError(path, number, f"unknown directive {directive!r}")
     if rank is None:
         raise SpecFileError(path, lines[-1][0], "missing rank line")
-    if sorted(i for i, _ in chern) != list(range(1, rank + 1)):
+    if len(chern) != rank:  # the indices are distinct and in 1..rank
         raise SpecFileError(
             path, lines[-1][0], f"expected chern vectors 1..{rank}"
         )

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -68,7 +68,7 @@ from .rational import (
     vec_neg,
     vec_scale,
 )
-from .welding import UnionFind, WeldedSpace, WeldingSpec, two_colour
+from .welding import WeldedSpace, WeldingSpec, connected_runs, two_colour
 
 ConstraintRef = tuple[int, str]
 
@@ -878,7 +878,6 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     # continuation: forced pairs must be declared, declared groups must
     # be forced together
     group_of = {ref: name for name, members in spec.groups for ref in members}
-    union = UnionFind([ref for ref, _ in spec.constraints])
     for r1, r2, edge_label in required_pairs:
         g1, g2 = group_of.get(r1), group_of.get(r2)
         if g1 is None or g1 != g2:
@@ -886,9 +885,10 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
                 f"constraints {r1[0]}.{r1[1]} and {r2[0]}.{r2[1]} continue "
                 f"across edge {edge_label} but are not declared as one face"
             )
-        union.union(r1, r2)
+    runs = connected_runs((ref for ref, _ in spec.constraints), (p[:2] for p in required_pairs))
+    run_of = {ref: k for k, (run, _) in enumerate(runs) for ref in run}
     for name, members in spec.groups:
-        if len({union.find(ref) for ref in members}) > 1:
+        if len({run_of[ref] for ref in members}) > 1:
             raise ContinuationError(
                 f"group {name!r} declares constraints that do not continue "
                 "into each other across any edge"
@@ -909,10 +909,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
                     "as a nonsingular face"
                 )
             continue
-        ends: dict[tuple | None, int] = {}
-        for ref in with_segment:
-            for key in face_lines[ref][3]:
-                ends[key] = ends.get(key, 0) + 1
+        ends = Counter(key for ref in with_segment for key in face_lines[ref][3])
         landed = sorted({key[1] for key in ends if key and key[0] == 1})
         nonsingular.append(
             PolytopeFace(
@@ -934,12 +931,12 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
 
     # corner clusters contained in the polytope: a trace runs into them,
     # or a region recedes into one of their quadrants
-    cluster_germs: dict[str, list[tuple[str, str, Vector]]] = {}
+    cluster_germs: dict[str, list[tuple[int, str, Vector]]] = {}
     for i, (kind, _, (lower, upper)) in traced.items():
         e = space.edges[i]
         for bound, cid in ((lower, e.tail), (upper, e.head)):
             if bound is None and cid is not None:
-                cluster_germs.setdefault(cid, []).append((e.label, kind, e.residue))
+                cluster_germs.setdefault(cid, []).append((i, kind, e.residue))
     corners_inside = [
         c.cluster_id
         for c in space.clusters
@@ -1000,33 +997,24 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     ]
 
     # join singular traces and divisor arcs across corners: a corner
-    # joins the two germs of one kind and residue it holds; a corner off
-    # the crossings where distinct residues meet is a meeting
-    joined = UnionFind(t.edge_label for t in traces)
-    joins = {t.edge_label: 0 for t in traces}
+    # joins the two germs of one kind and residue it holds (of two at
+    # most); a corner off the crossings where two residues meet is a meeting
+    joins = []
     meetings = 0
     closed_ids = {c.cluster_id for c in space.clusters if c.closed}
     for cid in corners_inside:
         germs = cluster_germs.get(cid, [])
-        by_residue: dict[tuple[str, Vector], list[str]] = {}
-        for edge_label, kind, residue in germs:
-            by_residue.setdefault((kind, residue), []).append(edge_label)
-        for labs in by_residue.values():
-            if len(labs) == 2:
-                joined.union(*labs)
-                joins[labs[0]] += 1
-                joins[labs[1]] += 1
-        if cid not in closed_ids and len({g[2] for g in germs}) >= 2:
+        by_class: dict[tuple[str, bool], list[int]] = {}
+        for i, kind, residue in germs:
+            by_class.setdefault((kind, residue == germs[0][2]), []).append(i)
+        joins += [edge_ids for edge_ids in by_class.values() if len(edge_ids) == 2]
+        if cid not in closed_ids and any(g[2] != germs[0][2] for g in germs):
             meetings += 1
-    grouped: dict[str, list[EdgeTrace]] = {}
-    for t in traces:  # in edge order, so each group starts at its first edge
-        grouped.setdefault(joined.find(t.edge_label), []).append(t)
     singular_faces: list[PolytopeFace] = []
     trace_components: list[TraceComponent] = []
-    for group in grouped.values():
-        labs = tuple(t.edge_label for t in group)
-        closed = sum(joins[lab] for lab in labs) // 2 == len(labs)
-        if group[0].kind == "singular":
+    for run, closed in connected_runs(traced, joins):  # runs start at their first edge
+        labs = tuple(space.edges[i].label for i in run)
+        if traced[run[0]][0] == "singular":
             singular_faces.append(
                 PolytopeFace(
                     label=f"s{len(singular_faces) + 1}",
@@ -1041,7 +1029,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
                 TraceComponent(
                     label=f"t{len(trace_components) + 1}",
                     edges=labs,
-                    residue=group[0].residue,
+                    residue=space.edges[run[0]].residue,
                     closed=closed,
                 )
             )
@@ -1223,23 +1211,14 @@ def polytope_topology(p: LogPolytope) -> PolytopeTopology:
         if s.lower_vertex is None or s.upper_vertex is None:
             raise GeometryError("a face segment runs off an open end")
         boundary_edges.append((s.lower_vertex, s.upper_vertex))
-    for t in p.traces:
-        if t.kind == "singular":
-            ends = _trace_ends(t)
-            boundary_edges.append((ends[0], ends[1]))
-    degree: dict[str, int] = {}
-    for a, b in boundary_edges:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
+    boundary_edges += [tuple(_trace_ends(t)) for t in p.traces if t.kind == "singular"]
+    degree = Counter(v for edge in boundary_edges for v in edge)
     bad = sorted(v for v, d in degree.items() if d != 2)
     if bad:
         raise GeometryError(
             f"the polytope boundary is not a 1-manifold at {', '.join(bad)}"
         )
-    uf = UnionFind(degree.keys())
-    for a, b in boundary_edges:
-        uf.union(a, b)
-    circles = len({uf.find(v) for v in degree})
+    circles = len(connected_runs(degree, boundary_edges))
 
     genus = cross_caps = None
     if p.orientable:

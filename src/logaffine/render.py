@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import UnsupportedDimensionError
+from .errors import GeometryError, UnsupportedDimensionError
 from .fans import Fan
 from .polytopes import PolytopeSpec
-from .rational import Vector, rot90
+from .rational import Vector, is_zero, rot90
 from .welding import WeldingSpec
 
 __all__ = ["render_fan", "render_welding", "render_polytope"]
@@ -172,6 +172,9 @@ def _panel_center(index: int) -> tuple[float, float]:
 def render_fan(fan: Fan) -> str:
     """A single panel with the fan's rays and shaded two-cones."""
     _require_dim2(fan.dim, "fans")
+    for label, v in zip(fan.labels, fan.vectors):
+        if is_zero(v):
+            raise GeometryError(f"vector {label} is zero")
     return _document(1, _fan_panel(fan, _panel_center(0), "fan"))
 
 

@@ -37,18 +37,19 @@ distinct pair of labels.
 
 The assembly reads the strata off the index through one table per
 ``Fan`` object, not per domain: the fan's quadrants in sorted-label
-order with their positions, and for each ray its vector, its tail and
-head quadrants (``Fan.turns``) and an int residue id, which equal
-vectors share across fans.  Quadrants are visited in (domain id,
-sorted labels) order, so each corner cluster is named when its least
-quadrant is met, and a crossing joins its links by residue id.  The
-Fractions of a fan's vectors are hashed a fixed number of times per
-fan, whatever the number of domains.
+order with their positions, and for each ray its vector and its tail
+and head quadrants (``Fan.turns``).  Quadrants are visited in (domain
+id, sorted labels) order, so each corner cluster is named when its
+least quadrant is met.  A crossing's closed walk alternates the
+corner's two rays, so it joins link i to link i + 2, and
+``connected_runs`` gathers the joined welded edges into divisor
+components.  The Fractions of a fan's vectors are hashed a fixed
+number of times per fan, whatever the number of domains.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -562,20 +563,27 @@ class WeldedSpace:
         return edges
 
 
-class UnionFind:
-    """Disjoint sets over a fixed collection of hashable items."""
+def connected_runs(items: Iterable, joins: Iterable[tuple]) -> list[tuple[tuple, bool]]:
+    """The connected runs of ``items`` under ``joins``, in the order of each
+    run's first item and each in item order, with a closed flag: the run
+    holds as many joins as items (a path of n items holds n - 1).
+    """
+    parent = {x: x for x in items}
 
-    def __init__(self, items: Iterable) -> None:
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
-    def union(self, x, y) -> None:
-        self.parent[self.find(x)] = self.find(y)
+    joins = list(joins)
+    for a, b in joins:
+        parent[find(a)] = find(b)
+    runs: dict = {}
+    for x in parent:
+        runs.setdefault(find(x), []).append(x)
+    held = Counter(find(a) for a, _ in joins)
+    return [(tuple(run), held[root] == len(run)) for root, run in runs.items()]
 
 
 def two_colour(nodes: Iterable, edges: Iterable[tuple]) -> dict | None:
@@ -647,9 +655,8 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
     domains = sorted(spec.domain_items, key=lambda item: item[0])
 
     # --- one table per Fan object: its quadrants (sorted labels, label
-    # set, position) in sorted-label order, and per ray label its vector,
-    # residue id and tail and head quadrant label sets
-    residue_ids: dict[Vector, int] = {}
+    # set, position) in sorted-label order, and per ray label its vector
+    # and tail and head quadrant label sets
     tables: dict[int, tuple[Fan, list, dict]] = {}
     for _, fan in domains:
         if id(fan) in tables:
@@ -664,7 +671,7 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
         for i, v in enumerate(fan.vectors):
             # a missing turn (None) names no 2-cone: no quadrant on that side
             ends = [corner.get(frozenset((i, j))) for j in fan.turns[i]] if plane else [None] * 2
-            rays[fan.labels[i]] = (v, residue_ids.setdefault(v, len(residue_ids)), *ends)
+            rays[fan.labels[i]] = (v, *ends)
         tables[id(fan)] = (fan, quads, rays)
 
     # --- corner clusters (dimension 2 only), met in (domain id, sorted
@@ -700,7 +707,7 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
 
     # --- edge strata
     def ray(face: FaceRef) -> tuple:
-        """The vector, residue id and tail and head quadrant labels of ``face``'s ray."""
+        """The vector and tail and head quadrant labels of ``face``'s ray."""
         return tables[id(spec.fan(face[0]))][2][face[1]]
 
     def stratum(
@@ -710,7 +717,7 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
         faces: tuple[FaceRef, ...],
         domain_ids: tuple[int, ...],
     ) -> EdgeStratum:
-        v, _, tail, head = ray(face)
+        v, tail, head = ray(face)
         return EdgeStratum(
             label=label,
             kind=kind,
@@ -733,38 +740,17 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
                 name = f"{domain_id}.{label}"
                 edges.append(stratum(name, "boundary", face, (face,), (domain_id,)))
 
-    # --- divisor components: welded edges joined at crossings
-    uf = UnionFind(p.label for p in pairs)
-    join_count: dict[str, int] = {p.label: 0 for p in pairs}
-    for cluster in clusters:
-        if not cluster.closed:
-            continue
-        # a crossing's links join its quadrants in cyclic order
-        by_residue: dict[int, list[str]] = {}
-        for link in cluster.links:
-            by_residue.setdefault(ray(link.left)[1], []).append(link.label)
-        for labs in by_residue.values():
-            assert len(labs) == 2, labs
-            uf.union(labs[0], labs[1])
-            join_count[labs[0]] += 1
-            join_count[labs[1]] += 1
-
-    # groups come out in the order of their first welded edge
-    groups: dict[str, list[EdgeStratum]] = {}
-    for e in edges[: len(pairs)]:
-        groups.setdefault(uf.find(e.label), []).append(e)
-    components: list[DivisorComponent] = []
-    for k, members in enumerate(groups.values()):
-        labs = [e.label for e in members]
-        arcs = sum(join_count[lab] for lab in labs) // 2
-        components.append(
-            DivisorComponent(
-                label=f"D{k + 1}",
-                edge_labels=tuple(labs),
-                residue=members[0].residue,
-                closed=(arcs == len(labs)),
-            )
+    # --- divisor components: welded edges joined at crossings, where a
+    # closed walk's links alternate the corner's two rays, so link i and
+    # link i + 2 cross it on one ray
+    joins = [(c.links[i].label, c.links[i + 2].label) for c in clusters if c.closed for i in (0, 1)]
+    welded = {e.label: e for e in edges[: len(pairs)]}
+    components = [
+        DivisorComponent(
+            label=f"D{k + 1}", edge_labels=run, residue=welded[run[0]].residue, closed=closed
         )
+        for k, (run, closed) in enumerate(connected_runs((p.label for p in pairs), joins))
+    ]
 
     signs = two_colour((i for i, _ in domains), ((p.left[0], p.right[0]) for p in pairs))
     compact: bool | None = None

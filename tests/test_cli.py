@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import logaffine
 from logaffine.cli import _build_parser, main
@@ -320,6 +326,15 @@ def test_cut_requires_lattice_criterion(capsys) -> None:
     assert "lattice" in err
 
 
+def test_cut_counts_the_chern_vectors_of_a_huge_rank(tmp_path, capsys) -> None:
+    """A rank far beyond memory is reported, not listed index by index."""
+    bundle = tmp_path / "huge.bundle"
+    bundle.write_text("logaffine bundle 1\nrank 99999999999\n")
+    code, out, err = run(capsys, "cut", fx("gen1.poly"), str(bundle))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bundle}:2: expected chern vectors 1..99999999999\n"
+
+
 # ----------------------------------------------------------------- render
 
 
@@ -357,6 +372,19 @@ def test_render_rejects_unsupported_inputs(capsys) -> None:
     assert "picture" in err
 
 
+def test_render_names_a_zero_vector(tmp_path, capsys) -> None:
+    """A fan with a zero ray has no picture: exit 1, as ``validate``
+    reports it, naming the vector."""
+    path = tmp_path / "zero.fan"
+    text = fixture_path("badfan.fan").read_text()
+    path.write_text(text.replace("vector b = (2, 0)", "vector b = (0, 0)"))
+    code, out, err = run(capsys, "render", str(path))
+    assert (code, out, err) == (1, "", "error: vector b is zero\n")
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert "violation 1 = vector b is zero" in out.splitlines()
+
+
 # ------------------------------------------------------------ determinism
 
 
@@ -372,6 +400,106 @@ def test_reports_are_deterministic(capsys) -> None:
     _, first, _ = run(capsys, "cut", fx("gen1.poly"), fx("trivial.bundle"))
     _, second, _ = run(capsys, "cut", fx("gen1.poly"), fx("trivial.bundle"))
     assert first == second
+
+
+SEEDED = (
+    "weld fixtures/genus2.weld",
+    "topology fixtures/skewlines.weld",
+    "cohomology fixtures/mobius.weld",
+    "volume fixtures/gen1.poly",
+    "cut fixtures/figmodel.poly fixtures/hopf.bundle --record",
+    "render fixtures/quadrants.weld",
+    "validate fixtures/badfan.fan",
+)
+
+# runs each invocation given as JSON in argv[1] and prints the exit
+# codes and outputs as JSON
+REPLAY = """
+import contextlib, io, json, sys
+from logaffine.cli import main
+results = []
+for invocation in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(invocation.split(" "))
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed() -> None:
+    """Two fresh interpreters whose string hashes differ print the
+    recorded reports, byte for byte."""
+    src = str(Path(logaffine.__file__).resolve().parent.parent)
+    runs = []
+    for seed in ("0", "4242"):
+        done = subprocess.run(
+            [sys.executable, "-c", REPLAY, json.dumps(SEEDED)],
+            cwd=ROOT,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        runs.append(json.loads(done.stdout))
+    assert runs[0] == runs[1]
+    assert [_digest(*result) for result in runs[0]] == [_recorded(i) for i in SEEDED]
+
+
+COMMANDS = {
+    ".fan": ("validate", "render"),
+    ".weld": ("weld", "cohomology", "topology", "validate", "render"),
+    ".poly": ("volume", "delzant", "topology", "validate", "render", "cut"),
+    ".bundle": ("cut",),
+}
+
+
+@st.composite
+def mutants(draw) -> tuple[str, str]:
+    """A fixture's suffix and its text with a few lines deleted,
+    repeated or swapped, or an integer shifted."""
+    path = draw(st.sampled_from(sorted(fixture_path("").iterdir())))
+    lines = path.read_text().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("delete", "repeat", "swap", "shift")))
+        if edit == "delete":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            numbers = list(re.finditer(r"\d+", lines[i]))
+            if numbers:
+                n = draw(st.sampled_from(numbers))
+                shifted = int(n.group()) + draw(st.integers(-3, 3))
+                lines[i] = lines[i][: n.start()] + str(shifted) + lines[i][n.end() :]
+    return path.suffix, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(mutant=mutants(), data=st.data())
+def test_a_mutated_fixture_exits_with_a_report_or_an_error(mutant, data) -> None:
+    """Whatever a few edits do to a fixture, the command line reports
+    it or exits 1 to 3 with a message, never with an uncaught exception."""
+    suffix, text = mutant
+    command = data.draw(st.sampled_from(COMMANDS[suffix]))
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        for path in fixture_path("").iterdir():
+            (tmp / path.name).write_text(path.read_text())
+        mutated = tmp / f"mutant{suffix}"
+        mutated.write_text(text)
+        argv = [command, str(mutated)]
+        if command == "cut":  # a polytope, then a bundle
+            pair = (mutated, tmp / "hopf.bundle") if suffix == ".poly" else (tmp / "gen1.poly", mutated)
+            argv = ["cut", *map(str, pair)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2, 3)
 
 
 def test_out_flag_writes_file(capsys, tmp_path) -> None:

@@ -9,6 +9,9 @@ The open grids at m = 12 (576 domains) reach the boundary edges and
 open corner chains of the assembly at scale, and the weld of a grid
 hashes Fractions a fixed number of times whatever its size: the
 assembly keys its residues and positions per fan, not per domain.
+The planar build of a grid's whole space hashes no Fraction at all: a
+corner tells its trace germs apart by kind and by whether each residue
+equals the first one's, never by the residue itself.
 
 The whole space of the m = 12 torus grid (576 domains, no constraint)
 is a compact polytope of genus one, and the support of the one fan its
@@ -166,6 +169,24 @@ def test_whole_grid_polytope_closed_forms(variant: str, m: int) -> None:
         assert polytope_moduli(p) == (2 * m + 1) ** 2
         if m <= 3:
             assert polytope_moduli(p) == log_cohomology_dims(space)[2]
+
+
+@pytest.mark.parametrize("variant", ["torus", "comb", "cylinder", "disc"])
+def test_the_whole_grid_build_hashes_no_fraction(monkeypatch, variant: str) -> None:
+    hashes = []
+    fraction_hash = Fraction.__hash__
+
+    def counting(q):
+        hashes.append(q)
+        return fraction_hash(q)
+
+    spec = parse_welding_text(grid_text(variant, 3), base=FIXTURES).spec
+    space = build_welded_space(spec)
+    polytope_spec = make_polytope_spec(spec, [])
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    build_polytope(space, polytope_spec)
+    monkeypatch.undo()
+    assert hashes == []
 
 
 def test_whole_torus_reads_its_fan_support_once(monkeypatch) -> None:

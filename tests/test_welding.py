@@ -309,6 +309,36 @@ def test_a_crossing_of_two_fans_joins_equal_residues_across_them() -> None:
     assert [c.edge_labels for c in space.divisor_components] == [("h1", "h2"), ("v1", "auto1")]
 
 
+def welded_fixtures_and_grids():
+    """Every ``.weld`` fixture that welds, and each grid at m = 1 to 3."""
+    for path in sorted(FIXTURES.glob("*.weld")):
+        try:
+            yield path.name, build_welded_space(load_welding(path.name).spec)
+        except GloballyObstructedError:
+            continue
+    for variant in ("torus", "comb", "cylinder", "disc"):
+        for m in (1, 2, 3):
+            spec = parse_welding_text(grid_text(variant, m), base=FIXTURES).spec
+            yield f"{variant} m={m}", build_welded_space(spec)
+
+
+def test_a_crossing_walk_alternates_two_residues() -> None:
+    """The assembly joins link i of a crossing's closed walk to link
+    i + 2 because the walk alternates the corner's two rays: the
+    residues of its four links, read off the fans, are r, s, r, s with
+    r != s."""
+    crossings = 0
+    for name, space in welded_fixtures_and_grids():
+        for c in space.crossings:
+            r, s, r2, s2 = (weld_oracle.face_vector(space.spec, link.left) for link in c.links)
+            assert (r2, s2) == (r, s) and r != s, (name, c.cluster_id)
+            crossings += 1
+    # 21 on the fixtures; 4m^2 on the torus and the comb, 2m(2m - 1) on
+    # the cylinder and (2m - 1)^2 on the disc
+    grids = sum(8 * m * m + 2 * m * (2 * m - 1) + (2 * m - 1) ** 2 for m in (1, 2, 3))
+    assert crossings == 21 + grids
+
+
 @pytest.mark.parametrize(
     "faces,message",
     [

@@ -3,10 +3,11 @@
 ``build_welded_space`` here rebuilds the face maps from the pair list
 on every chain walk, finds domains and rays by linear scans, checks a
 pair for matching once per public check it passes through and walks
-its corners twice.  It shares only the result dataclasses, the
-union-find and the two-colouring with ``logaffine.welding``, so the
-property in ``tests/test_welding.py`` can compare the indexed closure
-with it pair for pair, edge for edge and error for error.
+its corners twice.  It shares only the result dataclasses and the
+two-colouring with ``logaffine.welding`` and keeps its own union-find
+and its residue-keyed crossing joins, so the property in
+``tests/test_welding.py`` can compare the indexed closure with it pair
+for pair, edge for edge and error for error.
 """
 
 from __future__ import annotations
@@ -27,10 +28,25 @@ from logaffine.welding import (
     DivisorComponent,
     EdgeStratum,
     MatchedPair,
-    UnionFind,
     WeldedSpace,
     two_colour,
 )
+
+
+class UnionFind:
+    """Disjoint sets over a fixed collection of hashable items."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        self.parent[self.find(x)] = self.find(y)
 
 
 def fan_of(spec, domain_id):
