@@ -18,13 +18,16 @@ checked once, at the vertex its normal points to.  A region without
 interior is told from an empty one by the cycle of the half-planes
 moved outwards by an infinitesimal.  The region is compact when each
 arc of directions it recedes along, negated, lies in one arc of the
-fan's support, which every ``Fan`` merges from its cones once.  The
-volume clips each face segment by the cutoff lines only (``_clip``); in
-dimension 1 each constraint point is clipped by the others.  Its cutoff
-is a symbol ``T`` and its measures are polynomials in ``T``
-(``_TPoly``), whose arithmetic skips zero coefficients; ``_clip`` sums
-each value from the constant, so a ``_TPoly`` constant or point keeps
-the ``_TPoly`` on the left of every operation.
+fan's support, which every ``Fan`` merges from its cones once.  In
+dimension 1 the region is the interval between the tightest bounds on
+its two sides, read off the table of the tightest constraints on each
+covector (``_tightest``) that the cycle is built from.  The volume clips
+each face segment, or the line in dimension 1, by the cutoff lines only
+(``_clip``).  Its cutoff is a symbol ``T`` and its measures are
+polynomials in ``T`` (``_TPoly``), whose arithmetic skips zero
+coefficients; ``_clip`` sums each value from the constant, so a
+``_TPoly`` constant or point keeps the ``_TPoly`` on the left of every
+operation.
 
 The planar build numbers its vertices through one table, from a key to
 the labels of the faces through the vertex: ``(0, domain id, point)``
@@ -43,7 +46,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import (
     ContinuationError,
@@ -369,19 +372,6 @@ class PolytopeTopology:
 # ------------------------------------------------------ the line clip
 
 
-@dataclass
-class _RawInterval:
-    """A line clipped by half-planes: the bounds on its parameter
-    (``None`` = unbounded), every constraint attaining each bound, and
-    the constraints vanishing along the whole line."""
-
-    lower: Fraction | None
-    upper: Fraction | None
-    lower_active: list
-    upper_active: list
-    along: list
-
-
 def _line_of(fn: AffineFunctional) -> tuple[Vector, Vector]:
     """A point of ``{fn = 0}`` and its direction (zero in dimension 1)."""
     a = fn.linear
@@ -390,46 +380,28 @@ def _line_of(fn: AffineFunctional) -> tuple[Vector, Vector]:
 
 
 def _clip(
-    base: Vector, direction: Vector, named_fns: Iterable[tuple[object, AffineFunctional]],
-    lower=None, upper=None,
-) -> _RawInterval | None:
+    base: Vector, direction: Vector, fns: Iterable[AffineFunctional], lower=None, upper=None
+) -> tuple | None:
     """Clip the line ``base + s * direction``, within the optional
-    bounds ``lower <= s <= upper``, by each ``g >= 0`` in turn.
-
-    Returns ``None`` once a constraint parallel to the line is negative
-    on it.  Ties at a bound keep every name, in the given order.  The
-    line meets the region in more than a point when the bounds leave
-    an interval of positive length; the region then has interior iff
-    no constraint of the opposite sign is among ``along``.
-    """
-    lower_active: list = []
-    upper_active: list = []
-    along: list = []
-    for name, g in named_fns:
+    bounds ``lower <= s <= upper``, by each ``g >= 0`` in turn: the
+    bounds left, ``(lower, upper)`` with ``None`` where unbounded, or
+    ``None`` when the line misses the region."""
+    for g in fns:
         coef = dot(g.linear, direction)
         val = sum((b * a for a, b in zip(g.linear, base)), g.constant)
         if coef == 0:
             if val < 0:
                 return None
-            if val == 0:
-                along.append(name)
             continue
         bound = -val / coef
         if coef > 0:
             if lower is None or bound > lower:
-                lower, lower_active = bound, [name]
-            elif bound == lower:
-                lower_active.append(name)
-        else:
-            if upper is None or bound < upper:
-                upper, upper_active = bound, [name]
-            elif bound == upper:
-                upper_active.append(name)
-    return _RawInterval(lower, upper, lower_active, upper_active, along)
-
-
-def _bounded(raw: _RawInterval) -> bool:
-    return raw.lower is not None and raw.upper is not None
+                lower = bound
+        elif upper is None or bound < upper:
+            upper = bound
+    if lower is not None and upper is not None and lower > upper:
+        return None
+    return lower, upper
 
 
 # ------------------------------------------------------- vertex cycles
@@ -621,6 +593,22 @@ class _Cycle:
         return False
 
 
+def _tightest(
+    items: list[tuple[str, AffineFunctional]]
+) -> dict[Vector, tuple[Fraction, list[str]]]:
+    """Each covector of a domain's constraints, sorted by name, with its
+    tightest (least) constant and the names attaining it, in order."""
+    tightest: dict[Vector, tuple[Fraction, list[str]]] = {}
+    for name, fn in items:
+        a, c = tuple(map(int, fn.linear)), Fraction(fn.constant)
+        best = tightest.get(a)
+        if best is None or c < best[0]:
+            tightest[a] = c, [name]
+        elif c == best[0]:
+            best[1].append(name)
+    return tightest
+
+
 def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycle | None]:
     """Whether the half-planes of a planar domain's constraints, sorted
     by name, meet and have interior, and their region as a ``_Cycle``.
@@ -633,14 +621,7 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
     """
     if not items:
         return True, True, _Cycle({}, {}, _PLANE)
-    tightest: dict[Vector, tuple[Fraction, list[str]]] = {}
-    for name, fn in items:
-        a, c = (int(fn.linear[0]), int(fn.linear[1])), Fraction(fn.constant)
-        best = tightest.get(a)
-        if best is None or c < best[0]:
-            tightest[a] = c, [name]
-        elif c == best[0]:
-            best[1].append(name)
+    tightest = _tightest(items)
     covectors = sorted(tightest, key=functools.cmp_to_key(_direction_cmp))
     lines = [(a, tightest[a][0]) for a in covectors]
     m = len(lines)
@@ -682,26 +663,20 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
     return True, True, _Cycle(faces, tightest, arcs)
 
 
-def _points(items: list[tuple[str, AffineFunctional]]):
+def _interval(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, dict]:
     """Whether the half-lines of a 1-D domain's constraints, sorted by
-    name, meet and have interior, and each constraint point with its
-    clip by the others: the region meets some point exactly when it is
-    nonempty, and has interior when at such a point no constraint of
-    the opposite sign vanishes."""
-    fns = dict(items)
-    points: dict[str, tuple[Vector, _RawInterval | None]] = {}
-    met = interior = not items  # no constraints: the whole domain
-    for name, fn in items:
-        point, t = _line_of(fn)
-        raw = _clip(point, t, [(n, g) for n, g in items if n != name])
-        points[name] = point, raw
-        if raw is not None:
-            met = True
-            interior |= all(dot(fns[n].linear, fn.linear) > 0 for n in raw.along)
-    return met, interior, points
+    name, meet and have interior, and their ``_tightest`` table.  With
+    ``c+`` the tightest constant on ``(1,)`` and ``c-`` on ``(-1,)``, the
+    region is ``-c+ <= x <= c-``: empty when ``c+ + c- < 0`` and a
+    single point when ``c+ + c- == 0``."""
+    tightest = _tightest(items)
+    if (1,) in tightest and (-1,) in tightest:
+        width = tightest[(1,)][0] + tightest[(-1,)][0]
+        return width >= 0, width > 0, tightest
+    return True, True, tightest
 
 
-def _compact_1d(fan: Fan, covectors: list[Vector]) -> bool:
+def _compact_1d(fan: Fan, covectors: Collection[Vector]) -> bool:
     """Every recession direction ``x`` of the interval points away from
     a stratum of the fan (a ray on the side of ``-x``)."""
     return all(
@@ -770,8 +745,9 @@ def build_polytope(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
 
 def _feasible(space: WeldedSpace, spec: PolytopeSpec, region_of) -> dict:
     """Each domain the region meets, in order, with its region as
-    ``region_of`` makes it from the domain's constraints sorted by name
-    (``_cycle`` in dimension 2, ``_points`` in dimension 1)."""
+    ``region_of`` makes it from the domain's constraints sorted by name:
+    a ``_Cycle`` in dimension 2, the ``_tightest`` table in dimension 1.
+    A region that meets its domain without interior is a fault."""
     regions = {}
     for d in sorted(space.domain_ids):
         met, interior, region = region_of(sorted(spec.domain_constraints(d).items()))
@@ -1061,17 +1037,16 @@ def _build_1d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
             raise ContinuationError(
                 f"group {name!r}: faces cannot continue across edges in dimension 1"
             )
-    regions = _feasible(space, spec, _points)
+    regions = _feasible(space, spec, _interval)
     feasible = list(regions)
     face_label = _face_labels(spec)
 
     traces: list[EdgeTrace] = []
     for e in space.edges:
-        present = []
-        for face in e.faces:
-            fns = spec.domain_constraints(face[0])
-            if all(dot(g.linear, e.residue) < 0 for g in fns.values()):
-                present.append(face[0])
+        present = [
+            d for d, _ in e.faces
+            if d in regions and not any(dot(a, e.residue) > 0 for a in regions[d])
+        ]
         if not present:
             continue
         traces.append(
@@ -1089,16 +1064,16 @@ def _build_1d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
 
     vertices: list[PolytopeVertex] = []
     faces: list[PolytopeFace] = []
-    for ref, _ in spec.constraints:
+    for ref, fn in spec.constraints:
         if ref[0] not in regions:
             continue
-        point, raw = regions[ref[0]][ref[1]]
-        if raw is None:
+        _, names = regions[ref[0]][tuple(map(int, fn.linear))]
+        if ref[1] not in names:
             continue
-        if raw.along:
+        if len(names) > 1:
+            other = next(n for n in names if n != ref[1])
             raise GeometryError(
-                f"constraints {ref[0]}.{ref[1]} and {ref[0]}.{raw.along[0]} "
-                "cut at the same point"
+                f"constraints {ref[0]}.{ref[1]} and {ref[0]}.{other} cut at the same point"
             )
         label = face_label[ref]
         faces.append(PolytopeFace(label, "interior", (ref,), (), False))
@@ -1107,7 +1082,7 @@ def _build_1d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
                 vertex_id=f"v{len(vertices) + 1}",
                 kind="interior",
                 domain_id=ref[0],
-                point=point,
+                point=_line_of(fn)[0],
                 edge_label=None,
                 position=None,
                 cluster_id=None,
@@ -1122,12 +1097,7 @@ def _build_1d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
         for k, t in enumerate(t for t in traces if t.kind == "divisor")
     )
 
-    compact = all(
-        _compact_1d(
-            space.fan(d), [g.linear for g in spec.domain_constraints(d).values()]
-        )
-        for d in feasible
-    )
+    compact = all(_compact_1d(space.fan(d), regions[d]) for d in feasible)
     orientable = _crossing_signs(space, feasible, traces) is not None
     return LogPolytope(
         spec=spec,
@@ -1367,14 +1337,15 @@ def _clipped_measure(p: LogPolytope, domain_id: int) -> _TPoly:
         ]
     twice = _TPoly(0)
     for base, t, lower, upper, fns, c in pieces:
-        raw = _clip(base, t, enumerate(fns), end(lower), end(upper))
-        if raw is None or (_bounded(raw) and raw.lower > raw.upper):
+        ends = _clip(base, t, fns, end(lower), end(upper))
+        if ends is None:
             continue
-        if not _bounded(raw):
+        lo, hi = ends
+        if lo is None or hi is None:
             raise GeometryError("a region stays unbounded after the cutoffs")
         if p.dim == 1:
-            return raw.upper - raw.lower
-        twice += (raw.upper - raw.lower) * c
+            return hi - lo
+        twice += (hi - lo) * c
     return twice / 2
 
 

@@ -54,7 +54,11 @@ def _fmt(value: float) -> str:
 
 
 def _unit(v: Vector) -> tuple[float, float]:
-    x, y = float(v[0]), float(v[1])
+    # divided exactly by 2**k, k near log2 of the largest coordinate: both
+    # floats are in range, and a vector already in range rounds as unscaled
+    k = max(c.numerator.bit_length() - c.denominator.bit_length() for c in v if c)
+    n, d = (1 << -k, 1) if k < 0 else (1, 1 << k)
+    x, y = (c.numerator * n / (c.denominator * d) for c in v)
     length = math.hypot(x, y)
     return (x / length, y / length)
 
@@ -82,12 +86,12 @@ def _fan_panel(fan: Fan, center: tuple[float, float], title: str) -> list[str]:
     parts.append(
         f'  <text x="{_fmt(left + 6)}" y="{_fmt(top + 16)}">{title}</text>'
     )
+    directions = [_unit(v) for v in fan.vectors]
     for cone in sorted(fan.cones, key=lambda c: sorted(c)):
         if len(cone) != 2:
             continue
         i, j = sorted(cone)
-        di = _unit(fan.vectors[i])
-        dj = _unit(fan.vectors[j])
+        di, dj = directions[i], directions[j]
         mid = (di[0] + dj[0], di[1] + dj[1])
         norm = math.hypot(*mid)
         points = [center, _panel_point(center, di, CONE_RADIUS)]
@@ -98,8 +102,7 @@ def _fan_panel(fan: Fan, center: tuple[float, float], title: str) -> list[str]:
         points.append(_panel_point(center, dj, CONE_RADIUS))
         body = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
         parts.append(f'  <polygon class="cone" points="{body}"/>')
-    for label, vec in zip(fan.labels, fan.vectors):
-        direction = _unit(vec)
+    for label, direction in zip(fan.labels, directions):
         tip = _panel_point(center, direction, RAY_LENGTH)
         parts.append(
             f'  <line class="ray" x1="{_fmt(center[0])}" y1="{_fmt(center[1])}" '
@@ -117,13 +120,14 @@ def _constraint_lines(
     linear: Vector,
     constant: Fraction,
     center: tuple[float, float],
-    scale: float,
+    scale: Fraction,
 ) -> list[str]:
     parts: list[str] = []
     norm_sq = sum(c * c for c in linear)
     base = tuple(-constant * c / norm_sq for c in linear)
     tangent = _unit(rot90(linear))
-    base_px = _panel_point(center, (float(base[0]), float(base[1])), scale)
+    # exact until scaled to the panel, since the base may lie beyond the float range
+    base_px = _panel_point(center, tuple(float(x * scale) for x in base), 1)
     half = PANEL * 0.45
     p0 = (base_px[0] - half * tangent[0], base_px[1] + half * tangent[1])
     p1 = (base_px[0] + half * tangent[0], base_px[1] - half * tangent[1])
@@ -212,7 +216,7 @@ def render_polytope(spec: PolytopeSpec) -> str:
         abs(f.constant) for _, f in spec.constraints if f.constant != 0
     ]
     reach = max(constants) if constants else Fraction(1)
-    scale = float(CONE_RADIUS / reach)
+    scale = Fraction(CONE_RADIUS) / reach
     body: list[str] = []
     for index, (domain_id, fan) in enumerate(welding.domain_items):
         center = _panel_center(index)

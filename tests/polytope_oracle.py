@@ -24,6 +24,14 @@ clip by ``_face_interval``; an edge's trace from the clip of the
 stratum coordinate by ``_side_trace``; compactness and the corner test.
 Patched in for ``polytopes._feasible``, it makes ``build_polytope``
 build a planar polytope the old way.
+
+``_clip``, ``_RawInterval`` and ``_bounded`` are the build's old line
+clip, which keeps every constraint attaining each bound and those
+vanishing along the whole line; the clip oracles here and in
+``volume_oracle`` read those lists.  ``points_1d`` is the 1-D build's
+old region computation, each constraint point clipped by the others,
+and ``faces_1d`` reads the feasible domains, the faces with their
+points and the build's faults off it.
 """
 
 from __future__ import annotations
@@ -31,17 +39,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from logaffine.errors import DegenerateVertexError, GeometryError, UnsupportedDimensionError
 from logaffine.fans import Fan, _direction_cmp
-from logaffine.polytopes import (
-    ConstraintRef,
-    PolytopeSpec,
-    _bounded,
-    _clip,
-    _line_of,
-    _RawInterval,
-)
+from logaffine.polytopes import ConstraintRef, PolytopeSpec, _line_of
 from logaffine.rational import (
     AffineFunctional,
     Vector,
@@ -245,6 +247,114 @@ def _quadrant_reaches_corner(
             if all(dot(a, c) <= 0 for a in covectors):
                 return True
     return False
+
+
+# ------------------------------------------------- the old line clip
+
+
+@dataclass
+class _RawInterval:
+    """A line clipped by half-planes: the bounds on its parameter
+    (``None`` = unbounded), every constraint attaining each bound, and
+    the constraints vanishing along the whole line."""
+
+    lower: Fraction | None
+    upper: Fraction | None
+    lower_active: list
+    upper_active: list
+    along: list
+
+
+def _clip(
+    base: Vector, direction: Vector, named_fns: Iterable[tuple[object, AffineFunctional]],
+    lower=None, upper=None,
+) -> _RawInterval | None:
+    """Clip the line ``base + s * direction``, within the optional
+    bounds ``lower <= s <= upper``, by each ``g >= 0`` in turn.
+
+    Returns ``None`` once a constraint parallel to the line is negative
+    on it.  Ties at a bound keep every name, in the given order.  The
+    line meets the region in more than a point when the bounds leave
+    an interval of positive length; the region then has interior iff
+    no constraint of the opposite sign is among ``along``.
+    """
+    lower_active: list = []
+    upper_active: list = []
+    along: list = []
+    for name, g in named_fns:
+        coef = dot(g.linear, direction)
+        val = sum((b * a for a, b in zip(g.linear, base)), g.constant)
+        if coef == 0:
+            if val < 0:
+                return None
+            if val == 0:
+                along.append(name)
+            continue
+        bound = -val / coef
+        if coef > 0:
+            if lower is None or bound > lower:
+                lower, lower_active = bound, [name]
+            elif bound == lower:
+                lower_active.append(name)
+        else:
+            if upper is None or bound < upper:
+                upper, upper_active = bound, [name]
+            elif bound == upper:
+                upper_active.append(name)
+    return _RawInterval(lower, upper, lower_active, upper_active, along)
+
+
+def _bounded(raw: _RawInterval) -> bool:
+    return raw.lower is not None and raw.upper is not None
+
+
+def points_1d(items: list[tuple[str, AffineFunctional]]):
+    """Whether the half-lines of a 1-D domain's constraints, sorted by
+    name, meet and have interior, and each constraint point with its
+    clip by the others: the region meets some point exactly when it is
+    nonempty, and has interior when at such a point no constraint of
+    the opposite sign vanishes."""
+    fns = dict(items)
+    points: dict[str, tuple[Vector, _RawInterval | None]] = {}
+    met = interior = not items  # no constraints: the whole domain
+    for name, fn in items:
+        point, t = _line_of(fn)
+        raw = _clip(point, t, [(n, g) for n, g in items if n != name])
+        points[name] = point, raw
+        if raw is not None:
+            met = True
+            interior |= all(dot(fns[n].linear, fn.linear) > 0 for n in raw.along)
+    return met, interior, points
+
+
+def faces_1d(space: WeldedSpace, spec: PolytopeSpec) -> tuple[list[int], list[tuple]]:
+    """The feasible domains of a 1-D polytope and each face's constraint
+    with its point, in spec order, by ``points_1d``; raises the build's
+    ``GeometryError`` for an empty region, an empty interior and two
+    constraints cutting at the same point."""
+    regions = {}
+    for d in sorted(space.domain_ids):
+        met, interior, points = points_1d(sorted(spec.domain_constraints(d).items()))
+        if met:
+            if not interior:
+                raise GeometryError(f"the region in domain {d} has an empty interior")
+            regions[d] = points
+    if not regions:
+        raise GeometryError("the polytope is empty in every domain")
+    faces = []
+    for ref, _ in spec.constraints:
+        if ref[0] not in regions:
+            continue
+        point, raw = regions[ref[0]][ref[1]]
+        if raw is None:
+            continue
+        if raw.along:
+            raise GeometryError(
+                f"constraints {ref[0]}.{ref[1]} and {ref[0]}.{raw.along[0]} "
+                "cut at the same point"
+            )
+        faces.append((ref, point))
+    return list(regions), faces
 
 
 def _feasible_domains(

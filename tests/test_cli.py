@@ -385,6 +385,63 @@ def test_render_names_a_zero_vector(tmp_path, capsys) -> None:
     assert "violation 1 = vector b is zero" in out.splitlines()
 
 
+BIG = 10**400
+FAN_OF_RAY = """logaffine fan 1
+dim 2
+vector a = ({a})
+vector b = (0, 1)
+cone []
+cone [a]
+cone [b]
+cone [a b]
+"""
+
+
+@pytest.mark.parametrize("ray", [f"1/{BIG}, 0", f"{BIG}, 1"], ids=["tiny", "huge"])
+def test_render_draws_a_ray_beyond_the_float_range(tmp_path, capsys, ray) -> None:
+    """A valid ray whose coordinates underflow or overflow a float is
+    drawn along its direction, here the x axis."""
+    path = tmp_path / "far.fan"
+    path.write_text(FAN_OF_RAY.format(a=ray))
+    assert run(capsys, "validate", str(path))[1].splitlines()[1] == "valid = true"
+    code, out, err = run(capsys, "render", str(path))
+    assert (code, err) == (0, "")
+    assert '<line class="ray" x1="150.00" y1="150.00" x2="245.00" y2="150.00"' in out
+
+
+@pytest.mark.parametrize(
+    "constraints, lines",
+    [
+        ([f"(1, 0) + {BIG}"], ['x1="80.00" y1="267.00" x2="80.00" y2="33.00"']),
+        (
+            [f"(1, 0) + 1/{BIG}", f"(0, 1) + 1/{BIG}"],
+            [
+                'x1="80.00" y1="267.00" x2="80.00" y2="33.00"',
+                'x1="267.00" y1="220.00" x2="33.00" y2="220.00"',
+            ],
+        ),
+    ],
+    ids=["huge", "tiny"],
+)
+def test_render_scales_constants_beyond_the_float_range(
+    tmp_path, capsys, constraints, lines
+) -> None:
+    """The largest constant sets the panel scale exactly, so a constant
+    that overflows or underflows a float is drawn at the cone radius."""
+    for name in ("plane.weld", "emptyfan.fan"):
+        (tmp_path / name).write_text(fixture_path(name).read_text())
+    path = tmp_path / "far.poly"
+    path.write_text(
+        "logaffine polytope 1\nwelding plane.weld\n"
+        + "".join(f"constraint 1.c{i} = {c}\n" for i, c in enumerate(constraints))
+        + "orientation +\n"
+    )
+    assert run(capsys, "validate", str(path))[1].splitlines()[1] == "valid = true"
+    code, out, err = run(capsys, "render", str(path))
+    assert (code, err) == (0, "")
+    assert re.findall(r'<line class="constraint" (.*)/>', out) == lines
+
+
 # ------------------------------------------------------------ determinism
 
 

@@ -48,6 +48,7 @@ from polytope_oracle import (
     check_face_lemmas,
     clip_regions,
     covered_by_samples,
+    faces_1d,
     is_compact_2d,
 )
 from rational_oracle import cone_contains
@@ -495,6 +496,16 @@ def test_one_dimensional_groups_cannot_continue() -> None:
     )
     with pytest.raises(ContinuationError, match="dimension 1"):
         build_polytope(load_space("line1d.weld"), spec)
+
+
+def test_two_constraints_at_one_point_are_rejected() -> None:
+    """Two constraints tied on one covector cut at the same point; the
+    first in spec order is named first."""
+    welding = load_welding("line1d.weld").spec
+    spec = make_polytope_spec(welding, [((1, "b"), fn(1, c=1)), ((1, "a"), fn(1, c=1))])
+    with pytest.raises(GeometryError) as err:
+        build_polytope(load_space("line1d.weld"), spec)
+    assert str(err.value) == "constraints 1.b and 1.a cut at the same point"
 
 
 def test_one_dimensional_topology_is_unsupported() -> None:
@@ -988,6 +999,28 @@ def test_build_matches_fourier_motzkin_and_vertex_area(dim: int, data) -> None:
             regularized_volume(built)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(fns=systems(1), fan_name=st.sampled_from([None, "halfline.fan"]))
+def test_the_interval_build_matches_the_per_point_clip(fns, fan_name) -> None:
+    """The 1-D build, which reads each domain's tightest-constraint
+    table, finds the feasible domains, the faces, their points and the
+    faults that clipping each constraint point by the others finds."""
+    fan = load_fan(fan_name) if fan_name else make_fan([], [[]], labels=[], dim=1)
+    built = single_domain_polytope(fns, fan)
+    welding = make_welding_spec({1: fan}, [])
+    spec = make_polytope_spec(welding, [((1, f"c{i}"), f) for i, f in enumerate(fns)])
+    try:
+        expected = faces_1d(build_welded_space(welding), spec)
+    except GeometryError as err:
+        assert isinstance(built, GeometryError) and str(built) == str(err)
+        return
+    assert not isinstance(built, GeometryError), built
+    interior = [f for f in built.faces if f.kind == "interior"]
+    assert list(built.feasible) == expected[0]
+    assert len(interior) == len(built.vertices)
+    assert [(f.members[0], v.point) for f, v in zip(interior, built.vertices)] == expected[1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(fns=systems(2))
 def test_clipped_area_matches_vertex_oracle(fns) -> None:
@@ -1070,10 +1103,11 @@ def test_the_build_clips_no_line_and_the_volume_only_by_the_cutoffs(
     monkeypatch, tmp_path
 ) -> None:
     """The build reads each face and edge trace from its domain's vertex
-    cycle: it calls ``_clip`` never, also for the strips of the
-    ``polygon`` benchmark beside their rays, and ``_line_of`` once per
-    face segment.  The volume reads the build's face segments and clips
-    each only by the cutoffs, of which the empty fan has none."""
+    cycle, or in dimension 1 from its tightest-constraint table: it
+    calls ``_clip`` never, also for the strips of the ``polygon``
+    benchmark beside their rays, and ``_line_of`` once per face
+    segment.  The volume reads the build's face segments and clips each
+    only by the cutoffs, of which the empty fan has none."""
     k = 16
     lines, clipped = [], []
     line_of, clip = polytopes._line_of, polytopes._clip
@@ -1105,6 +1139,10 @@ def test_the_build_clips_no_line_and_the_volume_only_by_the_cutoffs(
     assert regularized_volume(p) == oracles.polygon_area(polygon)
     assert lines == []
     assert clipped == [[]] * k
+    clipped.clear()
+    pf = load_polytope("line1d.poly")
+    assert len(build_polytope(build_welded_space(pf.spec.welding), pf.spec).faces) == 2
+    assert clipped == []
 
 
 # ---------------------------------------- the kernel of the symbolic cutoff

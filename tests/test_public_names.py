@@ -7,7 +7,10 @@ definition); otherwise nothing in the pipeline calls it and only its
 own tests keep it alive.  A private one (leading underscore) must be
 read by other code of the package, or it is a leftover of a rewrite.
 So must every method or property of a top-level class but the
-dunders, whether or not the class is exported.
+dunders, whether or not the class is exported.  Every field of a
+private top-level class, an annotated name or a ``__slots__`` entry of
+its body, must be read as an attribute by package code, or the class
+keeps state that nothing uses.
 ``__init__`` only re-exports, so it is not scanned and does not count
 as a reader.
 """
@@ -91,6 +94,43 @@ def unread_members(sources: dict[str, str]) -> list[str]:
     return found
 
 
+def class_fields(node: ast.ClassDef) -> list[str]:
+    """The annotated names and ``__slots__`` entries of a class body."""
+    fields: list[str] = []
+    for stmt in node.body:
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            fields.append(stmt.target.id)
+        elif isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+        ):
+            fields += [
+                e.value
+                for e in ast.walk(stmt.value)
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            ]
+    return fields
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """``module.Class.field`` for each field of a private top-level class
+    that no package code reads as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loaded = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{module}.{node.name}.{field}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name.startswith("_")
+        for field in class_fields(node)
+        if field not in loaded
+    ]
+
+
 def package_sources() -> dict[str, str]:
     return {
         path.stem: path.read_text()
@@ -140,6 +180,23 @@ def test_guard_flags_an_unread_method() -> None:
     assert unread_members({"a": "class A:\n    def f(self): return self.f()\n"}) == ["a.A.f"]
 
 
+def test_guard_flags_an_unread_field() -> None:
+    sources = {
+        "a": "class _R:\n"
+        "    lower: int\n"
+        "    kept: list\n"
+        "class _S:\n"
+        "    __slots__ = ('coefs', 'spare')\n"
+        "    def __init__(self):\n"
+        "        self.coefs = self.spare = ()\n"
+        "class Public:\n"
+        "    unread: int\n",
+        "b": "def f(r, s): return r.lower, s.coefs\n",
+    }
+    # a write is no read, and a public class's fields are not scanned
+    assert unread_fields(sources) == ["a._R.kept", "a._S.spare"]
+
+
 def test_no_uncalled_public_helpers() -> None:
     assert uncalled_public(package_sources(), set(logaffine.__all__)) == []
 
@@ -150,3 +207,7 @@ def test_no_unread_private_helpers() -> None:
 
 def test_no_unread_methods() -> None:
     assert unread_members(package_sources()) == []
+
+
+def test_no_unread_fields() -> None:
+    assert unread_fields(package_sources()) == []

@@ -30,8 +30,10 @@ from fractions import Fraction
 from itertools import product, zip_longest
 
 from logaffine.errors import GeometryError
-from logaffine.polytopes import _bounded, _clip, _crossing_signs, _line_of
+from logaffine.polytopes import _crossing_signs, _line_of
 from logaffine.rational import AffineFunctional, cross2, dot, rot90
+
+from polytope_oracle import _bounded, _clip
 
 
 @functools.total_ordering
