@@ -172,7 +172,7 @@ def parse_fan_text(text: str, path: str = "<string>") -> Fan:
     lines = _lines(text, path)
     _parse_header(path, lines[0][0], lines[0][1], "fan")
     dim: int | None = None
-    labels: list[str] = []
+    labels: dict[str, int] = {}  # label -> ray index, in file order
     vectors: list[Vector] = []
     cones: list[list[int]] = []
     for number, line in lines[1:]:
@@ -197,7 +197,7 @@ def parse_fan_text(text: str, path: str = "<string>") -> Fan:
                 raise SpecFileError(
                     path, number, f"vector of length {len(v)}, expected {dim}"
                 )
-            labels.append(name)
+            labels[name] = len(vectors)
             vectors.append(v)
         elif directive == "cone":
             if dim is None:
@@ -207,7 +207,7 @@ def parse_fan_text(text: str, path: str = "<string>") -> Fan:
             for member in members:
                 if member not in labels:
                     raise SpecFileError(path, number, f"unknown vector label {member!r}")
-                indices.append(labels.index(member))
+                indices.append(labels[member])
             if len(set(indices)) != len(indices):
                 raise SpecFileError(path, number, "repeated label in cone")
             cones.append(indices)
@@ -215,7 +215,7 @@ def parse_fan_text(text: str, path: str = "<string>") -> Fan:
             raise SpecFileError(path, number, f"unknown directive {directive!r}")
     if dim is None:
         raise SpecFileError(path, lines[-1][0], "missing dim line")
-    return make_fan(vectors, cones, labels=labels, dim=dim)
+    return make_fan(vectors, cones, labels=list(labels), dim=dim)
 
 
 def parse_fan_file(path: str | Path) -> Fan:
@@ -429,7 +429,7 @@ def parse_bundle_text(text: str, path: str = "<string>") -> LogBundle:
     lines = _lines(text, path)
     _parse_header(path, lines[0][0], lines[0][1], "bundle")
     rank: int | None = None
-    chern: list[tuple[int, Vector]] = []
+    chern: dict[int, Vector] = {}
     for number, line in lines[1:]:
         directive = line.split(None, 1)[0]
         if directive == "rank":
@@ -446,9 +446,9 @@ def parse_bundle_text(text: str, path: str = "<string>") -> LogBundle:
             if not name.isdigit() or not (1 <= int(name) <= rank):
                 raise SpecFileError(path, number, f"chern index {name!r} out of range")
             index = int(name)
-            if any(i == index for i, _ in chern):
+            if index in chern:
                 raise SpecFileError(path, number, f"duplicate chern index {index}")
-            chern.append((index, _parse_vector(path, number, rest, empty_ok=True)))
+            chern[index] = _parse_vector(path, number, rest, empty_ok=True)
         else:
             raise SpecFileError(path, number, f"unknown directive {directive!r}")
     if rank is None:
@@ -457,7 +457,7 @@ def parse_bundle_text(text: str, path: str = "<string>") -> LogBundle:
         raise SpecFileError(
             path, lines[-1][0], f"expected chern vectors 1..{rank}"
         )
-    return make_bundle(rank, [v for _, v in sorted(chern)])
+    return make_bundle(rank, [chern[i] for i in sorted(chern)])
 
 
 def parse_bundle_file(path: str | Path) -> LogBundle:

@@ -692,9 +692,9 @@ def _escape(
     domain_id: int,
     fan: Fan,
     direction: Vector,
-    edge_of_face: Mapping[tuple[int, str], str],
-) -> str | None:
-    """Edge label a face line lands on when escaping in ``direction``.
+    edge_at: Mapping[tuple[int, str], int],
+) -> int | None:
+    """Index of the edge a face line lands on when escaping in ``direction``.
 
     The escape reaches the stratum whose ray points opposite to the
     direction; escaping into a 2-cone means the face runs into a
@@ -704,7 +704,7 @@ def _escape(
     target = vec_neg(direction)
     for idx, r in enumerate(fan.vectors):
         if cross2(r, target) == 0 and dot(r, target) > 0:
-            return edge_of_face[(domain_id, fan.labels[idx])]
+            return edge_at[(domain_id, fan.labels[idx])]
     for cone in fan.two_cones():
         if _holds(fan.arcs[cone], target):
             labels = "{" + ", ".join(fan.labels[i] for i in sorted(cone)) + "}"
@@ -789,8 +789,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     regions = _feasible(space, spec, _cycle)
     feasible = list(regions)
     face_label = _face_labels(spec)
-    edge_of_face = {f: e.label for e in space.edges for f in e.faces}
-    edge_index = {e.label: i for i, e in enumerate(space.edges)}
+    edge_at = {f: i for i, e in enumerate(space.edges) for f in e.faces}
 
     # face segments: the vertex-table key at each end, a vertex of the
     # cycle or, at an unbounded end, the landing of its escape (None
@@ -814,11 +813,11 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
                 bounds.append(dot(end[0], t) / dot(t, t))  # base is normal to t
                 table.setdefault(key, set()).update({face_label[ref], face_label[(ref[0], end[1])]})
             else:
-                edge_label = _escape(ref[0], fan, direction, edge_of_face)
+                edge = _escape(ref[0], fan, direction, edge_at)
                 key = None
-                if edge_label is not None:
-                    position = dot(rot90(space.edge(edge_label).residue), base)
-                    key = 1, edge_index[edge_label], position
+                if edge is not None:
+                    position = dot(rot90(space.edges[edge].residue), base)
+                    key = 1, edge, position
                     table.setdefault(key, set()).add(face_label[ref])
                 bounds.append(None)
             keys.append(key)

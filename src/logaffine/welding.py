@@ -14,26 +14,27 @@ any coerced pair is itself obstructed.
 
 The welds made so far live in one weld index (``_WeldIndex``), which
 ``build_welded_space`` creates once and threads through every closure
-and the assembly: face -> partner face, face -> pair holding it,
+and the assembly: face -> partner face, face -> pair holding it, and
 face -> label correspondence across its weld (a label map of that
-pair's fan-ray pair, see below), and the set of welded pair
-keys; ``WeldingSpec.fan`` is a mapping too.  A closure runs a queue
-in which each pair gets one match check and one pass over its corners,
-which yields both the obstruction verdict and the pairs it coerces, so
-welding takes near-linear time in the number of welds.  The public checks
+pair's fan-ray pair, see below); ``WeldingSpec.fan`` is a mapping too.
+A face is welded at most once, so a pair is welded exactly when its
+faces are each other's partners.  A closure runs a queue in which each
+pair gets one match check and one pass over its corners, which yields
+both the obstruction verdict and the pairs it coerces, so welding
+takes near-linear time in the number of welds.  The public checks
 (``is_locally_obstructed``, ``coerced_pairs``, ``weld_pair``) build the
 index of ``spec.pairs`` once per call.
 
-Matching is derived once per fan-ray pair.  Whether two faces match,
+Matching is derived once per fan-ray pair.  Whether two rays match,
 and how the labels around them correspond, depends only on the two
-fans and the two ray labels, so each spec keeps one memo of
-``is_matched_pair``'s verdict and label maps (left to right and back)
-keyed by ``(id(left fan), left label, id(right fan), right label)``;
-the ids are stable because the spec holds its fans.  The checks that
-name domains (unknown domain or label, both faces in one domain) still
-run for every pair, on the fan's label dict.  On a grid of one fan,
-parsing the spec and welding it evaluate ``is_matched_pair`` once per
-distinct pair of labels.
+fans and the two rays: ``_match_rays`` compares them, and each spec
+keeps one memo of its verdict and label maps (left to right and back)
+keyed by ``(id(left fan), left ray, id(right fan), right ray)``; the
+ids are stable because the spec holds its fans.  ``_match`` checks the
+faces of every pair (unknown domain or label, both faces in one
+domain) on the lookups that key needs, and ``is_matched_pair`` reads
+its answer.  On a grid of one fan, parsing the spec and welding it
+compare rays once per distinct pair of labels.
 
 The assembly reads the strata off the index through one table per
 ``Fan`` object, not per domain: the fan's quadrants in sorted-label
@@ -191,75 +192,64 @@ def is_matched_pair(spec: WeldingSpec, pair: MatchedPair) -> MatchResult:
     the left side to the face of the same adjacent vector on the
     right side.
     """
-    reason = _face_reason(spec, pair)
-    if reason is not None:
+    reason, forward, _ = _match(spec, pair)
+    if forward is None:
         return MatchResult(False, reason, None)
-    left_fan = spec.fan(pair.left[0])
-    right_fan = spec.fan(pair.right[0])
-    i_left = left_fan.index_of_label(pair.left[1])
-    i_right = right_fan.index_of_label(pair.right[1])
-    v_left = left_fan.vectors[i_left]
-    v_right = right_fan.vectors[i_right]
-    if v_left != v_right:
-        return MatchResult(
-            False,
-            f"face vectors differ: {tuple(map(str, v_left))} vs {tuple(map(str, v_right))}",
-            None,
-        )
-    star_left = left_fan.stars[i_left]
-    if star_left != right_fan.stars[i_right]:
-        return MatchResult(False, "the stars of the welded ray differ", None)
-    correspondence: dict[FaceRef, FaceRef] = {}
-    # cones are closed under subsets, so every ray sharing a cone with
-    # the welded one spans a 2-cone with it
-    for j in left_fan.corner_neighbours[i_left]:
-        # one fan object on both sides needs no lookup by vector
-        r = j if right_fan is left_fan else right_fan.index_of_vector(left_fan.vectors[j])
-        correspondence[(pair.left[0], left_fan.labels[j])] = (pair.right[0], right_fan.labels[r])
-    return MatchResult(True, None, correspondence)
-
-
-def _face_reason(spec: WeldingSpec, pair: MatchedPair) -> str | None:
-    """Why ``pair`` names no two faces of two domains of ``spec``, or None."""
-    fans = spec._fans
-    for face in pair.faces():
-        fan = fans.get(face[0])
-        if fan is None:
-            return f"unknown domain {face[0]}"
-        if face[1] not in fan._label_index:
-            return f"domain {face[0]} has no ray {face[1]!r}"
-    if pair.left[0] == pair.right[0]:
-        return "both faces belong to the same domain"
-    return None
+    left, right = pair.left[0], pair.right[0]
+    return MatchResult(True, None, {(left, a): (right, b) for a, b in forward.items()})
 
 
 def _match(
     spec: WeldingSpec, pair: MatchedPair
 ) -> tuple[str | None, dict[str, str] | None, dict[str, str] | None]:
-    """``is_matched_pair`` through the spec's memo.
+    """Whether ``pair`` is matched, through the spec's memo.
 
     Returns the reason ``pair`` is not matched (None when it is) and,
     when it is, the map from the left domain's labels around the welded
     ray to the right domain's and its inverse (else None twice).  The
-    maps are shared: do not modify them.
+    faces are checked on every call, the rays once per fan-ray pair
+    (``_match_rays``).  The maps are shared: do not modify them.
     """
-    reason = _face_reason(spec, pair)
-    if reason is not None:
-        return reason, None, None
-    (left_id, left_label), (right_id, right_label) = pair.left, pair.right
-    fans = spec._fans
-    key = (id(fans[left_id]), left_label, id(fans[right_id]), right_label)
-    memo = spec._matches
-    found = memo.get(key)
+    rays: list = []
+    for domain_id, label in pair.faces():
+        fan = spec._fans.get(domain_id)
+        if fan is None:
+            return f"unknown domain {domain_id}", None, None
+        ray = fan._label_index.get(label)
+        if ray is None:
+            return f"domain {domain_id} has no ray {label!r}", None, None
+        rays += (fan, ray)
+    if pair.left[0] == pair.right[0]:
+        return "both faces belong to the same domain", None, None
+    left, i, right, j = rays
+    key = (id(left), i, id(right), j)
+    found = spec._matches.get(key)
     if found is None:
-        match = is_matched_pair(spec, pair)
-        if match.ok:
-            forward = {left[1]: right[1] for left, right in match.correspondence.items()}
-            found = (None, forward, {r: l for l, r in forward.items()})
-        else:
-            found = (match.reason, None, None)
-        memo[key] = found
+        found = spec._matches[key] = _match_rays(left, i, right, j)
     return found
+
+
+def _match_rays(
+    left: Fan, i: int, right: Fan, j: int
+) -> tuple[str | None, dict[str, str] | None, dict[str, str] | None]:
+    """Whether ray ``i`` of ``left`` matches ray ``j`` of ``right``, as ``_match``."""
+    v_left, v_right = left.vectors[i], right.vectors[j]
+    if v_left != v_right:
+        return (
+            f"face vectors differ: {tuple(map(str, v_left))} vs {tuple(map(str, v_right))}",
+            None,
+            None,
+        )
+    if left.stars[i] != right.stars[j]:
+        return "the stars of the welded ray differ", None, None
+    forward: dict[str, str] = {}
+    # cones are closed under subsets, so every ray sharing a cone with
+    # the welded one spans a 2-cone with it
+    for k in left.corner_neighbours[i]:
+        # one fan object on both sides needs no lookup by vector
+        r = k if right is left else right.index_of_vector(left.vectors[k])
+        forward[left.labels[k]] = right.labels[r]
+    return None, forward, {b: a for a, b in forward.items()}
 
 
 # ------------------------------------------------------- quadrant chains
@@ -270,14 +260,6 @@ def _other_label(corner: frozenset[str], label: str) -> str:
     return other
 
 
-@dataclass
-class _Chain:
-    quads: list[Quadrant]
-    links: list[MatchedPair]
-    closed: bool
-    end_face: FaceRef | None  # free face at the far end (open chains)
-
-
 class _WeldIndex:
     """The welds made so far over the domains of ``spec``, as lookups.
 
@@ -286,9 +268,10 @@ class _WeldIndex:
     welded face to the face across its weld and to its pair, and
     ``across`` to the labels of its domain renamed to the partner's
     (one of the pair's two label maps from ``_match``), so a chain steps
-    over a weld with three lookups.  ``keys`` holds the welded pair
-    keys.  Nothing is undone when a check raises: a caller that meets
-    an error drops the index.
+    over a weld with three lookups.  A face is welded at most once, so
+    a pair is welded exactly when ``partner`` maps its left face to its
+    right one.  Nothing is undone when a check raises: a caller that
+    meets an error drops the index.
     """
 
     def __init__(self, spec: WeldingSpec) -> None:
@@ -296,7 +279,6 @@ class _WeldIndex:
         self.partner: dict[FaceRef, FaceRef] = {}
         self.holder: dict[FaceRef, MatchedPair] = {}
         self.across: dict[FaceRef, dict[str, str]] = {}
-        self.keys: set[frozenset[FaceRef]] = set()
 
     @classmethod
     def of(cls, spec: WeldingSpec) -> _WeldIndex:
@@ -317,7 +299,6 @@ class _WeldIndex:
         self.holder[pair.left] = self.holder[pair.right] = pair
         self.across[pair.left] = forward
         self.across[pair.right] = backward
-        self.keys.add(pair.key())
 
     def require_free(self, pair: MatchedPair) -> None:
         for face in pair.faces():
@@ -337,8 +318,10 @@ class _WeldIndex:
         self.require_free(pair)
         return forward
 
-    def walk(self, start: Quadrant, exit_label: str) -> _Chain:
-        """Follow welds from ``start`` leaving through ``exit_label``."""
+    def walk(self, start: Quadrant, exit_label: str) -> tuple[list, list, FaceRef | None]:
+        """Follow welds from ``start`` leaving through ``exit_label``: the
+        quadrants met, the pairs crossed and the free face at the far end
+        (None when the chain closes)."""
         quads = [start]
         links: list[MatchedPair] = []
         current = start
@@ -347,12 +330,12 @@ class _WeldIndex:
             face = (current[0], label)
             partner = self.partner.get(face)
             if partner is None:
-                return _Chain(quads, links, closed=False, end_face=face)
+                return quads, links, face
             links.append(self.holder[face])
             label = self.across[face][_other_label(current[1], label)]
             current = (partner[0], frozenset({partner[1], label}))
             if current == start:
-                return _Chain(quads, links, closed=True, end_face=None)
+                return quads, links, None
             quads.append(current)
 
     def corners(
@@ -376,21 +359,21 @@ class _WeldIndex:
             r_w = forward[l_w]
             ql: Quadrant = (pair.left[0], frozenset({pair.left[1], l_w}))
             qr: Quadrant = (pair.right[0], frozenset({pair.right[1], r_w}))
-            chain_l = self.walk(ql, l_w)
-            if qr in chain_l.quads:
-                length = len(chain_l.quads)
+            quads_l, links_l, end_l = self.walk(ql, l_w)
+            if qr in quads_l:
+                length = len(quads_l)
                 if length != 4:
                     reason = f"welding closes a {length}-quadrant cycle at"
-                    return _obstructed(reason, fan, ray, j, chain_l.links), ()
+                    return _obstructed(reason, fan, ray, j, links_l), ()
                 continue  # the new weld itself closes this corner
-            chain_r = self.walk(qr, r_w)
-            total = len(chain_l.quads) + len(chain_r.quads)
+            quads_r, links_r, end_r = self.walk(qr, r_w)
+            total = len(quads_l) + len(quads_r)
             if total > 4:
                 reason = f"welding gathers {total} quadrants at"
-                return _obstructed(reason, fan, ray, j, chain_l.links + chain_r.links), ()
+                return _obstructed(reason, fan, ray, j, links_l + links_r), ()
             if total == 4:
-                assert chain_l.end_face is not None and chain_r.end_face is not None
-                faces = sorted((chain_l.end_face, chain_r.end_face))
+                assert end_l is not None and end_r is not None
+                faces = sorted((end_l, end_r))
                 forced = MatchedPair(faces[0], faces[1])
                 coerced.setdefault(forced.key(), forced)
         ordered = sorted(coerced.values(), key=lambda p: sorted(p.faces()))
@@ -452,7 +435,7 @@ def _weld_closure(index: _WeldIndex, pair: MatchedPair) -> tuple[MatchedPair, ..
     added: list[MatchedPair] = []
     while queue:
         item = queue.popleft()
-        if added and item.key() in index.keys:
+        if added and index.partner.get(item.left) == item.right:
             continue
         reason, forward, backward = _match(index.spec, item)
         if forward is None:
@@ -624,7 +607,7 @@ def build_welded_space(spec: WeldingSpec) -> WeldedSpace:
     labels: dict[frozenset[FaceRef], str | None] = {}
     order: list[frozenset[FaceRef]] = []
     for pair in spec.pairs:
-        if pair.key() in index.keys:
+        if index.partner.get(pair.left) == pair.right:
             labels[pair.key()] = pair.label or labels[pair.key()]
             continue
         for p in _weld_closure(index, pair):
@@ -683,17 +666,17 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
             quad = (domain_id, labels)
             if quad in cluster_of_quadrant:
                 continue
-            forward = index.walk(quad, l1)
-            if forward.closed:
-                members, links = forward.quads, forward.links
+            members, links, end = index.walk(quad, l1)
+            closed = end is None
+            if closed:
                 if len(members) != 4:
                     raise GeometryError(
                         f"corner cycle of length {len(members)} at quadrant {quad}"
                     )
             else:
-                backward = index.walk(quad, l2)
-                members = backward.quads[:0:-1] + forward.quads
-                links = backward.links[::-1] + forward.links
+                back_quads, back_links, _ = index.walk(quad, l2)
+                members = back_quads[:0:-1] + members
+                links = back_links[::-1] + links
                 if len(members) > 3:
                     raise GeometryError(
                         f"unresolved corner chain of length {len(members)} at quadrant {quad}"
@@ -702,7 +685,7 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
             for q in members:
                 cluster_of_quadrant[q] = cluster_id
             clusters.append(
-                CornerCluster(cluster_id, position, tuple(members), forward.closed, tuple(links))
+                CornerCluster(cluster_id, position, tuple(members), closed, tuple(links))
             )
 
     # --- edge strata

@@ -1,5 +1,6 @@
 """File format tests: round trips, error locations, dispatch."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -256,6 +257,20 @@ def test_bundle_errors():
 
     err = parse_error(parse_bundle_text, "logaffine bundle 1\nrank 2\nchern 1 = (1)\n")
     assert "1..2" in err.reason
+
+
+def test_a_rank_40000_bundle_parses_in_seconds():
+    """A repeated chern index is found by lookup, not by a scan of the
+    earlier lines, so parsing is linear in the rank."""
+    rank = 40_000
+    text = f"logaffine bundle 1\nrank {rank}\n" + "".join(
+        f"chern {i} = ({i % 7})\n" for i in range(rank, 0, -1)
+    )
+    start = time.perf_counter()
+    bundle = parse_bundle_text(text)
+    assert time.perf_counter() - start < 5
+    assert bundle.rank == rank
+    assert bundle.chern[:8] == tuple((Fraction(i % 7),) for i in range(1, 9))
 
 
 def test_only_chern_vectors_may_be_empty():

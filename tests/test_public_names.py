@@ -11,6 +11,9 @@ dunders, whether or not the class is exported.  Every field of a
 private top-level class, an annotated name or a ``__slots__`` entry of
 its body, must be read as an attribute by package code, or the class
 keeps state that nothing uses.
+Every dataclass is frozen: the match memo and the cached properties
+key on object identity, which is sound only for values that never
+change.
 ``__init__`` only re-exports, so it is not scanned and does not count
 as a reader.
 """
@@ -131,6 +134,32 @@ def unread_fields(sources: dict[str, str]) -> list[str]:
     ]
 
 
+def is_dataclass_decorator(node: ast.expr) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(target, ast.Name) and target.id == "dataclass") or (
+        isinstance(target, ast.Attribute) and target.attr == "dataclass"
+    )
+
+
+def unfrozen_dataclasses(sources: dict[str, str]) -> list[str]:
+    """``module.Class`` for each dataclass, nested or not, that is not
+    declared ``frozen=True``."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for decorator in filter(is_dataclass_decorator, node.decorator_list):
+                keywords = decorator.keywords if isinstance(decorator, ast.Call) else []
+                frozen = any(
+                    k.arg == "frozen" and getattr(k.value, "value", None) is True
+                    for k in keywords
+                )
+                if not frozen:
+                    found.append(f"{module}.{node.name}")
+    return found
+
+
 def package_sources() -> dict[str, str]:
     return {
         path.stem: path.read_text()
@@ -197,6 +226,23 @@ def test_guard_flags_an_unread_field() -> None:
     assert unread_fields(sources) == ["a._R.kept", "a._S.spare"]
 
 
+def test_guard_flags_an_unfrozen_dataclass() -> None:
+    sources = {
+        "a": "from dataclasses import dataclass\n"
+        "@dataclass\nclass A: pass\n"
+        "@dataclass(frozen=True)\nclass B: pass\n"
+        "@dataclass(order=True)\nclass C: pass\n"
+        "class D: pass\n",
+        "b": "import dataclasses\n"
+        "def f():\n"
+        "    @dataclasses.dataclass(frozen=False)\n"
+        "    class E: pass\n"
+        "@dataclasses.dataclass(frozen=True)\nclass F: pass\n",
+    }
+    # a plain class is no dataclass; a nested one is scanned
+    assert unfrozen_dataclasses(sources) == ["a.A", "a.C", "b.E"]
+
+
 def test_no_uncalled_public_helpers() -> None:
     assert uncalled_public(package_sources(), set(logaffine.__all__)) == []
 
@@ -211,3 +257,7 @@ def test_no_unread_methods() -> None:
 
 def test_no_unread_fields() -> None:
     assert unread_fields(package_sources()) == []
+
+
+def test_every_dataclass_is_frozen() -> None:
+    assert unfrozen_dataclasses(package_sources()) == []

@@ -25,6 +25,7 @@ from logaffine.fileio import parse_welding_text
 from logaffine.welding import (
     MatchedPair,
     _assemble,
+    _match,
     _WeldIndex,
     build_welded_space,
     coerced_pairs,
@@ -354,9 +355,7 @@ def test_assemble_rejects_corners_the_closure_never_leaves(faces, message: str) 
     spec = quadrant_spec(4, faces)
     index = _WeldIndex(spec)
     for pair in spec.pairs:
-        correspondence = is_matched_pair(spec, pair).correspondence
-        forward = {left[1]: right[1] for left, right in correspondence.items()}
-        index.add(pair, forward, {r: l for l, r in forward.items()})
+        index.add(pair, *_match(spec, pair)[1:])
     with pytest.raises(GeometryError) as err:
         _assemble(spec, index)
     with pytest.raises(GeometryError) as oracle:
@@ -529,13 +528,13 @@ def test_each_fan_ray_pair_is_matched_once(variant: str, monkeypatch) -> None:
     from logaffine import welding
 
     calls = []
-    original = welding.is_matched_pair
+    original = welding._match_rays
 
-    def counting(spec, pair):
-        calls.append(pair)
-        return original(spec, pair)
+    def counting(left, i, right, j):
+        calls.append((left, i, right, j))
+        return original(left, i, right, j)
 
-    monkeypatch.setattr(welding, "is_matched_pair", counting)
+    monkeypatch.setattr(welding, "_match_rays", counting)
     spec = parse_welding_text(grid_text(variant, 2), base=FIXTURES).spec
     space = build_welded_space(spec)
     assert len(space.pairs) >= len(spec.pairs) > 4
@@ -579,17 +578,33 @@ def test_a_memoized_mismatch_keeps_each_pairs_message() -> None:
     ]
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(spec=matched_weldings())
+def test_is_matched_pair_agrees_with_the_oracle_on_every_face_pair(spec) -> None:
+    """Every ordered pair of faces, with an unknown domain, a missing
+    label and both faces in one domain among them; the second pass
+    reads only the memo."""
+    faces = [(d, label) for d, fan in spec.domain_items for label in (*fan.labels, "z")]
+    faces.append((max(spec.domain_ids) + 1, "a"))
+    pairs = [MatchedPair(left, right) for left in faces for right in faces]
+    for _ in range(2):
+        for pair in pairs:
+            result = is_matched_pair(spec, pair)
+            expected = weld_oracle.is_matched_pair(spec, pair)
+            assert (result.ok, result.reason, result.correspondence) == expected, pair.describe()
+
+
 def test_each_pair_is_matched_once(monkeypatch) -> None:
     from logaffine import welding
 
     calls = []
-    original = welding.is_matched_pair
+    original = welding._match_rays
 
-    def counting(spec, pair):
-        calls.append(pair)
-        return original(spec, pair)
+    def counting(left, i, right, j):
+        calls.append((left, i, right, j))
+        return original(left, i, right, j)
 
-    monkeypatch.setattr(welding, "is_matched_pair", counting)
+    monkeypatch.setattr(welding, "_match_rays", counting)
     square = load_fan("square.fan")
     listed = [MatchedPair((d1, r1), (d2, r2)) for d1, r1, d2, r2 in grid_pairs("comb", 3)]
     spec = make_welding_spec({i: square for i in range(1, 37)}, listed)
