@@ -70,13 +70,15 @@ def make_bundle(rank: int, chern) -> LogBundle:
     return LogBundle(rank=rank, chern=vectors)
 
 
-def _base_degree2_rank(space: WeldedSpace) -> int:
-    b = betti_numbers(space)
-    return b[2] if len(b) > 2 else 0
-
-
-def _check_bundle_base(space: WeldedSpace, bundle: LogBundle) -> None:
-    expected = _base_degree2_rank(space)
+def _check_bundle(p: LogPolytope, bundle: LogBundle) -> None:
+    """The bundle has one circle factor per polytope dimension and one
+    Chern entry per degree-2 class of the base."""
+    if bundle.rank != p.dim:
+        raise DimensionMismatchError(
+            f"bundle rank {bundle.rank} does not match the torus rank {p.dim}"
+        )
+    b = betti_numbers(p.space)
+    expected = b[2] if len(b) > 2 else 0
     for index, vec in enumerate(bundle.chern, start=1):
         if len(vec) != expected:
             raise DimensionMismatchError(
@@ -162,11 +164,7 @@ def cut_report(p: LogPolytope, bundle: LogBundle) -> CutReport:
     Euler characteristic of the cut is carried entirely by the rank-zero
     point strata.
     """
-    if bundle.rank != p.dim:
-        raise DimensionMismatchError(
-            f"bundle rank {bundle.rank} does not match the torus rank {p.dim}"
-        )
-    _check_bundle_base(p.space, bundle)
+    _check_bundle(p, bundle)
     status = obstruction_vanishes(p.space, bundle)
     if status.vanishes is not True:
         raise ObstructionUnknownError(status.reason)
@@ -285,11 +283,7 @@ def _polytope_shape(p: LogPolytope) -> PolytopeShape:
 
 def make_invariant_record(p: LogPolytope, bundle: LogBundle) -> InvariantRecord:
     """Assemble the invariant record of a compact polytope and bundle."""
-    if bundle.rank != p.dim:
-        raise DimensionMismatchError(
-            f"bundle rank {bundle.rank} does not match the torus rank {p.dim}"
-        )
-    _check_bundle_base(p.space, bundle)
+    _check_bundle(p, bundle)
     return InvariantRecord(
         polytope=_polytope_shape(p),
         chern=bundle,

@@ -284,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str, **extra):
+    def add(name: str, handler, help_text: str):
         cmd = sub.add_parser(name, parents=[common], help=help_text)
         cmd.add_argument("path", help="workspace file")
         cmd.set_defaults(handler=handler)

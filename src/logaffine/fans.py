@@ -275,48 +275,15 @@ def _direction_cmp(u: Vector, v: Vector) -> int:
     return 0
 
 
-def cyclic_order(fan: Fan) -> list[int]:
-    """Indices of the fan rays sorted counterclockwise from (1, 0)."""
-    if fan.dim != 2:
-        raise UnsupportedDimensionError("cyclic order is a planar notion")
-    key = functools.cmp_to_key(lambda i, j: _direction_cmp(fan.vectors[i], fan.vectors[j]))
-    return sorted(range(len(fan.vectors)), key=key)
-
-
-def is_complete_2d(fan: Fan) -> bool:
-    """Whether the plane fan's cones cover every direction.
-
-    True exactly when there are at least three rays and each pair of
-    cyclically consecutive rays spans a 2-cone of the fan turning
-    counterclockwise by less than a half turn.
-    """
-    if fan.dim != 2:
-        raise UnsupportedDimensionError(f"completeness test is 2d-only, got dim {fan.dim}")
-    m = len(fan.vectors)
-    if m < 3:
-        return False
-    order = cyclic_order(fan)
-    for k in range(m):
-        i, j = order[k], order[(k + 1) % m]
-        if frozenset({i, j}) not in fan.cones:
-            return False
-        if cross2(fan.vectors[i], fan.vectors[j]) <= 0:
-            return False
-    return True
-
-
-def is_complete_1d(fan: Fan) -> bool:
-    """Whether a line fan covers both directions."""
-    if fan.dim != 1:
-        raise UnsupportedDimensionError("1d completeness needs a line fan")
-    signs = {1 if v[0] > 0 else -1 for v in fan.vectors}
-    return signs == {1, -1}
-
-
 def is_complete(fan: Fan) -> bool:
-    """Completeness in the supported dimensions (1 and 2)."""
+    """Whether the cones of a valid fan cover every direction.
+
+    A plane fan is complete exactly when it has rays and each ray has a
+    2-cone on both sides (``turns``); a line fan when it has rays of
+    both signs.  Other dimensions raise ``UnsupportedDimensionError``.
+    """
     if fan.dim == 1:
-        return is_complete_1d(fan)
+        return {v[0] > 0 for v in fan.vectors} == {True, False}
     if fan.dim == 2:
-        return is_complete_2d(fan)
+        return bool(fan.vectors) and all(None not in t for t in fan.turns)
     raise UnsupportedDimensionError(f"no completeness test in dim {fan.dim}")

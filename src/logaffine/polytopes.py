@@ -1128,10 +1128,7 @@ def delzant_check(p: LogPolytope) -> DelzantResult:
         fn = p.spec.constraint(ref)
         _validate_covector(ref, fn)
         covector_of_face[face.label] = fn.linear
-    for face in p.nonsingular_faces:
-        rows = (covector_of_face[face.label],)
-        if not is_saturated_lattice_basis(rows):
-            return DelzantResult(False, ((face.label, rows),))
+    # a single primitive row is always saturated: only vertices can fail
     for vertex in p.vertices:
         labels = [f for f in vertex.faces if f in covector_of_face]
         if not labels:

@@ -2,13 +2,14 @@
 
 Everything in this package reduces to small exact computations:
 Gauss-Jordan elimination on rational rows (ranks, solving and cone
-membership) and Smith normal form over the integers for
+membership) and the gcd of the maximal minors of an integer matrix for
 lattice-saturation tests.  Vectors are plain tuples of
 ``fractions.Fraction`` so they hash and compare structurally.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,7 +129,7 @@ def gauss_jordan(rows: list[list[Fraction]], columns: int) -> list[int]:
     return pivots
 
 
-# ------------------------------------------------------------ Smith form
+# ------------------------------------------------------- lattice test
 
 
 def _as_int_matrix(rows: Sequence[Sequence]) -> list[list[int]]:
@@ -147,78 +148,30 @@ def _as_int_matrix(rows: Sequence[Sequence]) -> list[list[int]]:
     return out
 
 
-def smith_normal_form(rows: Sequence[Sequence]) -> tuple[int, ...]:
-    """Diagonal of the Smith normal form of an integer matrix.
-
-    Returns ``min(k, n)`` non-negative integers ``d1 | d2 | ...`` with
-    zeros at the tail when the matrix drops rank.
-    """
-    mat = _as_int_matrix(rows)
-    k = len(mat)
-    n = len(mat[0]) if mat else 0
-    size = min(k, n)
-    divisors: list[int] = []
-    top = 0
-    while top < size:
-        # Find the entry of smallest nonzero magnitude in the working block.
-        best = None
-        for i in range(top, k):
-            for j in range(top, n):
-                if mat[i][j] != 0 and (best is None or abs(mat[i][j]) < abs(mat[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            divisors.extend([0] * (size - top))
-            break
-        bi, bj = best
-        mat[top], mat[bi] = mat[bi], mat[top]
-        for row in mat:
-            row[top], row[bj] = row[bj], row[top]
-        pivot = mat[top][top]
-        # Reduce the pivot row and column; restart when a remainder appears.
-        dirty = False
-        for i in range(top + 1, k):
-            q = mat[i][top] // pivot
-            if q:
-                mat[i] = [x - q * y for x, y in zip(mat[i], mat[top])]
-            if mat[i][top] != 0:
-                dirty = True
-        for j in range(top + 1, n):
-            q = mat[top][j] // pivot
-            if q:
-                for row in mat:
-                    row[j] -= q * row[top]
-            if mat[top][j] != 0:
-                dirty = True
-        if dirty:
-            continue
-        # Pivot must divide every remaining entry; if not, absorb a bad row.
-        offender = None
-        for i in range(top + 1, k):
-            for j in range(top + 1, n):
-                if mat[i][j] % pivot != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            mat[top] = [x + y for x, y in zip(mat[top], mat[offender])]
-            continue
-        divisors.append(abs(pivot))
-        top += 1
-    while len(divisors) < size:
-        divisors.append(0)
-    return tuple(divisors)
+def _det(mat: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, by cofactors of its first row."""
+    if not mat:
+        return 1
+    return sum(
+        (-1) ** j * x * _det([row[:j] + row[j + 1 :] for row in mat[1:]])
+        for j, x in enumerate(mat[0])
+        if x
+    )
 
 
 def is_saturated_lattice_basis(rows: Sequence[Sequence]) -> bool:
     """Whether integer row vectors extend to a basis of the full lattice.
 
-    True exactly when the Smith normal form of the ``k x n`` matrix
-    (``k <= n``) has every divisor equal to one, i.e. the rows span a
-    saturated rank-``k`` sublattice.
+    True exactly when the ``k x k`` minors of the ``k x n`` matrix
+    (``k <= n``) have gcd one, i.e. the rows span a saturated rank-``k``
+    sublattice (the gcd is the product of the Smith divisors).
     """
     mat = _as_int_matrix(rows)
     if mat and len(mat) > len(mat[0]):
         raise DimensionMismatchError("more rows than columns")
-    divisors = smith_normal_form(mat)
-    return all(d == 1 for d in divisors)
+    columns = range(len(mat[0]) if mat else 0)
+    minors = (
+        _det([[row[j] for j in cols] for row in mat])
+        for cols in itertools.combinations(columns, len(mat))
+    )
+    return math.gcd(*minors) == 1

@@ -693,15 +693,21 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
         """The vector and tail and head quadrant labels of ``face``'s ray."""
         return tables[id(spec.fan(face[0]))][2][face[1]]
 
-    def stratum(
+    edges: dict[str, EdgeStratum] = {}
+
+    def add_edge(
         label: str,
         kind: str,
         face: FaceRef,
         faces: tuple[FaceRef, ...],
         domain_ids: tuple[int, ...],
-    ) -> EdgeStratum:
+    ) -> None:
+        # the by-label lookups (WeldedSpace.edge, the components) need
+        # one edge per label; a listed label is never renamed
+        if label in edges:
+            raise WeldingError(f"edge label {label!r} names two edges")
         v, tail, head = ray(face)
-        return EdgeStratum(
+        edges[label] = EdgeStratum(
             label=label,
             kind=kind,
             faces=faces,
@@ -711,26 +717,23 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
             head=None if head is None else cluster_of_quadrant[(face[0], head)],
         )
 
-    edges: list[EdgeStratum] = []
     for p in pairs:
         # the faces of a matched pair lie in two domains
         a, b = (p.left, p.right) if p.left < p.right else (p.right, p.left)
-        edges.append(stratum(p.label, "welded", p.left, (a, b), (a[0], b[0])))
+        add_edge(p.label, "welded", p.left, (a, b), (a[0], b[0]))
     for domain_id, fan in domains:
         for label in fan.labels:
             face = (domain_id, label)
             if face not in index.partner:
-                name = f"{domain_id}.{label}"
-                edges.append(stratum(name, "boundary", face, (face,), (domain_id,)))
+                add_edge(f"{domain_id}.{label}", "boundary", face, (face,), (domain_id,))
 
     # --- divisor components: welded edges joined at crossings, where a
     # closed walk's links alternate the corner's two rays, so link i and
     # link i + 2 cross it on one ray
     joins = [(c.links[i].label, c.links[i + 2].label) for c in clusters if c.closed for i in (0, 1)]
-    welded = {e.label: e for e in edges[: len(pairs)]}
     components = [
         DivisorComponent(
-            label=f"D{k + 1}", edge_labels=run, residue=welded[run[0]].residue, closed=closed
+            label=f"D{k + 1}", edge_labels=run, residue=edges[run[0]].residue, closed=closed
         )
         for k, (run, closed) in enumerate(connected_runs((p.label for p in pairs), joins))
     ]
@@ -744,7 +747,7 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
         spec=spec,
         dim=spec.dim,
         pairs=pairs,
-        edges=tuple(edges),
+        edges=tuple(edges.values()),
         clusters=tuple(clusters),
         divisor_components=tuple(components),
         orientable=signs is not None,

@@ -32,6 +32,10 @@ vanishing along the whole line; the clip oracles here and in
 old region computation, each constraint point clipped by the others,
 and ``faces_1d`` reads the feasible domains, the faces with their
 points and the build's faults off it.
+
+``cyclic_order`` and ``is_complete_2d`` are the package's old
+completeness test, which sorts the rays by angle and looks up the cone
+of each pair of neighbours; ``fans.is_complete`` now reads ``Fan.turns``.
 """
 
 from __future__ import annotations
@@ -492,3 +496,33 @@ def clip_regions(space: WeldedSpace, spec: PolytopeSpec, region_of=None) -> dict
         )
         for d in feasible
     }
+
+
+def cyclic_order(fan: Fan) -> list[int]:
+    """Indices of the fan rays sorted counterclockwise from (1, 0)."""
+    if fan.dim != 2:
+        raise UnsupportedDimensionError("cyclic order is a planar notion")
+    key = functools.cmp_to_key(lambda i, j: _direction_cmp(fan.vectors[i], fan.vectors[j]))
+    return sorted(range(len(fan.vectors)), key=key)
+
+
+def is_complete_2d(fan: Fan) -> bool:
+    """Whether the plane fan's cones cover every direction.
+
+    True exactly when there are at least three rays and each pair of
+    cyclically consecutive rays spans a 2-cone of the fan turning
+    counterclockwise by less than a half turn.
+    """
+    if fan.dim != 2:
+        raise UnsupportedDimensionError(f"completeness test is 2d-only, got dim {fan.dim}")
+    m = len(fan.vectors)
+    if m < 3:
+        return False
+    order = cyclic_order(fan)
+    for k in range(m):
+        i, j = order[k], order[(k + 1) % m]
+        if frozenset({i, j}) not in fan.cones:
+            return False
+        if cross2(fan.vectors[i], fan.vectors[j]) <= 0:
+            return False
+    return True

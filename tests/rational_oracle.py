@@ -6,6 +6,11 @@ run; ``validate_by_solves`` checks the cone axioms of a fan with them,
 one solve per (cone, ray) pair.  ``fans.validate_fan`` instead runs one
 elimination per cone, with every other ray as an augmented column, and
 must give the same violations in the same order.
+
+``smith_normal_form`` is the package's old integer elimination: the
+lattice test ``rational.is_saturated_lattice_basis`` now reads the gcd
+of the maximal minors, which must be one exactly when every Smith
+divisor is.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Sequence
 
 from logaffine.errors import DependentGeneratorsError, DimensionMismatchError
 from logaffine.fans import Fan
-from logaffine.rational import Vector, as_vector, gauss_jordan, is_zero
+from logaffine.rational import Vector, _as_int_matrix, as_vector, gauss_jordan, is_zero
 
 
 def _check_same_length(vectors: Sequence[Vector]) -> int:
@@ -105,3 +110,66 @@ def cone_violations(fan: Fan) -> list[str]:
                     f"vector {fan.labels[j]} lies in the closed hull of cone {name(cone)}"
                 )
     return violations
+
+
+def smith_normal_form(rows: Sequence[Sequence]) -> tuple[int, ...]:
+    """Diagonal of the Smith normal form of an integer matrix.
+
+    Returns ``min(k, n)`` non-negative integers ``d1 | d2 | ...`` with
+    zeros at the tail when the matrix drops rank.
+    """
+    mat = _as_int_matrix(rows)
+    k = len(mat)
+    n = len(mat[0]) if mat else 0
+    size = min(k, n)
+    divisors: list[int] = []
+    top = 0
+    while top < size:
+        # Find the entry of smallest nonzero magnitude in the working block.
+        best = None
+        for i in range(top, k):
+            for j in range(top, n):
+                if mat[i][j] != 0 and (best is None or abs(mat[i][j]) < abs(mat[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            divisors.extend([0] * (size - top))
+            break
+        bi, bj = best
+        mat[top], mat[bi] = mat[bi], mat[top]
+        for row in mat:
+            row[top], row[bj] = row[bj], row[top]
+        pivot = mat[top][top]
+        # Reduce the pivot row and column; restart when a remainder appears.
+        dirty = False
+        for i in range(top + 1, k):
+            q = mat[i][top] // pivot
+            if q:
+                mat[i] = [x - q * y for x, y in zip(mat[i], mat[top])]
+            if mat[i][top] != 0:
+                dirty = True
+        for j in range(top + 1, n):
+            q = mat[top][j] // pivot
+            if q:
+                for row in mat:
+                    row[j] -= q * row[top]
+            if mat[top][j] != 0:
+                dirty = True
+        if dirty:
+            continue
+        # Pivot must divide every remaining entry; if not, absorb a bad row.
+        offender = None
+        for i in range(top + 1, k):
+            for j in range(top + 1, n):
+                if mat[i][j] % pivot != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            mat[top] = [x + y for x, y in zip(mat[top], mat[offender])]
+            continue
+        divisors.append(abs(pivot))
+        top += 1
+    while len(divisors) < size:
+        divisors.append(0)
+    return tuple(divisors)

@@ -6,13 +6,14 @@ import random
 
 import pytest
 from conftest import FIXTURES
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logaffine.errors import UnsupportedDimensionError
-from logaffine.fans import Fan, is_complete_2d, make_fan, star, validate_fan
+from logaffine.fans import Fan, is_complete, make_fan, star, validate_fan
 from logaffine.fileio import parse_fan_file
-from logaffine.rational import vector
+from logaffine.rational import primitive, vector
+from polytope_oracle import cyclic_order, is_complete_2d
 from rational_oracle import cone_violations
 
 
@@ -151,23 +152,66 @@ def test_star_accepts_labels_and_rejects_unknown() -> None:
 
 
 def test_is_complete_2d_examples() -> None:
-    assert is_complete_2d(triangle_fan())
-    assert is_complete_2d(hexagon_fan())
-    assert not is_complete_2d(wedge_fan())
-    assert not is_complete_2d(make_fan([], [[]], labels=[], dim=2))
+    assert is_complete(triangle_fan())
+    assert is_complete(hexagon_fan())
+    assert not is_complete(wedge_fan())
+    assert not is_complete(make_fan([], [[]], labels=[], dim=2))
     # Four rays but one missing quadrant cone.
     fan = make_fan(
         [(1, 0), (0, 1), (-1, 0), (0, -1)],
         [[], [0], [1], [2], [3], [0, 1], [1, 2], [2, 3]],
         labels=list("abcd"),
     )
-    assert not is_complete_2d(fan)
+    assert not is_complete(fan)
 
 
-def test_is_complete_2d_requires_dim_2() -> None:
-    fan = make_fan([(1,)], [[], [0]], labels=["a"], dim=1)
-    with pytest.raises(UnsupportedDimensionError):
-        is_complete_2d(fan)
+def test_is_complete_1d_needs_rays_of_both_signs() -> None:
+    line = make_fan([(1,), (-2,)], [[], [0], [1]], labels=["a", "b"])
+    half = make_fan([(1,), (2,)], [[], [0], [1]], labels=["a", "b"])
+    assert is_complete(line)
+    assert not is_complete(half)
+    assert not is_complete(make_fan([], [[]], labels=[], dim=1))
+
+
+def test_is_complete_rejects_dim_3() -> None:
+    fan = make_fan([(1, 0, 0)], [[], [0]], labels=["a"])
+    with pytest.raises(UnsupportedDimensionError, match="dim 3"):
+        is_complete(fan)
+
+
+def test_fixture_fans_are_complete_as_by_the_cyclic_order() -> None:
+    fans = [parse_fan_file(path) for path in sorted(FIXTURES.glob("*.fan"))]
+    plane = [fan for fan in fans if fan.dim == 2 and validate_fan(fan).ok]
+    assert len(plane) == 13
+    assert sum(map(is_complete_2d, plane)) == 3
+    for fan in plane:
+        assert is_complete(fan) == is_complete_2d(fan)
+
+
+@st.composite
+def valid_plane_fans(draw) -> Fan:
+    """Up to six rays in distinct directions, their 1-cones and, for
+    each pair of rays next to each other counterclockwise, maybe the
+    2-cone between them (all of them half the time); a pair more than a
+    half turn apart spans the other way round, over the other rays, so
+    only valid fans are kept."""
+    entry = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+    vectors = draw(st.lists(entry, max_size=6, unique_by=primitive))
+    order = cyclic_order(make_fan(vectors, [], dim=2))
+    every = draw(st.booleans())
+    cones = [[]] + [[i] for i in order]
+    for k, i in enumerate(order):
+        if every or draw(st.booleans()):
+            cones.append([i, order[(k + 1) % len(order)]])
+    fan = make_fan(vectors, cones, dim=2)
+    assume(validate_fan(fan).ok)
+    return fan
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fan=valid_plane_fans())
+def test_completeness_from_turns_matches_the_cyclic_order(fan: Fan) -> None:
+    assert is_complete(fan) == is_complete_2d(fan)
 
 
 def test_completeness_invariant_under_relabelling() -> None:
@@ -181,4 +225,4 @@ def test_completeness_invariant_under_relabelling() -> None:
         cones = [[inverse[i] for i in cone] for cone in map(sorted, base.cones)]
         shuffled = make_fan(vectors, cones, labels=[base.labels[i] for i in order])
         assert validate_fan(shuffled).ok
-        assert is_complete_2d(shuffled)
+        assert is_complete(shuffled)

@@ -244,23 +244,6 @@ def test_half_plane_model_counts_cells() -> None:
         is_compact_2d(p)
 
 
-def test_an_escape_lands_on_the_edge_of_its_face_whatever_the_labels() -> None:
-    """A pair may carry the label of a free face's edge: welded as "1.b",
-    the half plane has two edges labelled "1.b", and the face N still
-    lands on the welded one."""
-    pf = load_polytope("figmodel.poly")
-    welding = pf.spec.welding
-    renamed = replace(welding, pairs=tuple(replace(p, label="1.b") for p in welding.pairs))
-    space = build_welded_space(renamed)
-    assert [(e.label, e.kind) for e in space.edges] == [
-        ("1.b", "welded"), ("1.b", "boundary"), ("2.b", "boundary")
-    ]
-    p = build_polytope(space, replace(pf.spec, welding=renamed))
-    assert p.face("N").edges == ("1.b",)
-    assert p.vertex(p.traces[0].upper_vertex).faces == ("N",)
-    assert (len(p.segments), len(p.traces), len(p.vertices)) == (5, 3, 7)
-
-
 # ----------------------------------------------------- genus-one polytope
 
 

@@ -15,18 +15,31 @@ Every dataclass is frozen: the match memo and the cached properties
 key on object identity, which is sound only for values that never
 change.
 ``__init__`` only re-exports, so it is not scanned and does not count
-as a reader.
+as a reader; its ``__all__`` lists exactly the public names it binds.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+from types import ModuleType
 from typing import Callable
 
 import logaffine
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "logaffine"
+
+
+def bound_public_names(source: str) -> list[str]:
+    """The public names a module's top-level imports from the package
+    and assignments bind, in binding order (``__future__`` binds none)."""
+    names: list[str] = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
 
 
 def names_read(tree: ast.AST) -> set[str]:
@@ -241,6 +254,25 @@ def test_guard_flags_an_unfrozen_dataclass() -> None:
     }
     # a plain class is no dataclass; a nested one is scanned
     assert unfrozen_dataclasses(sources) == ["a.A", "a.C", "b.E"]
+
+
+def test_guard_compares_bound_names_with_all() -> None:
+    source = (
+        "from __future__ import annotations\n"
+        "from .a import f, g as h\n"
+        "from .b import _private\n"
+        "__version__ = '1'\n"
+        "LIMIT = 3\n"
+        "__all__ = ['f', 'h']\n"
+    )
+    assert bound_public_names(source) == ["f", "h", "LIMIT"]
+
+
+def test_all_lists_exactly_the_public_names_init_binds() -> None:
+    bound = bound_public_names((PACKAGE / "__init__.py").read_text())
+    values = {name: getattr(logaffine, name) for name in bound}  # each resolves
+    public = [name for name, value in values.items() if not isinstance(value, ModuleType)]
+    assert sorted(logaffine.__all__) == sorted(public)
 
 
 def test_no_uncalled_public_helpers() -> None:

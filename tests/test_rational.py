@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logaffine.errors import (
@@ -20,10 +20,15 @@ from logaffine.rational import (
     is_saturated_lattice_basis,
     primitive,
     rot90,
-    smith_normal_form,
     vector,
 )
-from rational_oracle import cone_contains, linear_independent, rank, solve_in_basis
+from rational_oracle import (
+    cone_contains,
+    linear_independent,
+    rank,
+    smith_normal_form,
+    solve_in_basis,
+)
 
 
 # ---------------------------------------------------------------- helpers
@@ -234,8 +239,29 @@ def test_is_saturated_lattice_basis_examples() -> None:
 def test_is_saturated_rejects_bad_input() -> None:
     with pytest.raises(NonIntegerEntryError):
         is_saturated_lattice_basis([[Fraction(1, 2), 0]])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match="more rows"):
         is_saturated_lattice_basis([[1, 0], [0, 1], [1, 1]])
+    with pytest.raises(DimensionMismatchError, match="ragged"):
+        is_saturated_lattice_basis([[1, 0], [1]])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.tuples(st.integers(0, 4), st.integers(1, 3)).flatmap(
+        lambda nb: st.lists(
+            st.lists(st.integers(-nb[1], nb[1]), min_size=nb[0], max_size=nb[0]),
+            max_size=nb[0],
+        )
+    )
+)
+@example([[1, 1, 0], [0, 1, 1], [1, 0, 0]])
+@example([[1, 2, 0, -1], [0, 1, 3, 0], [0, 0, 1, 2], [0, 0, 0, 1]])
+@example([[2, 0, 0, 1], [0, 2, 0, 1], [0, 0, 2, 1], [0, 0, 0, 2]])
+def test_the_minor_gcd_agrees_with_the_smith_form(mat: list[list[int]]) -> None:
+    """Rows extend to a lattice basis exactly when every Smith divisor
+    of the k x n matrix (k <= n <= 4) is one."""
+    expected = all(d == 1 for d in smith_normal_form(mat))
+    assert is_saturated_lattice_basis(mat) == expected
 
 
 @settings(max_examples=80, deadline=None)

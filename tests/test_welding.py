@@ -19,6 +19,7 @@ from logaffine.errors import (
     GloballyObstructedError,
     InvalidFanError,
     NotMatchedError,
+    WeldingError,
 )
 from logaffine.fans import Fan, make_fan
 from logaffine.fileio import parse_welding_text
@@ -286,6 +287,35 @@ def test_build_welded_space_mobius_band() -> None:
     assert len(space.boundary_corners) == 3
     assert all(len(c.quadrants) == 3 for c in space.boundary_corners)
     assert len(space.crossings) == 0
+
+
+def test_a_listed_label_may_not_name_a_coerced_pair() -> None:
+    # without w4 the closure coerces 3.a ~ 4.a and names it auto1
+    text = (FIXTURES / "quadrants.weld").read_text()
+    text = text.replace("pair w1", "pair auto1").replace("pair w4 = 3.a ~ 4.a\n", "")
+    spec = parse_welding_text(text, base=FIXTURES).spec
+    with pytest.raises(WeldingError, match="edge label 'auto1' names two edges"):
+        build_welded_space(spec)
+
+
+def test_a_listed_label_may_not_name_a_boundary_edge() -> None:
+    text = (FIXTURES / "upperhalf.weld").read_text().replace("pair k1", "pair 1.b")
+    spec = parse_welding_text(text, base=FIXTURES).spec
+    with pytest.raises(WeldingError, match="edge label '1.b' names two edges"):
+        build_welded_space(spec)
+
+
+def test_two_listed_pairs_may_not_share_a_label() -> None:
+    fan = quadrant_fan()
+    spec = make_welding_spec(
+        {1: fan, 2: fan, 3: fan},
+        [
+            MatchedPair((1, "a"), (2, "a"), label="w"),
+            MatchedPair((1, "b"), (3, "b"), label="w"),
+        ],
+    )
+    with pytest.raises(WeldingError, match="edge label 'w' names two edges"):
+        build_welded_space(spec)
 
 
 def test_a_crossing_of_two_fans_joins_equal_residues_across_them() -> None:
