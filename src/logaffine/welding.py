@@ -25,6 +25,12 @@ takes near-linear time in the number of welds.  The public checks
 (``is_locally_obstructed``, ``coerced_pairs``, ``weld_pair``) build the
 index of ``spec.pairs`` once per call.
 
+A chain walk steps on labels: its state is (domain, exit label, other
+label), and a step looks up the exit face's partner, renames the other
+label across that weld and swaps the two, so no step builds a set.
+Witnesses and cluster links are read off ``holder`` only where used,
+and a ``Quadrant``'s label frozenset is built once per cluster member.
+
 Matching is derived once per fan-ray pair.  Whether two rays match,
 and how the labels around them correspond, depends only on the two
 fans and the two rays: ``_match_rays`` compares them, and each spec
@@ -255,11 +261,6 @@ def _match_rays(
 # ------------------------------------------------------- quadrant chains
 
 
-def _other_label(corner: frozenset[str], label: str) -> str:
-    (other,) = corner - {label}
-    return other
-
-
 class _WeldIndex:
     """The welds made so far over the domains of ``spec``, as lookups.
 
@@ -318,25 +319,28 @@ class _WeldIndex:
         self.require_free(pair)
         return forward
 
-    def walk(self, start: Quadrant, exit_label: str) -> tuple[list, list, FaceRef | None]:
-        """Follow welds from ``start`` leaving through ``exit_label``: the
-        quadrants met, the pairs crossed and the free face at the far end
-        (None when the chain closes)."""
+    def walk(self, domain: int, exit_label: str, other_label: str) -> tuple[list, FaceRef | None]:
+        """Follow welds from a quadrant of ``domain`` out of its face
+        ``exit_label``: the quadrants met as (domain, exit label, other
+        label) and the free face at the far end (None when the chain
+        closes on its start, in either label order)."""
+        d, x, y = start = (domain, exit_label, other_label)
+        flipped = (domain, other_label, exit_label)
         quads = [start]
-        links: list[MatchedPair] = []
-        current = start
-        label = exit_label
         while True:
-            face = (current[0], label)
+            face = (d, x)
             partner = self.partner.get(face)
             if partner is None:
-                return quads, links, face
-            links.append(self.holder[face])
-            label = self.across[face][_other_label(current[1], label)]
-            current = (partner[0], frozenset({partner[1], label}))
-            if current == start:
-                return quads, links, None
-            quads.append(current)
+                return quads, face
+            # the face entered is the next quadrant's other label
+            quad = d, x, y = partner[0], self.across[face][y], partner[1]
+            if quad == start or quad == flipped:
+                return quads, None
+            quads.append(quad)
+
+    def links(self, quads: list) -> list[MatchedPair]:
+        """The pairs a walk over ``quads`` crossed, in walk order."""
+        return [self.holder[(d, x)] for d, x, _ in quads if (d, x) in self.partner]
 
     def corners(
         self, pair: MatchedPair, forward: Mapping[str, str]
@@ -351,33 +355,30 @@ class _WeldIndex:
         quadrants in all coerce their free end faces.  Returns the
         verdict and, when unobstructed, the coerced pairs.
         """
-        fan = self.spec.fan(pair.left[0])
-        ray = fan.index_of_label(pair.left[1])
-        coerced: dict[frozenset[FaceRef], MatchedPair] = {}
+        (d_l, x_l), (d_r, x_r) = pair.left, pair.right
+        fan = self.spec.fan(d_l)
+        ray = fan.index_of_label(x_l)
+        coerced: dict[tuple[FaceRef, FaceRef], MatchedPair] = {}
         for j in fan.corner_neighbours[ray]:
             l_w = fan.labels[j]
             r_w = forward[l_w]
-            ql: Quadrant = (pair.left[0], frozenset({pair.left[1], l_w}))
-            qr: Quadrant = (pair.right[0], frozenset({pair.right[1], r_w}))
-            quads_l, links_l, end_l = self.walk(ql, l_w)
-            if qr in quads_l:
-                length = len(quads_l)
-                if length != 4:
-                    reason = f"welding closes a {length}-quadrant cycle at"
-                    return _obstructed(reason, fan, ray, j, links_l), ()
+            quads_l, end_l = self.walk(d_l, l_w, x_l)
+            if (d_r, x_r, r_w) in quads_l or (d_r, r_w, x_r) in quads_l:
+                if len(quads_l) != 4:
+                    reason = f"welding closes a {len(quads_l)}-quadrant cycle at"
+                    return _obstructed(reason, fan, ray, j, self.links(quads_l)), ()
                 continue  # the new weld itself closes this corner
-            quads_r, links_r, end_r = self.walk(qr, r_w)
+            quads_r, end_r = self.walk(d_r, r_w, x_r)
             total = len(quads_l) + len(quads_r)
             if total > 4:
                 reason = f"welding gathers {total} quadrants at"
-                return _obstructed(reason, fan, ray, j, links_l + links_r), ()
+                links = self.links(quads_l) + self.links(quads_r)
+                return _obstructed(reason, fan, ray, j, links), ()
             if total == 4:
                 assert end_l is not None and end_r is not None
-                faces = sorted((end_l, end_r))
-                forced = MatchedPair(faces[0], faces[1])
-                coerced.setdefault(forced.key(), forced)
-        ordered = sorted(coerced.values(), key=lambda p: sorted(p.faces()))
-        return ObstructionResult(False, None, ()), tuple(ordered)
+                faces = (end_l, end_r) if end_l < end_r else (end_r, end_l)
+                coerced.setdefault(faces, MatchedPair(*faces))
+        return ObstructionResult(False, None, ()), tuple(coerced[k] for k in sorted(coerced))
 
 
 def _obstructed(
@@ -599,31 +600,30 @@ def two_colour(nodes: Iterable, edges: Iterable[tuple]) -> dict | None:
 def build_welded_space(spec: WeldingSpec) -> WeldedSpace:
     """Weld every listed pair (in order) and assemble the strata.
 
-    A listed pair that an earlier closure already coerced is skipped,
-    keeping its label.  One weld index serves every closure and the
-    assembly.
+    A listed pair that an earlier closure already coerced is not welded
+    again; the coerced pair takes its label, if it has one.  One weld
+    index serves every closure and the assembly.
     """
     index = _WeldIndex(spec)
-    labels: dict[frozenset[FaceRef], str | None] = {}
-    order: list[frozenset[FaceRef]] = []
+    welded: list[MatchedPair] = []
     for pair in spec.pairs:
         if index.partner.get(pair.left) == pair.right:
-            labels[pair.key()] = pair.label or labels[pair.key()]
+            if pair.label:
+                index.holder[pair.left] = index.holder[pair.right] = pair
             continue
-        for p in _weld_closure(index, pair):
-            labels[p.key()] = p.label
-            order.append(p.key())
+        welded += _weld_closure(index, pair)
     auto = 0
     final_pairs: list[MatchedPair] = []
-    for key in order:
-        faces = sorted(key)
-        label = labels[key]
-        if label is None:
-            auto += 1
-            label = f"auto{auto}"
-        final = MatchedPair(faces[0], faces[1], label=label)
-        # cluster links carry the final labels
-        index.holder[final.left] = index.holder[final.right] = final
+    for p in welded:
+        final = index.holder[p.left]
+        if final.label is None or final.right < final.left:
+            label = final.label
+            if label is None:
+                auto += 1
+                label = f"auto{auto}"
+            final = MatchedPair(*sorted(final.faces()), label=label)
+            # cluster links carry the final labels
+            index.holder[final.left] = index.holder[final.right] = final
         final_pairs.append(final)
     return _assemble(replace(spec, pairs=tuple(final_pairs)), index)
 
@@ -666,27 +666,27 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
             quad = (domain_id, labels)
             if quad in cluster_of_quadrant:
                 continue
-            members, links, end = index.walk(quad, l1)
+            members, end = index.walk(domain_id, l1, l2)
             closed = end is None
             if closed:
                 if len(members) != 4:
                     raise GeometryError(
                         f"corner cycle of length {len(members)} at quadrant {quad}"
                     )
+                links = index.links(members)
             else:
-                back_quads, back_links, _ = index.walk(quad, l2)
-                members = back_quads[:0:-1] + members
-                links = back_links[::-1] + links
+                back, _ = index.walk(domain_id, l2, l1)
+                links = index.links(back)[::-1] + index.links(members)
+                members = back[:0:-1] + members
                 if len(members) > 3:
                     raise GeometryError(
                         f"unresolved corner chain of length {len(members)} at quadrant {quad}"
                     )
             cluster_id = f"c{len(clusters) + 1}"
-            for q in members:
+            quadrants = tuple((d, frozenset((x, y))) for d, x, y in members)
+            for q in quadrants:
                 cluster_of_quadrant[q] = cluster_id
-            clusters.append(
-                CornerCluster(cluster_id, position, tuple(members), closed, tuple(links))
-            )
+            clusters.append(CornerCluster(cluster_id, position, quadrants, closed, tuple(links)))
 
     # --- edge strata
     def ray(face: FaceRef) -> tuple:

@@ -4,12 +4,21 @@
 joined by spaces, with paths relative to the repository root) to the
 exit code and the SHA-256 of stdout and stderr recorded for it.  This
 module only reads that file; ``perfbench/record_cli.py`` writes it.
+
+The package declares ``requires-python = ">=3.10"``, so the same
+recordings are also replayed under each of ``python3.10``,
+``python3.12`` and ``python3.13`` found on the PATH, in a stdlib-only
+subprocess; an interpreter that is missing or does not start is
+skipped (a pyenv shim starts only a version that ``PYENV_VERSION`` or
+``pyenv global`` selects).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -35,3 +44,48 @@ def test_cli_output_matches_recording(invocation: str, capsys, monkeypatch) -> N
         expected["sha256"],
         expected["stderr_sha256"],
     )
+
+
+REPLAY = """
+import hashlib, io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+
+root = sys.argv[1]
+sys.path.insert(0, root + "/src")
+from logaffine.cli import main
+
+expected = json.load(open(root + "/perfbench/cli_expected.json"))
+mismatches = []
+for invocation, want in sorted(expected.items()):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(invocation.split(" "))
+    got = [code] + [hashlib.sha256(t.getvalue().encode()).hexdigest() for t in (out, err)]
+    if got != [want["exit"], want["sha256"], want["stderr_sha256"]]:
+        mismatches.append(invocation)
+print(json.dumps([len(expected), mismatches]))
+"""
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_cli_output_matches_recording_on_other_pythons(version: str) -> None:
+    python = shutil.which(f"python{version}")
+    if python is None:
+        pytest.skip(f"no python{version} on the PATH")
+    # -I: no user site or PYTHON* variables; -B: no bytecode written into src
+    probe = subprocess.run(
+        [python, "-I", "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+        capture_output=True,
+        text=True,
+    )
+    if probe.returncode != 0 or probe.stdout.strip() != version:
+        pytest.skip(f"python{version} does not start here")
+    run = subprocess.run(
+        [python, "-I", "-B", "-c", REPLAY, str(ROOT)],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [len(EXPECTED), []]

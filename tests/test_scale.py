@@ -56,7 +56,7 @@ from fractions import Fraction
 import pytest
 from conftest import FIXTURES, benchmark_module, grid_text
 
-from logaffine import fans
+from logaffine import fans, welding
 from logaffine.fileio import parse_polytope_text, parse_welding_text
 from logaffine.polytopes import (
     build_polytope,
@@ -66,7 +66,7 @@ from logaffine.polytopes import (
     regularized_volume,
 )
 from logaffine.topology import betti_numbers, log_cohomology_dims
-from logaffine.welding import build_welded_space
+from logaffine.welding import MatchedPair, build_welded_space
 
 
 def closed_forms(variant: str, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -187,6 +187,33 @@ def test_the_whole_grid_build_hashes_no_fraction(monkeypatch, variant: str) -> N
     build_polytope(space, polytope_spec)
     monkeypatch.undo()
     assert hashes == []
+
+
+@pytest.mark.parametrize("variant", ["torus", "comb"])
+def test_the_weld_walks_on_labels_and_builds_no_pair_key(monkeypatch, variant: str) -> None:
+    """On n = 576 domains the 2n welds, listed or coerced, walk both
+    chains at each of their two corners (8n), but one chain at the
+    weld that closes each of the n corners (-n), and the assembly walks
+    each of the n closed clusters once (+n).  No ``MatchedPair.key``
+    is built."""
+    calls = {"key": 0, "walk": 0}
+    key, walk = MatchedPair.key, welding._WeldIndex.walk
+
+    def counting_key(pair):
+        calls["key"] += 1
+        return key(pair)
+
+    def counting_walk(index, *args):
+        calls["walk"] += 1
+        return walk(index, *args)
+
+    spec = parse_welding_text(grid_text(variant, 12), base=FIXTURES).spec
+    monkeypatch.setattr(MatchedPair, "key", counting_key)
+    monkeypatch.setattr(welding._WeldIndex, "walk", counting_walk)
+    space = build_welded_space(spec)
+    monkeypatch.undo()
+    assert len(space.pairs) == 2 * 576
+    assert calls == {"key": 0, "walk": 8 * 576}
 
 
 def test_whole_torus_reads_its_fan_support_once(monkeypatch) -> None:

@@ -125,12 +125,12 @@ def test_obstructed_by_overfull_corner() -> None:
     pair = MatchedPair((1, "a"), (2, "a"))
     result = is_locally_obstructed(spec, pair)
     assert result.obstructed
-    witness_keys = {w.key() for w in result.witnesses}
-    assert witness_keys == {
+    # the left chain's links in walk order, then the right chain's
+    assert tuple(w.key() for w in result.witnesses) == (
         frozenset({(1, "b"), (3, "b")}),
         frozenset({(3, "a"), (4, "a")}),
         frozenset({(2, "b"), (5, "b")}),
-    }
+    )
 
 
 def test_coerced_pair_from_chain_and_isolated_domain() -> None:
@@ -182,6 +182,32 @@ def test_weld_pair_globally_obstructed_leaves_spec_unchanged() -> None:
     assert err.value.offending.key() == frozenset({(4, "b"), (2, "b")})
     assert frozenset({(4, "c"), (2, "c")}) in {w.key() for w in err.value.witnesses}
     assert len(spec.pairs) == 3
+
+
+def test_weld_pair_witnesses_follow_the_walks() -> None:
+    # 5.c ~ 2.c coerces 1.b ~ 2.b, whose corner {a, b} would gather the
+    # chain of 1 and 3 (over w3) and the chain of 2, 5 and 4 (over w4,
+    # then w2): the witnesses come in walk order, not in listed order
+    fan = three_ray_halfplane_fan()
+    listed = [
+        ((1, "c"), (4, "c")),
+        ((4, "b"), (5, "b")),
+        ((1, "a"), (3, "a")),
+        ((2, "a"), (5, "a")),
+    ]
+    spec = make_welding_spec(
+        {i: fan for i in range(1, 6)},
+        [MatchedPair(a, b, label=f"w{k + 1}") for k, (a, b) in enumerate(listed)],
+    )
+    pair = MatchedPair((5, "c"), (2, "c"))
+    with pytest.raises(GloballyObstructedError) as err:
+        weld_pair(spec, pair)
+    assert str(err.value) == (
+        "pair 1.b ~ 2.b is obstructed: welding gathers 5 quadrants at corner"
+        " {('0', '1'), ('1', '0')}"
+    )
+    assert err.value.offending == MatchedPair((1, "b"), (2, "b"))
+    assert tuple(w.label for w in err.value.witnesses) == ("w3", "w4", "w2")
 
 
 def test_weld_pair_rejects_used_face() -> None:
@@ -296,6 +322,32 @@ def test_a_listed_label_may_not_name_a_coerced_pair() -> None:
     spec = parse_welding_text(text, base=FIXTURES).spec
     with pytest.raises(WeldingError, match="edge label 'auto1' names two edges"):
         build_welded_space(spec)
+
+
+@pytest.mark.parametrize("faces", [((3, "a"), (4, "a")), ((4, "a"), (3, "a"))])
+@pytest.mark.parametrize("label", ["w4", None])
+def test_a_listed_pair_coerced_earlier_takes_its_listed_label(faces, label) -> None:
+    # w3 closes the chain 4, 1, 2, 3 and coerces 3.a ~ 4.a before the
+    # last listed pair is reached, in either face order; unlabelled, it
+    # keeps the number the closure gave it
+    fan = quadrant_fan()
+    spec = make_welding_spec(
+        {i: fan for i in range(1, 5)},
+        [
+            MatchedPair((2, "a"), (1, "a")),
+            MatchedPair((1, "b"), (4, "b"), label="w2"),
+            MatchedPair((2, "b"), (3, "b"), label="w3"),
+            MatchedPair(*faces, label=label),
+        ],
+    )
+    space = build_welded_space(spec)
+    assert space.pairs == (
+        MatchedPair((1, "a"), (2, "a"), label="auto1"),
+        MatchedPair((1, "b"), (4, "b"), label="w2"),
+        MatchedPair((2, "b"), (3, "b"), label="w3"),
+        MatchedPair((3, "a"), (4, "a"), label=label or "auto2"),
+    )
+    assert outcome(build_welded_space, spec) == outcome(weld_oracle.build_welded_space, spec)
 
 
 def test_a_listed_label_may_not_name_a_boundary_edge() -> None:
