@@ -80,8 +80,6 @@ def _cmd_validate(args) -> tuple[str, Pairs | str, int]:
     elif kind == "welding":
         try:
             build_welded_space(payload.spec)
-        except UnsupportedDimensionError:
-            pass
         except GeometryError as exc:
             violations = [str(exc)]
     elif kind == "polytope":

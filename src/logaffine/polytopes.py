@@ -13,12 +13,12 @@ a deque (``_cycle``), in O(k log k) for k constraints.  The build reads
 everything about the region off that cycle: feasibility, each face's
 segment as two vertices of the cycle (or the fault that rejects it),
 each edge trace from the tightest constraints perpendicular to the
-residue, compactness and the corner tests.  A line the cycle drops is
-checked once, at the vertex its normal points to.  A region without
-interior is told from an empty one by the cycle of the half-planes
-moved outwards by an infinitesimal.  The region is compact when each
-arc of directions it recedes along, negated, lies in one arc of the
-fan's support, which every ``Fan`` merges from its cones once.  In
+residue, and compactness.  A line the cycle drops is checked once, at
+the vertex its normal points to.  A region without interior is told
+from an empty one by the cycle of the half-planes moved outwards by an
+infinitesimal.  The region is compact when each arc of directions it
+recedes along, negated, lies in one arc of the fan's support, which
+every ``Fan`` merges from its cones once.  In
 dimension 1 the region is the interval between the tightest bounds on
 its two sides, read off the table of the tightest constraints on each
 covector (``_tightest``) that the cycle is built from.  The volume clips
@@ -35,7 +35,13 @@ for a vertex of a cycle, ``(1, edge index, position)`` for a face
 landing on an edge stratum and ``(2, k, cluster id)`` for the k-th
 corner cluster inside the polytope.  The sorted keys are the vertex
 order; segment and trace ends look their vertices up by key, and each
-face, segment and trace is made once.
+face, segment and trace is made once.  A trace end always has its
+landing: far along the edge, the tightest constraint perpendicular to
+the residue holds an unbounded edge of the region, and that segment's
+escape lands at the trace bound.  The corner clusters inside are those
+a trace runs into: a region receding into a corner's quadrant either
+recedes along one of its rays, whose trace then runs into the corner,
+or has a face escaping into the quadrant, which ``_escape`` rejects.
 """
 
 from __future__ import annotations
@@ -67,7 +73,6 @@ from .rational import (
     dot,
     is_saturated_lattice_basis,
     rot90,
-    vec_add,
     vec_neg,
     vec_scale,
 )
@@ -519,7 +524,8 @@ class _Cycle:
     closed arcs of integer directions (start, end), each at most a half
     turn counterclockwise: none for a closed cycle, the arc between the
     two unbounded edges for an open one, both ways along a strip and
-    the two halves of the plane when there is no constraint.
+    the two halves of the plane when there is no constraint; only
+    ``compact`` reads them.
     """
 
     __slots__ = ("faces", "tightest", "arcs")
@@ -581,16 +587,6 @@ class _Cycle:
         from a stratum of the fan (the stratum sits at ``-d``): each of
         ``arcs`` lies in one arc of the fan's support."""
         return all(_covered(fan, s, e) for s, e in self.arcs)
-
-    def reaches_corner(self, v: Vector, w: Vector) -> bool:
-        """Whether the region recedes into the corner through the open
-        quadrant spanned by ``v`` and ``w`` (ordered counterclockwise):
-        whether ``arcs`` meet it, at its middle or at an end of an arc."""
-        for c in [vec_add(v, w), *(x for arc in self.arcs for x in arc)]:
-            if cross2(v, c) > 0 and cross2(c, w) > 0:
-                if any(_holds(arc, c) for arc in self.arcs):
-                    return True
-        return False
 
 
 def _tightest(
@@ -779,12 +775,6 @@ def _crossing_signs(
     )
 
 
-def _quadrant_rays(fan: Fan, labels) -> tuple[Vector, Vector]:
-    """The two rays of a quadrant of the fan, counterclockwise."""
-    v, w = (fan.vectors[fan.index_of_label(lab)] for lab in sorted(labels))
-    return (w, v) if cross2(v, w) < 0 else (v, w)
-
-
 def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     regions = _feasible(space, spec, _cycle)
     feasible = list(regions)
@@ -827,14 +817,11 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     # a domain the region misses has no trace either
     traced: dict[int, tuple[str, tuple[int, ...], tuple]] = {}
     required_pairs: list[tuple[ConstraintRef, ConstraintRef, str]] = []
-    binding_refs: set[ConstraintRef] = set()
     for i, e in enumerate(space.edges):
         sides = [(d, regions[d].trace(e.residue)) for d, _ in e.faces if d in regions]
         present = [(d, t) for d, t in sides if t is not None]
         if not present:
             continue
-        for d, t in present:
-            binding_refs.update((d, end[1]) for end in t if end)
         bounds = [tuple(end and end[0] for end in t) for _, t in present]
         if len(present) == 1:
             kind = "singular"
@@ -878,11 +865,6 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     for label, members in face_members.items():
         with_segment = [ref for ref in members if ref in face_lines]
         if not with_segment:
-            if any(ref in binding_refs for ref in members):
-                raise GeometryError(
-                    f"face {label!r} lies inside the divisor but is declared "
-                    "as a nonsingular face"
-                )
             continue
         ends = Counter(key for ref in with_segment for key in face_lines[ref][3])
         landed = sorted({key[1] for key in ends if key and key[0] == 1})
@@ -896,32 +878,15 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
             )
         )
     nonsingular.sort(key=lambda f: f.members[0])
-    for i, (_, _, t) in traced.items():
-        for bound in t:
-            if bound is not None and (1, i, bound) not in table:
-                raise GeometryError(
-                    f"no face lands at the endpoint {bound} of the trace on "
-                    f"edge {space.edges[i].label}"
-                )
 
-    # corner clusters contained in the polytope: a trace runs into them,
-    # or a region recedes into one of their quadrants
+    # corner clusters contained in the polytope: those a trace runs into
     cluster_germs: dict[str, list[tuple[int, str, Vector]]] = {}
     for i, (kind, _, (lower, upper)) in traced.items():
         e = space.edges[i]
         for bound, cid in ((lower, e.tail), (upper, e.head)):
             if bound is None and cid is not None:
                 cluster_germs.setdefault(cid, []).append((i, kind, e.residue))
-    corners_inside = [
-        c.cluster_id
-        for c in space.clusters
-        if c.cluster_id in cluster_germs
-        or any(
-            regions[d].reaches_corner(*_quadrant_rays(space.fan(d), labels))
-            for d, labels in c.quadrants
-            if d in regions
-        )
-    ]
+    corners_inside = [c.cluster_id for c in space.clusters if c.cluster_id in cluster_germs]
     table.update(((2, k, cid), set()) for k, cid in enumerate(corners_inside))
 
     # number the vertices: interior ones by (domain, point), landings by
@@ -1155,29 +1120,18 @@ def polytope_topology(p: LogPolytope) -> PolytopeTopology:
         v.cluster_id: v.vertex_id for v in p.vertices if v.kind == "corner"
     }
 
-    def _trace_ends(t: EdgeTrace) -> list[str]:
+    # compact: each segment escape lands, since its target lies in the
+    # fan's support, and each unbounded trace end has a 2-cone on its
+    # side, so it runs into a corner inside
+    def _trace_ends(t: EdgeTrace) -> tuple[str, str]:
         e = p.space.edge(t.edge_label)
-        ends = []
-        for bound, vid, cid in (
-            (t.lower, t.lower_vertex, e.tail),
-            (t.upper, t.upper_vertex, e.head),
-        ):
-            if bound is not None:
-                ends.append(vid)
-            else:
-                if cid is None or cid not in corner_vertex:
-                    raise GeometryError(
-                        f"the trace on edge {t.edge_label} runs off an open end"
-                    )
-                ends.append(corner_vertex[cid])
-        return ends
+        return (
+            t.lower_vertex or corner_vertex[e.tail],
+            t.upper_vertex or corner_vertex[e.head],
+        )
 
-    boundary_edges: list[tuple[str, str]] = []
-    for s in p.segments:
-        if s.lower_vertex is None or s.upper_vertex is None:
-            raise GeometryError("a face segment runs off an open end")
-        boundary_edges.append((s.lower_vertex, s.upper_vertex))
-    boundary_edges += [tuple(_trace_ends(t)) for t in p.traces if t.kind == "singular"]
+    boundary_edges = [(s.lower_vertex, s.upper_vertex) for s in p.segments]
+    boundary_edges += [_trace_ends(t) for t in p.traces if t.kind == "singular"]
     degree = Counter(v for edge in boundary_edges for v in edge)
     bad = sorted(v for v, d in degree.items() if d != 2)
     if bad:
@@ -1336,9 +1290,7 @@ def _clipped_measure(p: LogPolytope, domain_id: int) -> _TPoly:
         ends = _clip(base, t, fns, end(lower), end(upper))
         if ends is None:
             continue
-        lo, hi = ends
-        if lo is None or hi is None:
-            raise GeometryError("a region stays unbounded after the cutoffs")
+        lo, hi = ends  # compact: some ray's cutoff bounds each recession direction
         if p.dim == 1:
             return hi - lo
         twice += (hi - lo) * c

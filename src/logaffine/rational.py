@@ -33,10 +33,6 @@ def as_vector(values: Iterable) -> Vector:
     return tuple(Fraction(c) for c in values)
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_scale(c, v: Vector) -> Vector:
     c = Fraction(c)
     return tuple(c * a for a in v)

@@ -628,6 +628,11 @@ def build_welded_space(spec: WeldingSpec) -> WeldedSpace:
     return _assemble(replace(spec, pairs=tuple(final_pairs)), index)
 
 
+def _quadrant_text(quad: Quadrant) -> str:
+    """A quadrant by its sorted labels, whatever the string hash seed."""
+    return f"quadrant {{{', '.join(sorted(quad[1]))}}} of domain {quad[0]}"
+
+
 def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
     """Strata of the welds in ``index``, which holds exactly ``spec.pairs``.
 
@@ -671,7 +676,7 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
             if closed:
                 if len(members) != 4:
                     raise GeometryError(
-                        f"corner cycle of length {len(members)} at quadrant {quad}"
+                        f"corner cycle of length {len(members)} at {_quadrant_text(quad)}"
                     )
                 links = index.links(members)
             else:
@@ -680,7 +685,8 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
                 members = back[:0:-1] + members
                 if len(members) > 3:
                     raise GeometryError(
-                        f"unresolved corner chain of length {len(members)} at quadrant {quad}"
+                        f"unresolved corner chain of length {len(members)} "
+                        f"at {_quadrant_text(quad)}"
                     )
             cluster_id = f"c{len(clusters) + 1}"
             quadrants = tuple((d, frozenset((x, y))) for d, x, y in members)

@@ -15,13 +15,15 @@ every cone's arc, computed anew per direction by ``support_contains``
 
 ``clip_regions`` is the planar build's old region computation, kept as
 an oracle for the vertex cycle: ``_feasible_domains`` clips each of a
-domain's k constraint lines by the other k - 1, ``_domain_compact``
-sweeps sampled directions of the whole circle against every covector
-and ``_quadrant_reaches_corner`` tries every constraint line as a
-direction into the corner.  Each ``ClipRegion`` supplies what the build
-reads of a vertex cycle: a face's segment ends, or its fault, from its
-clip by ``_face_interval``; an edge's trace from the clip of the
-stratum coordinate by ``_side_trace``; compactness and the corner test.
+domain's k constraint lines by the other k - 1 and ``_domain_compact``
+sweeps sampled directions of the whole circle against every covector.
+Each ``ClipRegion`` supplies what the build reads of a vertex cycle: a
+face's segment ends, or its fault, from its clip by ``_face_interval``;
+an edge's trace from the clip of the stratum coordinate by
+``_side_trace``; and compactness.  ``_quadrant_reaches_corner`` is the
+build's old corner test, which tries every constraint line as a
+direction into the corner; the build now takes the corners a trace
+runs into, and the test checks that these hold every corner it reports.
 Patched in for ``polytopes._feasible``, it makes ``build_polytope``
 build a planar polytope the old way.
 
@@ -55,11 +57,15 @@ from logaffine.rational import (
     dot,
     primitive,
     rot90,
-    vec_add,
     vec_neg,
     vec_scale,
 )
 from logaffine.welding import WeldedSpace
+
+
+# the package's old vector sum: no package code reads it any more
+def vec_add(u: Vector, v: Vector) -> Vector:
+    return tuple(a + b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -458,8 +464,7 @@ class ClipRegion:
     """One feasible planar domain of the k^2 clip, read as the build
     reads a vertex cycle: each constraint's clip by the others, the
     stratum coordinate clipped by the constraints parallel to the
-    residue, the circle-sweep compactness and the corner test on every
-    covector."""
+    residue and the circle-sweep compactness."""
 
     def __init__(self, raws: dict[str, _RawInterval | None], fns: dict[str, AffineFunctional]):
         self.raws = raws
@@ -479,9 +484,6 @@ class ClipRegion:
 
     def compact(self, fan: Fan) -> bool:
         return _domain_compact(fan, self.covectors, 2)
-
-    def reaches_corner(self, v: Vector, w: Vector) -> bool:
-        return _quadrant_reaches_corner(v, w, self.covectors)
 
 
 def clip_regions(space: WeldedSpace, spec: PolytopeSpec, region_of=None) -> dict[int, ClipRegion]:

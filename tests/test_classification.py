@@ -296,6 +296,23 @@ def test_distinct_chern_tuples_are_inequivalent() -> None:
     assert not records_equivalent(r_00, r_11)
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (make_bundle(2, [(1,), (0,)]), make_bundle(1, [(1,)])),
+        (make_bundle(2, [(1,), (0,)]), make_bundle(2, [(1, 0), (0, 0)])),
+        # rank 1 below the dimension: the Chern vectors must agree as given
+        (make_bundle(1, [(1,)]), make_bundle(1, [(2,)])),
+    ],
+    ids=["ranks", "lengths", "rank-one"],
+)
+def test_records_differing_in_their_bundles_alone_are_inequivalent(first, second) -> None:
+    record = make_invariant_record(whole_space_polytope("sphere.weld"), load_bundle("hopf.bundle"))
+    pair = [replace(record, chern=bundle) for bundle in (first, second)]
+    assert not records_equivalent(*pair)
+    assert not record_oracle.records_equivalent(*pair)
+
+
 def test_unimodular_relabeling_gives_equivalent_records() -> None:
     base = make_invariant_record(
         whole_space_polytope("sphere.weld"), load_bundle("hopf.bundle")

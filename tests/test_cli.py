@@ -77,6 +77,82 @@ def test_topology_of_closed_surfaces(capsys) -> None:
         assert expected in lines
 
 
+# Closed non-orientable surfaces welded from four fixture-fan domains.
+PROJECTIVE_PLANE = """logaffine welding 1
+fan T = triangle.fan
+domain 1 = T
+domain 2 = T
+domain 3 = T
+domain 4 = T
+pair p1 = 1.a ~ 2.a
+pair p2 = 1.b ~ 3.b
+pair p3 = 1.c ~ 4.c
+pair p4 = 2.b ~ 4.b
+pair p5 = 2.c ~ 3.c
+pair p6 = 3.a ~ 4.a
+"""
+KLEIN_BOTTLE = """logaffine welding 1
+fan S = square.fan
+domain 1 = S
+domain 2 = S
+domain 3 = S
+domain 4 = S
+pair p1 = 1.a ~ 2.a
+pair p2 = 1.b ~ 3.b
+pair p3 = 1.c ~ 2.c
+pair p4 = 1.d ~ 4.d
+pair p5 = 2.b ~ 4.b
+pair p6 = 2.d ~ 3.d
+pair p7 = 3.a ~ 4.a
+pair p8 = 3.c ~ 4.c
+"""
+
+
+@pytest.mark.parametrize(
+    "fan, text, euler, b1, crossings, crosscaps, surface, h_log",
+    [
+        ("triangle.fan", PROJECTIVE_PLANE, 1, 0, 3, 1, "projective plane", (1, 3, 6, 0)),
+        ("square.fan", KLEIN_BOTTLE, 0, 1, 4, 2, "Klein bottle", (1, 5, 8, 0)),
+    ],
+    ids=["projective-plane", "klein-bottle"],
+)
+def test_closed_nonorientable_surfaces(
+    tmp_path, capsys, fan, text, euler, b1, crossings, crosscaps, surface, h_log
+) -> None:
+    (tmp_path / fan).write_text(fixture_path(fan).read_text())
+    weld = tmp_path / "surface.weld"
+    weld.write_text(text)
+    code, out, _ = run(capsys, "topology", str(weld))
+    assert code == 0
+    assert {
+        f"euler = {euler}",
+        f"b1 = {b1}",
+        "orientable = false",
+        f"crossings = {crossings}",
+        f"crosscaps = {crosscaps}",
+        f"surface = {surface}",
+    } <= set(out.splitlines())
+    code, out, _ = run(capsys, "cohomology", str(weld))
+    assert code == 0
+    assert out.splitlines() == [
+        "b0 = 1",
+        f"b1 = {b1}",
+        "b2 = 0",
+        *(f"h{degree}_log = {h}" for degree, h in enumerate(h_log)),
+    ]
+    # the whole space as a polytope counts the same cross-caps
+    poly = tmp_path / "whole.poly"
+    poly.write_text("logaffine polytope 1\nwelding surface.weld\n")
+    code, out, _ = run(capsys, "topology", str(poly))
+    assert code == 0
+    assert {
+        f"euler = {euler}",
+        "orientable = false",
+        f"crosscaps = {crosscaps}",
+        "boundary_circles = 0",
+    } <= set(out.splitlines())
+
+
 def test_topology_of_open_arrangement(capsys) -> None:
     code, out, _ = run(capsys, "topology", fx("skewlines.weld"))
     assert code == 0
@@ -151,6 +227,29 @@ def test_validate_welding_and_polytope(capsys) -> None:
 
     code, out, _ = run(capsys, "validate", fx("rect.poly"))
     assert code == 0 and "valid = true" in out.splitlines()
+
+
+def test_validate_reports_a_polytope_that_does_not_build(tmp_path, capsys) -> None:
+    for name in ("plane.weld", "emptyfan.fan"):
+        (tmp_path / name).write_text(fixture_path(name).read_text())
+    poly = tmp_path / "twice.poly"
+    poly.write_text(
+        "logaffine polytope 1\nwelding plane.weld\n"
+        "constraint 1.f = (1, 0) + 0\nconstraint 1.g = (1, 0) + 0\n"
+    )
+    code, out, _ = run(capsys, "validate", str(poly))
+    assert code == 1
+    assert out.splitlines() == [
+        "kind = polytope",
+        "valid = false",
+        "violation 1 = constraints 1.f and 1.g cut along the same line",
+    ]
+
+
+def test_topology_rejects_a_fan_file(capsys) -> None:
+    code, out, err = run(capsys, "topology", fx("square.fan"))
+    assert (code, out) == (1, "")
+    assert err == "error: topology reports need a welding or polytope file, got fan\n"
 
 
 def test_validate_accepts_higher_dimensional_data(capsys) -> None:

@@ -8,6 +8,7 @@ import functools
 import hashlib
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -44,6 +45,7 @@ from logaffine.welding import build_welded_space, make_welding_spec
 
 import volume_oracle
 from polytope_oracle import (
+    _quadrant_reaches_corner,
     _side_trace,
     check_face_lemmas,
     clip_regions,
@@ -639,6 +641,32 @@ def test_noncompact_region_has_no_volume() -> None:
         regularized_volume(p)
 
 
+def test_four_singular_traces_at_one_corner_are_not_a_1_manifold() -> None:
+    # domain 1 of the Mobius welding is cut to a triangle (f3 is loose),
+    # domains 2 and 3 are whole: the singular traces m1, 3.a, 2.c and m3
+    # all run into the corner cluster c2
+    welding = load_welding("mobius.weld").spec
+    spec = make_polytope_spec(
+        welding,
+        [
+            ((1, "f1"), fn(0, 1, c=F(1, 2))),
+            ((1, "f2"), fn(1, -1, c=-1)),
+            ((1, "f3"), fn(1, -1, c=5)),
+            ((1, "f4"), fn(-1, -2, c=3)),
+        ],
+    )
+    p = build_polytope(load_space("mobius.weld"), spec)
+    assert p.compact
+    v5 = p.vertex("v5")
+    assert (v5.kind, v5.cluster_id) == ("corner", "c2")
+    ends = {e.label: (e.tail, e.head) for e in p.space.edges}
+    singular = [t.edge_label for t in p.traces if t.kind == "singular"]
+    assert sorted(e for e in singular if "c2" in ends[e]) == ["2.c", "3.a", "m1", "m3"]
+    with pytest.raises(GeometryError) as raised:
+        polytope_topology(p)
+    assert str(raised.value) == "the polytope boundary is not a 1-manifold at v5"
+
+
 # ----------------------------------------------------------- face lemmas
 
 
@@ -999,6 +1027,31 @@ def test_build_matches_fourier_motzkin_and_vertex_area(dim: int, data) -> None:
             regularized_volume(built)
 
 
+@pytest.mark.parametrize(
+    "fns",
+    [
+        [fn(1, 0, c=100), fn(0, 1, c=1), fn(-1, 0, c=1), fn(1, -1, c=1)],
+        # two redundant first lines: the front loses two vertices
+        [
+            fn(1, 0, c=100),
+            fn(1, 2, c=100),
+            fn(0, 1, c=1),
+            fn(-1, 0, c=1),
+            fn(1, -1, c=1),
+            fn(1, -2, c=5),
+        ],
+    ],
+    ids=["one", "two"],
+)
+def test_a_redundant_first_line_leaves_the_cycle_from_its_front(fns) -> None:
+    """The first lines counterclockwise are redundant, and only a later
+    line cuts their vertices off the front of the cycle."""
+    assert fm_nonempty(region_rows(fns, strict=True))
+    built = single_domain_polytope(fns)
+    assert built.compact and len(built.segments) == 3
+    assert regularized_volume(built) == pairwise_vertex_area(fns) == F(9, 2)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(fns=systems(1), fan_name=st.sampled_from([None, "halfline.fan"]))
 def test_the_interval_build_matches_the_per_point_clip(fns, fan_name) -> None:
@@ -1324,6 +1377,127 @@ def arcs_of_directions(draw) -> tuple:
 def test_the_merged_support_covers_what_the_sampling_does(fan_name, arc) -> None:
     fan = load_fan(fan_name)
     assert polytopes._covered(fan, *arc) == covered_by_samples(fan, *arc)
+
+
+# ------------------------------------- what the planar build leaves unchecked
+
+# The planar fixture weldings and the square-fan grids at m = 1, 2.
+PLANAR_WELDINGS = {
+    **{
+        name: load_welding(name).spec
+        for name in (
+            "compdelt.weld",
+            "corgl.weld",
+            "genus2.weld",
+            "mobius.weld",
+            "plane.weld",
+            "quadrants.weld",
+            "skewlines.weld",
+            "sphere.weld",
+            "torus.weld",
+            "upperhalf.weld",
+        )
+    },
+    **{
+        f"{variant}-{m}": parse_welding_text(grid_text(variant, m), base=FIXTURES).spec
+        for variant in ("torus", "comb", "cylinder", "disc")
+        for m in (1, 2)
+    },
+}
+PLANAR_SPACES = {name: build_welded_space(spec) for name, spec in PLANAR_WELDINGS.items()}
+
+CONTINUES = re.compile(r"constraints (\d+)\.(\w+) and (\d+)\.(\w+) continue across edge")
+
+# Every half-plane the systems draw from, made once.
+HALF_PLANES = [fn(*a, c=F(c, 2)) for a in COVECTORS[2] for c in range(-6, 13)]
+
+
+@st.composite
+def welded_systems(draw):
+    """A planar welding and 0-4 constraints per domain (none in 3 of 7,
+    so that whole domains and compact polytopes come up often), each on
+    a primitive covector in [-2, 2]^2 with a constant in [-3, 6] in
+    halves.  The constraints come from one drawn seed: drawn one by one,
+    a 16-domain grid's take longer to draw than to build."""
+    name = draw(st.sampled_from(sorted(PLANAR_WELDINGS)))
+    rng = draw(st.randoms(use_true_random=True))
+    constraints = [
+        ((d, f"f{k}"), rng.choice(HALF_PLANES))
+        for d in PLANAR_WELDINGS[name].domain_ids
+        for k in range(max(0, rng.randint(-2, 4)))
+    ]
+    return name, constraints
+
+
+def build_declaring_faces(name: str, constraints):
+    """Build the polytope, declaring as one face every two constraints
+    the build reports as continuing into each other; return the
+    polytope or the error the build raised."""
+    faces: list[set] = []
+    while True:
+        groups = [(f"g{k}", sorted(face)) for k, face in enumerate(faces)]
+        spec = make_polytope_spec(PLANAR_WELDINGS[name], constraints, groups)
+        try:
+            return build_polytope(PLANAR_SPACES[name], spec)
+        except GeometryError as e:
+            continues = CONTINUES.match(str(e))
+            if continues is None:
+                return e
+            pair = {(int(continues[1]), continues[2]), (int(continues[3]), continues[4])}
+            joined = [f for f in faces if f & pair]
+            faces = [f for f in faces if not f & pair] + [pair.union(*joined)]
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(system=welded_systems())
+def test_the_planar_build_keeps_the_invariants_it_does_not_check(system) -> None:
+    """Each trace end has its landing, every corner the region recedes
+    into is a corner some trace runs into, and a compact polytope has
+    no open end, neither on its boundary nor after the volume's
+    cutoffs."""
+    p = build_declaring_faces(*system)
+    if isinstance(p, GeometryError):
+        return
+    for t in p.traces:
+        for bound, vid in ((t.lower, t.lower_vertex), (t.upper, t.upper_vertex)):
+            assert (bound is None) == (vid is None)
+            if vid is not None:
+                v = p.vertex(vid)
+                assert (v.kind, v.edge_label, v.position) == ("landing", t.edge_label, bound)
+                assert v.faces
+    corners = {v.cluster_id for v in p.vertices if v.kind == "corner"}
+    for c in p.space.clusters:
+        for d, labels in c.quadrants:
+            if d not in p.feasible:
+                continue
+            fan = p.space.fan(d)
+            v, w = (fan.vectors[fan.index_of_label(x)] for x in sorted(labels))
+            covectors = [g.linear for g in p.spec.domain_constraints(d).values()]
+            if _quadrant_reaches_corner(*((w, v) if cross2(v, w) < 0 else (v, w)), covectors):
+                assert c.cluster_id in corners
+    if not p.compact:
+        return
+    assert all(s.lower_vertex and s.upper_vertex for s in p.segments)
+    for t in p.traces:
+        e = p.space.edge(t.edge_label)
+        ends = ((t.lower, e.tail), (t.upper, e.head))
+        assert all(cid in corners for bound, cid in ends if bound is None)
+    try:
+        polytope_topology(p)
+    except GeometryError as e:
+        assert "is not a 1-manifold" in str(e)
+    clipped, real_clip = [], polytopes._clip
+
+    def clip(*args):
+        clipped.append(real_clip(*args))
+        return clipped[-1]
+
+    with mock.patch.object(polytopes, "_clip", clip):
+        try:
+            regularized_volume(p)
+        except GeometryError:
+            pass
+    assert all(lo is not None and hi is not None for lo, hi in filter(None, clipped))
 
 
 # ------------------------------------------------- field-for-field guard

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import weld_oracle
@@ -13,6 +17,7 @@ from conftest import FIXTURES, grid_pairs, grid_text, load_fan, load_welding
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logaffine
 from logaffine.errors import (
     FaceInUseError,
     GeometryError,
@@ -208,6 +213,25 @@ def test_weld_pair_witnesses_follow_the_walks() -> None:
     )
     assert err.value.offending == MatchedPair((1, "b"), (2, "b"))
     assert tuple(w.label for w in err.value.witnesses) == ("w3", "w4", "w2")
+
+
+def test_the_closure_rejects_a_coerced_pair_whose_stars_differ() -> None:
+    # 4.a ~ 1.a and 4.b ~ 3.b chain three quadrants around the corner
+    # {a, b}; 2.b ~ 1.b adds the square's fourth, which coerces 2.a ~ 3.a,
+    # a ray of the square with two 2-cones and one of a quadrant with one
+    text = (
+        "logaffine welding 1\n"
+        "fan H = halfplane3.fan\nfan S = square.fan\nfan Q = quadrant.fan\n"
+        "domain 1 = H\ndomain 2 = S\ndomain 3 = Q\ndomain 4 = Q\n"
+        "pair p1 = 4.b ~ 3.b\npair p2 = 4.a ~ 1.a\npair p3 = 2.b ~ 1.b\n"
+    )
+    spec = parse_welding_text(text, base=FIXTURES).spec
+    with pytest.raises(GloballyObstructedError) as err:
+        build_welded_space(spec)
+    assert str(err.value) == (
+        "coerced pair 2.a ~ 3.a is not matched: the stars of the welded ray differ"
+    )
+    assert outcome(build_welded_space, spec) == outcome(weld_oracle.build_welded_space, spec)
 
 
 def test_weld_pair_rejects_used_face() -> None:
@@ -422,28 +446,63 @@ def test_a_crossing_walk_alternates_two_residues() -> None:
     assert crossings == 21 + grids
 
 
-@pytest.mark.parametrize(
-    "faces,message",
-    [
-        ([((1, "a"), (2, "a")), ((1, "b"), (2, "b"))], "corner cycle of length 2"),
-        # the closure would coerce 4.a ~ 1.a
-        (
-            [((1, "b"), (2, "b")), ((2, "a"), (3, "a")), ((3, "b"), (4, "b"))],
-            "unresolved corner chain of length 4",
-        ),
-    ],
-)
-def test_assemble_rejects_corners_the_closure_never_leaves(faces, message: str) -> None:
+# Welds of quadrant domains that leave a corner the closure would not,
+# with the message ``_assemble`` rejects each with.
+UNLEFT_CORNERS = [
+    (
+        [((1, "a"), (2, "a")), ((1, "b"), (2, "b"))],
+        "corner cycle of length 2 at quadrant {a, b} of domain 1",
+    ),
+    # the closure would coerce 4.a ~ 1.a
+    (
+        [((1, "b"), (2, "b")), ((2, "a"), (3, "a")), ((3, "b"), (4, "b"))],
+        "unresolved corner chain of length 4 at quadrant {a, b} of domain 1",
+    ),
+]
+
+
+def assemble_unclosed(faces) -> GeometryError:
+    """The error ``_assemble`` raises on the quadrant domains welded by
+    ``faces`` alone, without the closure."""
     spec = quadrant_spec(4, faces)
     index = _WeldIndex(spec)
     for pair in spec.pairs:
         index.add(pair, *_match(spec, pair)[1:])
     with pytest.raises(GeometryError) as err:
         _assemble(spec, index)
+    return err.value
+
+
+@pytest.mark.parametrize("faces,message", UNLEFT_CORNERS)
+def test_assemble_rejects_corners_the_closure_never_leaves(faces, message: str) -> None:
+    spec = quadrant_spec(4, faces)
     with pytest.raises(GeometryError) as oracle:
         weld_oracle.assemble(spec)
-    assert str(err.value) == str(oracle.value)
-    assert str(err.value).startswith(message)
+    assert str(assemble_unclosed(faces)) == str(oracle.value) == message
+
+
+def test_assemble_errors_do_not_depend_on_the_hash_seed() -> None:
+    """Two fresh interpreters whose string hashes differ print the same
+    ``_assemble`` errors, byte for byte."""
+    script = (
+        "import sys\n"
+        "from test_welding import UNLEFT_CORNERS, assemble_unclosed\n"
+        "for faces, _ in UNLEFT_CORNERS:\n"
+        "    print(assemble_unclosed(faces), file=sys.stderr)\n"
+    )
+    src = Path(logaffine.__file__).resolve().parent.parent
+    path = os.pathsep.join((str(src), str(Path(__file__).resolve().parent)))
+    stderr = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stderr
+        for seed in ("1", "2")
+    ]
+    assert stderr[0] == stderr[1] == "".join(f"{message}\n" for _, message in UNLEFT_CORNERS)
 
 
 def test_each_distinct_fan_is_built_once(monkeypatch) -> None:

@@ -289,12 +289,11 @@ def assemble(spec):
                 links = list(reversed(backward.links)) + forward.links
                 closed = False
             visited.update(members)
+            where = f"quadrant {{{', '.join(sorted(quad[1]))}}} of domain {quad[0]}"
             if closed and len(members) != 4:
-                raise GeometryError(f"corner cycle of length {len(members)} at quadrant {quad}")
+                raise GeometryError(f"corner cycle of length {len(members)} at {where}")
             if not closed and len(members) > 3:
-                raise GeometryError(
-                    f"unresolved corner chain of length {len(members)} at quadrant {quad}"
-                )
+                raise GeometryError(f"unresolved corner chain of length {len(members)} at {where}")
             fan = fan_of(spec, quad[0])
             position = frozenset(fan.vectors[fan.labels.index(lab)] for lab in quad[1])
             clusters.append(CornerCluster("", position, tuple(members), closed, tuple(links)))
