@@ -26,20 +26,6 @@ from .rational import Vector, cross2, dot, is_zero, primitive, rot90, vec_scale
 from .topology import betti_numbers, log_cohomology_dims
 from .welding import WeldedSpace
 
-__all__ = [
-    "LogBundle",
-    "make_bundle",
-    "ObstructionStatus",
-    "obstruction_vanishes",
-    "StratumEntry",
-    "CutReport",
-    "cut_report",
-    "PolytopeShape",
-    "InvariantRecord",
-    "make_invariant_record",
-    "records_equivalent",
-]
-
 
 # ------------------------------------------------------------------ bundles
 

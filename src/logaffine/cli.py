@@ -43,8 +43,6 @@ from .topology import (
 )
 from .welding import build_welded_space
 
-__all__ = ["main"]
-
 Pairs = list[tuple[str, str]]
 
 

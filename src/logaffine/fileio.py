@@ -47,13 +47,16 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .classification import InvariantRecord, LogBundle, make_bundle
 from .errors import SpecFileError
 from .fans import Fan, make_fan
-from .polytopes import PolytopeSpec, make_polytope_spec
 from .rational import AffineFunctional, Vector, vector
 from .welding import MatchedPair, WeldingSpec, make_welding_spec
+
+if TYPE_CHECKING:
+    from .classification import InvariantRecord, LogBundle
+    from .polytopes import PolytopeSpec
 
 FORMAT_VERSION = 1
 KINDS = ("fan", "welding", "polytope", "bundle")
@@ -397,6 +400,8 @@ def parse_polytope_text(
             raise SpecFileError(path, number, f"unknown directive {directive!r}")
     if welding is None or welding_path is None:
         raise SpecFileError(path, lines[-1][0], "missing welding line")
+    from .polytopes import make_polytope_spec
+
     spec = make_polytope_spec(
         welding.spec,
         constraints.items(),
@@ -457,6 +462,8 @@ def parse_bundle_text(text: str, path: str = "<string>") -> LogBundle:
         raise SpecFileError(
             path, lines[-1][0], f"expected chern vectors 1..{rank}"
         )
+    from .classification import make_bundle
+
     return make_bundle(rank, [chern[i] for i in sorted(chern)])
 
 

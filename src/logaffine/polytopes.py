@@ -1108,8 +1108,8 @@ def delzant_check(p: LogPolytope) -> DelzantResult:
 
 
 def polytope_topology(p: LogPolytope) -> PolytopeTopology:
-    """Euler characteristic, genus and boundary circles of a compact
-    2-dimensional polytope, from its induced cell structure."""
+    """Euler characteristic, genus and boundary circles of a compact,
+    connected 2-dimensional polytope, from its induced cell structure."""
     if p.dim != 2:
         raise UnsupportedDimensionError("polytope topology is 2-dimensional")
     if not p.compact:
@@ -1130,8 +1130,9 @@ def polytope_topology(p: LogPolytope) -> PolytopeTopology:
             t.upper_vertex or corner_vertex[e.head],
         )
 
+    singular = [(t.sides[0], _trace_ends(t)) for t in p.traces if t.kind == "singular"]
     boundary_edges = [(s.lower_vertex, s.upper_vertex) for s in p.segments]
-    boundary_edges += [_trace_ends(t) for t in p.traces if t.kind == "singular"]
+    boundary_edges += [ends for _, ends in singular]
     degree = Counter(v for edge in boundary_edges for v in edge)
     bad = sorted(v for v, d in degree.items() if d != 2)
     if bad:
@@ -1139,6 +1140,16 @@ def polytope_topology(p: LogPolytope) -> PolytopeTopology:
             f"the polytope boundary is not a 1-manifold at {', '.join(bad)}"
         )
     circles = len(connected_runs(degree, boundary_edges))
+
+    # the momentum image of a connected manifold is connected: a domain
+    # joins the vertices its segments and singular traces end at, and a
+    # divisor trace joins its two sides
+    joins = [(s.ref[0], v) for s in p.segments for v in (s.lower_vertex, s.upper_vertex)]
+    joins += [(d, v) for d, ends in singular for v in ends]
+    joins += [t.sides for t in p.traces if t.kind == "divisor"]
+    components = len(connected_runs([*p.feasible, *degree], joins))
+    if components > 1:
+        raise GeometryError(f"the polytope has {components} components")
 
     genus = cross_caps = None
     if p.orientable:

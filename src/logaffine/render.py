@@ -18,8 +18,6 @@ from .polytopes import PolytopeSpec
 from .rational import Vector, is_zero, rot90
 from .welding import WeldingSpec
 
-__all__ = ["render_fan", "render_welding", "render_polytope"]
-
 PANEL = 260
 MARGIN = 20
 RAY_LENGTH = 95.0

@@ -182,6 +182,25 @@ def test_topology_of_polytope(capsys) -> None:
         assert expected in lines
 
 
+def test_topology_rejects_a_polytope_of_two_components(tmp_path, capsys) -> None:
+    for name in ("torus.weld", "square.fan"):
+        (tmp_path / name).write_text(fixture_path(name).read_text())
+    triangle = (
+        "constraint {0}.x = (1, 0) + 0\n"
+        "constraint {0}.y = (0, 1) + 0\n"
+        "constraint {0}.s = (-1, -1) + 1\n"
+    )
+    empty = "constraint {0}.lo = (1, 0) - 1\nconstraint {0}.hi = (-1, 0) + 0\n"
+    poly = tmp_path / "two.poly"
+    poly.write_text(
+        "logaffine polytope 1\nwelding torus.weld\n"
+        + triangle.format(1) + triangle.format(2) + empty.format(3) + empty.format(4)
+    )
+    code, out, err = run(capsys, "topology", str(poly))
+    assert (code, out) == (1, "")
+    assert err == "error: the polytope has 2 components\n"
+
+
 # ------------------------------------------------------------------- weld
 
 

@@ -667,6 +667,25 @@ def test_four_singular_traces_at_one_corner_are_not_a_1_manifold() -> None:
     assert str(raised.value) == "the polytope boundary is not a 1-manifold at v5"
 
 
+def test_a_polytope_of_two_components_is_rejected() -> None:
+    # a triangle in each of domains 1 and 2 of the torus welding, on no
+    # edge stratum, and domains 3 and 4 cut empty: the Euler
+    # characteristic 2 and two boundary circles would read genus -1
+    welding = load_welding("torus.weld").spec
+    triangle = [("x", fn(1, 0)), ("y", fn(0, 1)), ("s", fn(-1, -1, c=1))]
+    empty = [("lo", fn(1, 0, c=-1)), ("hi", fn(-1, 0))]
+    spec = make_polytope_spec(
+        welding,
+        [((d, name), f) for d in (1, 2) for name, f in triangle]
+        + [((d, name), f) for d in (3, 4) for name, f in empty],
+    )
+    p = build_polytope(load_space("torus.weld"), spec)
+    assert p.compact and p.feasible == (1, 2) and not p.traces
+    with pytest.raises(GeometryError) as raised:
+        polytope_topology(p)
+    assert str(raised.value) == "the polytope has 2 components"
+
+
 # ----------------------------------------------------------- face lemmas
 
 
@@ -1454,7 +1473,8 @@ def test_the_planar_build_keeps_the_invariants_it_does_not_check(system) -> None
     """Each trace end has its landing, every corner the region recedes
     into is a corner some trace runs into, and a compact polytope has
     no open end, neither on its boundary nor after the volume's
-    cutoffs."""
+    cutoffs; its topology, when it has one, has no negative genus or
+    cross-cap count."""
     p = build_declaring_faces(*system)
     if isinstance(p, GeometryError):
         return
@@ -1483,9 +1503,13 @@ def test_the_planar_build_keeps_the_invariants_it_does_not_check(system) -> None
         ends = ((t.lower, e.tail), (t.upper, e.head))
         assert all(cid in corners for bound, cid in ends if bound is None)
     try:
-        polytope_topology(p)
+        topology = polytope_topology(p)
     except GeometryError as e:
-        assert "is not a 1-manifold" in str(e)
+        assert "is not a 1-manifold" in str(e) or re.fullmatch(
+            r"the polytope has \d+ components", str(e)
+        )
+    else:
+        assert (topology.genus if p.orientable else topology.cross_caps) >= 0
     clipped, real_clip = [], polytopes._clip
 
     def clip(*args):
