@@ -82,7 +82,9 @@ def _cmd_validate(args) -> tuple[str, Pairs | str, int]:
             violations = [str(exc)]
     elif kind == "polytope":
         try:
-            build_polytope(build_welded_space(payload.spec.welding), payload.spec)
+            p = build_polytope(build_welded_space(payload.spec.welding), payload.spec)
+            if p.dim == 2 and p.compact:
+                polytope_topology(p)  # its boundary is a 1-manifold, and it is connected
         except UnsupportedDimensionError:
             pass
         except GeometryError as exc:

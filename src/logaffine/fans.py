@@ -14,16 +14,15 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import UnsupportedDimensionError
-from .rational import Vector, as_vector, cross2, gauss_jordan, is_zero, primitive
-
-Direction = tuple[int, int]
+from .rational import Vector, as_vector, cross2, gauss_jordan, is_zero
 
 
 @dataclass(frozen=True)
 class Fan:
     """An immutable fan; cones store indices into ``vectors``.  A plane
-    fan also gives its cones and its support as arcs of directions
-    (``arcs``, ``support``), each computed once per fan."""
+    fan is also its rays in turn order (``ray_order``, by their integer
+    ``directions``) with each ray's 2-cone neighbours (``turns``), each
+    computed once per fan: every angular question reads these."""
 
     dim: int
     vectors: tuple[Vector, ...]
@@ -90,54 +89,33 @@ class Fan:
 
         ``(ccw, cw)``: the neighbour a counterclockwise turn of less
         than a half turn reaches, then the one a clockwise turn reaches;
-        None where the ray has no 2-cone on that side.
+        None where the ray has no 2-cone on that side.  A 2-cone holds no
+        other ray, so its two rays are next to each other in ``ray_order``.
         """
-        out = []
-        for i, js in enumerate(self.corner_neighbours):
-            ccw = cw = None
-            for j in js:
-                if cross2(self.vectors[i], self.vectors[j]) > 0:
-                    ccw = j
-                else:
-                    cw = j
-            out.append((ccw, cw))
-        return tuple(out)
+        out = [[None, None] for _ in self.vectors]
+        order, v = self.ray_order, self.directions
+        for i, j in zip(order, order[1:] + order[:1]):
+            if cross2(v[i], v[j]) > 0 and frozenset((i, j)) in self.cones:
+                out[i][0], out[j][1] = j, i
+        return tuple(map(tuple, out))
 
     @functools.cached_property
-    def arcs(self) -> dict[frozenset[int], tuple[Direction, Direction]]:
-        """Each nonempty cone of a plane fan as the closed arc of
-        directions it holds (see ``_arc``), computed once per fan."""
-        return {cone: _arc(self, cone) for cone in self.cones if cone}
+    def directions(self) -> tuple[tuple[int, int], ...]:
+        """Each ray of a plane fan scaled by its denominators to integers,
+        so that angles compare without fractions."""
+        return tuple(
+            (x.numerator * y.denominator, y.numerator * x.denominator) for x, y in self.vectors
+        )
 
     @functools.cached_property
-    def support(self) -> tuple[tuple[Direction, Direction | None], ...]:
-        """The support of a plane fan as disjoint closed arcs of integer
-        directions in counterclockwise order, each ``(start, end)`` from
-        its start counterclockwise to its end (``None`` for the whole
-        circle): the cones' arcs sorted by start with ``_direction_cmp``
-        and merged wherever one starts on another.  A merged arc may
-        exceed a half turn."""
-        merged: list = []
-        by_start = functools.cmp_to_key(lambda a, b: _direction_cmp(a[0], b[0]))
-        for s, e in sorted(self.arcs.values(), key=by_start):
-            if merged and _holds(merged[-1], s):
-                merged[-1] = _join(merged[-1], s, e)
-            else:
-                merged.append((s, e))
-        while len(merged) > 1 and _holds(merged[-1], merged[0][0]):  # across (1, 0)
-            merged[0] = _join(merged.pop(), *merged[0])
-        return tuple(merged)
+    def ray_order(self) -> tuple[int, ...]:
+        """The ray indices of a plane fan in counterclockwise order from
+        the direction (1, 0) (``_direction_cmp``)."""
+        key = functools.cmp_to_key(_direction_cmp)
+        return tuple(sorted(range(len(self.vectors)), key=lambda i: key(self.directions[i])))
 
 
-def _arc(fan: Fan, cone: frozenset[int]) -> tuple[Direction, Direction]:
-    """The directions a 1- or 2-cone of a plane fan holds, as a closed
-    arc of primitive integer directions from one generator
-    counterclockwise to the other (a ray's arc starts and ends on it)."""
-    v, w = (primitive(fan.vectors[i]) for i in (min(cone), max(cone)))
-    return (v, w) if cross2(v, w) >= 0 else (w, v)
-
-
-def _ccw(b: Direction, u: Direction, v: Direction) -> int:
+def _ccw(b: Vector, u: Vector, v: Vector) -> int:
     """Compare the counterclockwise turns from ``b`` to ``u`` and to ``v``:
     ``_direction_cmp`` with ``b`` in place of (1, 0)."""
     return _direction_cmp(
@@ -146,18 +124,14 @@ def _ccw(b: Direction, u: Direction, v: Direction) -> int:
     )
 
 
-def _holds(arc: tuple[Direction, Direction | None], x: Direction) -> bool:
-    """Whether the closed arc ``(start, end)`` holds the direction ``x``."""
-    return arc[1] is None or _ccw(arc[0], x, arc[1]) <= 0
-
-
-def _join(arc, s: Direction, e: Direction):
-    """The union of ``arc`` and the arc from ``s``, which it holds, to
-    ``e``: the whole circle when that arc runs past the start of ``arc``."""
-    start, end = arc
-    if end is None or _ccw(start, e, s) < 0:
-        return start, None
-    return start, e if _ccw(start, end, e) < 0 else end
+def _before(fan: Fan, x: Vector) -> int | None:
+    """The ray of a plane fan at the direction ``x``, else the first one
+    a clockwise turn from ``x`` meets; None when the fan has no rays."""
+    order = fan.ray_order
+    for i in reversed(order):
+        if _direction_cmp(fan.directions[i], x) <= 0:
+            return i
+    return order[-1] if order else None
 
 
 def _first_index(items: Sequence) -> dict:

@@ -17,8 +17,8 @@ residue, and compactness.  A line the cycle drops is checked once, at
 the vertex its normal points to.  A region without interior is told
 from an empty one by the cycle of the half-planes moved outwards by an
 infinitesimal.  The region is compact when each arc of directions it
-recedes along, negated, lies in one arc of the fan's support, which
-every ``Fan`` merges from its cones once.  In
+recedes along, negated, lies in the fan's support: the arc starts on a
+ray or in a 2-cone, and each ray it passes opens one (``_covered``).  In
 dimension 1 the region is the interval between the tightest bounds on
 its two sides, read off the table of the tightest constraints on each
 covector (``_tightest``) that the cycle is built from.  The volume clips
@@ -65,7 +65,7 @@ from .errors import (
     TransversalityError,
     UnsupportedDimensionError,
 )
-from .fans import Fan, _ccw, _direction_cmp, _first_index, _holds
+from .fans import Fan, _before, _ccw, _direction_cmp, _first_index
 from .rational import (
     AffineFunctional,
     Vector,
@@ -474,14 +474,14 @@ def _intersect(lines: list, gap: int | None):
             points.append(_meet(lines[ring[-1]], f) if turn else None)  # None: a strip
         ring.append(i)
     if gap is None:
+        # wrap around: drop the back lines whose vertex misses ring[0],
+        # a suffix short of points[1], where ring[0] has risen along
+        # ring[1].  Three lines or more stay, as lines[0] leaves only by a
+        # front pop, which puts the back over a half turn past ring[0];
+        # points[0] holds every line after ring[1], so the front stays.
         while len(ring) > 2 and _value(lines[ring[0]], points[-1]) <= 0:
             ring.pop()
             points.pop()
-        while len(ring) > 2 and _value(lines[ring[-1]], points[0]) <= 0:
-            ring.popleft()
-            points.popleft()
-        if len(ring) < 3:
-            return None
     kept = list(ring)
     vertices = [None if gap is not None else _meet(lines[ring[-1]], lines[ring[0]]), *points]
     # each dropped line is lowest on the region at the vertex between
@@ -497,13 +497,19 @@ def _intersect(lines: list, gap: int | None):
 
 
 def _covered(fan: Fan, start: Vector, end: Vector) -> bool:
-    """Whether the fan's support holds every direction of the closed arc
-    of integer directions from ``start`` counterclockwise to ``end``, at
-    most a half turn: whether, counted counterclockwise from the start of
-    one arc of ``Fan.support``, ``start`` comes no later than ``end`` and
-    ``end`` no later than that arc's end."""
-    return any(
-        e is None or _ccw(s, start, end) <= 0 and _ccw(s, end, e) <= 0 for s, e in fan.support
+    """Whether the fan's support holds the closed arc of integer
+    directions from ``start`` counterclockwise to ``end``, at most a
+    half turn: the arc starts on a ray or inside a 2-cone, and each ray
+    from ``start`` on, short of ``end``, opens a 2-cone (``Fan.turns``)."""
+    first = _before(fan, start)
+    if first is None:
+        return False
+    if fan.turns[first][0] is None and _direction_cmp(fan.directions[first], start) != 0:
+        return False
+    return all(
+        fan.turns[i][0] is not None
+        for i, r in enumerate(fan.directions)
+        if _ccw(start, r, end) < 0
     )
 
 
@@ -585,7 +591,7 @@ class _Cycle:
     def compact(self, fan: Fan) -> bool:
         """Every recession direction ``d`` of the region points away
         from a stratum of the fan (the stratum sits at ``-d``): each of
-        ``arcs`` lies in one arc of the fan's support."""
+        ``arcs`` lies in the fan's support (``_covered``)."""
         return all(_covered(fan, s, e) for s, e in self.arcs)
 
 
@@ -693,20 +699,20 @@ def _escape(
     """Index of the edge a face line lands on when escaping in ``direction``.
 
     The escape reaches the stratum whose ray points opposite to the
-    direction; escaping into a 2-cone means the face runs into a
-    corner, which is rejected.  ``None`` means an open escape (outside
-    the fan support).
+    direction (an integer vector: faces run along integer covectors);
+    escaping into a 2-cone means the face runs into a corner, which is
+    rejected.  ``None`` means an open escape (outside the fan support).
     """
-    target = vec_neg(direction)
-    for idx, r in enumerate(fan.vectors):
-        if cross2(r, target) == 0 and dot(r, target) > 0:
-            return edge_at[(domain_id, fan.labels[idx])]
-    for cone in fan.two_cones():
-        if _holds(fan.arcs[cone], target):
-            labels = "{" + ", ".join(fan.labels[i] for i in sorted(cone)) + "}"
-            raise TransversalityError(
-                f"a face of domain {domain_id} runs into the corner {labels}"
-            )
+    target = tuple(-int(c) for c in direction)
+    ray = _before(fan, target)
+    if ray is None:
+        return None
+    if _direction_cmp(fan.directions[ray], target) == 0:
+        return edge_at[(domain_id, fan.labels[ray])]
+    ccw = fan.turns[ray][0]
+    if ccw is not None:
+        labels = "{" + ", ".join(fan.labels[i] for i in sorted((ray, ccw))) + "}"
+        raise TransversalityError(f"a face of domain {domain_id} runs into the corner {labels}")
     return None
 
 
@@ -769,10 +775,11 @@ def _crossing_signs(
 ) -> dict[int, int] | None:
     """Two-colour the feasible domains along the edges the polytope
     actually crosses (its divisor traces)."""
-    return two_colour(
+    signs, holds = two_colour(
         feasible,
-        (space.edge(t.edge_label).domain_ids for t in traces if t.kind == "divisor"),
+        ((*space.edge(t.edge_label).domain_ids, -1) for t in traces if t.kind == "divisor"),
     )
+    return signs if all(holds) else None
 
 
 def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:

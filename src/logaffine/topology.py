@@ -23,16 +23,16 @@ tail), per row of its top map (the one or two domains an edge bounds)
 and per row of the map of a curve.  A line with two nonzeros has
 entries +-1; a line with one holds +-1, or +-2 where a cell meets a
 single neighbour twice; a line whose entries cancel (an edge whose
-head is its tail) is empty and is skipped.  The rank is read off a
-graph whose nodes are the n indices along a line and whose edges are
-the two-entry lines.  A kernel vector x satisfies
-``a x_i + b x_j = 0``, so ``x_j = -ab x_i`` along every edge; x is
-zero on a connected component exactly when some one-entry line meets
-it or the signs ``-ab`` around some cycle multiply to -1.  Each other
-(balanced, unpinned) component carries one kernel vector, unique up
-to scale, so over the rationals
+head is its tail) is empty and is skipped.  The rank is read off the
+signed walk of ``welding.two_colour`` over the n indices along a line.
+A kernel vector x satisfies ``a x_i + b x_j = 0``, so a two-entry line
+joins i to j with the sign ``-ab`` (``x_j = -ab x_i``), and a one-entry
+line joins its index to itself with the sign -1 (``x_i = -x_i``).  x
+is zero on a connected run exactly when one of its joins fails; each
+run whose joins all hold carries one kernel vector, unique up to
+scale, so over the rationals
 
-    rank = n - #(balanced components with no one-entry line).
+    rank = n - #(runs whose joins all hold).
 
 This is exact: no elimination and no division takes place.
 
@@ -53,7 +53,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import GeometryError, UnsupportedDimensionError
-from .welding import WeldedSpace
+from .welding import WeldedSpace, two_colour
 
 Line = tuple[tuple[int, int], ...]
 
@@ -71,36 +71,20 @@ def _incidence_rank(n: int, lines: Iterable[Line]) -> int:
 
     The lines are all rows or all columns of the matrix and ``n`` is
     the length of each.  A line holds at most two nonzeros: ``(i, a),
-    (j, b)`` with ``a, b = +-1``, or one entry of any value.
+    (j, b)`` with ``a, b = +-1``, or one entry of any value.  Each run
+    of the signed walk whose joins all hold adds one kernel vector (see
+    Ranks in the module docstring).
     """
-    pinned = [False] * n
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for line in lines:
-        if len(line) == 1:
-            pinned[line[0][0]] = True
-        elif len(line) == 2:
-            (i, a), (j, b) = line
-            adjacency[i].append((j, -a * b))
-            adjacency[j].append((i, -a * b))
-    sign = [0] * n
-    kernel = 0
-    for root in range(n):
-        if sign[root]:
-            continue
-        sign[root] = 1
-        free = True
-        frontier = [root]
-        while frontier:
-            i = frontier.pop()
-            free = free and not pinned[i]
-            for j, s in adjacency[i]:
-                if not sign[j]:
-                    sign[j] = s * sign[i]
-                    frontier.append(j)
-                elif sign[j] != s * sign[i]:
-                    free = False
-        kernel += free
-    return n - kernel
+
+    def joins():
+        for line in lines:
+            if len(line) == 2:
+                (i, a), (j, b) = line
+                yield i, j, -a * b
+            elif line:
+                yield line[0][0], line[0][0], -1
+
+    return n - sum(two_colour(range(n), joins())[1])
 
 
 @dataclass(frozen=True)

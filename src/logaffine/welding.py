@@ -570,31 +570,37 @@ def connected_runs(items: Iterable, joins: Iterable[tuple]) -> list[tuple[tuple,
     return [(tuple(run), held[root] == len(run)) for root, run in runs.items()]
 
 
-def two_colour(nodes: Iterable, edges: Iterable[tuple]) -> dict | None:
-    """Signs +1/-1 on ``nodes`` such that every edge joins opposite signs.
+def two_colour(nodes: Iterable, joins: Iterable[tuple]) -> tuple[dict, list[bool]]:
+    """Signs +1/-1 on ``nodes``, walked along the joins ``(a, b, s)``,
+    each of which asks that ``b`` carry the sign of ``a`` times ``s``.
 
-    The first node of each connected component gets +1.  Returns None
-    when the multigraph is not bipartite (an odd cycle or a loop).
+    The first node of each connected run gets +1.  Returns the signs
+    and, for each run in the order of its first node, whether all its
+    joins hold (a self-join with ``s = -1`` never does).
     """
     adjacency: dict = {node: [] for node in nodes}
-    for a, b in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
+    for a, b, s in joins:
+        adjacency[a].append((b, s))
+        adjacency[b].append((a, s))
     signs: dict = {}
+    holds: list[bool] = []
     for root in adjacency:
         if root in signs:
             continue
         signs[root] = 1
+        held = True
         frontier = [root]
         while frontier:
             node = frontier.pop()
-            for neighbor in adjacency[node]:
+            sign = signs[node]
+            for neighbor, s in adjacency[node]:
                 if neighbor not in signs:
-                    signs[neighbor] = -signs[node]
+                    signs[neighbor] = s * sign
                     frontier.append(neighbor)
-                elif signs[neighbor] == signs[node]:
-                    return None
-    return signs
+                elif signs[neighbor] != s * sign:
+                    held = False
+        holds.append(held)
+    return signs, holds
 
 
 def build_welded_space(spec: WeldingSpec) -> WeldedSpace:
@@ -744,7 +750,7 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
         for k, (run, closed) in enumerate(connected_runs((p.label for p in pairs), joins))
     ]
 
-    signs = two_colour((i for i, _ in domains), ((p.left[0], p.right[0]) for p in pairs))
+    signs, holds = two_colour((i for i, _ in domains), ((p.left[0], p.right[0], -1) for p in pairs))
     compact: bool | None = None
     if spec.dim <= 2:
         # domains built from one fan share the Fan object: test each once
@@ -756,7 +762,7 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
         edges=tuple(edges.values()),
         clusters=tuple(clusters),
         divisor_components=tuple(components),
-        orientable=signs is not None,
-        domain_signs=signs,
+        orientable=all(holds),
+        domain_signs=signs if all(holds) else None,
         compact=compact,
     )

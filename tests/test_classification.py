@@ -286,6 +286,18 @@ def test_record_equivalence_to_itself() -> None:
     assert records_equivalent(record, record)
 
 
+def test_a_record_without_lattice_vectors_is_equivalent_to_itself() -> None:
+    # a line with no rays, cut by nothing, under a rank-1 bundle: the
+    # record has no ray, covector or Chern column, so no column picks a
+    # line and every coefficient along one reads zero
+    spec = make_welding_spec({1: make_fan([], [[]], dim=1)}, [])
+    p = build_polytope(build_welded_space(spec), make_polytope_spec(spec, []))
+    record = make_invariant_record(p, make_bundle(1, [()]))
+    assert classification._lattice_columns(record, 1) == []
+    assert classification._along_one_line([]) == ()
+    assert records_equivalent(record, record)
+
+
 def test_distinct_chern_tuples_are_inequivalent() -> None:
     p = whole_space_polytope("sphere.weld")
     r_10 = make_invariant_record(p, load_bundle("hopf.bundle"))

@@ -199,6 +199,14 @@ def test_topology_rejects_a_polytope_of_two_components(tmp_path, capsys) -> None
     code, out, err = run(capsys, "topology", str(poly))
     assert (code, out) == (1, "")
     assert err == "error: the polytope has 2 components\n"
+    # validate runs the same check: the file builds, but into no connected image
+    code, out, err = run(capsys, "validate", str(poly))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "kind = polytope",
+        "valid = false",
+        "violation 1 = the polytope has 2 components",
+    ]
 
 
 # ------------------------------------------------------------------- weld

@@ -50,6 +50,7 @@ constraints, has the area the benchmark's oracle gives in closed form.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -217,23 +218,24 @@ def test_the_weld_walks_on_labels_and_builds_no_pair_key(monkeypatch, variant: s
 
 
 def test_whole_torus_reads_its_fan_support_once(monkeypatch) -> None:
-    arcs = []
-    arc = fans._arc
+    built = []
+    order = fans.Fan.ray_order
 
-    def counting_arc(fan, cone):
-        arcs.append(fan)
-        return arc(fan, cone)
+    def counting_order(fan):
+        built.append(fan)
+        return order.func(fan)
 
-    monkeypatch.setattr(fans, "_arc", counting_arc)
+    counted = functools.cached_property(counting_order)
+    counted.__set_name__(fans.Fan, "ray_order")
+    monkeypatch.setattr(fans.Fan, "ray_order", counted)
     spec = parse_welding_text(grid_text("torus", 12), base=FIXTURES).spec
     p = build_polytope(build_welded_space(spec), make_polytope_spec(spec, []))
     assert len(p.feasible) == 576
     assert p.compact
     top = polytope_topology(p)
     assert (top.euler, top.genus, top.boundary_circles) == (0, 1, 0)
-    (fan,) = {id(f): f for f in arcs}.values()
+    (fan,) = built  # one turn order for the one fan every domain shares
     assert all(spec.fan(d) is fan for d in spec.domain_ids)
-    assert len(arcs) == len(fan.cones) - 1  # one arc per nonempty cone
 
 
 gen = benchmark_module("generators")

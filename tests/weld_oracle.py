@@ -3,9 +3,9 @@
 ``build_welded_space`` here rebuilds the face maps from the pair list
 on every chain walk, finds domains and rays by linear scans, checks a
 pair for matching once per public check it passes through and walks
-its corners twice.  It shares only the result dataclasses and the
-two-colouring with ``logaffine.welding`` and keeps its own union-find
-and its residue-keyed crossing joins, so the property in
+its corners twice.  It shares only the result dataclasses with
+``logaffine.welding`` and keeps its own union-find, two-colouring and
+residue-keyed crossing joins, so the property in
 ``tests/test_welding.py`` can compare the indexed closure with it pair
 for pair, edge for edge and error for error.
 """
@@ -29,7 +29,6 @@ from logaffine.welding import (
     EdgeStratum,
     MatchedPair,
     WeldedSpace,
-    two_colour,
 )
 
 
@@ -47,6 +46,33 @@ class UnionFind:
 
     def union(self, x, y):
         self.parent[self.find(x)] = self.find(y)
+
+
+def two_colour(nodes: Iterable, edges: Iterable[tuple]) -> dict | None:
+    """Signs +1/-1 on ``nodes`` such that every edge joins opposite signs.
+
+    The first node of each connected component gets +1.  Returns None
+    when the multigraph is not bipartite (an odd cycle or a loop).
+    """
+    adjacency: dict = {node: [] for node in nodes}
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    signs: dict = {}
+    for root in adjacency:
+        if root in signs:
+            continue
+        signs[root] = 1
+        frontier = [root]
+        while frontier:
+            node = frontier.pop()
+            for neighbor in adjacency[node]:
+                if neighbor not in signs:
+                    signs[neighbor] = -signs[node]
+                    frontier.append(neighbor)
+                elif signs[neighbor] == signs[node]:
+                    return None
+    return signs
 
 
 def fan_of(spec, domain_id):
