@@ -18,6 +18,7 @@ from .errors import (
     DelzantError,
     DimensionMismatchError,
     GeometryError,
+    NonCompactError,
     ObstructionUnknownError,
     UnsupportedDimensionError,
 )
@@ -270,6 +271,8 @@ def _polytope_shape(p: LogPolytope) -> PolytopeShape:
 def make_invariant_record(p: LogPolytope, bundle: LogBundle) -> InvariantRecord:
     """Assemble the invariant record of a compact polytope and bundle."""
     _check_bundle(p, bundle)
+    if not p.compact:
+        raise NonCompactError("the polytope is not compact")
     return InvariantRecord(
         polytope=_polytope_shape(p),
         chern=bundle,

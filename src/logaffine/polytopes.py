@@ -9,11 +9,16 @@ against the forced geometry.
 
 Each planar domain's region is computed once, as its vertex cycle: the
 constraint lines sorted by angle and their half-planes intersected with
-a deque (``_cycle``), in O(k log k) for k constraints.  The build reads
-everything about the region off that cycle: feasibility, each face's
-segment as two vertices of the cycle (or the fault that rejects it),
-each edge trace from the tightest constraints perpendicular to the
-residue, and compactness.  A line the cycle drops is checked once, at
+a deque (``_cycle``), in O(k log k) for k constraints.  The cycle runs
+on Python ints: a line is its primitive covector ``a`` and its constant
+``p / q``, and a vertex is homogeneous, ``(x, y, w)`` with ``w > 0``, so
+no step divides.  A kept vertex becomes a pair of Fractions once, and a
+face's bound along its line (``_along``) and a trace's ends are each
+one Fraction of ints: the polytope's fields hold Fractions, as the
+input does.  The build reads everything about the region off that
+cycle: feasibility, each face's segment as two vertices of the cycle
+(or the fault that rejects it), each edge trace from the tightest
+constraints perpendicular to the residue, and compactness.  A line the cycle drops is checked once, at
 the vertex its normal points to.  A region without interior is told
 from an empty one by the cycle of the half-planes moved outwards by an
 infinitesimal.  The region is compact when each arc of directions it
@@ -74,7 +79,6 @@ from .rational import (
     is_saturated_lattice_basis,
     rot90,
     vec_neg,
-    vec_scale,
 )
 from .welding import WeldedSpace, WeldingSpec, connected_runs, two_colour
 
@@ -379,9 +383,11 @@ class PolytopeTopology:
 
 def _line_of(fn: AffineFunctional) -> tuple[Vector, Vector]:
     """A point of ``{fn = 0}`` and its direction (zero in dimension 1)."""
-    a = fn.linear
-    base = vec_scale(-Fraction(fn.constant) / dot(a, a), a)
-    return base, rot90(a) if len(a) == 2 else (Fraction(0),)
+    a = tuple(map(int, fn.linear))  # a validated integer covector
+    c = Fraction(fn.constant)
+    n = c.denominator * sum(x * x for x in a)
+    base = tuple(Fraction(-c.numerator * x, n) for x in a)
+    return base, rot90(fn.linear) if len(a) == 2 else (Fraction(0),)
 
 
 def _clip(
@@ -412,17 +418,29 @@ def _clip(
 # ------------------------------------------------------- vertex cycles
 
 
-def _meet(f, g) -> Vector:
-    """The point where the lines ``a.u + c = 0`` of ``f = (a, c)`` and
-    ``g`` cross."""
-    (a, c), (b, d) = f, g
-    det = a[0] * b[1] - a[1] * b[0]
-    return (a[1] * d - b[1] * c) / det, (b[0] * c - a[0] * d) / det
+def _meet(f, g) -> tuple:
+    """The point where the lines ``q a.u + p = 0`` of ``f = (a, p, q)``
+    and ``g`` cross, homogeneous: ``(x, y, w)`` for ``(x / w, y / w)``,
+    with ``w > 0`` when ``g`` turns counterclockwise from ``f`` by less
+    than a half turn."""
+    (a, p, q), (b, r, s) = f, g
+    w = (a[0] * b[1] - a[1] * b[0]) * q * s
+    return a[1] * r * q - b[1] * p * s, b[0] * p * s - a[0] * r * q, w
 
 
-def _value(f, point: Vector):
-    (a, c) = f
-    return a[0] * point[0] + a[1] * point[1] + c
+def _value(f, vertex: tuple):
+    """``q a.u + p`` of ``f = (a, p, q)`` at the homogeneous vertex
+    ``(x, y, w)``, times ``w``: its sign is the side of the line the
+    vertex lies on."""
+    (a, p, q), (x, y, w) = f, vertex
+    return (a[0] * x + a[1] * y) * q + p * w
+
+
+def _along(a: Vector, vertex: tuple) -> Fraction:
+    """Where the homogeneous vertex ``(x, y, w)`` lies on a line of the
+    covector ``a``: its ``s`` in ``_line_of``'s ``base + s rot90(a)``."""
+    x, y, w = vertex
+    return Fraction(a[0] * y - a[1] * x, w * (a[0] * a[0] + a[1] * a[1]))
 
 
 def _half_turn(a: Vector, b: Vector) -> bool:
@@ -433,25 +451,27 @@ def _half_turn(a: Vector, b: Vector) -> bool:
 
 
 def _intersect(lines: list, gap: int | None):
-    """Intersect the half-planes ``a.u + c >= 0`` of ``lines``, pairs
-    ``(a, c)`` on distinct primitive covectors sorted counterclockwise;
-    ``gap`` is the line after which the next turns by a half turn or
-    more (``None``: the covectors surround the origin and the region
-    is bounded).
+    """Intersect the half-planes ``a.u + p / q >= 0`` of ``lines``,
+    triples ``(a, p, q)`` on distinct primitive integer covectors
+    sorted counterclockwise, with ``q > 0`` an int and ``p`` an int or
+    a ``_TPoly`` with int coefficients; ``gap`` is the line after which
+    the next turns by a half turn or more (``None``: the covectors
+    surround the origin and the region is bounded).
 
     Returns ``None`` when the intersection has no interior, otherwise
     ``(kept, vertices, touching)``: ``kept`` indexes the lines holding
     an edge of positive length, counterclockwise; ``vertices[j]`` is
     where the edge of ``kept[j - 1]`` ends and that of ``kept[j]``
-    starts (``None`` at infinity); ``touching`` maps every other line
-    that meets the region to the vertex it touches there.  The
-    constants may be Fractions or ``_TPoly``.
+    starts, homogeneous as ``_meet`` makes it (``None`` at infinity);
+    ``touching`` maps every other line that meets the region to the
+    vertex it touches there.  Nothing is divided, so with int
+    constants every step is on ints.
     """
     m = len(lines)
-    constant = dict(lines)
-    for a, c in lines:
+    constant = {a: (p, q) for a, p, q in lines}
+    for a, p, q in lines:
         opposite = constant.get((-a[0], -a[1]))
-        if opposite is not None and c + opposite <= 0:
+        if opposite is not None and p * opposite[1] + opposite[0] * q <= 0:
             return None  # a slab without interior
     # sorted from just after the gap, the covectors of an open cycle
     # span at most a half turn: a new line then cuts a suffix of the
@@ -523,7 +543,8 @@ class _Cycle:
     region, or lies along another constraint's line, to the first other
     name on its line (``None`` when there is none) and its lower and
     upper ends along ``_line_of``: ``None`` at infinity, else a vertex
-    of the cycle with the other names vanishing there, sorted.
+    of the cycle as a pair of Fractions, the other names vanishing
+    there, sorted, and the vertex's bound along the line (``_along``).
     ``tightest`` maps each covector to its tightest constant and the
     names attaining it, sorted.  ``arcs`` holds the directions of the
     strata the region recedes towards, its recession cone negated, as
@@ -545,8 +566,9 @@ class _Cycle:
         """The segment of constraint ``ref`` on the region: ``None`` when
         its line misses the region, else its lower and upper ends, each
         ``None`` at infinity or a vertex with the first other name
-        vanishing there.  A line along another constraint's, a segment
-        of a single point and a third line through an end are faults."""
+        vanishing there and its bound along ``_line_of``.  A line along
+        another constraint's, a segment of a single point and a third
+        line through an end are faults."""
         d, name = ref
         if name not in self.faces:
             return None
@@ -567,7 +589,7 @@ class _Cycle:
                     + ", ".join(f"{d}.{n}" for n in end[1])
                     + " pass through one point"
                 )
-        return tuple(end and (end[0], end[1][0]) for end in (lower, upper))
+        return tuple(end and (end[0], end[1][0], end[2]) for end in (lower, upper))
 
     def trace(self, residue: Vector):
         """The region's closure on the edge stratum with this residue, in
@@ -577,15 +599,20 @@ class _Cycle:
         ends, each ``None`` when unbounded or the bound with the first
         tightest name on the covector perpendicular to the residue that
         sets it.  The region has interior, so the ends never meet."""
+        # residue = r / n with r integer, so the bound -c |rv|^2 / (a . rv),
+        # rv = rot90(residue), is -c |r|^2 / (n a . rot90(r))
+        x, y = residue
+        r = x.numerator * y.denominator, y.numerator * x.denominator
+        n = x.denominator * y.denominator
         ends = [None, None]
         for a, (c, names) in self.tightest.items():
-            slope = dot(a, residue)
+            slope = a[0] * r[0] + a[1] * r[1]
             if slope > 0:
                 return None
             if slope == 0:
-                rv = rot90(residue)
-                coef = dot(a, rv)
-                ends[coef < 0] = -c * dot(rv, rv) / coef, names[0]
+                coef = a[1] * r[0] - a[0] * r[1]
+                norm = r[0] * r[0] + r[1] * r[1]
+                ends[coef < 0] = Fraction(-c.numerator * norm, c.denominator * n * coef), names[0]
         return tuple(ends)
 
     def compact(self, fan: Fan) -> bool:
@@ -625,13 +652,15 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
         return True, True, _Cycle({}, {}, _PLANE)
     tightest = _tightest(items)
     covectors = sorted(tightest, key=functools.cmp_to_key(_direction_cmp))
-    lines = [(a, tightest[a][0]) for a in covectors]
+    lines = [(a, tightest[a][0].numerator, tightest[a][0].denominator) for a in covectors]
     m = len(lines)
     gap = next((i for i in range(m) if _half_turn(covectors[i], covectors[(i + 1) % m])), None)
     cycle = _intersect(lines, gap)
     if cycle is None:
-        return _intersect([(a, _TPoly(1, c)) for a, c in lines], gap) is not None, False, None
+        moved = [(a, _TPoly(q, p), q) for a, p, q in lines]  # (q + p T) / q = 1 + c T
+        return _intersect(moved, gap) is not None, False, None
     kept, vertices, touching = cycle
+    points = [v and (Fraction(v[0], v[2]), Fraction(v[1], v[2])) for v in vertices]
     names = [tightest[a][1] for a in covectors]
     at: list[list[str]] = [[] for _ in vertices]  # the names vanishing at each vertex
     p = len(kept)
@@ -652,7 +681,11 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
                 faces[n] = next(o for o in group if o != n), None, None
         elif i in spans:
             faces[group[0]] = None, *(
-                vertices[j] and (vertices[j], [n for n in at[j] if n != group[0]])
+                vertices[j] and (
+                    points[j],
+                    [n for n in at[j] if n != group[0]],
+                    _along(covectors[i], vertices[j]),
+                )
                 for j in spans[i]
             )
     if gap is None:
@@ -807,7 +840,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
         for end, direction in zip(ends, (vec_neg(t), t)):
             if end is not None:
                 key = 0, ref[0], end[0]
-                bounds.append(dot(end[0], t) / dot(t, t))  # base is normal to t
+                bounds.append(end[2])
                 table.setdefault(key, set()).update({face_label[ref], face_label[(ref[0], end[1])]})
             else:
                 edge = _escape(ref[0], fan, direction, edge_at)

@@ -35,6 +35,11 @@ old region computation, each constraint point clipped by the others,
 and ``faces_1d`` reads the feasible domains, the faces with their
 points and the build's faults off it.
 
+``_intersect``, ``_meet`` and ``_value`` are the vertex cycle's old
+kernel, which intersects the half-planes ``a.u + c >= 0`` with Fraction
+points (``c`` a Fraction, or a ``_TPoly`` for the infinitesimal rerun);
+the build now runs the same steps on homogeneous integer points.
+
 ``cyclic_order`` and ``is_complete_2d`` are the package's old
 completeness test, which sorts the rays by angle and looks up the cone
 of each pair of neighbours; ``fans.is_complete`` now reads ``Fan.turns``.
@@ -43,6 +48,7 @@ of each pair of neighbours; ``fans.is_complete`` now reads ``Fan.turns``.
 from __future__ import annotations
 
 import functools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -476,7 +482,9 @@ class ClipRegion:
         if raw is None:
             return None
         base, t = _line_of(self.fns[ref[1]])
-        return _ends(raw, lambda s: vec_add(base, vec_scale(s, t)))
+        ends = _ends(raw, lambda s: vec_add(base, vec_scale(s, t)))
+        # the build's face ends also carry their bound along the line
+        return tuple(end and (*end, s) for end, s in zip(ends, (raw.lower, raw.upper)))
 
     def trace(self, residue: Vector):
         raw = _side_trace(residue, self.fns)
@@ -498,6 +506,86 @@ def clip_regions(space: WeldedSpace, spec: PolytopeSpec, region_of=None) -> dict
         )
         for d in feasible
     }
+
+
+# ---------------------------------- the vertex cycle's old Fraction kernel
+
+
+def _meet(f, g) -> Vector:
+    """The point where the lines ``a.u + c = 0`` of ``f = (a, c)`` and
+    ``g`` cross."""
+    (a, c), (b, d) = f, g
+    det = a[0] * b[1] - a[1] * b[0]
+    return (a[1] * d - b[1] * c) / det, (b[0] * c - a[0] * d) / det
+
+
+def _value(f, point: Vector):
+    (a, c) = f
+    return a[0] * point[0] + a[1] * point[1] + c
+
+
+def _intersect(lines: list, gap: int | None):
+    """Intersect the half-planes ``a.u + c >= 0`` of ``lines``, pairs
+    ``(a, c)`` on distinct primitive covectors sorted counterclockwise;
+    ``gap`` is the line after which the next turns by a half turn or
+    more (``None``: the covectors surround the origin and the region
+    is bounded).
+
+    Returns ``None`` when the intersection has no interior, otherwise
+    ``(kept, vertices, touching)``: ``kept`` indexes the lines holding
+    an edge of positive length, counterclockwise; ``vertices[j]`` is
+    where the edge of ``kept[j - 1]`` ends and that of ``kept[j]``
+    starts (``None`` at infinity); ``touching`` maps every other line
+    that meets the region to the vertex it touches there.  The
+    constants may be Fractions or ``_TPoly``.
+    """
+    m = len(lines)
+    constant = dict(lines)
+    for a, c in lines:
+        opposite = constant.get((-a[0], -a[1]))
+        if opposite is not None and c + opposite <= 0:
+            return None  # a slab without interior
+    # sorted from just after the gap, the covectors of an open cycle
+    # span at most a half turn: a new line then cuts a suffix of the
+    # chain, so only a closed cycle pops from the front or wraps around
+    order = range(m) if gap is None else [*range(gap + 1, m), *range(gap + 1)]
+    ring: deque = deque()
+    points: deque = deque()  # points[j]: where ring[j] meets ring[j + 1]
+    for i in order:
+        f = lines[i]
+        while len(ring) > 1 and _value(f, points[-1]) <= 0:
+            ring.pop()
+            points.pop()
+        while len(ring) > 1 and _value(f, points[0]) <= 0:
+            ring.popleft()
+            points.popleft()
+        if ring:
+            turn = cross2(lines[ring[-1]][0], f[0])
+            if turn < 0 or turn == 0 and gap is None:
+                return None
+            points.append(_meet(lines[ring[-1]], f) if turn else None)  # None: a strip
+        ring.append(i)
+    if gap is None:
+        # wrap around: drop the back lines whose vertex misses ring[0],
+        # a suffix short of points[1], where ring[0] has risen along
+        # ring[1].  Three lines or more stay, as lines[0] leaves only by a
+        # front pop, which puts the back over a half turn past ring[0];
+        # points[0] holds every line after ring[1], so the front stays.
+        while len(ring) > 2 and _value(lines[ring[0]], points[-1]) <= 0:
+            ring.pop()
+            points.pop()
+    kept = list(ring)
+    vertices = [None if gap is not None else _meet(lines[ring[-1]], lines[ring[0]]), *points]
+    # each dropped line is lowest on the region at the vertex between
+    # the kept lines around its normal
+    touching = {}
+    j = 0
+    for i in order:
+        if j < len(kept) and kept[j] == i:
+            j += 1
+        elif _value(lines[i], vertices[j % len(kept)]) == 0:
+            touching[i] = j % len(kept)
+    return kept, vertices, touching
 
 
 def cyclic_order(fan: Fan) -> list[int]:

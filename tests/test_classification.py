@@ -24,6 +24,7 @@ from logaffine.errors import (
     DelzantError,
     DimensionMismatchError,
     GeometryError,
+    NonCompactError,
     UnsupportedDimensionError,
 )
 from logaffine.fans import make_fan
@@ -40,6 +41,7 @@ from conftest import (
     FIXTURES,
     load_built_polytope,
     load_bundle,
+    load_fan,
     load_polytope,
     load_space,
     load_welding,
@@ -286,13 +288,34 @@ def test_record_equivalence_to_itself() -> None:
     assert records_equivalent(record, record)
 
 
+def test_a_record_of_a_polytope_that_is_not_compact_is_refused() -> None:
+    # one halfline.fan domain cut by nothing recedes along (-1), where
+    # the fan has no ray; in the plane polytope_moduli refuses the same
+    spec = make_welding_spec({1: load_fan("halfline.fan")}, [])
+    p = build_polytope(build_welded_space(spec), make_polytope_spec(spec, []))
+    assert not p.compact
+    with pytest.raises(NonCompactError, match="^the polytope is not compact$"):
+        make_invariant_record(p, make_bundle(1, [()]))
+    half = load_built_polytope("unitsquare.poly")
+    half = build_polytope(
+        half.space, replace(half.spec, constraints=half.spec.constraints[:1])
+    )
+    assert not half.compact
+    with pytest.raises(NonCompactError, match="^the polytope is not compact$"):
+        make_invariant_record(half, load_bundle("trivial.bundle"))
+
+
 def test_a_record_without_lattice_vectors_is_equivalent_to_itself() -> None:
     # a line with no rays, cut by nothing, under a rank-1 bundle: the
     # record has no ray, covector or Chern column, so no column picks a
-    # line and every coefficient along one reads zero
+    # line and every coefficient along one reads zero.  The line is not
+    # compact, so make_invariant_record refuses it: the record is built
+    # by hand
     spec = make_welding_spec({1: make_fan([], [[]], dim=1)}, [])
     p = build_polytope(build_welded_space(spec), make_polytope_spec(spec, []))
-    record = make_invariant_record(p, make_bundle(1, [()]))
+    record = classification.InvariantRecord(
+        classification._polytope_shape(p), make_bundle(1, [()]), 0
+    )
     assert classification._lattice_columns(record, 1) == []
     assert classification._along_one_line([]) == ()
     assert records_equivalent(record, record)

@@ -419,6 +419,25 @@ def test_cut_on_an_interval_with_a_rank_one_bundle(tmp_path, capsys) -> None:
     assert "chern 1 = ()" in out.splitlines()
 
 
+def test_cut_refuses_the_record_of_an_interval_that_is_not_compact(tmp_path, capsys) -> None:
+    # one halfline.fan domain cut by nothing recedes away from its ray,
+    # where the fan has no stratum; a half-plane fails the same way
+    for name in ("halfline.fan", "plane.weld", "emptyfan.fan"):
+        (tmp_path / name).write_text(fixture_path(name).read_text())
+    (tmp_path / "half.weld").write_text(
+        "logaffine welding 1\nfan L = halfline.fan\ndomain 1 = L\n"
+    )
+    (tmp_path / "whole.poly").write_text("logaffine polytope 1\nwelding half.weld\n")
+    (tmp_path / "half.poly").write_text(
+        "logaffine polytope 1\nwelding plane.weld\nconstraint 1.x = (1, 0) + 0\n"
+    )
+    (tmp_path / "b.bundle").write_text("logaffine bundle 1\nrank 1\nchern 1 = ()\n")
+    bundles = {"whole.poly": str(tmp_path / "b.bundle"), "half.poly": fx("trivial.bundle")}
+    for poly, bundle in bundles.items():
+        code, out, err = run(capsys, "cut", str(tmp_path / poly), bundle, "--record")
+        assert (code, out, err) == (1, "", "error: the polytope is not compact\n")
+
+
 def test_cut_subcommand(capsys) -> None:
     code, out, _ = run(capsys, "cut", fx("unitsquare.poly"), fx("trivial.bundle"))
     assert code == 0

@@ -43,6 +43,7 @@ from logaffine.fileio import parse_polytope_text, parse_welding_text
 from logaffine.rational import AffineFunctional, cross2, vector
 from logaffine.welding import build_welded_space, make_welding_spec
 
+import polytope_oracle
 import volume_oracle
 from polytope_oracle import (
     _quadrant_reaches_corner,
@@ -979,13 +980,13 @@ BOUNDS = {1: [((1,), 20), ((-1,), 20)], 2: [((1, 0), 20), ((0, 1), 20), ((-1, -1
 
 
 @st.composite
-def systems(draw, dim: int):
+def systems(draw, dim: int, covectors=None, constants=st.integers(-4, 4)):
     """A few random half-planes (half-lines in dimension 1), half the
     time inside a large bounding triangle (interval), then some of them
     repeated or negated onto the same line."""
     rows = draw(
         st.lists(
-            st.tuples(st.sampled_from(COVECTORS[dim]), st.integers(-4, 4)),
+            st.tuples(st.sampled_from(covectors or COVECTORS[dim]), constants),
             min_size=1,
             max_size=6,
         )
@@ -1349,6 +1350,121 @@ def test_cycle_build_matches_the_clip_oracle(fns) -> None:
 @example(fan_name="quadrant.fan", fns=[fn(1, -1, c=1), fn(-1, 1, c=1), fn(1, 1, c=1)])
 def test_cycle_build_matches_the_clip_oracle_over_fans(fan_name, fns) -> None:
     assert_built_alike(fns, load_fan(fan_name))
+
+
+# rays with denominators 2 and 3: a trace scales its residue to integers
+RATIONAL_RAYS = make_fan([(F(1, 2), 0), (0, F(-2, 3))], [[], [0], [1]], labels=["a", "b"])
+
+
+@pytest.mark.parametrize(
+    "fns,trace",
+    [
+        ([fn(0, 1, c=1), fn(0, -1, c=F(5, 2)), fn(-1, 0, c=3)], ("1.a", F(-1, 2), F(5, 4))),
+        ([fn(1, 0, c=F(1, 3)), fn(-1, 0, c=2), fn(0, 1, c=F(7, 2))], ("1.b", F(-2, 9), F(4, 3))),
+    ],
+)
+def test_traces_along_rational_rays_match_the_clip_oracle(fns, trace) -> None:
+    """A trace's ends are in the coordinate ``rot90(residue) . u``, so
+    a residue of denominator n scales them by 1/n."""
+    assert_built_alike(fns, RATIONAL_RAYS)
+    p = single_domain_polytope(fns, RATIONAL_RAYS)
+    assert [(t.edge_label, t.lower, t.upper) for t in p.traces] == [trace]
+
+
+# ------------------------------------ the integer cycle against the old kernel
+
+
+# primitive covectors in [-5, 5]^2, so that vertices have large denominators
+WIDE_COVECTORS = [(a, b) for a in range(-5, 6) for b in range(-5, 6) if math.gcd(a, b) == 1]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(fns=systems(2, WIDE_COVECTORS, st.fractions(-3, 3, max_denominator=4)))
+@example(fns=STRIP)  # a strip: a vertex at infinity
+@example(fns=[fn(1, 0, c=F(1, 2)), fn(-1, 0, c=F(-1, 2))])  # a slab without interior
+@example(fns=[fn(1, 0, c=-1), fn(-1, 0)])  # an empty slab
+@example(fns=[fn(1, 0, c=F(1, 2)), fn(-1, 0, c=F(-1, 3))])  # a slab whose numerators cancel
+# a line the region only touches, at the vertex of two others
+@example(fns=[fn(1, 1), fn(1, 0), fn(0, 1), fn(-1, 0, c=1), fn(0, -1, c=1)])
+# a redundant first line that a later line pops off the front
+@example(fns=[fn(1, 0, c=100), fn(0, 1, c=1), fn(-1, 0, c=1), fn(1, -1, c=1)])
+# three lines meeting in the region's only point: no interior, not empty
+@example(fns=[fn(1, 0, c=F(1, 2)), fn(0, 1, c=F(1, 3)), fn(-1, -1, c=F(-5, 6))])
+def test_the_integer_cycle_matches_the_fraction_kernel(fns) -> None:
+    """``_intersect`` on homogeneous integer points keeps the lines,
+    vertices and touching lines that the old Fraction kernel keeps, and
+    ``_cycle`` reads the same verdict off it, with the infinitesimal
+    rerun for a region without interior; each face end lies at its
+    bound along ``_line_of``."""
+    items = sorted((f"c{i}", f) for i, f in enumerate(fns))
+    calls = []
+    intersect = polytopes._intersect
+
+    def recording(lines, gap):
+        calls.append((lines, gap, intersect(lines, gap)))
+        return calls[-1][2]
+
+    with mock.patch.object(polytopes, "_intersect", recording):
+        met, interior, cycle = polytopes._cycle(items)
+    (lines, gap, new), *_ = calls
+    assert all(type(p) is int and type(q) is int and q > 0 for _, p, q in lines)
+    old = polytope_oracle._intersect([(a, F(p, q)) for a, p, q in lines], gap)
+    if old is None:
+        assert new is None and not interior and cycle is None
+        moved = [(a, polytopes._TPoly(1, F(p, q))) for a, p, q in lines]
+        assert met == (polytope_oracle._intersect(moved, gap) is not None)
+        return
+    kept, vertices, touching = new
+    assert met and interior
+    assert (kept, touching) == (old[0], old[2])
+    assert all(v is None or v[2] > 0 for v in vertices)
+    assert [v and (F(v[0], v[2]), F(v[1], v[2])) for v in vertices] == old[1]
+    named = dict(items)
+    for name, (along, *ends) in cycle.faces.items():
+        base, t = polytopes._line_of(named[name])
+        for end in ends:
+            if along is None and end is not None:
+                assert end[0] in old[1]
+                assert tuple(b + end[2] * x for b, x in zip(base, t)) == end[0]
+
+
+def test_the_vertex_cycle_makes_no_fraction_on_the_polygon_family(monkeypatch) -> None:
+    """On the Delzant polygons of the ``polygon`` benchmark, with and
+    without redundant constraints and sheared, ``_intersect`` runs on
+    ints alone: it constructs no ``Fraction``."""
+    recorded = []
+    intersect = polytopes._intersect
+
+    def recording(lines, gap):
+        recorded.append((lines, gap))
+        return intersect(lines, gap)
+
+    monkeypatch.setattr(polytopes, "_intersect", recording)
+    rng = random.Random(12)
+    for k in (8, 12):
+        for redundant in (0, k // 2):
+            polygon = gen.delzant_polygon(rng, k, redundant)
+            sheared = gen.shear_polygon(polygon, gen.random_unimodular(rng))
+            for p in (polygon, sheared):
+                assert single_domain_polytope(polygon_functionals(p)).compact
+    monkeypatch.undo()
+    made = []
+
+    def counting(original):
+        def count(*args, **kwargs):
+            made.append(args)
+            return original(*args, **kwargs)
+
+        return count
+
+    monkeypatch.setattr(Fraction, "__new__", counting(Fraction.__new__))
+    if hasattr(Fraction, "_from_coprime_ints"):  # from 3.12, arithmetic skips __new__
+        original = Fraction._from_coprime_ints.__func__
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting(original)))
+    cycles = [polytopes._intersect(lines, gap) for lines, gap in recorded]
+    monkeypatch.undo()
+    assert made == []
+    assert len(cycles) == 8 and None not in cycles
 
 
 # ------------------------------------------- the cone test of the fan support
