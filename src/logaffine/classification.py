@@ -152,6 +152,8 @@ def cut_report(p: LogPolytope, bundle: LogBundle) -> CutReport:
     point strata.
     """
     _check_bundle(p, bundle)
+    if not p.compact:
+        raise NonCompactError("the polytope is not compact")
     status = obstruction_vanishes(p.space, bundle)
     if status.vanishes is not True:
         raise ObstructionUnknownError(status.reason)

@@ -27,6 +27,7 @@ from .fileio import (
     serialize_record,
 )
 from .polytopes import (
+    _check_connected,
     build_polytope,
     delzant_check,
     polytope_moduli,
@@ -85,6 +86,8 @@ def _cmd_validate(args) -> tuple[str, Pairs | str, int]:
             p = build_polytope(build_welded_space(payload.spec.welding), payload.spec)
             if p.dim == 2 and p.compact:
                 polytope_topology(p)  # its boundary is a 1-manifold, and it is connected
+            elif p.dim == 2:
+                _check_connected(p)
         except UnsupportedDimensionError:
             pass
         except GeometryError as exc:

@@ -18,21 +18,26 @@ one Fraction of ints: the polytope's fields hold Fractions, as the
 input does.  The build reads everything about the region off that
 cycle: feasibility, each face's segment as two vertices of the cycle
 (or the fault that rejects it), each edge trace from the tightest
-constraints perpendicular to the residue, and compactness.  A line the cycle drops is checked once, at
-the vertex its normal points to.  A region without interior is told
-from an empty one by the cycle of the half-planes moved outwards by an
-infinitesimal.  The region is compact when each arc of directions it
-recedes along, negated, lies in the fan's support: the arc starts on a
-ray or in a 2-cone, and each ray it passes opens one (``_covered``).  In
-dimension 1 the region is the interval between the tightest bounds on
-its two sides, read off the table of the tightest constraints on each
-covector (``_tightest``) that the cycle is built from.  The volume clips
-each face segment, or the line in dimension 1, by the cutoff lines only
-(``_clip``).  Its cutoff is a symbol ``T`` and its measures are
-polynomials in ``T`` (``_TPoly``), whose arithmetic skips zero
-coefficients; ``_clip`` sums each value from the constant, so a
-``_TPoly`` constant or point keeps the ``_TPoly`` on the left of every
-operation.
+constraints perpendicular to the residue, and compactness.  A line the
+cycle drops is checked once, at the vertex its normal points to.  A
+region without interior is told from an empty one by the cycle of the
+half-planes moved outwards by an infinitesimal.  The region is compact
+when each arc of directions it recedes along, negated, lies in the
+fan's support: the arc starts on a ray or in a 2-cone, and each ray it
+passes opens one (``_covered``).  In dimension 1 the region is the
+interval between the tightest bounds on its two sides, read off the
+table of the tightest constraints on each covector (``_tightest``) that
+the cycle is built from.
+
+The volume cuts each domain off at a symbolic cutoff ``T`` by one more
+half-plane per ray, and its measures are polynomials in ``T``
+(``_TPoly``), whose arithmetic skips zero coefficients.  The cutoffs
+join the constraints in the same ``_tightest`` table: in dimension 1
+the length is the sum of the tightest constants on the two sides, and
+in dimension 2 twice the area is the shoelace sum over the vertex cycle
+``_intersect`` makes of the table's lines, with ``_TPoly`` constants
+where there are rays.  Those constants come first in every operation
+of the cycle and the sum, so each keeps a ``_TPoly`` on its left.
 
 The planar build numbers its vertices through one table, from a key to
 the labels of the faces through the vertex: ``(0, domain id, point)``
@@ -100,6 +105,58 @@ class PolytopeSpec:
     groups: tuple[tuple[str, tuple[ConstraintRef, ...]], ...]
     orientation: int = 1
 
+    def __post_init__(self) -> None:
+        """Each reference names a domain of the welding and each group
+        known constraints, once; each covector is primitive and integer."""
+        if self.orientation not in (1, -1):
+            raise GeometryError(f"orientation must be +1 or -1, got {self.orientation}")
+        domain_ids = set(self.welding.domain_ids)
+        seen: set[ConstraintRef] = set()
+        for ref, functional in self.constraints:
+            if ref in seen:
+                raise GeometryError(f"duplicate constraint {ref[0]}.{ref[1]}")
+            seen.add(ref)
+            if ref[0] not in domain_ids:
+                raise GeometryError(
+                    f"constraint {ref[0]}.{ref[1]} references unknown domain {ref[0]}"
+                )
+            if len(functional.linear) != self.welding.dim:
+                raise GeometryError(
+                    f"constraint {ref[0]}.{ref[1]} has covector of length "
+                    f"{len(functional.linear)}, expected {self.welding.dim}"
+                )
+            entries = []
+            for x in functional.linear:
+                frac = Fraction(x)
+                if frac.denominator != 1:
+                    raise NonIntegerEntryError(
+                        f"constraint {ref[0]}.{ref[1]} has non-integer covector entry {x}"
+                    )
+                entries.append(frac.numerator)
+            if not any(entries):
+                raise GeometryError(f"constraint {ref[0]}.{ref[1]} has a zero covector")
+            if math.gcd(*entries) != 1:
+                raise GeometryError(
+                    f"constraint {ref[0]}.{ref[1]} has a non-primitive covector "
+                    f"{tuple(entries)}"
+                )
+        grouped: set[ConstraintRef] = set()
+        names: set[str] = set()
+        for name, members in self.groups:
+            if name in names:
+                raise GeometryError(f"duplicate group {name!r}")
+            names.add(name)
+            for ref in members:
+                if ref not in seen:
+                    raise GeometryError(
+                        f"group {name!r} references unknown constraint {ref[0]}.{ref[1]}"
+                    )
+                if ref in grouped:
+                    raise GeometryError(
+                        f"constraint {ref[0]}.{ref[1]} appears in more than one group"
+                    )
+                grouped.add(ref)
+
     def constraint(self, ref: ConstraintRef) -> AffineFunctional:
         try:
             return self._by_domain[ref[0]][ref[1]]
@@ -117,75 +174,18 @@ class PolytopeSpec:
         return by_domain
 
 
-def _validate_covector(ref: ConstraintRef, functional: AffineFunctional) -> None:
-    entries = []
-    for x in functional.linear:
-        frac = Fraction(x)
-        if frac.denominator != 1:
-            raise NonIntegerEntryError(
-                f"constraint {ref[0]}.{ref[1]} has non-integer covector entry {x}"
-            )
-        entries.append(frac.numerator)
-    if not any(entries):
-        raise GeometryError(f"constraint {ref[0]}.{ref[1]} has a zero covector")
-    if math.gcd(*(abs(e) for e in entries)) != 1:
-        raise GeometryError(
-            f"constraint {ref[0]}.{ref[1]} has a non-primitive covector "
-            f"{tuple(entries)}"
-        )
-
-
 def make_polytope_spec(
     welding: WeldingSpec,
     constraints,
     groups=(),
     orientation: int = 1,
 ) -> PolytopeSpec:
-    """Validate references and assemble a polytope specification."""
-    if orientation not in (1, -1):
-        raise GeometryError(f"orientation must be +1 or -1, got {orientation}")
-    domain_ids = set(welding.domain_ids)
-    seen: set[ConstraintRef] = set()
-    items: list[tuple[ConstraintRef, AffineFunctional]] = []
-    for ref, functional in constraints:
-        ref = (ref[0], ref[1])
-        if ref in seen:
-            raise GeometryError(f"duplicate constraint {ref[0]}.{ref[1]}")
-        seen.add(ref)
-        if ref[0] not in domain_ids:
-            raise GeometryError(
-                f"constraint {ref[0]}.{ref[1]} references unknown domain {ref[0]}"
-            )
-        if len(functional.linear) != welding.dim:
-            raise GeometryError(
-                f"constraint {ref[0]}.{ref[1]} has covector of length "
-                f"{len(functional.linear)}, expected {welding.dim}"
-            )
-        _validate_covector(ref, functional)
-        items.append((ref, functional))
-    grouped: set[ConstraintRef] = set()
-    group_items: list[tuple[str, tuple[ConstraintRef, ...]]] = []
-    names: set[str] = set()
-    for name, members in groups:
-        if name in names:
-            raise GeometryError(f"duplicate group {name!r}")
-        names.add(name)
-        member_refs = tuple((m[0], m[1]) for m in members)
-        for ref in member_refs:
-            if ref not in seen:
-                raise GeometryError(
-                    f"group {name!r} references unknown constraint {ref[0]}.{ref[1]}"
-                )
-            if ref in grouped:
-                raise GeometryError(
-                    f"constraint {ref[0]}.{ref[1]} appears in more than one group"
-                )
-            grouped.add(ref)
-        group_items.append((name, member_refs))
+    """Assemble a polytope specification from references given as any
+    pairs; ``PolytopeSpec`` checks it."""
     return PolytopeSpec(
         welding=welding,
-        constraints=tuple(items),
-        groups=tuple(group_items),
+        constraints=tuple(((ref[0], ref[1]), fn) for ref, fn in constraints),
+        groups=tuple((name, tuple((m[0], m[1]) for m in members)) for name, members in groups),
         orientation=orientation,
     )
 
@@ -378,7 +378,7 @@ class PolytopeTopology:
     interior_faces: int
 
 
-# ------------------------------------------------------ the line clip
+# ------------------------------------------------------- vertex cycles
 
 
 def _line_of(fn: AffineFunctional) -> tuple[Vector, Vector]:
@@ -390,50 +390,24 @@ def _line_of(fn: AffineFunctional) -> tuple[Vector, Vector]:
     return base, rot90(fn.linear) if len(a) == 2 else (Fraction(0),)
 
 
-def _clip(
-    base: Vector, direction: Vector, fns: Iterable[AffineFunctional], lower=None, upper=None
-) -> tuple | None:
-    """Clip the line ``base + s * direction``, within the optional
-    bounds ``lower <= s <= upper``, by each ``g >= 0`` in turn: the
-    bounds left, ``(lower, upper)`` with ``None`` where unbounded, or
-    ``None`` when the line misses the region."""
-    for g in fns:
-        coef = dot(g.linear, direction)
-        val = sum((b * a for a, b in zip(g.linear, base)), g.constant)
-        if coef == 0:
-            if val < 0:
-                return None
-            continue
-        bound = -val / coef
-        if coef > 0:
-            if lower is None or bound > lower:
-                lower = bound
-        elif upper is None or bound < upper:
-            upper = bound
-    if lower is not None and upper is not None and lower > upper:
-        return None
-    return lower, upper
-
-
-# ------------------------------------------------------- vertex cycles
-
-
 def _meet(f, g) -> tuple:
     """The point where the lines ``q a.u + p = 0`` of ``f = (a, p, q)``
     and ``g`` cross, homogeneous: ``(x, y, w)`` for ``(x / w, y / w)``,
     with ``w > 0`` when ``g`` turns counterclockwise from ``f`` by less
-    than a half turn."""
+    than a half turn.  A constant may be a ``_TPoly``; it comes first
+    in each product, so ``x`` and ``y`` are then ``_TPoly`` too."""
     (a, p, q), (b, r, s) = f, g
     w = (a[0] * b[1] - a[1] * b[0]) * q * s
-    return a[1] * r * q - b[1] * p * s, b[0] * p * s - a[0] * r * q, w
+    return r * (a[1] * q) - p * (b[1] * s), p * (b[0] * s) - r * (a[0] * q), w
 
 
 def _value(f, vertex: tuple):
     """``q a.u + p`` of ``f = (a, p, q)`` at the homogeneous vertex
     ``(x, y, w)``, times ``w``: its sign is the side of the line the
-    vertex lies on."""
+    vertex lies on.  The coordinates and the constant, which may be
+    ``_TPoly``, come first in each product."""
     (a, p, q), (x, y, w) = f, vertex
-    return (a[0] * x + a[1] * y) * q + p * w
+    return (x * a[0] + y * a[1]) * q + p * w
 
 
 def _along(a: Vector, vertex: tuple) -> Fraction:
@@ -454,9 +428,10 @@ def _intersect(lines: list, gap: int | None):
     """Intersect the half-planes ``a.u + p / q >= 0`` of ``lines``,
     triples ``(a, p, q)`` on distinct primitive integer covectors
     sorted counterclockwise, with ``q > 0`` an int and ``p`` an int or
-    a ``_TPoly`` with int coefficients; ``gap`` is the line after which
-    the next turns by a half turn or more (``None``: the covectors
-    surround the origin and the region is bounded).
+    a ``_TPoly`` with int coefficients, which every product and sum
+    here takes on its left; ``gap`` is the line after which the next
+    turns by a half turn or more (``None``: the covectors surround the
+    origin and the region is bounded), as ``_turn_order`` finds it.
 
     Returns ``None`` when the intersection has no interior, otherwise
     ``(kept, vertices, touching)``: ``kept`` indexes the lines holding
@@ -545,14 +520,14 @@ class _Cycle:
     upper ends along ``_line_of``: ``None`` at infinity, else a vertex
     of the cycle as a pair of Fractions, the other names vanishing
     there, sorted, and the vertex's bound along the line (``_along``).
-    ``tightest`` maps each covector to its tightest constant and the
-    names attaining it, sorted.  ``arcs`` holds the directions of the
-    strata the region recedes towards, its recession cone negated, as
-    closed arcs of integer directions (start, end), each at most a half
-    turn counterclockwise: none for a closed cycle, the arc between the
-    two unbounded edges for an open one, both ways along a strip and
-    the two halves of the plane when there is no constraint; only
-    ``compact`` reads them.
+    ``tightest`` maps each covector to its tightest constant ``p / q``,
+    as ``p`` and ``q``, and the names attaining it, sorted.  ``arcs``
+    holds the directions of the strata the region recedes towards, its
+    recession cone negated, as closed arcs of integer directions
+    (start, end), each at most a half turn counterclockwise: none for a
+    closed cycle, the arc between the two unbounded edges for an open
+    one, both ways along a strip and the two halves of the plane when
+    there is no constraint; only ``compact`` reads them.
     """
 
     __slots__ = ("faces", "tightest", "arcs")
@@ -605,14 +580,14 @@ class _Cycle:
         r = x.numerator * y.denominator, y.numerator * x.denominator
         n = x.denominator * y.denominator
         ends = [None, None]
-        for a, (c, names) in self.tightest.items():
+        for a, (c, q, names) in self.tightest.items():
             slope = a[0] * r[0] + a[1] * r[1]
             if slope > 0:
                 return None
             if slope == 0:
                 coef = a[1] * r[0] - a[0] * r[1]
                 norm = r[0] * r[0] + r[1] * r[1]
-                ends[coef < 0] = Fraction(-c.numerator * norm, c.denominator * n * coef), names[0]
+                ends[coef < 0] = Fraction(-c * norm, q * n * coef), names[0]
         return tuple(ends)
 
     def compact(self, fan: Fan) -> bool:
@@ -622,20 +597,35 @@ class _Cycle:
         return all(_covered(fan, s, e) for s, e in self.arcs)
 
 
-def _tightest(
-    items: list[tuple[str, AffineFunctional]]
-) -> dict[Vector, tuple[Fraction, list[str]]]:
-    """Each covector of a domain's constraints, sorted by name, with its
-    tightest (least) constant and the names attaining it, in order."""
-    tightest: dict[Vector, tuple[Fraction, list[str]]] = {}
-    for name, fn in items:
-        a, c = tuple(map(int, fn.linear)), Fraction(fn.constant)
+def _lines(items: Iterable[tuple[str, AffineFunctional]]) -> list[tuple]:
+    """Each constraint ``(name, fn)`` as its half-plane ``a.u + p / q >= 0``:
+    ``(name, a, p, q)`` with the primitive int covector ``a`` and ``q > 0``."""
+    return [(name, tuple(map(int, fn.linear)), *fn.constant.as_integer_ratio()) for name, fn in items]
+
+
+def _tightest(lines: Iterable[tuple]) -> dict[Vector, tuple]:
+    """Each covector of the half-planes ``(name, a, p, q)``, with its
+    tightest (least) constant as ``(p, q)`` and the names attaining it,
+    in order.  ``p`` may be a ``_TPoly``, which then comes first."""
+    tightest: dict[Vector, tuple] = {}
+    for name, a, p, q in lines:
         best = tightest.get(a)
-        if best is None or c < best[0]:
-            tightest[a] = c, [name]
-        elif c == best[0]:
-            best[1].append(name)
+        if best is None or p * best[1] < best[0] * q:
+            tightest[a] = p, q, [name]
+        elif p * best[1] == best[0] * q:
+            best[2].append(name)
     return tightest
+
+
+def _turn_order(tightest: dict) -> tuple[list, int | None]:
+    """The tightest line ``(a, p, q)`` on each covector of a
+    ``_tightest`` table, sorted counterclockwise, and the gap
+    ``_intersect`` takes: the first line after which the next turns by
+    a half turn or more, ``None`` when the covectors surround the origin."""
+    covectors = sorted(tightest, key=functools.cmp_to_key(_direction_cmp))
+    m = len(covectors)
+    gap = next((i for i in range(m) if _half_turn(covectors[i], covectors[(i + 1) % m])), None)
+    return [(a, *tightest[a][:2]) for a in covectors], gap
 
 
 def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycle | None]:
@@ -650,18 +640,15 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
     """
     if not items:
         return True, True, _Cycle({}, {}, _PLANE)
-    tightest = _tightest(items)
-    covectors = sorted(tightest, key=functools.cmp_to_key(_direction_cmp))
-    lines = [(a, tightest[a][0].numerator, tightest[a][0].denominator) for a in covectors]
-    m = len(lines)
-    gap = next((i for i in range(m) if _half_turn(covectors[i], covectors[(i + 1) % m])), None)
+    tightest = _tightest(_lines(items))
+    lines, gap = _turn_order(tightest)
     cycle = _intersect(lines, gap)
     if cycle is None:
         moved = [(a, _TPoly(q, p), q) for a, p, q in lines]  # (q + p T) / q = 1 + c T
         return _intersect(moved, gap) is not None, False, None
     kept, vertices, touching = cycle
     points = [v and (Fraction(v[0], v[2]), Fraction(v[1], v[2])) for v in vertices]
-    names = [tightest[a][1] for a in covectors]
+    names = [tightest[a][2] for a, _, _ in lines]
     at: list[list[str]] = [[] for _ in vertices]  # the names vanishing at each vertex
     p = len(kept)
     for j, i in enumerate(kept):
@@ -684,16 +671,16 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
                 vertices[j] and (
                     points[j],
                     [n for n in at[j] if n != group[0]],
-                    _along(covectors[i], vertices[j]),
+                    _along(lines[i][0], vertices[j]),
                 )
                 for j in spans[i]
             )
     if gap is None:
         arcs: tuple = ()
     else:
-        first, last = covectors[(gap + 1) % m], covectors[gap]
+        first, last = lines[(gap + 1) % len(lines)][0], lines[gap][0]
         arcs = ((rot90(last), vec_neg(rot90(first))),)
-        if m == 2 and cross2(first, last) == 0:  # a strip
+        if len(lines) == 2 and cross2(first, last) == 0:  # a strip
             arcs += ((vec_neg(rot90(last)),) * 2,)
     return True, True, _Cycle(faces, tightest, arcs)
 
@@ -701,12 +688,14 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
 def _interval(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, dict]:
     """Whether the half-lines of a 1-D domain's constraints, sorted by
     name, meet and have interior, and their ``_tightest`` table.  With
-    ``c+`` the tightest constant on ``(1,)`` and ``c-`` on ``(-1,)``, the
-    region is ``-c+ <= x <= c-``: empty when ``c+ + c- < 0`` and a
-    single point when ``c+ + c- == 0``."""
-    tightest = _tightest(items)
+    ``c+ = p / q`` the tightest constant on ``(1,)`` and ``c- = r / s``
+    on ``(-1,)``, the region is ``-c+ <= x <= c-``: empty when
+    ``c+ + c- < 0``, that is when ``p s + r q < 0``, and a single point
+    when it is 0."""
+    tightest = _tightest(_lines(items))
     if (1,) in tightest and (-1,) in tightest:
-        width = tightest[(1,)][0] + tightest[(-1,)][0]
+        (p, q, _), (r, s, _) = tightest[(1,)], tightest[(-1,)]
+        width = p * s + r * q
         return width >= 0, width > 0, tightest
     return True, True, tightest
 
@@ -767,8 +756,6 @@ def build_polytope(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     """Cut the welded space by the spec's constraints and classify the
     result's faces, vertices and divisor arcs."""
     _check_same_welding(space, spec)
-    for ref, fn in spec.constraints:
-        _validate_covector(ref, fn)
     if space.dim > 2:
         raise UnsupportedDimensionError(
             f"polytopes are supported in dimensions 1 and 2, not {space.dim}"
@@ -1071,7 +1058,7 @@ def _build_1d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     for ref, fn in spec.constraints:
         if ref[0] not in regions:
             continue
-        _, names = regions[ref[0]][tuple(map(int, fn.linear))]
+        names = regions[ref[0]][tuple(map(int, fn.linear))][2]
         if ref[1] not in names:
             continue
         if len(names) > 1:
@@ -1129,10 +1116,7 @@ def delzant_check(p: LogPolytope) -> DelzantResult:
     through each stratum of the polytope, stopping at the first failure."""
     covector_of_face: dict[str, Vector] = {}
     for face in p.nonsingular_faces:
-        ref = face.members[0]
-        fn = p.spec.constraint(ref)
-        _validate_covector(ref, fn)
-        covector_of_face[face.label] = fn.linear
+        covector_of_face[face.label] = p.spec.constraint(face.members[0]).linear
     # a single primitive row is always saturated: only vertices can fail
     for vertex in p.vertices:
         labels = [f for f in vertex.faces if f in covector_of_face]
@@ -1147,6 +1131,33 @@ def delzant_check(p: LogPolytope) -> DelzantResult:
 # ----------------------------------------------------------- topology
 
 
+def _boundary(p: LogPolytope) -> list[tuple[int, tuple]]:
+    """The domain and two end vertices of each face segment and singular
+    trace: at an unbounded trace end, the corner inside it runs into.
+    An open end is ``None``, which compactness rules out: each escape
+    then lands, and each unbounded trace end has its corner."""
+    corner_vertex = {v.cluster_id: v.vertex_id for v in p.vertices if v.kind == "corner"}
+    pieces = [(s.ref[0], (s.lower_vertex, s.upper_vertex)) for s in p.segments]
+    for t in p.traces:
+        if t.kind == "singular":
+            e = p.space.edge(t.edge_label)
+            lower = t.lower_vertex or corner_vertex.get(e.tail)
+            pieces.append((t.sides[0], (lower, t.upper_vertex or corner_vertex.get(e.head))))
+    return pieces
+
+
+def _check_connected(p: LogPolytope) -> None:
+    """The momentum image of a connected manifold is connected: a domain
+    joins the vertices its segments and singular traces end at (an end
+    that is ``None`` in ``_boundary`` joins nothing), and a divisor
+    trace joins its two sides."""
+    joins = [(d, v) for d, ends in _boundary(p) for v in ends if v]
+    joins += [t.sides for t in p.traces if t.kind == "divisor"]
+    components = len(connected_runs([*p.feasible, *(v for _, v in joins)], joins))
+    if components > 1:
+        raise GeometryError(f"the polytope has {components} components")
+
+
 def polytope_topology(p: LogPolytope) -> PolytopeTopology:
     """Euler characteristic, genus and boundary circles of a compact,
     connected 2-dimensional polytope, from its induced cell structure."""
@@ -1155,24 +1166,7 @@ def polytope_topology(p: LogPolytope) -> PolytopeTopology:
     if not p.compact:
         raise NonCompactError("the polytope is not compact")
     euler = len(p.vertices) - (len(p.segments) + len(p.traces)) + len(p.feasible)
-
-    corner_vertex = {
-        v.cluster_id: v.vertex_id for v in p.vertices if v.kind == "corner"
-    }
-
-    # compact: each segment escape lands, since its target lies in the
-    # fan's support, and each unbounded trace end has a 2-cone on its
-    # side, so it runs into a corner inside
-    def _trace_ends(t: EdgeTrace) -> tuple[str, str]:
-        e = p.space.edge(t.edge_label)
-        return (
-            t.lower_vertex or corner_vertex[e.tail],
-            t.upper_vertex or corner_vertex[e.head],
-        )
-
-    singular = [(t.sides[0], _trace_ends(t)) for t in p.traces if t.kind == "singular"]
-    boundary_edges = [(s.lower_vertex, s.upper_vertex) for s in p.segments]
-    boundary_edges += [ends for _, ends in singular]
+    boundary_edges = [ends for _, ends in _boundary(p)]
     degree = Counter(v for edge in boundary_edges for v in edge)
     bad = sorted(v for v, d in degree.items() if d != 2)
     if bad:
@@ -1180,16 +1174,7 @@ def polytope_topology(p: LogPolytope) -> PolytopeTopology:
             f"the polytope boundary is not a 1-manifold at {', '.join(bad)}"
         )
     circles = len(connected_runs(degree, boundary_edges))
-
-    # the momentum image of a connected manifold is connected: a domain
-    # joins the vertices its segments and singular traces end at, and a
-    # divisor trace joins its two sides
-    joins = [(s.ref[0], v) for s in p.segments for v in (s.lower_vertex, s.upper_vertex)]
-    joins += [(d, v) for d, ends in singular for v in ends]
-    joins += [t.sides for t in p.traces if t.kind == "divisor"]
-    components = len(connected_runs([*p.feasible, *degree], joins))
-    if components > 1:
-        raise GeometryError(f"the polytope has {components} components")
+    _check_connected(p)
 
     genus = cross_caps = None
     if p.orientable:
@@ -1300,52 +1285,35 @@ class _TPoly:
         return self._lead(other) >= 0
 
 
-def _clipped_measure(p: LogPolytope, domain_id: int) -> _TPoly:
-    """Length or area of the domain region cut off at ``r.u + T|r|^2 = 0``
-    for each ray ``r``, ``T`` the symbolic cutoff.  The length is the
-    clip of the axis; the area is a shoelace sum over the boundary, each
-    edge taken counterclockwise: the build's face segments clipped by
-    the cutoffs, and the cutoff lines clipped by every half-plane.  An
-    edge on the line of ``a.u + c = 0``, from ``l`` to ``u`` along
-    ``base + s t`` with ``base = -c a / |a|^2`` and ``t = rot90(a)``,
-    adds ``cross2(base + u t, base + l t) = c (u - l)``, so the sum
-    needs no end points.  The constraints' constants and, where there
-    are rays, the face segments' ends are made ``_TPoly`` once, so every
-    sum, difference, product and bound comparison that mixes a
-    ``Fraction`` with a ``_TPoly`` has the ``_TPoly`` on its left and
-    never fails first in ``Fraction``'s operator dispatch."""
-    T = _TPoly(0, 1)
+def _clipped_measure(p: LogPolytope, domain_id: int):
+    """Length or area, a ``Fraction`` or a ``_TPoly``, of the domain region
+    cut off at ``r.u + T|r|^2 >= 0`` for each ray ``r = s a``, ``a``
+    primitive: the half-plane ``a.u + T s |a|^2 >= 0``.  The length is
+    ``c+ + c-``, the tightest constants on ``(1,)`` and ``(-1,)``; twice
+    the area is the shoelace sum over the vertex cycle, closed as the
+    polytope is compact, over the product of the vertices' ``w``.  Where
+    there are rays the constraints' constants are made ``_TPoly`` once,
+    so a ``_TPoly`` is the left operand of every mixed operation."""
+    lines = _lines(p.spec.domain_constraints(domain_id).items())
     rays = p.space.fan(domain_id).vectors
-    cutoffs = [AffineFunctional(r, T * dot(r, r)) for r in rays]
-    constraints = p.spec.domain_constraints(domain_id).values()
-    walls = [*(AffineFunctional(g.linear, _TPoly(g.constant)) for g in constraints), *cutoffs]
-
-    def end(x):
-        # without a cutoff no bound is a _TPoly, and Fractions are faster
-        return _TPoly(x) if cutoffs and x is not None else x
-
+    if rays:
+        lines = [(name, a, _TPoly(c), q) for name, a, c, q in lines]
+        for r in rays:  # r = s a with s = g / n
+            n = math.lcm(*(x.denominator for x in r))
+            ints = [x.numerator * (n // x.denominator) for x in r]
+            g = math.gcd(*ints)
+            a = tuple(x // g for x in ints)
+            lines.append((None, a, _TPoly(0, g * sum(x * x for x in a)), n))
+    tightest = _tightest(lines)
     if p.dim == 1:
-        pieces = [((Fraction(0),), (Fraction(1),), None, None, walls, None)]
-    else:
-        pieces = [
-            (s.base, s.direction, s.lower, s.upper, cutoffs, p.spec.constraint(s.ref).constant)
-            for s in p.segments
-            if s.ref[0] == domain_id
-        ]
-        pieces += [
-            ((-T * f.linear[0], -T * f.linear[1]), rot90(f.linear), None, None, walls, f.constant)
-            for f in cutoffs
-        ]
-    twice = _TPoly(0)
-    for base, t, lower, upper, fns, c in pieces:
-        ends = _clip(base, t, fns, end(lower), end(upper))
-        if ends is None:
-            continue
-        lo, hi = ends  # compact: some ray's cutoff bounds each recession direction
-        if p.dim == 1:
-            return hi - lo
-        twice += (hi - lo) * c
-    return twice / 2
+        (c, q, _), (d, s, _) = tightest[(1,)], tightest[(-1,)]
+        return (c * s + d * q) * Fraction(1, q * s)
+    _, vertices, _ = _intersect(*_turn_order(tightest))
+    twice, den = 0, 1
+    for (x, y, w), (x1, y1, w1) in zip(vertices, vertices[1:] + vertices[:1]):
+        twice = (x * y1 - x1 * y) * den + twice * (w * w1)
+        den *= w * w1
+    return twice * Fraction(1, 2 * den)
 
 
 def regularized_volume(p: LogPolytope, eps: Fraction | None = None) -> Fraction:

@@ -305,6 +305,16 @@ def test_a_record_of_a_polytope_that_is_not_compact_is_refused() -> None:
         make_invariant_record(half, load_bundle("trivial.bundle"))
 
 
+def test_a_cut_of_a_polytope_that_is_not_compact_is_refused() -> None:
+    # the halfline.fan line of the test above: a cut report, like a
+    # record, describes a compact polytope, in every dimension
+    spec = make_welding_spec({1: load_fan("halfline.fan")}, [])
+    p = build_polytope(build_welded_space(spec), make_polytope_spec(spec, []))
+    assert not p.compact
+    with pytest.raises(NonCompactError, match="^the polytope is not compact$"):
+        cut_report(p, make_bundle(1, [()]))
+
+
 def test_a_record_without_lattice_vectors_is_equivalent_to_itself() -> None:
     # a line with no rays, cut by nothing, under a rank-1 bundle: the
     # record has no ray, covector or Chern column, so no column picks a

@@ -209,6 +209,31 @@ def test_topology_rejects_a_polytope_of_two_components(tmp_path, capsys) -> None
     ]
 
 
+def test_validate_finds_a_disconnected_polytope_that_is_not_compact(tmp_path, capsys) -> None:
+    # a triangle in domain 1 and a half-plane in domain 3 that no trace
+    # joins; domains 2 and 4 are cut empty
+    for name in ("quadrants.weld", "quadrant.fan"):
+        (tmp_path / name).write_text(fixture_path(name).read_text())
+    empty = "constraint {0}.lo = (1, 0) - 1\nconstraint {0}.hi = (-1, 0) + 0\n"
+    poly = tmp_path / "apart.poly"
+    poly.write_text(
+        "logaffine polytope 1\nwelding quadrants.weld\n"
+        "constraint 1.x = (1, 0) - 1\n"
+        "constraint 1.y = (0, 1) - 1\n"
+        "constraint 1.s = (-1, -1) + 3\n"
+        "constraint 3.f = (1, 1) - 10\n" + empty.format(2) + empty.format(4)
+    )
+    code, out, err = run(capsys, "validate", str(poly))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "kind = polytope",
+        "valid = false",
+        "violation 1 = the polytope has 2 components",
+    ]
+    code, out, err = run(capsys, "topology", str(poly))
+    assert (code, out, err) == (1, "", "error: the polytope is not compact\n")
+
+
 # ------------------------------------------------------------------- weld
 
 
@@ -436,6 +461,18 @@ def test_cut_refuses_the_record_of_an_interval_that_is_not_compact(tmp_path, cap
     for poly, bundle in bundles.items():
         code, out, err = run(capsys, "cut", str(tmp_path / poly), bundle, "--record")
         assert (code, out, err) == (1, "", "error: the polytope is not compact\n")
+
+
+def test_cut_refuses_an_interval_that_is_not_compact(tmp_path, capsys) -> None:
+    # the halfline.fan line cut by nothing, without --record
+    (tmp_path / "halfline.fan").write_text(fixture_path("halfline.fan").read_text())
+    (tmp_path / "half.weld").write_text(
+        "logaffine welding 1\nfan L = halfline.fan\ndomain 1 = L\n"
+    )
+    (tmp_path / "whole.poly").write_text("logaffine polytope 1\nwelding half.weld\n")
+    (tmp_path / "b.bundle").write_text("logaffine bundle 1\nrank 1\nchern 1 = ()\n")
+    code, out, err = run(capsys, "cut", str(tmp_path / "whole.poly"), str(tmp_path / "b.bundle"))
+    assert (code, out, err) == (1, "", "error: the polytope is not compact\n")
 
 
 def test_cut_subcommand(capsys) -> None:

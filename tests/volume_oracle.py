@@ -12,6 +12,12 @@ with: every sum zero-fills the shorter coefficient list, every product
 multiplies each pair of coefficients and negation multiplies by -1.
 The oracle measures with it, not with the kernel that it checks.
 
+``segment_measure`` is the volume's earlier per-domain measure: the
+build's face segments clipped by the cutoff lines only, and each cutoff
+line clipped by every half-plane, each edge adding ``c (u - l)`` to the
+shoelace sum.  It reads the build's face segments, so it checks the
+volume's cutoff-clipped vertex cycle against them, domain by domain.
+
 ``symbolic_volume`` is the constant term of the signed sum at the
 symbolic cutoff.  ``doubling_fit`` evaluates the signed sum at the
 numeric cutoffs ``T = t0 ... t0 + 3``, fits a quadratic through the
@@ -107,6 +113,49 @@ def clipped_measure(p, domain_id: int, T=TPoly(0, 1)) -> Fraction | TPoly:
         if not any(j < i and dot(fns[j].linear, fns[i].linear) > 0 for j in raw.along):
             ends = (tuple(b + s * x for b, x in zip(base, t)) for s in (raw.upper, raw.lower))
             twice += cross2(*ends)
+    return twice / 2
+
+
+def segment_measure(p, domain_id: int) -> TPoly:
+    """Length or area of the domain region cut off at ``r.u + T|r|^2 = 0``
+    for each ray ``r``, ``T`` the symbolic cutoff.  The length is the
+    clip of the axis; the area is a shoelace sum over the boundary, each
+    edge taken counterclockwise: the build's face segments clipped by
+    the cutoffs, and the cutoff lines clipped by every half-plane.  An
+    edge on the line of ``a.u + c = 0``, from ``l`` to ``u`` along
+    ``base + s t`` with ``base = -c a / |a|^2`` and ``t = rot90(a)``,
+    adds ``cross2(base + u t, base + l t) = c (u - l)``, so the sum
+    needs no end points."""
+    T = TPoly(0, 1)
+    rays = p.space.fan(domain_id).vectors
+    cutoffs = [AffineFunctional(r, T * dot(r, r)) for r in rays]
+    constraints = p.spec.domain_constraints(domain_id).values()
+    walls = [*(AffineFunctional(g.linear, TPoly(g.constant)) for g in constraints), *cutoffs]
+
+    def end(x):
+        return TPoly(x) if cutoffs and x is not None else x
+
+    if p.dim == 1:
+        pieces = [((Fraction(0),), (Fraction(1),), None, None, walls, None)]
+    else:
+        pieces = [
+            (s.base, s.direction, s.lower, s.upper, cutoffs, p.spec.constraint(s.ref).constant)
+            for s in p.segments
+            if s.ref[0] == domain_id
+        ]
+        pieces += [
+            ((-T * f.linear[0], -T * f.linear[1]), rot90(f.linear), None, None, walls, f.constant)
+            for f in cutoffs
+        ]
+    twice = TPoly(0)
+    for base, t, lower, upper, fns, c in pieces:
+        raw = _clip(base, t, enumerate(fns), end(lower), end(upper))
+        if raw is None or (_bounded(raw) and raw.lower > raw.upper):
+            continue
+        lo, hi = raw.lower, raw.upper  # compact: some ray's cutoff bounds each recession direction
+        if p.dim == 1:
+            return hi - lo
+        twice += (hi - lo) * c
     return twice / 2
 
 
