@@ -19,7 +19,6 @@ from .errors import (
     DimensionMismatchError,
     GeometryError,
     NonCompactError,
-    ObstructionUnknownError,
     UnsupportedDimensionError,
 )
 from .polytopes import LogPolytope, delzant_check, polytope_moduli
@@ -145,18 +144,17 @@ class CutReport:
 def cut_report(p: LogPolytope, bundle: LogBundle) -> CutReport:
     """Stratify the manifold obtained by cutting along nonsingular faces.
 
-    Requires the lattice criterion to hold and the bundle obstruction
-    to vanish.  Over a point of the polytope the fiber is a torus whose
-    rank drops by one for every nonsingular face through the point; the
-    Euler characteristic of the cut is carried entirely by the rank-zero
-    point strata.
+    Requires the lattice criterion to hold.  Over a point of the
+    polytope the fiber is a torus whose rank drops by one for every
+    nonsingular face through the point; the Euler characteristic of the
+    cut is carried entirely by the rank-zero point strata.
     """
     _check_bundle(p, bundle)
     if not p.compact:
         raise NonCompactError("the polytope is not compact")
-    status = obstruction_vanishes(p.space, bundle)
-    if status.vanishes is not True:
-        raise ObstructionUnknownError(status.reason)
+    # the bundle obstruction (``obstruction_vanishes``) vanishes here:
+    # ``build_polytope`` refuses dimensions above 2, where the degree 3
+    # of ``log_cohomology_dims`` that holds it is absent or a literal 0
     lattice = delzant_check(p)
     if not lattice:
         vertex_id, rows = lattice.witnesses[0]

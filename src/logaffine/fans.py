@@ -115,15 +115,6 @@ class Fan:
         return tuple(sorted(range(len(self.vectors)), key=lambda i: key(self.directions[i])))
 
 
-def _ccw(b: Vector, u: Vector, v: Vector) -> int:
-    """Compare the counterclockwise turns from ``b`` to ``u`` and to ``v``:
-    ``_direction_cmp`` with ``b`` in place of (1, 0)."""
-    return _direction_cmp(
-        (b[0] * u[0] + b[1] * u[1], b[0] * u[1] - b[1] * u[0]),
-        (b[0] * v[0] + b[1] * v[1], b[0] * v[1] - b[1] * v[0]),
-    )
-
-
 def _before(fan: Fan, x: Vector) -> int | None:
     """The ray of a plane fan at the direction ``x``, else the first one
     a clockwise turn from ``x`` meets; None when the fan has no rays."""

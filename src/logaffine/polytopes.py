@@ -17,14 +17,15 @@ face's bound along its line (``_along``) and a trace's ends are each
 one Fraction of ints: the polytope's fields hold Fractions, as the
 input does.  The build reads everything about the region off that
 cycle: feasibility, each face's segment as two vertices of the cycle
-(or the fault that rejects it), each edge trace from the tightest
-constraints perpendicular to the residue, and compactness.  A line the
-cycle drops is checked once, at the vertex its normal points to.  A
-region without interior is told from an empty one by the cycle of the
-half-planes moved outwards by an infinitesimal.  The region is compact
-when each arc of directions it recedes along, negated, lies in the
-fan's support: the arc starts on a ray or in a 2-cone, and each ray it
-passes opens one (``_covered``).  In dimension 1 the region is the
+(or the fault that rejects it) and each edge trace from the tightest
+constraints perpendicular to the residue.  A line the cycle drops is
+checked once, at the vertex its normal points to.  A region without
+interior is told from an empty one by the cycle of the half-planes
+moved outwards by an infinitesimal.  Compactness is read off the ends
+the build finds: the polytope is compact when no face escapes outside
+the fan's support, every unbounded trace end runs into a corner, and
+no domain is the whole plane over a fan without rays (the argument is
+at ``_build_2d``'s ``compact``).  In dimension 1 the region is the
 interval between the tightest bounds on its two sides, read off the
 table of the tightest constraints on each covector (``_tightest``) that
 the cycle is built from.
@@ -75,7 +76,7 @@ from .errors import (
     TransversalityError,
     UnsupportedDimensionError,
 )
-from .fans import Fan, _before, _ccw, _direction_cmp, _first_index
+from .fans import Fan, _before, _direction_cmp, _first_index
 from .rational import (
     AffineFunctional,
     Vector,
@@ -491,26 +492,6 @@ def _intersect(lines: list, gap: int | None):
     return kept, vertices, touching
 
 
-def _covered(fan: Fan, start: Vector, end: Vector) -> bool:
-    """Whether the fan's support holds the closed arc of integer
-    directions from ``start`` counterclockwise to ``end``, at most a
-    half turn: the arc starts on a ray or inside a 2-cone, and each ray
-    from ``start`` on, short of ``end``, opens a 2-cone (``Fan.turns``)."""
-    first = _before(fan, start)
-    if first is None:
-        return False
-    if fan.turns[first][0] is None and _direction_cmp(fan.directions[first], start) != 0:
-        return False
-    return all(
-        fan.turns[i][0] is not None
-        for i, r in enumerate(fan.directions)
-        if _ccw(start, r, end) < 0
-    )
-
-
-_PLANE = (((1, 0), (-1, 0)), ((-1, 0), (1, 0)))
-
-
 class _Cycle:
     """A planar domain's region, read off its vertex cycle.
 
@@ -521,21 +502,14 @@ class _Cycle:
     of the cycle as a pair of Fractions, the other names vanishing
     there, sorted, and the vertex's bound along the line (``_along``).
     ``tightest`` maps each covector to its tightest constant ``p / q``,
-    as ``p`` and ``q``, and the names attaining it, sorted.  ``arcs``
-    holds the directions of the strata the region recedes towards, its
-    recession cone negated, as closed arcs of integer directions
-    (start, end), each at most a half turn counterclockwise: none for a
-    closed cycle, the arc between the two unbounded edges for an open
-    one, both ways along a strip and the two halves of the plane when
-    there is no constraint; only ``compact`` reads them.
+    as ``p`` and ``q``, and the names attaining it, sorted.
     """
 
-    __slots__ = ("faces", "tightest", "arcs")
+    __slots__ = ("faces", "tightest")
 
-    def __init__(self, faces: dict, tightest: dict, arcs) -> None:
+    def __init__(self, faces: dict, tightest: dict) -> None:
         self.faces = faces
         self.tightest = tightest
-        self.arcs = arcs
 
     def face(self, ref: ConstraintRef):
         """The segment of constraint ``ref`` on the region: ``None`` when
@@ -566,19 +540,17 @@ class _Cycle:
                 )
         return tuple(end and (end[0], end[1][0], end[2]) for end in (lower, upper))
 
-    def trace(self, residue: Vector):
-        """The region's closure on the edge stratum with this residue, in
-        the coordinate ``rot90(residue) . u``: ``None`` when the region
-        does not recede towards the edge (along ``-residue``) because a
-        covector is positive on the residue, else its lower and upper
-        ends, each ``None`` when unbounded or the bound with the first
-        tightest name on the covector perpendicular to the residue that
-        sets it.  The region has interior, so the ends never meet."""
-        # residue = r / n with r integer, so the bound -c |rv|^2 / (a . rv),
-        # rv = rot90(residue), is -c |r|^2 / (n a . rot90(r))
-        x, y = residue
-        r = x.numerator * y.denominator, y.numerator * x.denominator
-        n = x.denominator * y.denominator
+    def trace(self, r: tuple[int, int], n: int):
+        """The region's closure on the edge stratum with the residue
+        ``r / n``, ``r`` integer, in the coordinate ``rot90(residue) . u``:
+        ``None`` when the region does not recede towards the edge (along
+        ``-residue``) because a covector is positive on the residue, else
+        its lower and upper ends, each ``None`` when unbounded or the
+        bound with the first tightest name on the covector perpendicular
+        to the residue that sets it.  The region has interior, so the
+        ends never meet."""
+        # the bound -c |rv|^2 / (a . rv), rv = rot90(residue), is
+        # -c |r|^2 / (n a . rot90(r))
         ends = [None, None]
         for a, (c, q, names) in self.tightest.items():
             slope = a[0] * r[0] + a[1] * r[1]
@@ -589,12 +561,6 @@ class _Cycle:
                 norm = r[0] * r[0] + r[1] * r[1]
                 ends[coef < 0] = Fraction(-c * norm, q * n * coef), names[0]
         return tuple(ends)
-
-    def compact(self, fan: Fan) -> bool:
-        """Every recession direction ``d`` of the region points away
-        from a stratum of the fan (the stratum sits at ``-d``): each of
-        ``arcs`` lies in the fan's support (``_covered``)."""
-        return all(_covered(fan, s, e) for s, e in self.arcs)
 
 
 def _lines(items: Iterable[tuple[str, AffineFunctional]]) -> list[tuple]:
@@ -639,7 +605,7 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
     the constants become ``1 + c T``.
     """
     if not items:
-        return True, True, _Cycle({}, {}, _PLANE)
+        return True, True, _Cycle({}, {})
     tightest = _tightest(_lines(items))
     lines, gap = _turn_order(tightest)
     cycle = _intersect(lines, gap)
@@ -675,14 +641,7 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
                 )
                 for j in spans[i]
             )
-    if gap is None:
-        arcs: tuple = ()
-    else:
-        first, last = lines[(gap + 1) % len(lines)][0], lines[gap][0]
-        arcs = ((rot90(last), vec_neg(rot90(first))),)
-        if len(lines) == 2 and cross2(first, last) == 0:  # a strip
-            arcs += ((vec_neg(rot90(last)),) * 2,)
-    return True, True, _Cycle(faces, tightest, arcs)
+    return True, True, _Cycle(faces, tightest)
 
 
 def _interval(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, dict]:
@@ -746,9 +705,9 @@ def _check_same_welding(space: WeldedSpace, spec: PolytopeSpec) -> None:
         spec.welding.domain_items != space.spec.domain_items
     ):
         raise GeometryError("the polytope spec refers to a different welding")
-    built = {p.key() for p in space.pairs}
+    built = {faces for p in space.pairs for faces in ((p.left, p.right), (p.right, p.left))}
     for p in spec.welding.pairs:
-        if p.key() not in built:
+        if (p.left, p.right) not in built:
             raise GeometryError("the polytope spec refers to a different welding")
 
 
@@ -845,7 +804,9 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     traced: dict[int, tuple[str, tuple[int, ...], tuple]] = {}
     required_pairs: list[tuple[ConstraintRef, ConstraintRef, str]] = []
     for i, e in enumerate(space.edges):
-        sides = [(d, regions[d].trace(e.residue)) for d, _ in e.faces if d in regions]
+        (rx, nx), (ry, ny) = e.residue[0].as_integer_ratio(), e.residue[1].as_integer_ratio()
+        r, n = (rx * ny, ry * nx), nx * ny  # the residue as r / n, scaled once per edge
+        sides = [(d, regions[d].trace(r, n)) for d, _ in e.faces if d in regions]
         present = [(d, t) for d, t in sides if t is not None]
         if not present:
             continue
@@ -906,13 +867,16 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
         )
     nonsingular.sort(key=lambda f: f.members[0])
 
-    # corner clusters contained in the polytope: those a trace runs into
+    # corner clusters contained in the polytope: those a trace runs into;
+    # an unbounded trace end with no cluster is an open end
     cluster_germs: dict[str, list[tuple[int, str, Vector]]] = {}
+    open_trace = False
     for i, (kind, _, (lower, upper)) in traced.items():
         e = space.edges[i]
         for bound, cid in ((lower, e.tail), (upper, e.head)):
             if bound is None and cid is not None:
                 cluster_germs.setdefault(cid, []).append((i, kind, e.residue))
+            open_trace |= bound is None and cid is None
     corners_inside = [c.cluster_id for c in space.clusters if c.cluster_id in cluster_germs]
     table.update(((2, k, cid), set()) for k, cid in enumerate(corners_inside))
 
@@ -1001,7 +965,27 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
                 )
             )
 
-    compact = all(regions[d].compact(space.fan(d)) for d in feasible)
+    # Compact: every recession direction of each region, negated, lies
+    # in its fan's support.  That holds exactly when there is no open
+    # end: (a) a segment end whose escape is open, (b) an unbounded
+    # trace end whose edge has no cluster on that side, (c) a domain
+    # with neither a constraint nor a ray.  Each fails it: (a) escapes
+    # along a recession direction whose negation is outside the support;
+    # in (b) the negated recession cone passes the trace's ray on that
+    # side, where no 2-cone lies; (c) is the whole plane over no ray.
+    # Conversely, let a region's negated recession arc A meet a gap G
+    # between neighbouring rays.  If A lies in G, its ends are escape
+    # targets of the region's unbounded edges: (a).  Otherwise A holds
+    # an end ray r of G and runs past it into G, so no constraint
+    # perpendicular to r bounds that side and r's trace is unbounded
+    # there with no cluster: (b).  With no ray, an unbounded region has
+    # an edge whose escape is open, (a), or no constraint, (c).  Matched
+    # pairs have equal stars, so both sides of an edge share its clusters.
+    compact = not (
+        any(None in keys for *_, keys in face_lines.values())
+        or open_trace
+        or any(not space.fan(d).vectors and not spec.domain_constraints(d) for d in feasible)
+    )
     orientable = _crossing_signs(space, feasible, traces) is not None
 
     return LogPolytope(
@@ -1325,10 +1309,6 @@ def regularized_volume(p: LogPolytope, eps: Fraction | None = None) -> Fraction:
     signs, are the exact ``a0 + a1 T + a2 T^2`` for every large ``T``.
     The volume is ``a0`` if ``a1 = a2 = 0`` and diverges otherwise.
     The excision ``eps`` must lie in (0, 1) but does not change it."""
-    if p.dim > 2:
-        raise UnsupportedDimensionError(
-            "regularized volume is supported in dimensions 1 and 2"
-        )
     if not p.orientable:
         raise NonOrientableError("the polytope is not orientable")
     if p.singular_faces:

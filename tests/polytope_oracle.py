@@ -7,20 +7,25 @@ build states (every recession direction ``d`` has ``-d`` in the fan's
 support), swept over sampled directions of the whole circle rather
 than read off the recession arcs.
 
-``covered_by_samples`` is the build's old test of the fan's support on
-an arc of directions: both ends, every ray strictly inside and one
-direction inside each open arc between them, each tested against
-every cone's arc, computed anew per direction by ``support_contains``
-(``_arc`` and ``_in_arc`` are the build's old cone test).
+``arcs_compact`` is the planar build's old compactness: each feasible
+domain's recession arcs, negated (``recession_arcs``, read off the turn
+order of its tightest lines), lie in the fan's support by the turn-order
+test ``_covered``, which walks ``Fan.ray_order`` from each arc's start
+(``_ccw``).  The build now reads compactness off the open ends it
+finds.  ``covered_by_samples`` is the test ``_covered`` replaced: both
+ends, every ray strictly inside and one direction inside each open arc
+between them, each tested against every cone's arc, computed anew per
+direction by ``support_contains`` (``_arc`` and ``_in_arc`` are the
+build's older cone test).
 
 ``clip_regions`` is the planar build's old region computation, kept as
 an oracle for the vertex cycle: ``_feasible_domains`` clips each of a
-domain's k constraint lines by the other k - 1 and ``_domain_compact``
-sweeps sampled directions of the whole circle against every covector.
-Each ``ClipRegion`` supplies what the build reads of a vertex cycle: a
-face's segment ends, or its fault, from its clip by ``_face_interval``;
-an edge's trace from the clip of the stratum coordinate by
-``_side_trace``; and compactness.  ``_quadrant_reaches_corner`` is the
+domain's k constraint lines by the other k - 1.  Each ``ClipRegion``
+supplies what the build reads of a vertex cycle: a face's segment ends,
+or its fault, from its clip by ``_face_interval``, and an edge's trace
+from the clip of the stratum coordinate by ``_side_trace``.
+``_domain_compact`` sweeps sampled directions of the whole circle
+against every covector.  ``_quadrant_reaches_corner`` is the
 build's old corner test, which tries every constraint line as a
 direction into the corner; the build now takes the corners a trace
 runs into, and the test checks that these hold every corner it reports.
@@ -54,8 +59,15 @@ from fractions import Fraction
 from typing import Iterable
 
 from logaffine.errors import DegenerateVertexError, GeometryError, UnsupportedDimensionError
-from logaffine.fans import Fan, _direction_cmp
-from logaffine.polytopes import ConstraintRef, PolytopeSpec, _line_of
+from logaffine.fans import Fan, _before, _direction_cmp
+from logaffine.polytopes import (
+    ConstraintRef,
+    PolytopeSpec,
+    _line_of,
+    _lines,
+    _tightest,
+    _turn_order,
+)
 from logaffine.rational import (
     AffineFunctional,
     Vector,
@@ -182,6 +194,64 @@ def _in_arc(start: Vector, end: Vector, x: Vector) -> bool:
 
 def support_contains(fan: Fan, x: Vector) -> bool:
     return any(_in_arc(*_arc(fan, cone), x) for cone in fan.cones if cone)
+
+
+def _ccw(b: Vector, u: Vector, v: Vector) -> int:
+    """Compare the counterclockwise turns from ``b`` to ``u`` and to ``v``:
+    ``_direction_cmp`` with ``b`` in place of (1, 0)."""
+    return _direction_cmp(
+        (b[0] * u[0] + b[1] * u[1], b[0] * u[1] - b[1] * u[0]),
+        (b[0] * v[0] + b[1] * v[1], b[0] * v[1] - b[1] * v[0]),
+    )
+
+
+def _covered(fan: Fan, start: Vector, end: Vector) -> bool:
+    """Whether the fan's support holds the closed arc of integer
+    directions from ``start`` counterclockwise to ``end``, at most a
+    half turn: the arc starts on a ray or inside a 2-cone, and each ray
+    from ``start`` on, short of ``end``, opens a 2-cone (``Fan.turns``)."""
+    first = _before(fan, start)
+    if first is None:
+        return False
+    if fan.turns[first][0] is None and _direction_cmp(fan.directions[first], start) != 0:
+        return False
+    return all(
+        fan.turns[i][0] is not None
+        for i, r in enumerate(fan.directions)
+        if _ccw(start, r, end) < 0
+    )
+
+
+_PLANE = (((1, 0), (-1, 0)), ((-1, 0), (1, 0)))
+
+
+def recession_arcs(items: Iterable[tuple[str, AffineFunctional]]) -> tuple:
+    """The directions of the strata a planar domain's region recedes
+    towards, its recession cone negated, as closed arcs of integer
+    directions (start, end), each at most a half turn counterclockwise:
+    none for a closed cycle, the arc between the two unbounded edges
+    for an open one, both ways along a strip and the two halves of the
+    plane when there is no constraint."""
+    if not items:
+        return _PLANE
+    lines, gap = _turn_order(_tightest(_lines(items)))
+    if gap is None:
+        return ()
+    first, last = lines[(gap + 1) % len(lines)][0], lines[gap][0]
+    arcs = ((rot90(last), vec_neg(rot90(first))),)
+    if len(lines) == 2 and cross2(first, last) == 0:  # a strip
+        arcs += ((vec_neg(rot90(last)),) * 2,)
+    return arcs
+
+
+def arcs_compact(p) -> bool:
+    """The planar build's old compactness: each feasible domain's
+    recession arcs lie in its fan's support (``_covered``)."""
+    return all(
+        _covered(p.space.fan(d), s, e)
+        for d in p.feasible
+        for s, e in recession_arcs(p.spec.domain_constraints(d).items())
+    )
 
 
 def covered_by_samples(fan: Fan, start: Vector, end: Vector) -> bool:
@@ -468,14 +538,13 @@ def _ends(raw: _RawInterval, point_of) -> tuple:
 
 class ClipRegion:
     """One feasible planar domain of the k^2 clip, read as the build
-    reads a vertex cycle: each constraint's clip by the others, the
+    reads a vertex cycle: each constraint's clip by the others and the
     stratum coordinate clipped by the constraints parallel to the
-    residue and the circle-sweep compactness."""
+    residue ``r / n``."""
 
     def __init__(self, raws: dict[str, _RawInterval | None], fns: dict[str, AffineFunctional]):
         self.raws = raws
         self.fns = fns
-        self.covectors = [g.linear for g in fns.values()]
 
     def face(self, ref: ConstraintRef):
         raw = _face_interval(ref, self.raws.get(ref[1]))
@@ -486,12 +555,9 @@ class ClipRegion:
         # the build's face ends also carry their bound along the line
         return tuple(end and (*end, s) for end, s in zip(ends, (raw.lower, raw.upper)))
 
-    def trace(self, residue: Vector):
-        raw = _side_trace(residue, self.fns)
+    def trace(self, r: tuple[int, int], n: int):
+        raw = _side_trace((Fraction(r[0], n), Fraction(r[1], n)), self.fns)
         return None if raw is None else _ends(raw, lambda s: s)
-
-    def compact(self, fan: Fan) -> bool:
-        return _domain_compact(fan, self.covectors, 2)
 
 
 def clip_regions(space: WeldedSpace, spec: PolytopeSpec, region_of=None) -> dict[int, ClipRegion]:

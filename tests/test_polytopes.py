@@ -873,6 +873,7 @@ def test_full_plane_without_constraints_is_covered() -> None:
     spec = make_polytope_spec(welding, [])
     p = build_polytope(load_space("compdelt.weld"), spec)
     assert not is_compact_2d(p)
+    assert not p.compact
 
     from logaffine.fans import make_fan
     from logaffine.welding import make_welding_spec
@@ -887,6 +888,57 @@ def test_full_plane_without_constraints_is_covered() -> None:
         build_welded_space(full_welding), make_polytope_spec(full_welding, [])
     )
     assert is_compact_2d(full)
+    assert full.compact
+
+
+# One case for each kind of open end the planar build reads compactness
+# off: an escape outside the support, a trace end with no corner and a
+# whole plane without rays.
+
+
+def open_trace_ends(p) -> list[str]:
+    """The edges whose trace is unbounded on a side without a corner."""
+    return [
+        t.edge_label
+        for t in p.traces
+        for bound, cid in ((t.lower, p.space.edge(t.edge_label).tail),
+                           (t.upper, p.space.edge(t.edge_label).head))
+        if bound is None and cid is None
+    ]
+
+
+def test_a_whole_plane_without_rays_is_not_compact() -> None:
+    p = whole_space_polytope("plane.weld")
+    assert (p.feasible, p.segments, p.traces) == ((1,), (), ())
+    assert not p.compact
+    assert not polytope_oracle.arcs_compact(p)
+    with pytest.raises(NonCompactError):
+        polytope_topology(p)
+
+
+def test_an_escape_outside_the_support_is_an_open_end() -> None:
+    # y <= 1 over the quadrant fan: the face escapes along -x onto the
+    # ray (1, 0), and along +x towards (-1, 0), where no cone lies
+    p = single_domain_polytope([fn(0, -1, c=1)], load_fan("quadrant.fan"))
+    (s,) = p.segments
+    assert s.lower_vertex and s.upper_vertex is None
+    assert not p.compact
+    assert not polytope_oracle.arcs_compact(p)
+
+
+@pytest.mark.parametrize("fns", [[], [fn(0, 1, c=1)]], ids=["whole", "y>=-1"])
+def test_a_trace_end_without_a_corner_is_the_only_open_end(fns) -> None:
+    """Over the upper half-plane fan, the whole plane and the half-plane
+    y >= -1 recede towards the lower half-plane, which no cone covers:
+    each face escapes onto a ray, and what is open is the end of a
+    trace on a ray of the x axis, past which no 2-cone lies."""
+    p = single_domain_polytope(fns, load_fan("halfplane3.fan"))
+    assert all(s.lower_vertex and s.upper_vertex for s in p.segments)
+    assert len(p.segments) == len(fns)
+    assert open_trace_ends(p)
+    assert not p.compact
+    assert not polytope_oracle.arcs_compact(p)
+    assert not is_compact_2d(p)
 
 
 # ------------------------------- the line clip against slow exact oracles
@@ -1378,8 +1430,8 @@ def test_every_single_domain_build_passes_the_face_lemmas(fan_name, fns) -> None
 
 def assert_built_alike(fns, fan=None) -> None:
     """The build reading vertex cycles and the build reading the k^2
-    clip and the circle sweep give equal polytopes, or errors of one
-    class and message."""
+    clip give equal polytopes, or errors of one class and message; the
+    compactness both read off their open ends is the circle sweep's."""
     built = single_domain_polytope(fns, fan)
     with mock.patch.object(polytopes, "_feasible", clip_regions):
         clipped = single_domain_polytope(fns, fan)
@@ -1391,6 +1443,7 @@ def assert_built_alike(fns, fan=None) -> None:
             assert all(_side_trace(r, named) is None for r in fan.vectors)
     else:
         assert built == clipped
+        assert built.compact == is_compact_2d(built)
 
 
 # The bounding triangle of ``systems``, as functionals.
@@ -1596,7 +1649,7 @@ def arcs_of_directions(draw) -> tuple:
 @example(fan_name="halfplane3.fan", arc=((1, 0), (-1, 0)))
 def test_the_turn_order_covers_what_the_sampling_does(fan_name, arc) -> None:
     fan = load_fan(fan_name)
-    assert polytopes._covered(fan, *arc) == covered_by_samples(fan, *arc)
+    assert polytope_oracle._covered(fan, *arc) == covered_by_samples(fan, *arc)
 
 
 # ------------------------------------- what the planar build leaves unchecked
@@ -1721,6 +1774,18 @@ def test_the_planar_build_keeps_the_invariants_it_does_not_check(system) -> None
         for d in p.feasible:
             polytopes._clipped_measure(p, d)
     assert calls == [None] * len(p.feasible)
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(system=welded_systems())
+def test_compactness_from_the_open_ends_is_the_arc_coverage(system) -> None:
+    """The planar build reads compactness off the open ends it finds; it
+    is the old test that every feasible domain's recession arcs, negated,
+    lie in its fan's support."""
+    p = build_declaring_faces(*system)
+    if isinstance(p, GeometryError):
+        return
+    assert p.compact == polytope_oracle.arcs_compact(p)
 
 
 # ------------------------------------------------- field-for-field guard

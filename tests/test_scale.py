@@ -15,7 +15,10 @@ equals the first one's, never by the residue itself.
 
 The whole space of the m = 12 torus grid (576 domains, no constraint)
 is a compact polytope of genus one, and the support of the one fan its
-domains share is read once, not once per domain.
+domains share is read once, not once per domain.  The whole-space build
+of each grid keeps a pinned budget of calls into the package per domain
+at m = 3 and 6, and four times the domains cost about four times the
+calls: a call count does not vary from run to run as a time does.
 
 The whole space of a grid is the region in every domain, so it has no
 face segment and its vertices are the corner clusters, all inside: the
@@ -51,7 +54,9 @@ constraints, has the area the benchmark's oracle gives in closed form.
 from __future__ import annotations
 
 import functools
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -196,7 +201,8 @@ def test_the_weld_walks_on_labels_and_builds_no_pair_key(monkeypatch, variant: s
     chains at each of their two corners (8n), but one chain at the
     weld that closes each of the n corners (-n), and the assembly walks
     each of the n closed clusters once (+n).  No ``MatchedPair.key``
-    is built."""
+    is built, by the weld or by the planar build of its whole space,
+    which tells the spec's pairs by their faces in either order."""
     calls = {"key": 0, "walk": 0}
     key, walk = MatchedPair.key, welding._WeldIndex.walk
 
@@ -212,6 +218,7 @@ def test_the_weld_walks_on_labels_and_builds_no_pair_key(monkeypatch, variant: s
     monkeypatch.setattr(MatchedPair, "key", counting_key)
     monkeypatch.setattr(welding._WeldIndex, "walk", counting_walk)
     space = build_welded_space(spec)
+    build_polytope(space, make_polytope_spec(spec, []))
     monkeypatch.undo()
     assert len(space.pairs) == 2 * 576
     assert calls == {"key": 0, "walk": 8 * 576}
@@ -236,6 +243,53 @@ def test_whole_torus_reads_its_fan_support_once(monkeypatch) -> None:
     assert (top.euler, top.genus, top.boundary_circles) == (0, 1, 0)
     (fan,) = built  # one turn order for the one fan every domain shares
     assert all(spec.fan(d) is fan for d in spec.domain_ids)
+
+
+PACKAGE = os.path.dirname(welding.__file__)
+
+
+def package_calls(run) -> int:
+    """How many calls ``run()`` makes into frames of the package's code;
+    the standard library's frames do not count, so the count does not
+    depend on how a Python version implements ``Fraction``."""
+    calls = 0
+
+    def hook(frame, event, arg) -> None:
+        nonlocal calls
+        if event == "call" and os.path.dirname(frame.f_code.co_filename) == PACKAGE:
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+# Package calls per domain of a grid's whole-space planar build, pinned
+# at the counts of the build that reads compactness off its open ends
+# (57-61 per domain at m = 3 and 6 on Python 3.10 and 3.11; the second
+# angular pass before it made 132-136).  Python 3.12 inlines list
+# comprehensions (PEP 709), so it counts fewer (48-51).  A budget may
+# fall freely; raising one loosens the check, and CHANGES.md must say why.
+BUILD_CALLS_PER_DOMAIN = {"torus": 58, "comb": 58, "cylinder": 60, "disc": 61}
+# Four times the domains may cost at most this much more than four
+# times the calls: the growth stays linear.
+GROWTH_SLACK = Fraction(1, 20)
+
+
+@pytest.mark.parametrize("variant", ["torus", "comb", "cylinder", "disc"])
+def test_the_whole_grid_build_keeps_its_call_budget(variant: str) -> None:
+    counts = []
+    for m in (3, 6):
+        spec = parse_welding_text(grid_text(variant, m), base=FIXTURES).spec
+        space = build_welded_space(spec)
+        polytope_spec = make_polytope_spec(spec, [])
+        calls = package_calls(lambda: build_polytope(space, polytope_spec))
+        assert calls <= BUILD_CALLS_PER_DOMAIN[variant] * len(space.spec.domain_ids)
+        counts.append(calls)
+    assert Fraction(counts[1], counts[0]) <= 4 * (1 + GROWTH_SLACK)
 
 
 gen = benchmark_module("generators")
