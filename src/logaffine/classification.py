@@ -11,6 +11,7 @@ stratum, and when two sets of invariants describe the same geometry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .polytopes import LogPolytope, delzant_check, polytope_moduli
-from .rational import Vector, cross2, dot, is_zero, primitive, rot90, vec_scale
+from .rational import Vector, is_zero
 from .topology import betti_numbers, log_cohomology_dims
 from .welding import WeldedSpace
 
@@ -280,8 +281,9 @@ def make_invariant_record(p: LogPolytope, bundle: LogBundle) -> InvariantRecord:
     )
 
 
-def _lattice_columns(record: InvariantRecord, det: int) -> list[Vector]:
-    """The vectors one lattice automorphism T moves together: the ray
+def _lattice_columns(record: InvariantRecord, det: int, scale: int) -> list[tuple[int, ...]]:
+    """The vectors one lattice automorphism T moves together, times
+    ``scale``, a multiple of their denominators, as ints: the ray
     vectors, the Chern columns and the covectors.
 
     In the plane T^{-T} = J T J^{-1} / det T for the quarter turn J, so
@@ -292,40 +294,47 @@ def _lattice_columns(record: InvariantRecord, det: int) -> list[Vector]:
     columns = list(shape.ray_vectors())
     if record.chern.rank == shape.dim:
         columns += zip(*chern)
+    columns += shape.covectors()
+    ints = [tuple(x.numerator * (scale // x.denominator) for x in c) for c in columns]
     if shape.dim == 2:
-        return columns + [vec_scale(det, rot90(c)) for c in shape.covectors()]
-    return columns + list(shape.covectors())
+        k = len(columns) - len(shape.constraints)
+        ints[k:] = [(-det * y, det * x) for x, y in ints[k:]]
+    return ints
 
 
-def _along_one_line(columns: list[Vector]) -> tuple[Fraction, ...] | None:
-    """The coefficients of every column along the primitive vector of
-    the first nonzero one, or None when the columns span the plane."""
-    line = next((primitive(c) for c in columns if not is_zero(c)), None)
+def _along_one_line(columns: list[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """The integer coefficients of every int column along the primitive
+    vector of the first nonzero one, or None when they span the plane."""
+    line = next((c for c in columns if any(c)), None)
     if line is None:
-        return (Fraction(0),) * len(columns)
-    coefficients = tuple(dot(c, line) / dot(line, line) for c in columns)
-    if any(vec_scale(t, line) != c for t, c in zip(coefficients, columns)):
+        return (0,) * len(columns)
+    g = math.gcd(*line)
+    line = tuple(x // g for x in line)
+    k = next(i for i, x in enumerate(line) if x)
+    coefficients = tuple(c[k] // line[k] for c in columns)
+    if any(tuple(t * x for x in line) != c for t, c in zip(coefficients, columns)):
         return None
     return coefficients
 
 
-def _moved_by_unimodular(source: list[Vector], target: list[Vector], det: int) -> bool:
-    """Whether an integer T with det T = det sends every source column
+def _moved_by_unimodular(source: list, target: list, det: int) -> bool:
+    """Whether an integer T with det T = det sends every int source column
     to its target, given source columns that span the plane: the first
     independent pair u, v forces T = [a b] [u v]^{-1}."""
-    i = next(k for k, c in enumerate(source) if not is_zero(c))
-    j = next(k for k, c in enumerate(source) if cross2(source[i], c))
-    (u, v), (a, b) = (source[i], source[j]), (target[i], target[j])
-    d = cross2(u, v)
-    if cross2(a, b) != det * d:
+    i = next(k for k, c in enumerate(source) if any(c))
+    u = source[i]
+    j = next(k for k, c in enumerate(source) if u[0] * c[1] - u[1] * c[0])
+    v, a, b = source[j], target[i], target[j]
+    d = u[0] * v[1] - u[1] * v[0]
+    if a[0] * b[1] - a[1] * b[0] != det * d:
         return False
-    e0 = tuple((v[1] * x - u[1] * y) / d for x, y in zip(a, b))
-    e1 = tuple((u[0] * y - v[0] * x) / d for x, y in zip(a, b))
-    if any(t.denominator != 1 for t in e0 + e1):
-        return False
+    # T e0 = (v1 a - u1 b) / d and T e1 = (u0 b - v0 a) / d, floored: a
+    # floored T that carries u and v onto a and b is T, so T is integral
+    t00, t10 = ((v[1] * x - u[1] * y) // d for x, y in zip(a, b))
+    t01, t11 = ((u[0] * y - v[0] * x) // d for x, y in zip(a, b))
     return all(
-        tuple(w[0] * x + w[1] * y for x, y in zip(e0, e1)) == t
-        for w, t in zip(source, target)
+        (t00 * w0 + t01 * w1, t10 * w0 + t11 * w1) == t
+        for (w0, w1), t in zip(source, target)
     )
 
 
@@ -359,10 +368,15 @@ def records_equivalent(first: InvariantRecord, second: InvariantRecord) -> bool:
         )
     if first.chern.rank != n and first.chern != second.chern:
         return False
-    source = _lattice_columns(second, 1)
+    # T carries c onto t exactly when it carries s c onto s t: s clears
+    # every denominator of both records
+    vectors = [v for r in (first, second) for v in r.polytope.ray_vectors() + r.chern.chern]
+    vectors += first.polytope.covectors() + second.polytope.covectors()
+    scale = math.lcm(*[x.denominator for v in vectors for x in v])
+    source = _lattice_columns(second, 1, scale)
     coefficients = _along_one_line(source)
     for det in (1, -1) if n == 2 else (1,):
-        target = _lattice_columns(first, det)
+        target = _lattice_columns(first, det, scale)
         if coefficients is None:
             if _moved_by_unimodular(source, target, det):
                 return True

@@ -41,10 +41,10 @@ where there are rays.  Those constants come first in every operation
 of the cycle and the sum, so each keeps a ``_TPoly`` on its left.
 
 The planar build numbers its vertices through one table, from a key to
-the labels of the faces through the vertex: ``(0, domain id, point)``
-for a vertex of a cycle, ``(1, edge index, position)`` for a face
-landing on an edge stratum and ``(2, k, cluster id)`` for the k-th
-corner cluster inside the polytope.  The sorted keys are the vertex
+the labels of the faces through the vertex: ``(0, domain id, rank)``
+for a cycle's vertex, ranked by point, ``(1, edge index, position)`` for
+a face landing on an edge stratum and ``(2, k, cluster id)`` for the
+k-th corner cluster inside the polytope.  The sorted keys are the vertex
 order; segment and trace ends look their vertices up by key, and each
 face, segment and trace is made once.  A trace end always has its
 landing: far along the edge, the tightest constraint perpendicular to
@@ -500,7 +500,7 @@ class _Cycle:
     name on its line (``None`` when there is none) and its lower and
     upper ends along ``_line_of``: ``None`` at infinity, else a vertex
     of the cycle as a pair of Fractions, the other names vanishing
-    there, sorted, and the vertex's bound along the line (``_along``).
+    there, sorted, its bound along the line (``_along``) and its rank by point.
     ``tightest`` maps each covector to its tightest constant ``p / q``,
     as ``p`` and ``q``, and the names attaining it, sorted.
     """
@@ -515,9 +515,9 @@ class _Cycle:
         """The segment of constraint ``ref`` on the region: ``None`` when
         its line misses the region, else its lower and upper ends, each
         ``None`` at infinity or a vertex with the first other name
-        vanishing there and its bound along ``_line_of``.  A line along
-        another constraint's, a segment of a single point and a third
-        line through an end are faults."""
+        vanishing there, its bound along ``_line_of`` and its rank by
+        point.  A line along another constraint's, a segment of a single
+        point and a third line through an end are faults."""
         d, name = ref
         if name not in self.faces:
             return None
@@ -538,7 +538,7 @@ class _Cycle:
                     + ", ".join(f"{d}.{n}" for n in end[1])
                     + " pass through one point"
                 )
-        return tuple(end and (end[0], end[1][0], end[2]) for end in (lower, upper))
+        return tuple(end and (end[0], end[1][0], end[2], end[3]) for end in (lower, upper))
 
     def trace(self, r: tuple[int, int], n: int):
         """The region's closure on the edge stratum with the residue
@@ -614,6 +614,7 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
         return _intersect(moved, gap) is not None, False, None
     kept, vertices, touching = cycle
     points = [v and (Fraction(v[0], v[2]), Fraction(v[1], v[2])) for v in vertices]
+    rank = {j: r for r, (_, j) in enumerate(sorted([(v, j) for j, v in enumerate(points) if v]))}
     names = [tightest[a][2] for a, _, _ in lines]
     at: list[list[str]] = [[] for _ in vertices]  # the names vanishing at each vertex
     p = len(kept)
@@ -638,6 +639,7 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
                     points[j],
                     [n for n in at[j] if n != group[0]],
                     _along(lines[i][0], vertices[j]),
+                    rank[j],
                 )
                 for j in spans[i]
             )
@@ -772,6 +774,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     # when the escape is open); the table gathers the faces through
     # each vertex
     table: dict[tuple, set[str]] = {}
+    point_at: dict[tuple, Vector] = {}  # the point of each cycle vertex's key
     face_lines: dict[ConstraintRef, tuple[Vector, Vector, list, list]] = {}
     for ref, fn in spec.constraints:
         if ref[0] not in regions:
@@ -785,7 +788,8 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
         keys: list[tuple | None] = []
         for end, direction in zip(ends, (vec_neg(t), t)):
             if end is not None:
-                key = 0, ref[0], end[0]
+                key = 0, ref[0], end[3]
+                point_at[key] = end[0]
                 bounds.append(end[2])
                 table.setdefault(key, set()).update({face_label[ref], face_label[(ref[0], end[1])]})
             else:
@@ -892,7 +896,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
                 vertex_id=vertex_id[key],
                 kind=("interior", "landing", "corner")[kind],
                 domain_id=where if kind == 0 else None,
-                point=at if kind == 0 else None,
+                point=point_at[key] if kind == 0 else None,
                 edge_label=space.edges[where].label if kind == 1 else None,
                 position=at if kind == 1 else None,
                 cluster_id=at if kind == 2 else None,
@@ -1107,7 +1111,8 @@ def delzant_check(p: LogPolytope) -> DelzantResult:
         if not labels:
             continue
         rows = tuple(covector_of_face[f] for f in labels)
-        if not is_saturated_lattice_basis(rows):
+        # the spec's covectors are integral: their numerators are the rows
+        if not is_saturated_lattice_basis([[x.numerator for x in row] for row in rows]):
             return DelzantResult(False, ((vertex.vertex_id, rows),))
     return DelzantResult(True, ())
 

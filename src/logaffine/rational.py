@@ -15,11 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import (
-    DependentGeneratorsError,
-    DimensionMismatchError,
-    NonIntegerEntryError,
-)
+from .errors import DimensionMismatchError, NonIntegerEntryError
 
 Vector = tuple[Fraction, ...]
 
@@ -31,11 +27,6 @@ def vector(*components) -> Vector:
 
 def as_vector(values: Iterable) -> Vector:
     return tuple(Fraction(c) for c in values)
-
-
-def vec_scale(c, v: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
 
 
 def vec_neg(v: Vector) -> Vector:
@@ -64,17 +55,6 @@ def cross2(u: Vector, v: Vector) -> Fraction:
     if len(u) != 2 or len(v) != 2:
         raise DimensionMismatchError("cross2 needs 2-vectors")
     return u[0] * v[1] - u[1] * v[0]
-
-
-def primitive(v: Sequence) -> tuple[int, ...]:
-    """Primitive integer vector on the same ray (direction preserved)."""
-    w = as_vector(v)
-    if is_zero(w):
-        raise DependentGeneratorsError("zero vector has no primitive direction")
-    denom = math.lcm(*(c.denominator for c in w))
-    ints = [int(c * denom) for c in w]
-    g = math.gcd(*(abs(c) for c in ints))
-    return tuple(c // g for c in ints)
 
 
 @dataclass(frozen=True)
@@ -128,16 +108,15 @@ def gauss_jordan(rows: list[list[Fraction]], columns: int) -> list[int]:
 # ------------------------------------------------------- lattice test
 
 
+def _as_int(entry) -> int:
+    f = Fraction(entry)
+    if f.denominator != 1:
+        raise NonIntegerEntryError(f"non-integer entry {entry}")
+    return f.numerator
+
+
 def _as_int_matrix(rows: Sequence[Sequence]) -> list[list[int]]:
-    out: list[list[int]] = []
-    for row in rows:
-        cur: list[int] = []
-        for entry in row:
-            f = Fraction(entry)
-            if f.denominator != 1:
-                raise NonIntegerEntryError(f"non-integer entry {entry}")
-            cur.append(int(f))
-        out.append(cur)
+    out = [[x if type(x) is int else _as_int(x) for x in row] for row in rows]
     widths = {len(r) for r in out}
     if len(widths) > 1:
         raise DimensionMismatchError("ragged integer matrix")
@@ -146,12 +125,11 @@ def _as_int_matrix(rows: Sequence[Sequence]) -> list[list[int]]:
 
 def _det(mat: list[list[int]]) -> int:
     """Determinant of a square integer matrix, by cofactors of its first row."""
-    if not mat:
-        return 1
+    if len(mat) < 2:
+        return mat[0][0] if mat else 1
     return sum(
         (-1) ** j * x * _det([row[:j] + row[j + 1 :] for row in mat[1:]])
         for j, x in enumerate(mat[0])
-        if x
     )
 
 

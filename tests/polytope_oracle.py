@@ -73,12 +73,11 @@ from logaffine.rational import (
     Vector,
     cross2,
     dot,
-    primitive,
     rot90,
     vec_neg,
-    vec_scale,
 )
 from logaffine.welding import WeldedSpace
+from rational_oracle import primitive, vec_scale
 
 
 # the package's old vector sum: no package code reads it any more
@@ -552,8 +551,9 @@ class ClipRegion:
             return None
         base, t = _line_of(self.fns[ref[1]])
         ends = _ends(raw, lambda s: vec_add(base, vec_scale(s, t)))
-        # the build's face ends also carry their bound along the line
-        return tuple(end and (*end, s) for end, s in zip(ends, (raw.lower, raw.upper)))
+        # the build's face ends also carry their bound along the line and
+        # the vertex's key in its table: its rank by point there, the point here
+        return tuple(end and (*end, s, end[0]) for end, s in zip(ends, (raw.lower, raw.upper)))
 
     def trace(self, r: tuple[int, int], n: int):
         raw = _side_trace((Fraction(r[0], n), Fraction(r[1], n)), self.fns)

@@ -15,12 +15,31 @@ divisor is.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from logaffine.errors import DependentGeneratorsError, DimensionMismatchError
 from logaffine.fans import Fan
 from logaffine.rational import Vector, _as_int_matrix, as_vector, gauss_jordan, is_zero
+
+
+# the package's old scaling and primitive direction: the record and
+# polytope oracles read them, no package code does any more
+def vec_scale(c, v: Vector) -> Vector:
+    c = Fraction(c)
+    return tuple(c * a for a in v)
+
+
+def primitive(v: Sequence) -> tuple[int, ...]:
+    """Primitive integer vector on the same ray (direction preserved)."""
+    w = as_vector(v)
+    if is_zero(w):
+        raise DependentGeneratorsError("zero vector has no primitive direction")
+    denom = math.lcm(*(c.denominator for c in w))
+    ints = [int(c * denom) for c in w]
+    g = math.gcd(*(abs(c) for c in ints))
+    return tuple(c // g for c in ints)
 
 
 def _check_same_length(vectors: Sequence[Vector]) -> int:

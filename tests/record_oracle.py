@@ -1,6 +1,12 @@
-"""Record equivalence as it was before the rank split: the one-sided oracle.
+"""Two oracles for ``logaffine.classification.records_equivalent``.
 
-``records_equivalent`` here solves for the lattice automorphism by
+``exact_records_equivalent`` is the package's Fraction path before it
+moved to ints: the same rank split, on the rational columns themselves.
+It is exact in dimension at most 2, so the integer test must agree with
+it on every pair of records, in both argument orders.
+
+``records_equivalent`` is record equivalence as it was before the rank
+split: the one-sided oracle.  It solves for the lattice automorphism by
 row reduction and, when the equations leave T free, searches every
 integer matrix with entries in [-3, 3].  A ``True`` from it comes with
 a checked witness, so wherever it says ``True`` the exact test in
@@ -13,7 +19,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from logaffine.rational import gauss_jordan
+from logaffine.classification import InvariantRecord
+from logaffine.errors import UnsupportedDimensionError
+from logaffine.rational import Vector, cross2, dot, gauss_jordan, is_zero, rot90
+from rational_oracle import primitive, vec_scale
 
 
 def _solve_affine(rows, rhs, unknowns):
@@ -151,3 +160,97 @@ def records_equivalent(first, second) -> bool:
         _find_lattice_automorphism(n, vector_pairs, covector_pairs, chern_pairs)
         is not None
     )
+
+
+# ------------------------------------------- the exact Fraction path
+
+
+def _lattice_columns(record: InvariantRecord, det: int) -> list[Vector]:
+    """The vectors one lattice automorphism T moves together: the ray
+    vectors, the Chern columns and the covectors.
+
+    In the plane T^{-T} = J T J^{-1} / det T for the quarter turn J, so
+    a covector turned by J moves by T up to the sign det T, which is
+    folded in here; on a line T = T^{-T} and nothing is turned.
+    """
+    shape, chern = record.polytope, record.chern.chern
+    columns = list(shape.ray_vectors())
+    if record.chern.rank == shape.dim:
+        columns += zip(*chern)
+    if shape.dim == 2:
+        return columns + [vec_scale(det, rot90(c)) for c in shape.covectors()]
+    return columns + list(shape.covectors())
+
+
+def _along_one_line(columns: list[Vector]) -> tuple[Fraction, ...] | None:
+    """The coefficients of every column along the primitive vector of
+    the first nonzero one, or None when the columns span the plane."""
+    line = next((primitive(c) for c in columns if not is_zero(c)), None)
+    if line is None:
+        return (Fraction(0),) * len(columns)
+    coefficients = tuple(dot(c, line) / dot(line, line) for c in columns)
+    if any(vec_scale(t, line) != c for t, c in zip(coefficients, columns)):
+        return None
+    return coefficients
+
+
+def _moved_by_unimodular(source: list[Vector], target: list[Vector], det: int) -> bool:
+    """Whether an integer T with det T = det sends every source column
+    to its target, given source columns that span the plane: the first
+    independent pair u, v forces T = [a b] [u v]^{-1}."""
+    i = next(k for k, c in enumerate(source) if not is_zero(c))
+    j = next(k for k, c in enumerate(source) if cross2(source[i], c))
+    (u, v), (a, b) = (source[i], source[j]), (target[i], target[j])
+    d = cross2(u, v)
+    if cross2(a, b) != det * d:
+        return False
+    e0 = tuple((v[1] * x - u[1] * y) / d for x, y in zip(a, b))
+    e1 = tuple((u[0] * y - v[0] * x) / d for x, y in zip(a, b))
+    if any(t.denominator != 1 for t in e0 + e1):
+        return False
+    return all(
+        tuple(w[0] * x + w[1] * y for x, y in zip(e0, e1)) == t
+        for w, t in zip(source, target)
+    )
+
+
+def exact_records_equivalent(first: InvariantRecord, second: InvariantRecord) -> bool:
+    """Whether two invariant records describe the same structure.
+
+    True when the combinatorial skeletons coincide, the moduli
+    dimensions agree, and one lattice automorphism carries every ray
+    vector, constraint covector and Chern vector of the second record
+    onto the first; Chern vectors are compared entry by entry in their
+    given order, not merely by span.
+
+    Exact in dimension at most 2, split on the rank of the second
+    record's data: data spanning the plane forces T, and data on one
+    line leaves the second basis vector free, so that either sign of
+    det T is reachable.  Higher dimensions raise
+    ``UnsupportedDimensionError``.
+    """
+    if first.moduli_dim != second.moduli_dim:
+        return False
+    if first.chern.rank != second.chern.rank:
+        return False
+    if {len(v) for v in first.chern.chern} != {len(v) for v in second.chern.chern}:
+        return False
+    if first.polytope.skeleton() != second.polytope.skeleton():
+        return False
+    n = first.polytope.dim
+    if n > 2:
+        raise UnsupportedDimensionError(
+            f"record equivalence is decided in dimension at most 2, not {n}"
+        )
+    if first.chern.rank != n and first.chern != second.chern:
+        return False
+    source = _lattice_columns(second, 1)
+    coefficients = _along_one_line(source)
+    for det in (1, -1) if n == 2 else (1,):
+        target = _lattice_columns(first, det)
+        if coefficients is None:
+            if _moved_by_unimodular(source, target, det):
+                return True
+        elif _along_one_line(target) == coefficients:
+            return True
+    return False

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 import logaffine.classification as classification
 from logaffine.classification import (
+    InvariantRecord,
+    PolytopeShape,
     cut_report,
     make_bundle,
     make_invariant_record,
@@ -326,7 +328,7 @@ def test_a_record_without_lattice_vectors_is_equivalent_to_itself() -> None:
     record = classification.InvariantRecord(
         classification._polytope_shape(p), make_bundle(1, [()]), 0
     )
-    assert classification._lattice_columns(record, 1) == []
+    assert classification._lattice_columns(record, 1, 1) == []
     assert classification._along_one_line([]) == ()
     assert records_equivalent(record, record)
 
@@ -674,3 +676,75 @@ def test_lattice_images_are_equivalent(name, chern, t, k, q) -> None:
     ) == 2:
         for off in (((k, 0), (0, 1)), ((q, 0), (0, 1 / q))):
             assert_equivalence(record, moved_record(record, matmul(t, off)), False)
+
+
+# ------------------------------------------ the integer path against the oracle
+
+
+@st.composite
+def drawn_records(draw):
+    """A record built by hand, of dimension 1 or 2, with up to three ray
+    vectors and covectors and up to two Chern columns, entries rationals
+    of denominator at most 6: all zero, on one line (the covectors turned
+    onto it in the plane) or anywhere."""
+    n = draw(st.sampled_from([1, 2]))
+    where = draw(st.sampled_from(["zero", "line", "anywhere", "anywhere"]))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    line = draw(st.tuples(*[st.integers(-3, 3)] * n).filter(any))
+
+    def vectors(turned: bool) -> list[tuple[F, ...]]:
+        count = draw(st.integers(0, 3))
+        if where == "zero":
+            return [(F(0),) * n] * count
+        if where == "anywhere":
+            return draw(st.lists(st.tuples(*[entry] * n), min_size=count, max_size=count))
+        # rot90 of (l1, -l0) is l
+        direction = (line[1], -line[0]) if turned and n == 2 else line
+        scalars = draw(st.lists(entry, min_size=count, max_size=count))
+        return [tuple(t * x for x in direction) for t in scalars]
+
+    rays, covectors, columns = vectors(False), vectors(True), vectors(False)[:2]
+    shape = PolytopeShape(
+        dim=n,
+        domains=((1, tuple(f"r{i}" for i in range(len(rays))), tuple(rays), ((),)),),
+        pairs=(),
+        constraints=tuple(((1, f"c{i}"), c, F(0)) for i, c in enumerate(covectors)),
+        groups=(),
+        orientation=1,
+    )
+    chern = make_bundle(n, list(zip(*columns)) if columns else [()] * n)
+    return InvariantRecord(shape, chern, 0)
+
+
+def agreed_equivalence(a, b) -> bool:
+    """Whether ``a`` and ``b`` are equivalent, once the integer path and
+    the Fraction oracle have given one answer in both argument orders."""
+    answers = [
+        equivalent(x, y)
+        for x, y in ((a, b), (b, a))
+        for equivalent in (records_equivalent, record_oracle.exact_records_equivalent)
+    ]
+    assert len(set(answers)) == 1, answers
+    return answers[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(record=drawn_records(), data=st.data())
+def test_the_integer_path_agrees_with_the_fraction_oracle(record, data) -> None:
+    n = record.polytope.dim
+    if n == 2:
+        t = data.draw(unimodular())
+        k = data.draw(st.sampled_from([2, -2]))
+        q = data.draw(st.sampled_from([F(2), F(3), F(1, 2), F(2, 3), F(1, 6)]))
+        off = [matmul(t, ((k, 0), (0, 1))), matmul(t, ((q, 0), (0, 1 / q)))]
+    else:
+        t = data.draw(st.sampled_from([((1,),), ((-1,),)]))
+        off = [((data.draw(st.sampled_from([2, -2, F(1, 2), F(-3, 2)])),),)]
+    assert agreed_equivalence(record, moved_record(record, t))
+    # off the lattice the data is told apart once the rays and Chern
+    # columns or the covectors alone span the space
+    shape = record.polytope
+    moved_by_t = shape.ray_vectors() + tuple(zip(*record.chern.chern))
+    told_apart = rank(moved_by_t) == n or rank(shape.covectors()) == n
+    for m in off:
+        assert not (agreed_equivalence(record, moved_record(record, m)) and told_apart)

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from logaffine.errors import UnsupportedDimensionError
 from logaffine.fans import Fan, is_complete, make_fan, star, validate_fan
 from logaffine.fileio import parse_fan_file
-from logaffine.rational import primitive, vector
+from logaffine.rational import vector
 from polytope_oracle import cyclic_order, is_complete_2d
-from rational_oracle import cone_violations
+from rational_oracle import cone_violations, primitive
 
 
 def wedge_fan() -> Fan:

@@ -40,7 +40,7 @@ from logaffine.polytopes import (
 )
 from logaffine.fans import _direction_cmp, make_fan
 from logaffine.fileio import parse_polytope_text, parse_welding_text
-from logaffine.rational import AffineFunctional, cross2, primitive, vector
+from logaffine.rational import AffineFunctional, cross2, vector
 from logaffine.welding import build_welded_space, make_welding_spec
 
 import polytope_oracle
@@ -54,7 +54,7 @@ from polytope_oracle import (
     faces_1d,
     is_compact_2d,
 )
-from rational_oracle import cone_contains
+from rational_oracle import cone_contains, primitive
 from conftest import (
     FAR_RECTANGLE,
     FIXTURES,
@@ -433,6 +433,17 @@ def test_sheared_square_fails_lattice_check() -> None:
     vertex = p.vertex(witness_id)
     assert vertex.point == vector(0, 0)
     assert set(rows) == {vector(1, 0), vector(1, 2)}
+
+
+def test_a_lattice_witness_holds_the_spec_covectors() -> None:
+    # the test reads the covectors' int numerators, but the witness, and
+    # so the DelzantError text, shows the spec's own Fraction rows
+    p = load_built_polytope("delzfail.poly")
+    (witness_id, rows), = delzant_check(p).witnesses
+    linear = {f.label: p.spec.constraint(f.members[0]).linear for f in p.nonsingular_faces}
+    assert rows == tuple(linear[f] for f in p.vertex(witness_id).faces if f in linear)
+    assert all(type(x) is Fraction for row in rows for x in row)
+    assert "Fraction(1, 1)" in str(rows)
 
 
 def test_lattice_check_rejects_non_integer_covector() -> None:

@@ -18,13 +18,13 @@ from logaffine.rational import (
     AffineFunctional,
     cross2,
     is_saturated_lattice_basis,
-    primitive,
     rot90,
     vector,
 )
 from rational_oracle import (
     cone_contains,
     linear_independent,
+    primitive,
     rank,
     smith_normal_form,
     solve_in_basis,
@@ -234,11 +234,16 @@ def test_is_saturated_lattice_basis_examples() -> None:
     assert not is_saturated_lattice_basis([[1, 0], [1, 2]])
     assert not is_saturated_lattice_basis([[1, 1], [1, -1]])
     assert is_saturated_lattice_basis([[0, -1], [-1, 1]])
+    # ints are read as they are; integral Fractions and strings are read through Fraction
+    assert is_saturated_lattice_basis([[Fraction(1), "0"], [True, Fraction(4, 2) - 1]])
+    assert not is_saturated_lattice_basis([[Fraction(2), "0"]])
 
 
 def test_is_saturated_rejects_bad_input() -> None:
     with pytest.raises(NonIntegerEntryError):
         is_saturated_lattice_basis([[Fraction(1, 2), 0]])
+    with pytest.raises(NonIntegerEntryError, match="non-integer entry 1.5"):
+        is_saturated_lattice_basis([[1, 1.5]])
     with pytest.raises(DimensionMismatchError, match="more rows"):
         is_saturated_lattice_basis([[1, 0], [0, 1], [1, 1]])
     with pytest.raises(DimensionMismatchError, match="ragged"):

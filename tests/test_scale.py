@@ -49,6 +49,12 @@ settled, so the moduli are pinned on the closed grids only.
 
 A Delzant k-gon chopped from a square, with or without redundant
 constraints, has the area the benchmark's oracle gives in closed form.
+Its build hashes no Fraction, as its vertex table keys a cycle's vertex
+by its rank by point.  Its lattice test and the equivalence of its record
+with the record of a unimodular image of it are decided on ints: at
+k = 16 and 64 neither constructs a Fraction, and each keeps a pinned
+budget of calls into the package per side that four times the sides
+raise about fourfold.
 """
 
 from __future__ import annotations
@@ -63,9 +69,11 @@ import pytest
 from conftest import FIXTURES, benchmark_module, grid_text
 
 from logaffine import fans, welding
-from logaffine.fileio import parse_polytope_text, parse_welding_text
+from logaffine.classification import make_invariant_record, records_equivalent
+from logaffine.fileio import parse_bundle_text, parse_polytope_text, parse_welding_text
 from logaffine.polytopes import (
     build_polytope,
+    delzant_check,
     make_polytope_spec,
     polytope_moduli,
     polytope_topology,
@@ -296,13 +304,103 @@ gen = benchmark_module("generators")
 oracles = benchmark_module("oracles")
 
 
+def polygon_spec(tmp_path, rng: random.Random, polygon):
+    """The spec of ``polygon``'s text, parsed against the benchmark's
+    shared files, written to ``tmp_path``."""
+    for name, text in gen.LIBRARY.items():
+        (tmp_path / name).write_text(text)
+    return parse_polytope_text(gen.polygon_text(rng, polygon), "p.poly", base=tmp_path).spec
+
+
 @pytest.mark.parametrize("k", [64, 128, 256])
 @pytest.mark.parametrize("with_redundant", [False, True])
 def test_delzant_polygon_volume_closed_form(tmp_path, k: int, with_redundant: bool) -> None:
-    for name, text in gen.LIBRARY.items():
-        (tmp_path / name).write_text(text)
     rng = random.Random(k)
     polygon = gen.delzant_polygon(rng, k, k // 2 if with_redundant else 0)
-    pf = parse_polytope_text(gen.polygon_text(rng, polygon), "p.poly", base=tmp_path)
-    p = build_polytope(build_welded_space(pf.spec.welding), pf.spec)
+    spec = polygon_spec(tmp_path, rng, polygon)
+    p = build_polytope(build_welded_space(spec.welding), spec)
     assert regularized_volume(p) == oracles.polygon_area(polygon)
+
+
+def polygon_and_records(tmp_path, k: int):
+    """The benchmark's Delzant k-gon, built, with its record and the
+    record of its image under a unimodular shear, under the zero bundle."""
+    rng = random.Random(k)
+    polygon = gen.delzant_polygon(rng, k)
+    bundle = parse_bundle_text(gen.LIBRARY["zero.bundle"], "zero.bundle")
+    built = []
+    for shape in (polygon, gen.shear_polygon(polygon, gen.random_unimodular(rng))):
+        spec = polygon_spec(tmp_path, rng, shape)
+        built.append(build_polytope(build_welded_space(spec.welding), spec))
+    return built[0], *(make_invariant_record(p, bundle) for p in built)
+
+
+def fractions_made(monkeypatch, run) -> int:
+    """How many Fractions ``run()`` constructs: through ``Fraction.__new__``
+    and, from Python 3.12 on, through ``_from_coprime_ints``, by which the
+    arithmetic makes its results without ``__new__``."""
+    made = 0
+
+    def counted(make):
+        def counting(*args, **kwargs):
+            nonlocal made
+            made += 1
+            return make(*args, **kwargs)
+
+        return counting
+
+    monkeypatch.setattr(Fraction, "__new__", counted(Fraction.__new__))
+    if "_from_coprime_ints" in vars(Fraction):
+        coprime = counted(Fraction._from_coprime_ints)
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(lambda cls, n, d: coprime(n, d)))
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return made
+
+
+# Package calls per side of the k-gon, pinned at the integer path's counts
+# on Python 3.11 (records_equivalent 18.8 and 15.2 per side at k = 16 and
+# 64, delzant_check 28.2 and 28.0).  A budget may fall freely; raising one
+# loosens the check, and CHANGES.md must say why.
+LATTICE_CALLS_PER_SIDE = {"records_equivalent": 19, "delzant_check": 29}
+
+
+def test_lattice_decisions_on_a_polygon_construct_no_fraction(tmp_path, monkeypatch) -> None:
+    assert fractions_made(monkeypatch, lambda: Fraction(1, 2) * Fraction(2, 3)) > 0
+    counts: dict[str, list[int]] = {name: [] for name in LATTICE_CALLS_PER_SIDE}
+    for k in (16, 64):
+        p, record, sheared = polygon_and_records(tmp_path, k)
+        runs = {
+            "records_equivalent": lambda: records_equivalent(record, sheared),
+            "delzant_check": lambda: delzant_check(p),
+        }
+        assert records_equivalent(record, sheared) and delzant_check(p)
+        for name, run in runs.items():
+            assert fractions_made(monkeypatch, run) == 0, (name, k)
+            calls = package_calls(run)
+            assert calls <= LATTICE_CALLS_PER_SIDE[name] * k, (name, k)
+            counts[name].append(calls)
+    for name, (small, large) in counts.items():
+        assert Fraction(large, small) <= 4 * (1 + GROWTH_SLACK), name
+
+
+@pytest.mark.parametrize("k", [16, 64])
+def test_the_polygon_build_hashes_no_fraction(tmp_path, monkeypatch, k: int) -> None:
+    """The vertex table keys a cycle's vertex by its rank, not its point."""
+    hashes = []
+    fraction_hash = Fraction.__hash__
+
+    def counting(q):
+        hashes.append(q)
+        return fraction_hash(q)
+
+    rng = random.Random(k)
+    spec = polygon_spec(tmp_path, rng, gen.delzant_polygon(rng, k, k // 2))
+    space = build_welded_space(spec.welding)
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    p = build_polytope(space, spec)
+    monkeypatch.undo()
+    assert hashes == []
+    assert len(p.vertices) == k
