@@ -24,7 +24,7 @@ from .errors import (
 )
 from .polytopes import LogPolytope, delzant_check, polytope_moduli
 from .rational import Vector, is_zero
-from .topology import betti_numbers, log_cohomology_dims
+from .topology import betti_numbers
 from .welding import WeldedSpace
 
 
@@ -95,16 +95,13 @@ class ObstructionStatus:
 def obstruction_vanishes(space: WeldedSpace, bundle: LogBundle) -> ObstructionStatus:
     """Decide vanishing of the bundle lifting obstruction when possible.
 
-    The obstruction lives in degree-3 logarithmic cohomology, which is
-    computed (and always zero) on surfaces; a bundle with zero Chern
-    vectors has zero obstruction in any dimension.  Other cases report
-    an indeterminate outcome rather than attempting the pairing.
+    The obstruction lives in degree-3 logarithmic cohomology, absent or
+    a literal 0 in ``log_cohomology_dims`` up to dimension 2; a bundle
+    with zero Chern vectors has zero obstruction in any dimension.  Other
+    cases report an indeterminate outcome rather than the pairing.
     """
     if space.dim <= 2:
-        dims = log_cohomology_dims(space)
-        degree3 = dims[3] if len(dims) > 3 else 0
-        if degree3 == 0:
-            return ObstructionStatus(True, "target group vanishes")
+        return ObstructionStatus(True, "target group vanishes")
     if all(is_zero(v) for v in bundle.chern):
         return ObstructionStatus(True, "trivial bundle")
     return ObstructionStatus(

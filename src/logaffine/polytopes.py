@@ -37,8 +37,8 @@ join the constraints in the same ``_tightest`` table: in dimension 1
 the length is the sum of the tightest constants on the two sides, and
 in dimension 2 twice the area is the shoelace sum over the vertex cycle
 ``_intersect`` makes of the table's lines, with ``_TPoly`` constants
-where there are rays.  Those constants come first in every operation
-of the cycle and the sum, so each keeps a ``_TPoly`` on its left.
+where there are rays.  As ``_TPoly`` has no reflected operator, those
+constants come first in every operation of the cycle and the sum.
 
 The planar build numbers its vertices through one table, from a key to
 the labels of the faces through the vertex: ``(0, domain id, rank)``
@@ -395,8 +395,8 @@ def _meet(f, g) -> tuple:
     """The point where the lines ``q a.u + p = 0`` of ``f = (a, p, q)``
     and ``g`` cross, homogeneous: ``(x, y, w)`` for ``(x / w, y / w)``,
     with ``w > 0`` when ``g`` turns counterclockwise from ``f`` by less
-    than a half turn.  A constant may be a ``_TPoly``; it comes first
-    in each product, so ``x`` and ``y`` are then ``_TPoly`` too."""
+    than a half turn.  A constant may be a ``_TPoly``, which has no
+    reflected operator, so it comes first: ``x``, ``y`` are ``_TPoly`` too."""
     (a, p, q), (b, r, s) = f, g
     w = (a[0] * b[1] - a[1] * b[0]) * q * s
     return r * (a[1] * q) - p * (b[1] * s), p * (b[0] * s) - r * (a[0] * q), w
@@ -405,8 +405,8 @@ def _meet(f, g) -> tuple:
 def _value(f, vertex: tuple):
     """``q a.u + p`` of ``f = (a, p, q)`` at the homogeneous vertex
     ``(x, y, w)``, times ``w``: its sign is the side of the line the
-    vertex lies on.  The coordinates and the constant, which may be
-    ``_TPoly``, come first in each product."""
+    vertex lies on.  The coordinates and the constant may be ``_TPoly``,
+    which has no reflected operator, so they come first in each product."""
     (a, p, q), (x, y, w) = f, vertex
     return (x * a[0] + y * a[1]) * q + p * w
 
@@ -429,8 +429,8 @@ def _intersect(lines: list, gap: int | None):
     """Intersect the half-planes ``a.u + p / q >= 0`` of ``lines``,
     triples ``(a, p, q)`` on distinct primitive integer covectors
     sorted counterclockwise, with ``q > 0`` an int and ``p`` an int or
-    a ``_TPoly`` with int coefficients, which every product and sum
-    here takes on its left; ``gap`` is the line after which the next
+    a ``_TPoly`` with int coefficients, first in every operation as it
+    has no reflected operator; ``gap`` is the line after which the next
     turns by a half turn or more (``None``: the covectors surround the
     origin and the region is bounded), as ``_turn_order`` finds it.
 
@@ -572,7 +572,7 @@ def _lines(items: Iterable[tuple[str, AffineFunctional]]) -> list[tuple]:
 def _tightest(lines: Iterable[tuple]) -> dict[Vector, tuple]:
     """Each covector of the half-planes ``(name, a, p, q)``, with its
     tightest (least) constant as ``(p, q)`` and the names attaining it,
-    in order.  ``p`` may be a ``_TPoly``, which then comes first."""
+    in order.  ``p`` may be a ``_TPoly``, first as it has no reflected operator."""
     tightest: dict[Vector, tuple] = {}
     for name, a, p, q in lines:
         best = tightest.get(a)
@@ -827,7 +827,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
                 )
             kind = "divisor"
             required_pairs += [((d1, x[1]), (d2, y[1]), e.label) for x, y in zip(t1, t2) if x]
-        traced[i] = kind, tuple(d for d, _ in present), bounds[0]
+        traced[i] = kind, tuple(d for d, _ in present), bounds[0], (r, n)
 
     # continuation: forced pairs must be declared, declared groups must
     # be forced together
@@ -872,16 +872,18 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     nonsingular.sort(key=lambda f: f.members[0])
 
     # corner clusters contained in the polytope: those a trace runs into;
-    # an unbounded trace end with no cluster is an open end
-    cluster_germs: dict[str, list[tuple[int, str, Vector]]] = {}
+    # an unbounded trace end with no cluster is an open end.  Each edge
+    # running in is a germ, keyed by cluster, kind and its residue's (r, n)
+    germs: dict[tuple[str, str, tuple], list[int]] = {}
     open_trace = False
-    for i, (kind, _, (lower, upper)) in traced.items():
+    for i, (kind, _, (lower, upper), residue) in traced.items():
         e = space.edges[i]
         for bound, cid in ((lower, e.tail), (upper, e.head)):
             if bound is None and cid is not None:
-                cluster_germs.setdefault(cid, []).append((i, kind, e.residue))
+                germs.setdefault((cid, kind, residue), []).append(i)
             open_trace |= bound is None and cid is None
-    corners_inside = [c.cluster_id for c in space.clusters if c.cluster_id in cluster_germs]
+    inside = {cid for cid, _, _ in germs}
+    corners_inside = [c.cluster_id for c in space.clusters if c.cluster_id in inside]
     table.update(((2, k, cid), set()) for k, cid in enumerate(corners_inside))
 
     # number the vertices: interior ones by (domain, point), landings by
@@ -928,23 +930,18 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
             lower_vertex=None if lower is None else vertex_id[(1, i, lower)],
             upper_vertex=None if upper is None else vertex_id[(1, i, upper)],
         )
-        for i, (kind, sides, (lower, upper)) in traced.items()
+        for i, (kind, sides, (lower, upper), _) in traced.items()
     ]
 
     # join singular traces and divisor arcs across corners: a corner
-    # joins the two germs of one kind and residue it holds (of two at
-    # most); a corner off the crossings where two residues meet is a meeting
-    joins = []
-    meetings = 0
+    # joins the two germs of one kind and residue it holds.  A cluster's
+    # quadrants span the same two rays, so it holds two residues at most:
+    # the open clusters holding two (meetings) number the open (cluster,
+    # residue) pairs less the open clusters
+    joins = [edge_ids for edge_ids in germs.values() if len(edge_ids) == 2]
     closed_ids = {c.cluster_id for c in space.clusters if c.closed}
-    for cid in corners_inside:
-        germs = cluster_germs.get(cid, [])
-        by_class: dict[tuple[str, bool], list[int]] = {}
-        for i, kind, residue in germs:
-            by_class.setdefault((kind, residue == germs[0][2]), []).append(i)
-        joins += [edge_ids for edge_ids in by_class.values() if len(edge_ids) == 2]
-        if cid not in closed_ids and any(g[2] != germs[0][2] for g in germs):
-            meetings += 1
+    residues = {(cid, residue) for cid, _, residue in germs if cid not in closed_ids}
+    meetings = len(residues) - len({cid for cid, _ in residues})
     singular_faces: list[PolytopeFace] = []
     trace_components: list[TraceComponent] = []
     for run, closed in connected_runs(traced, joins):  # runs start at their first edge
@@ -1204,8 +1201,9 @@ class _TPoly:
     """A polynomial in the cutoff ``T`` with exact coefficients, constant
     first, ordered as its values are for every large ``T``: by the
     highest coefficient in which two differ.  Zero coefficients are
-    skipped, and a scalar touches the constant or scales each
-    coefficient only."""
+    skipped.  A scalar is only a right operand (there is no reflected
+    operator, division or ``>``) and touches the constant or scales
+    each coefficient only."""
 
     __slots__ = ("coefs",)
 
@@ -1232,19 +1230,11 @@ class _TPoly:
                         out[i + j] += x * y
         return _TPoly(*out)
 
-    __radd__, __rmul__ = __add__, __mul__
-
     def __neg__(self) -> _TPoly:
         return _TPoly(*[-x for x in self.coefs])
 
     def __sub__(self, other) -> _TPoly:
         return self + -other
-
-    def __rsub__(self, other) -> _TPoly:
-        return -self + other
-
-    def __truediv__(self, q) -> _TPoly:
-        return self * (1 / Fraction(q))
 
     def _lead(self, other):
         """The highest coefficient of ``self - other`` that is not zero,
@@ -1267,12 +1257,6 @@ class _TPoly:
     def __le__(self, other) -> bool:
         return self._lead(other) <= 0
 
-    def __gt__(self, other) -> bool:
-        return self._lead(other) > 0
-
-    def __ge__(self, other) -> bool:
-        return self._lead(other) >= 0
-
 
 def _clipped_measure(p: LogPolytope, domain_id: int):
     """Length or area, a ``Fraction`` or a ``_TPoly``, of the domain region
@@ -1281,8 +1265,8 @@ def _clipped_measure(p: LogPolytope, domain_id: int):
     ``c+ + c-``, the tightest constants on ``(1,)`` and ``(-1,)``; twice
     the area is the shoelace sum over the vertex cycle, closed as the
     polytope is compact, over the product of the vertices' ``w``.  Where
-    there are rays the constraints' constants are made ``_TPoly`` once,
-    so a ``_TPoly`` is the left operand of every mixed operation."""
+    there are rays the constraints' constants are made ``_TPoly`` once;
+    with no reflected operator, one is the left operand of every mix."""
     lines = _lines(p.spec.domain_constraints(domain_id).items())
     rays = p.space.fan(domain_id).vectors
     if rays:

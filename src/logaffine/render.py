@@ -73,7 +73,9 @@ def _require_dim2(dim: int, what: str) -> None:
         )
 
 
-def _fan_panel(fan: Fan, center: tuple[float, float], title: str) -> list[str]:
+def _fan_panel(
+    fan: Fan, center: tuple[float, float], title: str, labels: tuple[str, ...]
+) -> list[str]:
     parts: list[str] = []
     left = center[0] - PANEL / 2
     top = center[1] - PANEL / 2
@@ -100,7 +102,7 @@ def _fan_panel(fan: Fan, center: tuple[float, float], title: str) -> list[str]:
         points.append(_panel_point(center, dj, CONE_RADIUS))
         body = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
         parts.append(f'  <polygon class="cone" points="{body}"/>')
-    for label, direction in zip(fan.labels, directions):
+    for label, direction in zip(labels, directions):
         tip = _panel_point(center, direction, RAY_LENGTH)
         parts.append(
             f'  <line class="ray" x1="{_fmt(center[0])}" y1="{_fmt(center[1])}" '
@@ -177,7 +179,7 @@ def render_fan(fan: Fan) -> str:
     for label, v in zip(fan.labels, fan.vectors):
         if is_zero(v):
             raise GeometryError(f"vector {label} is zero")
-    return _document(1, _fan_panel(fan, _panel_center(0), "fan"))
+    return _document(1, _fan_panel(fan, _panel_center(0), "fan", fan.labels))
 
 
 def render_welding(spec: WeldingSpec) -> str:
@@ -189,20 +191,11 @@ def render_welding(spec: WeldingSpec) -> str:
             pair_of[face] = pair.label or "~"
     body: list[str] = []
     for index, (domain_id, fan) in enumerate(spec.domain_items):
-        shown = Fan(
-            dim=fan.dim,
-            vectors=fan.vectors,
-            labels=tuple(
-                f"{label}[{pair_of[(domain_id, label)]}]"
-                if (domain_id, label) in pair_of
-                else label
-                for label in fan.labels
-            ),
-            cones=fan.cones,
+        labels = tuple(
+            f"{label}[{pair_of[(domain_id, label)]}]" if (domain_id, label) in pair_of else label
+            for label in fan.labels
         )
-        body.extend(
-            _fan_panel(shown, _panel_center(index), f"domain {domain_id}")
-        )
+        body.extend(_fan_panel(fan, _panel_center(index), f"domain {domain_id}", labels))
     return _document(max(len(spec.domain_items), 1), body)
 
 
@@ -218,7 +211,7 @@ def render_polytope(spec: PolytopeSpec) -> str:
     body: list[str] = []
     for index, (domain_id, fan) in enumerate(welding.domain_items):
         center = _panel_center(index)
-        body.extend(_fan_panel(fan, center, f"domain {domain_id}"))
+        body.extend(_fan_panel(fan, center, f"domain {domain_id}", fan.labels))
         for ref, functional in spec.constraints:
             if ref[0] != domain_id:
                 continue

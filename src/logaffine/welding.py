@@ -252,9 +252,7 @@ def _match_rays(
     # cones are closed under subsets, so every ray sharing a cone with
     # the welded one spans a 2-cone with it
     for k in left.corner_neighbours[i]:
-        # one fan object on both sides needs no lookup by vector
-        r = k if right is left else right.index_of_vector(left.vectors[k])
-        forward[left.labels[k]] = right.labels[r]
+        forward[left.labels[k]] = right.labels[right.index_of_vector(left.vectors[k])]
     return None, forward, {b: a for a, b in forward.items()}
 
 

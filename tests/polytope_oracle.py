@@ -42,8 +42,10 @@ points and the build's faults off it.
 
 ``_intersect``, ``_meet`` and ``_value`` are the vertex cycle's old
 kernel, which intersects the half-planes ``a.u + c >= 0`` with Fraction
-points (``c`` a Fraction, or a ``_TPoly`` for the infinitesimal rerun);
-the build now runs the same steps on homogeneous integer points.
+points (``c`` a Fraction, or a ``volume_oracle.TPoly`` for the
+infinitesimal rerun, since the package's ``_TPoly`` takes no number on
+its left); the build now runs the same steps on homogeneous integer
+points.
 
 ``cyclic_order`` and ``is_complete_2d`` are the package's old
 completeness test, which sorts the rays by angle and looks up the cone
@@ -603,7 +605,7 @@ def _intersect(lines: list, gap: int | None):
     where the edge of ``kept[j - 1]`` ends and that of ``kept[j]``
     starts (``None`` at infinity); ``touching`` maps every other line
     that meets the region to the vertex it touches there.  The
-    constants may be Fractions or ``_TPoly``.
+    constants may be Fractions or ``volume_oracle.TPoly``.
     """
     m = len(lines)
     constant = dict(lines)

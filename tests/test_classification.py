@@ -117,6 +117,16 @@ def test_obstruction_vanishes_on_surfaces() -> None:
         assert status.reason == "target group vanishes"
 
 
+@pytest.mark.parametrize("name", ["torus.weld", "line1d.weld"])
+def test_the_obstruction_on_a_surface_or_line_builds_no_cell_complex(name) -> None:
+    """Degree 3 of the log cohomology is absent or a literal 0 in
+    dimension 2 or less, so the answer needs no Betti number."""
+    space = build_welded_space(load_welding(name).spec)
+    status = obstruction_vanishes(space, make_bundle(1, [(1,)]))
+    assert status.reason == "target group vanishes"
+    assert "_cell_complex" not in vars(space)
+
+
 def test_obstruction_in_higher_dimension() -> None:
     space = load_space("dim3.weld")
     trivial = make_bundle(3, [(0, 0), (0, 0), (0, 0)])

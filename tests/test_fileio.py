@@ -259,6 +259,50 @@ def test_bundle_errors():
     assert "1..2" in err.reason
 
 
+FAN = "logaffine fan 1\ndim 2\n"
+WELD = "logaffine welding 1\nfan Q = quadrant.fan\n"
+POLY = "logaffine polytope 1\nwelding quadrants.weld\n"
+BUNDLE = "logaffine bundle 1\n"
+
+
+# One malformed text per error line of the parser that no other test
+# reaches: the parser, the text, the line it names and the message.
+@pytest.mark.parametrize(
+    "kind, text, line, message",
+    [
+        ("fan", "logaffine fan\n", 1, "expected header 'logaffine fan 1'"),
+        ("bundle", "logaffine record 1\n", 1, "unknown file kind 'record'"),
+        ("fan", FAN + "vector a = (1, 0)\ncone a\n", 4, "expected a bracketed list, got 'a'"),
+        ("weld", WELD + "domain 1 = Q\ndomain 2 = Q\npair p = 1a ~ 2.a\n", 5,
+         "expected a face reference like 1.a, got '1a'"),
+        ("fan", FAN + "vector a (1, 0)\n", 3, "expected 'vector <name> = ...'"),
+        ("fan", FAN + "vector = (1, 0)\n", 3, "expected 'vector <name> = ...'"),
+        ("fan", "logaffine fan 1\n# no dim\n", 1, "missing dim line"),
+        ("weld", WELD + "domain 0 = Q\n", 3, "invalid domain id '0'"),
+        ("poly", POLY + "constraint 1.e = -1 + 1\n", 3,
+         "expected '(covector) +/- constant', got '-1 + 1'"),
+        ("poly", POLY + "constraint 1.e = (-1, 0 + 1\n", 3, "unterminated covector"),
+        ("poly", POLY + "constraint 1.e = (-1, 0) 1\n", 3,
+         "expected '+ constant' or '- constant' after covector"),
+        ("poly", POLY + "constraint 1.e = (-1, 0) + 1\ngroup E = [1.e]\ngroup E = [1.e]\n", 5,
+         "duplicate group 'E'"),
+        ("poly", POLY + "group E = []\n", 3, "group 'E' is empty"),
+        ("bundle", BUNDLE + "rank 1\nrank 1\n", 3, "duplicate rank line"),
+        ("bundle", BUNDLE + "rank 1\ncharge 1 = (1)\n", 3, "unknown directive 'charge'"),
+        ("bundle", BUNDLE + "# no rank\n", 1, "missing rank line"),
+    ],
+)
+def test_each_parser_error_names_its_line(kind, text, line, message):
+    parse = {
+        "fan": parse_fan_text,
+        "weld": lambda t: parse_welding_text(t, base=FIXTURES),
+        "poly": lambda t: parse_polytope_text(t, base=FIXTURES),
+        "bundle": parse_bundle_text,
+    }[kind]
+    err = parse_error(parse, text)
+    assert (err.line, err.reason) == (line, message)
+
+
 def test_a_rank_40000_bundle_parses_in_seconds():
     """A repeated chern index is found by lookup, not by a scan of the
     earlier lines, so parsing is linear in the rank."""

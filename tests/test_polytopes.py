@@ -198,6 +198,40 @@ def test_corner_region_face_lemmas() -> None:
     assert all(c.ok for c in report.checks)
 
 
+# The rectangle over the four quadrants of rect.poly with domain 3 cut
+# empty: an L whose corner cluster holds a divisor germ and a singular
+# germ of each residue.
+L_SHAPE = """logaffine polytope 1
+welding quadrants.weld
+constraint 1.e = (-1, 0) + 1
+constraint 1.n = (0, -1) + 1
+constraint 2.n = (0, -1) + 1
+constraint 2.w = (-1, 0) + 0
+constraint 3.p = (1, 0) - 1
+constraint 3.q = (-1, 0) + 0
+constraint 4.e = (-1, 0) + 1
+constraint 4.s = (0, -1) + 0
+group E = [1.e 4.e]
+group N = [1.n 2.n]
+"""
+
+
+def test_a_corner_joins_germs_of_one_kind_only() -> None:
+    """At the L's corner, the divisor trace and the singular trace of one
+    residue end there without joining: two divisor arcs and two
+    singular faces meet at one boundary point."""
+    pf = parse_polytope_text(L_SHAPE, base=FIXTURES)
+    p = build_polytope(build_welded_space(pf.spec.welding), pf.spec)
+    assert p.compact and p.feasible == (1, 2, 4)
+    assert [(t.edge_label, t.kind) for t in p.traces] == [
+        ("w1", "divisor"), ("w2", "divisor"), ("w3", "singular"), ("w4", "singular"),
+    ]
+    assert [c.edges for c in p.trace_components] == [("w1",), ("w2",)]
+    assert [f.edges for f in p.singular_faces] == [("w3",), ("w4",)]
+    top = polytope_topology(p)
+    assert (top.euler, top.genus, top.boundary_circles) == (1, 0, 1)
+
+
 def test_dropping_one_constraint_loses_compactness() -> None:
     p = load_built_polytope("compdelt_nof2.poly")
     assert not p.compact
@@ -392,22 +426,25 @@ def test_volume_fixture_list_is_every_fixture_with_a_volume() -> None:
 
 
 @pytest.mark.parametrize("name", VOLUME_FIXTURES)
-def test_the_volume_reflects_no_operation_onto_a_tpoly(monkeypatch, name) -> None:
-    """Every operand the volume mixes with a ``_TPoly`` is one itself or
-    sits on its right, so no ``Fraction`` operator is tried first."""
+def test_the_volume_reflects_no_operation_onto_a_tpoly(name) -> None:
+    """``_TPoly`` has no reflected operator, no division and no ``>``, so
+    a number on its left raises ``TypeError``; every volume, which takes
+    ``_TPoly`` constants where there are rays, is still the oracle's."""
+    t = polytopes._TPoly(1, 1)
+    for method in ("__radd__", "__rmul__", "__rsub__", "__truediv__", "__gt__", "__ge__"):
+        assert method not in vars(polytopes._TPoly)
+    for reflected in (
+        lambda: 1 + t,
+        lambda: F(1) * t,
+        lambda: 2 - t,
+        lambda: t / 2,
+        lambda: F(1) < t,
+        lambda: t > 0,
+    ):
+        with pytest.raises(TypeError):
+            reflected()
     p = load_built_polytope(name)
-    expected = regularized_volume(p)
-    calls = []
-    for method in ("__radd__", "__rmul__", "__rsub__"):
-        original = getattr(polytopes._TPoly, method)
-
-        def counting(self, other, method=method, original=original):
-            calls.append(method)
-            return original(self, other)
-
-        monkeypatch.setattr(polytopes._TPoly, method, counting)
-    assert regularized_volume(p) == expected
-    assert calls == []
+    assert regularized_volume(p) == volume_oracle.symbolic_volume(p)
 
 
 def test_divergent_volume_names_its_growth_in_the_cutoff() -> None:
@@ -1368,12 +1405,12 @@ def coefficients(x) -> tuple:
 
 
 @settings(max_examples=300, deadline=None)
-@given(x=TERMS, y=TERMS)
+@given(x=st.lists(COEFFICIENTS, min_size=1, max_size=3), y=TERMS)
 def test_the_cutoff_kernel_computes_as_the_old_one(x, y) -> None:
-    """Sums, differences, products, quotients by a scalar, negation and
-    comparison give the coefficients and the order that the zero-filling
-    kernel the volume oracle measures with gives."""
-    assume(isinstance(x, list) or isinstance(y, list))
+    """Sums, differences, products, negation and comparison, with the
+    ``_TPoly`` on the left, the only side the kernel takes, give the
+    coefficients and the order that the zero-filling kernel the volume
+    oracle measures with gives."""
     kernels = [
         [k(*v) if isinstance(v, list) else v for v in (x, y)]
         for k in (polytopes._TPoly, volume_oracle.TPoly)
@@ -1387,15 +1424,11 @@ def test_the_cutoff_kernel_computes_as_the_old_one(x, y) -> None:
         lambda u, v: -v,
     ):
         assert coefficients(op(a, b)) == coefficients(op(c, d))
-    if not isinstance(y, list) and y:
-        assert coefficients(a / y) == coefficients(c / y)
     for compare in (
         lambda u, v: u == v,
         lambda u, v: u != v,
         lambda u, v: u < v,
         lambda u, v: u <= v,
-        lambda u, v: u > v,
-        lambda u, v: u >= v,
     ):
         assert compare(a, b) == compare(c, d)
 
@@ -1547,7 +1580,7 @@ def test_the_integer_cycle_matches_the_fraction_kernel(fns) -> None:
     old = polytope_oracle._intersect([(a, F(p, q)) for a, p, q in lines], gap)
     if old is None:
         assert new is None and not interior and cycle is None
-        moved = [(a, polytopes._TPoly(1, F(p, q))) for a, p, q in lines]
+        moved = [(a, volume_oracle.TPoly(1, F(p, q))) for a, p, q in lines]
         assert met == (polytope_oracle._intersect(moved, gap) is not None)
         return
     kept, vertices, touching = new

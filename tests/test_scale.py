@@ -9,9 +9,10 @@ The open grids at m = 12 (576 domains) reach the boundary edges and
 open corner chains of the assembly at scale, and the weld of a grid
 hashes Fractions a fixed number of times whatever its size: the
 assembly keys its residues and positions per fan, not per domain.
-The planar build of a grid's whole space hashes no Fraction at all: a
-corner tells its trace germs apart by kind and by whether each residue
-equals the first one's, never by the residue itself.
+The planar build of a grid's whole space hashes and compares no
+Fraction at all: a corner tells its trace germs apart by kind and by
+the integer pair (r, n) that each edge's residue r / n is scaled to
+once, never by the residue itself.
 
 The whole space of the m = 12 torus grid (576 domains, no constraint)
 is a compact polytope of genus one, and the support of the one fan its
@@ -54,7 +55,10 @@ by its rank by point.  Its lattice test and the equivalence of its record
 with the record of a unimodular image of it are decided on ints: at
 k = 16 and 64 neither constructs a Fraction, and each keeps a pinned
 budget of calls into the package per side that four times the sides
-raise about fourfold.
+raise about fourfold.  Its build and its volume keep pinned budgets
+of calls per side too: the build's grow about fourfold with the sides,
+and the volume's about sixfold, as its turn order sorts with a
+comparator (k log k: 64 * 6 / (16 * 4) = 6).
 """
 
 from __future__ import annotations
@@ -203,6 +207,25 @@ def test_the_whole_grid_build_hashes_no_fraction(monkeypatch, variant: str) -> N
     assert hashes == []
 
 
+@pytest.mark.parametrize("variant", ["torus", "comb", "cylinder", "disc"])
+def test_the_whole_grid_build_compares_no_fraction(monkeypatch, variant: str) -> None:
+    """A corner joins its germs on integer residue keys."""
+    compared = []
+    fraction_eq = Fraction.__eq__
+
+    def counting(q, other):
+        compared.append(q)
+        return fraction_eq(q, other)
+
+    spec = parse_welding_text(grid_text(variant, 3), base=FIXTURES).spec
+    space = build_welded_space(spec)
+    polytope_spec = make_polytope_spec(spec, [])
+    monkeypatch.setattr(Fraction, "__eq__", counting)
+    build_polytope(space, polytope_spec)
+    monkeypatch.undo()
+    assert compared == []
+
+
 @pytest.mark.parametrize("variant", ["torus", "comb"])
 def test_the_weld_walks_on_labels_and_builds_no_pair_key(monkeypatch, variant: str) -> None:
     """On n = 576 domains the 2n welds, listed or coerced, walk both
@@ -276,12 +299,13 @@ def package_calls(run) -> int:
 
 
 # Package calls per domain of a grid's whole-space planar build, pinned
-# at the counts of the build that reads compactness off its open ends
-# (57-61 per domain at m = 3 and 6 on Python 3.10 and 3.11; the second
-# angular pass before it made 132-136).  Python 3.12 inlines list
-# comprehensions (PEP 709), so it counts fewer (48-51).  A budget may
+# at the counts of the build that joins its corner germs on integer
+# residue keys (55.5-57.4 per domain at m = 3 and 6 on Python 3.10 and
+# 3.11; the Fraction residue join before it made 57-61, and the second
+# angular pass before that 132-136).  Python 3.12 inlines list
+# comprehensions (PEP 709), so it counts fewer (47-48).  A budget may
 # fall freely; raising one loosens the check, and CHANGES.md must say why.
-BUILD_CALLS_PER_DOMAIN = {"torus": 58, "comb": 58, "cylinder": 60, "disc": 61}
+BUILD_CALLS_PER_DOMAIN = {"torus": 57, "comb": 57, "cylinder": 57, "disc": 58}
 # Four times the domains may cost at most this much more than four
 # times the calls: the growth stays linear.
 GROWTH_SLACK = Fraction(1, 20)
@@ -384,6 +408,31 @@ def test_lattice_decisions_on_a_polygon_construct_no_fraction(tmp_path, monkeypa
             counts[name].append(calls)
     for name, (small, large) in counts.items():
         assert Fraction(large, small) <= 4 * (1 + GROWTH_SLACK), name
+
+
+# Package calls per side of the k-gon's build and volume, pinned at the
+# counts on Python 3.10 and 3.11 (build 57.1 and 58.4 per side at k = 16
+# and 64, volume 17.6 and 24.5; 3.13's volume makes 24.6 at k = 64), and
+# how much more four times the sides may cost.
+# A budget may fall freely; raising one loosens the check, and CHANGES.md
+# must say why.
+POLYGON_CALLS_PER_SIDE = {"build_polytope": 59, "regularized_volume": 25}
+POLYGON_GROWTH = {"build_polytope": 4, "regularized_volume": 6}
+
+
+def test_the_polygon_build_and_volume_keep_their_call_budgets(tmp_path) -> None:
+    counts: dict[str, list[int]] = {name: [] for name in POLYGON_CALLS_PER_SIDE}
+    for k in (16, 64):
+        rng = random.Random(k)
+        spec = polygon_spec(tmp_path, rng, gen.delzant_polygon(rng, k))
+        space = build_welded_space(spec.welding)
+        counts["build_polytope"].append(package_calls(lambda: build_polytope(space, spec)))
+        p = build_polytope(space, spec)
+        counts["regularized_volume"].append(package_calls(lambda: regularized_volume(p)))
+        for name, calls in counts.items():
+            assert calls[-1] <= POLYGON_CALLS_PER_SIDE[name] * k, (name, k)
+    for name, (small, large) in counts.items():
+        assert Fraction(large, small) <= POLYGON_GROWTH[name] * (1 + GROWTH_SLACK), name
 
 
 @pytest.mark.parametrize("k", [16, 64])
