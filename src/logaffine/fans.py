@@ -10,19 +10,20 @@ Cones are simplicial: their generators are linearly independent.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import UnsupportedDimensionError
-from .rational import Vector, as_vector, cross2, gauss_jordan, is_zero
+from .rational import Vector, as_vector, cross2, is_zero
 
 
 @dataclass(frozen=True)
 class Fan:
-    """An immutable fan; cones store indices into ``vectors``.  A plane
-    fan is also its rays in turn order (``ray_order``, by their integer
-    ``directions``) with each ray's 2-cone neighbours (``turns``), each
-    computed once per fan: every angular question reads these."""
+    """An immutable fan; cones store indices into ``vectors``.  Its rays
+    as integer rows (``directions``), a plane fan's rays in turn order
+    (``ray_order``) and their 2-cone neighbours (``turns``) are each
+    computed once per fan: validation and every angular question read these."""
 
     dim: int
     vectors: tuple[Vector, ...]
@@ -100,12 +101,14 @@ class Fan:
         return tuple(map(tuple, out))
 
     @functools.cached_property
-    def directions(self) -> tuple[tuple[int, int], ...]:
-        """Each ray of a plane fan scaled by its denominators to integers,
-        so that angles compare without fractions."""
-        return tuple(
-            (x.numerator * y.denominator, y.numerator * x.denominator) for x, y in self.vectors
-        )
+    def directions(self) -> tuple[tuple[int, ...], ...]:
+        """Each ray times the product of its denominators, so that angles
+        compare and cones eliminate without fractions; (1/2, 0) and (1, 0) share a row."""
+        out = []
+        for v in self.vectors:
+            scale = math.prod([c.denominator for c in v])
+            out.append(tuple([c.numerator * (scale // c.denominator) for c in v]))
+        return tuple(out)
 
     @functools.cached_property
     def ray_order(self) -> tuple[int, ...]:
@@ -160,8 +163,32 @@ def make_fan(
     return Fan(dim=dim, vectors=vecs, labels=tuple(labels), cones=cone_set)
 
 
+def _eliminate(rows: list[list[int]], columns: int) -> bool:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer ``rows`` in
+    place over their first ``columns`` columns; False once one has no pivot.
+    The divisions are exact (entries stay minors); pivot ``i`` ends in row ``i``
+    as the last pivot ``p``, so a carried column's entry there is ``p`` times its
+    coordinate ``i``, and the rows past ``columns`` hold its residual."""
+    prev = 1
+    for col in range(columns):
+        pivot = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            return False
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        p = top[col]
+        for i, row in enumerate(rows):
+            if i != col:
+                f = row[col]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return True
+
+
 def validate_fan(fan: Fan) -> FanReport:
-    """Check every fan axiom; returns a report rather than raising."""
+    """Check every fan axiom; returns a report rather than raising.  The
+    cone axioms read the rays' integer rows (``Fan.directions``), whose
+    positive scaling keeps every rank and the sign of every hull coefficient."""
     violations: list[str] = []
     n = len(fan.vectors)
     if fan.dim < 1:
@@ -185,16 +212,17 @@ def validate_fan(fan: Fan) -> FanReport:
 
     if frozenset() not in fan.cones:
         violations.append("the empty cone is missing")
+    d = fan.directions
     for cone in sorted(fan.cones, key=lambda c: (len(c), sorted(c))):
         if any(i < 0 or i >= n for i in cone):
             violations.append(f"cone with out-of-range generator index {sorted(cone)}")
             continue
         # one elimination per cone: its generators as columns, every
-        # other ray as an augmented column solved in them
+        # other ray as a carried column solved in them
         others = [j for j in range(n) if j not in cone]
-        rows = [[fan.vectors[i][r] for i in (*cone, *others)] for r in range(fan.dim)]
+        rows = [[d[i][r] for i in (*cone, *others)] for r in range(fan.dim)]
         k = len(cone)
-        if len(gauss_jordan(rows, k)) < k:
+        if not _eliminate(rows, k):
             violations.append(f"cone {name(cone)} has dependent generators")
             continue
         for i in cone:
@@ -202,7 +230,8 @@ def validate_fan(fan: Fan) -> FanReport:
             if sub not in fan.cones:
                 violations.append(f"cones are not closed under subsets: {name(sub)} missing")
         for col, j in enumerate(others, k):
-            if all(row[col] >= 0 for row in rows[:k]) and not any(row[col] for row in rows[k:]):
+            hull = all(r[col] * r[i] >= 0 for i, r in enumerate(rows[:k]))
+            if hull and not any(r[col] for r in rows[k:]):
                 violations.append(
                     f"vector {fan.labels[j]} lies in the closed hull of cone {name(cone)}"
                 )

@@ -1,10 +1,10 @@
-"""Exact linear algebra over the rationals.
+"""Exact rational vectors, affine functionals and the lattice test.
 
-Everything in this package reduces to small exact computations:
-Gauss-Jordan elimination on rational rows (ranks, solving and cone
-membership) and the gcd of the maximal minors of an integer matrix for
-lattice-saturation tests.  Vectors are plain tuples of
-``fractions.Fraction`` so they hash and compare structurally.
+Vectors are plain tuples of ``fractions.Fraction`` so they hash and
+compare structurally.  The decisions on them run on integers: the
+lattice-saturation test reads the gcd of the maximal minors of an
+integer matrix, and fan validation (``fans.validate_fan``) eliminates
+its rays' integer rows without fractions.
 """
 
 from __future__ import annotations
@@ -71,38 +71,6 @@ class AffineFunctional:
         body = ", ".join(str(c) for c in self.linear)
         sign = "-" if self.constant < 0 else "+"
         return f"({body}) {sign} {abs(self.constant)}"
-
-
-# ------------------------------------------------------- elimination
-
-
-def gauss_jordan(rows: list[list[Fraction]], columns: int) -> list[int]:
-    """Reduce ``rows`` in place over their first ``columns`` columns.
-
-    Gauss-Jordan elimination: pivot rows move to the top in order, each
-    scaled to a leading one with zeros above and below it; entries past
-    ``columns`` (an augmented right-hand side) are carried along.
-    Returns the pivot columns, so ``rows[len(pivots):]`` are the rows
-    reduced to zero in the first ``columns`` columns.
-    """
-    pivots: list[int] = []
-    r = 0
-    for col in range(columns):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
 
 
 # ------------------------------------------------------- lattice test

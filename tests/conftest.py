@@ -1,10 +1,16 @@
-"""Shared fixture-corpus loaders and the homology oracle for the test suite."""
+"""Shared fixture-corpus loaders, the finder of other Pythons and the
+homology oracle for the test suite."""
 
 import importlib.util
+import os
+import shutil
+import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+
+import pytest
 
 from logaffine.fileio import (
     parse_bundle_file,
@@ -120,6 +126,49 @@ def grid_text(variant: str, m: int) -> str:
         for k, (d1, r1, d2, r2) in enumerate(grid_pairs(variant, m), start=1)
     ]
     return "\n".join(lines) + "\n"
+
+
+def _pyenv_versions(version: str) -> list[str]:
+    """The pyenv versions installed for ``version`` (``3.12.1`` for
+    ``3.12``), newest first; none without pyenv."""
+    if shutil.which("pyenv") is None:
+        return []
+    root = subprocess.run(["pyenv", "root"], capture_output=True, text=True).stdout.strip()
+    installed = Path(root, "versions")
+    if not root or not installed.is_dir():
+        return []
+    patches = [
+        int(p.name[len(version) + 1 :])
+        for p in installed.iterdir()
+        if p.name.startswith(f"{version}.") and p.name[len(version) + 1 :].isdigit()
+    ]
+    return [f"{version}.{patch}" for patch in sorted(patches, reverse=True)]
+
+
+def _starts(python: str, version: str, env: dict | None) -> bool:
+    probe = subprocess.run(
+        [python, "-I", "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    return probe.returncode == 0 and probe.stdout.strip() == version
+
+
+def other_python(version: str) -> tuple[str, dict | None]:
+    """``python<version>`` on the PATH and the environment it starts in;
+    the test is skipped when it is missing or does not start.  A pyenv
+    shim starts only a version that ``PYENV_VERSION`` or ``pyenv
+    global`` selects, so a shim that does not start is retried with
+    ``PYENV_VERSION`` set to each matching version installed under
+    ``$(pyenv root)/versions``, newest first."""
+    python = shutil.which(f"python{version}")
+    if python is None:
+        pytest.skip(f"no python{version} on the PATH")
+    for env in [None, *(dict(os.environ, PYENV_VERSION=v) for v in _pyenv_versions(version))]:
+        if _starts(python, version, env):
+            return python, env
+    pytest.skip(f"python{version} does not start here")
 
 
 # ---------------------------------------------------------- homology oracle

@@ -1,11 +1,13 @@
 """Rank, solving and cone membership by one elimination per question.
 
+``gauss_jordan`` is the package's old elimination on ``Fraction`` rows.
 ``rank``, ``linear_independent``, ``solve_in_basis`` and
-``cone_contains`` answer one question each with its own Gauss-Jordan
-run; ``validate_by_solves`` checks the cone axioms of a fan with them,
-one solve per (cone, ray) pair.  ``fans.validate_fan`` instead runs one
-elimination per cone, with every other ray as an augmented column, and
-must give the same violations in the same order.
+``cone_contains`` answer one question each with their own run of it;
+``cone_violations`` checks the cone axioms of a fan with them, one solve
+per (cone, ray) pair.  ``fans.validate_fan`` instead runs one
+fraction-free integer elimination per cone, on the rays' integer rows
+with every other ray as a carried column, and must give the same
+violations in the same order.
 
 ``smith_normal_form`` is the package's old integer elimination: the
 lattice test ``rational.is_saturated_lattice_basis`` now reads the gcd
@@ -21,7 +23,36 @@ from typing import Sequence
 
 from logaffine.errors import DependentGeneratorsError, DimensionMismatchError
 from logaffine.fans import Fan
-from logaffine.rational import Vector, _as_int_matrix, as_vector, gauss_jordan, is_zero
+from logaffine.rational import Vector, _as_int_matrix, as_vector, is_zero
+
+
+def gauss_jordan(rows: list[list[Fraction]], columns: int) -> list[int]:
+    """Reduce ``rows`` in place over their first ``columns`` columns.
+
+    Gauss-Jordan elimination: pivot rows move to the top in order, each
+    scaled to a leading one with zeros above and below it; entries past
+    ``columns`` (an augmented right-hand side) are carried along.
+    Returns the pivot columns, so ``rows[len(pivots):]`` are the rows
+    reduced to zero in the first ``columns`` columns.
+    """
+    pivots: list[int] = []
+    r = 0
+    for col in range(columns):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
 
 
 # the package's old scaling and primitive direction: the record and

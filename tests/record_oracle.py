@@ -21,8 +21,8 @@ from fractions import Fraction
 
 from logaffine.classification import InvariantRecord
 from logaffine.errors import UnsupportedDimensionError
-from logaffine.rational import Vector, cross2, dot, gauss_jordan, is_zero, rot90
-from rational_oracle import primitive, vec_scale
+from logaffine.rational import Vector, cross2, dot, is_zero, rot90
+from rational_oracle import gauss_jordan, primitive, vec_scale
 
 
 def _solve_affine(rows, rhs, unknowns):

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from conftest import FIXTURES
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from logaffine.errors import UnsupportedDimensionError
@@ -100,11 +101,14 @@ def test_validate_rejects_vector_on_cone_boundary() -> None:
 
 @st.composite
 def fans_with_valid_vectors(draw) -> Fan:
-    """Distinct nonzero vectors in dimension 1 to 3 and random cones of
+    """Distinct nonzero vectors in dimension 1 to 3 with entries of
+    numerator in [-2, 2] and denominator at most 6, so that their
+    integer rows scale by different denominators, and random cones of
     up to three indices, the last index out of range, half the time
     with their faces added: every cone violation shows up."""
     dim = draw(st.integers(1, 3))
-    entry = st.tuples(*[st.integers(-2, 2)] * dim).filter(any)
+    number = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 6))
+    entry = st.tuples(*[number] * dim).filter(any)
     vectors = draw(st.lists(entry, max_size=5, unique=True))
     index = st.integers(0, len(vectors))
     cones = draw(st.lists(st.frozensets(index, max_size=3), max_size=6))
@@ -113,8 +117,14 @@ def fans_with_valid_vectors(draw) -> Fan:
     return make_fan(vectors, cones, dim=dim)
 
 
+# (1/2, 0) and (1, 0) are distinct rays with one integer row, (1, 0):
+# each lies in the hull of the other's 1-cone, and the 2-cone is dependent.
+SHARED_ROW = make_fan([(Fraction(1, 2), 0), (1, 0)], [[], [0], [1], [0, 1]])
+
+
 @settings(max_examples=200, deadline=None)
 @given(fan=fans_with_valid_vectors())
+@example(fan=SHARED_ROW)
 def test_one_elimination_per_cone_matches_one_solve_per_ray(fan: Fan) -> None:
     assert validate_fan(fan).violations == tuple(cone_violations(fan))
 

@@ -1,13 +1,18 @@
 """File format tests: round trips, error locations, dispatch."""
 
+import json
+import subprocess
 import time
 from fractions import Fraction
 
 import pytest
-from conftest import FIXTURES, fixture_path
+from conftest import FIXTURES, fixture_path, other_python
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logaffine.errors import FaceInUseError, NotMatchedError, SpecFileError
 from logaffine.fileio import (
+    _fraction,
     load_workspace_file,
     parse_bundle_text,
     parse_fan_text,
@@ -345,6 +350,23 @@ def test_sniff_and_dispatch():
     assert kind == "bundle" and bundle.rank == 2
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n", "# only\n\n  # comments\n"])
+def test_a_file_without_a_header_is_empty(tmp_path, text):
+    for sniff in (lambda: sniff_kind(text, "x"), lambda: parse_fan_text(text, "x")):
+        err = parse_error(lambda _: sniff(), text)
+        assert (err.path, err.line, err.reason) == ("x", 1, "empty file")
+    (tmp_path / "x.fan").write_text(text)
+    err = parse_error(lambda _: load_workspace_file(tmp_path / "x.fan"), text)
+    assert (err.line, err.reason) == (1, "empty file")
+
+
+def test_sniff_reads_the_first_line_that_is_not_blank_or_a_comment():
+    text = "\n# logaffine fan 1\n  logaffine polytope 1  \nlogaffine fan 1\n"
+    assert sniff_kind(text) == "polytope"
+    err = parse_error(sniff_kind, "# c\n\nlogaffine sheaf 1\nlogaffine fan 1\n")
+    assert (err.line, err.reason) == (3, "expected header 'logaffine <kind> 1'")
+
+
 def test_missing_file_is_a_spec_error(tmp_path):
     with pytest.raises(SpecFileError) as info:
         load_workspace_file(tmp_path / "nope.fan")
@@ -357,3 +379,91 @@ def test_polytope_file_exposes_welding(tmp_path):
     assert pf.welding.fan("Q").labels == ("a", "b")
     assert pf.spec.orientation == 1
     assert [name for name, _ in pf.spec.groups] == ["E", "N", "S", "W"]
+
+
+# ---------------------------------------------------------- number tokens
+
+# Tokens that reach ``_fraction``: stripped, so never blank at either end.
+TOKEN_ALPHABET = "0123456789-+_/.eE ²٣"
+NUMBER_TOKENS = st.text(alphabet=TOKEN_ALPHABET, min_size=1, max_size=8).map(str.strip)
+TOKEN_EXAMPLES = ["1_0", "+5", "-0", "--5", "²", "٣", "0.5", "1e3", "3/0", "-7/14"]
+
+
+def read_as_fraction(token: str):
+    """``Fraction(token)``, or the ``SpecFileError`` text that
+    ``_fraction`` must raise when ``Fraction`` refuses the token."""
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        return str(SpecFileError("p", 7, f"invalid rational number {token!r}"))
+
+
+def read_by_fileio(token: str):
+    try:
+        return _fraction("p", 7, token)
+    except SpecFileError as err:
+        return str(err)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(token=NUMBER_TOKENS)
+@example(token="1_0")
+@example(token="+5")
+@example(token="-0")
+@example(token="--5")
+@example(token="²")
+@example(token="٣")
+@example(token="0.5")
+@example(token="1e3")
+@example(token="3/0")
+@example(token="-7/14")
+def test_number_tokens_read_as_by_fraction(token: str) -> None:
+    got, want = read_by_fileio(token), read_as_fraction(token)
+    assert (type(got), got) == (type(want), want)
+
+
+# The same comparison on the examples and 3,000 seeded tokens of the
+# alphabet above, stdlib-only, for another Python: Fraction reads "_"
+# from 3.11 on and spaces around "/" from 3.12 on, int reads "_" on all.
+TOKEN_REPLAY = """
+import json, random, sys
+from fractions import Fraction
+
+sys.path.insert(0, sys.argv[1] + "/src")
+from logaffine.errors import SpecFileError
+from logaffine.fileio import _fraction
+
+rng = random.Random(29)
+alphabet = sys.argv[3]
+tokens = json.loads(sys.argv[2]) + [
+    "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8))).strip() for _ in range(3000)
+]
+mismatches = []
+for token in tokens:
+    try:
+        want = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        want = str(SpecFileError("p", 7, "invalid rational number %r" % token))
+    try:
+        got = _fraction("p", 7, token)
+    except SpecFileError as err:
+        got = str(err)
+    if (type(got), got) != (type(want), want):
+        mismatches.append(token)
+print(json.dumps([len(tokens), mismatches]))
+"""
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_number_tokens_read_as_by_fraction_on_other_pythons(version: str) -> None:
+    python, env = other_python(version)
+    run = subprocess.run(
+        [python, "-I", "-B", "-c", TOKEN_REPLAY, str(FIXTURES.parent)]
+        + [json.dumps(TOKEN_EXAMPLES), TOKEN_ALPHABET],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [len(TOKEN_EXAMPLES) + 3000, []]

@@ -48,6 +48,11 @@ torus, h2 of its log cohomology.  On the open grids it differs from h2:
 (2m-1)^2 on the disc.  Which one the paper's count should match is not
 settled, so the moduli are pinned on the closed grids only.
 
+Parsing a grid's welding file reads its one fan file once, and the
+fan's validation eliminates the rays' integer rows: it constructs no
+Fraction on any fixture fan, and the parse keeps a pinned budget of
+calls into the package per domain at m = 3 and 6 that grows linearly.
+
 A Delzant k-gon chopped from a square, with or without redundant
 constraints, has the area the benchmark's oracle gives in closed form.
 Its build hashes no Fraction, as its vertex table keys a cycle's vertex
@@ -74,7 +79,12 @@ from conftest import FIXTURES, benchmark_module, grid_text
 
 from logaffine import fans, welding
 from logaffine.classification import make_invariant_record, records_equivalent
-from logaffine.fileio import parse_bundle_text, parse_polytope_text, parse_welding_text
+from logaffine.fileio import (
+    parse_bundle_text,
+    parse_fan_file,
+    parse_polytope_text,
+    parse_welding_text,
+)
 from logaffine.polytopes import (
     build_polytope,
     delzant_check,
@@ -382,6 +392,39 @@ def fractions_made(monkeypatch, run) -> int:
     finally:
         monkeypatch.undo()
     return made
+
+
+def test_fan_validation_constructs_no_fraction(monkeypatch) -> None:
+    assert fractions_made(monkeypatch, lambda: Fraction(1, 2) * Fraction(2, 3)) > 0
+    paths = sorted(FIXTURES.glob("*.fan"))
+    assert len(paths) > 10
+    for path in paths:
+        fan = parse_fan_file(path)
+        assert "directions" not in vars(fan)  # the integer rows are made inside
+        assert fractions_made(monkeypatch, lambda: fans.validate_fan(fan)) == 0, path.name
+        assert "directions" in vars(fan)
+
+
+# Package calls per domain of parsing a grid's welding file, pinned at the
+# counts on Python 3.10 and 3.11 once number tokens are read through int
+# and the fan is validated on integer rows: 27.36, 20.69, 26.03 and 24.69
+# per domain at m = 3, 19.59, 12.26, 18.92 and 18.26 at m = 6 (torus,
+# comb, cylinder, disc); the Fraction path before made 27.78, 21.11,
+# 26.44 and 25.11 at m = 3.  Python 3.12 and 3.13 count fewer (21.72 to
+# 25.50 at m = 3).  A budget may fall freely; raising one loosens the
+# check, and CHANGES.md must say why.
+PARSE_CALLS_PER_DOMAIN = {"torus": 28, "comb": 21, "cylinder": 27, "disc": 25}
+
+
+@pytest.mark.parametrize("variant", ["torus", "comb", "cylinder", "disc"])
+def test_parsing_a_grid_keeps_its_call_budget(variant: str) -> None:
+    counts = []
+    for m in (3, 6):
+        text = grid_text(variant, m)
+        calls = package_calls(lambda: parse_welding_text(text, base=FIXTURES))
+        assert calls <= PARSE_CALLS_PER_DOMAIN[variant] * 4 * m * m, m
+        counts.append(calls)
+    assert Fraction(counts[1], counts[0]) <= 4 * (1 + GROWTH_SLACK)
 
 
 # Package calls per side of the k-gon, pinned at the integer path's counts
