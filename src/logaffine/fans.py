@@ -20,10 +20,10 @@ from .rational import Vector, as_vector, cross2, is_zero
 
 @dataclass(frozen=True)
 class Fan:
-    """An immutable fan; cones store indices into ``vectors``.  Its rays
-    as integer rows (``directions``), a plane fan's rays in turn order
-    (``ray_order``) and their 2-cone neighbours (``turns``) are each
-    computed once per fan: validation and every angular question read these."""
+    """An immutable fan; cones store indices into ``vectors``.  Its rays as
+    integer rows (``directions``), each ray's 2-cone neighbours by vector
+    (``corner_neighbours``), a plane fan's rays in turn order (``ray_order``)
+    and their neighbours on either side (``turns``) are computed once per fan."""
 
     dim: int
     vectors: tuple[Vector, ...]
@@ -57,32 +57,18 @@ class Fan:
         return _first_index(self.vectors)
 
     @functools.cached_property
-    def stars(self) -> tuple[frozenset[frozenset[Vector]], ...]:
-        """The star of each ray (see ``star``), by ray index."""
-        return tuple(
-            frozenset(
-                frozenset(self.vectors[i] for i in cone) for cone in self.cones if idx in cone
-            )
-            for idx in range(len(self.vectors))
-        )
-
-    @functools.cached_property
     def corner_neighbours(self) -> tuple[tuple[int, ...], ...]:
-        """For each ray, the other rays of its 2-cones.
-
-        Ordered as the vector pairs of those 2-cones sort, the order in
-        which welding visits the corners of a face.
-        """
+        """For each ray, the other rays of its 2-cones, sorted by vector:
+        in a valid fan, every ray sharing a cone with it.  Welding pairs
+        two rays' neighbours by position and visits a face's corners in
+        this order."""
         out: list[list[int]] = [[] for _ in self.vectors]
         for cone in self.cones:
             if len(cone) == 2:
                 i, j = cone
                 out[i].append(j)
                 out[j].append(i)
-        return tuple(
-            tuple(sorted(js, key=lambda j: sorted((self.vectors[i], self.vectors[j]))))
-            for i, js in enumerate(out)
-        )
+        return tuple(tuple(sorted(js, key=self.vectors.__getitem__)) for js in out)
 
     @functools.cached_property
     def turns(self) -> tuple[tuple[int | None, int | None], ...]:
@@ -249,7 +235,8 @@ def star(fan: Fan, ray) -> set[frozenset[Vector]]:
 
     ``ray`` may be a label or the ray vector itself.
     """
-    return set(fan.stars[_resolve_ray(fan, ray)])
+    idx = _resolve_ray(fan, ray)
+    return {frozenset(fan.vectors[i] for i in cone) for cone in fan.cones if idx in cone}
 
 
 def _direction_cmp(u: Vector, v: Vector) -> int:

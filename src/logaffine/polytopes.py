@@ -1102,10 +1102,10 @@ def delzant_check(p: LogPolytope) -> DelzantResult:
     covector_of_face: dict[str, Vector] = {}
     for face in p.nonsingular_faces:
         covector_of_face[face.label] = p.spec.constraint(face.members[0]).linear
-    # a single primitive row is always saturated: only vertices can fail
+    # one primitive row is always saturated: only a vertex on two faces can fail
     for vertex in p.vertices:
         labels = [f for f in vertex.faces if f in covector_of_face]
-        if not labels:
+        if len(labels) < 2:
             continue
         rows = tuple(covector_of_face[f] for f in labels)
         # the spec's covectors are integral: their numerators are the rows

@@ -33,14 +33,17 @@ and a ``Quadrant``'s label frozenset is built once per cluster member.
 
 Matching is derived once per fan-ray pair.  Whether two rays match,
 and how the labels around them correspond, depends only on the two
-fans and the two rays: ``_match_rays`` compares them, and each spec
-keeps one memo of its verdict and label maps (left to right and back)
-keyed by ``(id(left fan), left ray, id(right fan), right ray)``; the
-ids are stable because the spec holds its fans.  ``_match`` checks the
-faces of every pair (unknown domain or label, both faces in one
-domain) on the lookups that key needs, and ``is_matched_pair`` reads
-its answer.  On a grid of one fan, parsing the spec and welding it
-compare rays once per distinct pair of labels.
+fans and the two rays: ``_match_rays`` pairs the rays' neighbours
+(``Fan.corner_neighbours``, sorted by vector) by position, the stars
+agree when each position holds equal vectors and the pairing maps the
+cones about one ray onto those about the other, and the label maps are
+that pairing.  Each spec keeps one memo of its verdict and label maps
+(left to right and back) keyed by ``(id(left fan), left ray, id(right
+fan), right ray)``; the ids are stable because the spec holds its fans.
+``_match`` checks the faces of every pair (unknown domain or label,
+both faces in one domain) on the lookups that key needs, and
+``is_matched_pair`` reads its answer.  On a grid of one fan, parsing
+the spec and welding it compare rays once per distinct pair of labels.
 
 The assembly reads the strata off the index through one table per
 ``Fan`` object, not per domain: the fan's quadrants in sorted-label
@@ -246,13 +249,19 @@ def _match_rays(
             None,
             None,
         )
-    if left.stars[i] != right.stars[j]:
+    # Cones are closed under subsets, so every ray sharing a cone with the
+    # welded one is a corner neighbour of it.  Both lists sort by vector and
+    # a fan's vectors are distinct, so equal stars pair the neighbours
+    # position by position.  Conversely, equal vectors in each position and
+    # cones about the welded ray that the pairing maps onto each other (a
+    # missing 3-cone in dimension 3 shows only there) make the stars equal.
+    ks, ls = left.corner_neighbours[i], right.corner_neighbours[j]
+    to_right = dict(zip((i, *ks), (j, *ls)))
+    if any(left.vectors[k] != right.vectors[m] for k, m in zip(ks, ls)) or {
+        frozenset(map(to_right.get, c)) for c in left.cones if i in c
+    } != {c for c in right.cones if j in c}:
         return "the stars of the welded ray differ", None, None
-    forward: dict[str, str] = {}
-    # cones are closed under subsets, so every ray sharing a cone with
-    # the welded one spans a 2-cone with it
-    for k in left.corner_neighbours[i]:
-        forward[left.labels[k]] = right.labels[right.index_of_vector(left.vectors[k])]
+    forward = {left.labels[k]: right.labels[m] for k, m in zip(ks, ls)}
     return None, forward, {b: a for a, b in forward.items()}
 
 

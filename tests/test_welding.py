@@ -27,7 +27,7 @@ from logaffine.errors import (
     WeldingError,
 )
 from logaffine.fans import Fan, make_fan
-from logaffine.fileio import parse_welding_text
+from logaffine.fileio import parse_welding_file, parse_welding_text
 from logaffine.welding import (
     MatchedPair,
     _assemble,
@@ -82,17 +82,45 @@ def test_matched_pair_rejects_different_vectors() -> None:
     assert "vector" in result.reason
 
 
-def test_matched_pair_rejects_star_mismatch() -> None:
-    full = three_ray_halfplane_fan()
-    partial = make_fan(
-        [(1, 0), (0, 1), (-1, 0)],
-        [[], [0], [1], [2], [0, 1]],
-        labels=["a", "b", "c"],
-    )
-    spec = make_welding_spec({1: full, 2: partial}, [])
-    result = is_matched_pair(spec, MatchedPair((1, "b"), (2, "b")))
-    assert not result.ok
-    assert "star" in result.reason
+@pytest.mark.parametrize("case", ["missing 2-cone", "one different neighbour"])
+def test_matched_pair_rejects_star_mismatch(case: str) -> None:
+    if case == "missing 2-cone":
+        ray, left = "b", three_ray_halfplane_fan()
+        right = make_fan(
+            [(1, 0), (0, 1), (-1, 0)],
+            [[], [0], [1], [2], [0, 1]],
+            labels=["a", "b", "c"],
+        )
+    else:  # two neighbours each: (0, 1) on both, then (0, -1) against (-1, -1)
+        ray, left, right = "a", load_fan("square.fan"), triangle_fan()
+    spec = make_welding_spec({1: left, 2: right}, [])
+    for pair in (MatchedPair((1, ray), (2, ray)), MatchedPair((2, ray), (1, ray))):
+        result = is_matched_pair(spec, pair)
+        assert (result.ok, result.reason) == (False, "the stars of the welded ray differ")
+
+
+def test_a_missing_3_cone_is_a_star_mismatch() -> None:
+    """In dimension 3 two rays may pair their neighbours vector for vector
+    and still differ in a 3-cone: only the cones about the ray tell."""
+    vectors = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    faces = [[], [0], [1], [2], [0, 1], [0, 2], [1, 2]]
+    solid = make_fan(vectors, [*faces, [0, 1, 2]], labels=["a", "b", "c"])
+    hollow = make_fan(vectors, faces, labels=["a", "b", "c"])
+    relabelled = make_fan(vectors[::-1], solid.cones)
+    spec = make_welding_spec({1: solid, 2: hollow, 3: relabelled}, [])
+    faces_of = [(d, label) for d, fan in spec.domain_items for label in fan.labels]
+    for left in faces_of:
+        for right in faces_of:
+            pair = MatchedPair(left, right)
+            result = is_matched_pair(spec, pair)
+            expected = weld_oracle.is_matched_pair(spec, pair)
+            assert (result.ok, result.reason, result.correspondence) == expected, pair.describe()
+    assert not is_matched_pair(spec, MatchedPair((1, "a"), (2, "a"))).ok
+    assert not is_matched_pair(spec, MatchedPair((2, "c"), (3, "v0"))).ok
+    assert is_matched_pair(spec, MatchedPair((1, "a"), (3, "v2"))).correspondence == {
+        (1, "b"): (3, "v1"),
+        (1, "c"): (3, "v0"),
+    }
 
 
 def test_matched_pair_same_domain_is_never_matched() -> None:
@@ -567,7 +595,7 @@ def test_a_shared_fan_is_hashed_per_object_not_per_domain(monkeypatch) -> None:
 # ------------------------------------------------- closure against oracle
 
 
-FANS = ("quadrant.fan", "halfplane3.fan", "square.fan")
+FANS = ("quadrant.fan", "halfplane3.fan", "square.fan", "triangle.fan", "hexagon.fan")
 
 
 def outcome(build, spec):
@@ -623,7 +651,7 @@ def matched_weldings(draw):
     fans = {}
     for i in range(1, n + 1):
         fan = load_fan(draw(st.sampled_from(FANS)))
-        labels = draw(st.permutations("abcd"))[: len(fan.labels)]
+        labels = draw(st.permutations("abcdef"))[: len(fan.labels)]
         fans[i] = replace(fan, labels=tuple(labels))
     spec = make_welding_spec(fans, [])
     candidates = [
@@ -733,6 +761,20 @@ def test_is_matched_pair_agrees_with_the_oracle_on_every_face_pair(spec) -> None
             result = is_matched_pair(spec, pair)
             expected = weld_oracle.is_matched_pair(spec, pair)
             assert (result.ok, result.reason, result.correspondence) == expected, pair.describe()
+
+
+def test_welding_looks_no_ray_up_by_vector() -> None:
+    """A weld pairs two rays' neighbours by position: no fan keeps a
+    table of stars, and welding a fixture builds no vector index."""
+    assert not hasattr(Fan, "stars")
+    for path in sorted(FIXTURES.glob("*.weld")):
+        spec = parse_welding_file(path).spec
+        try:
+            build_welded_space(spec)
+        except GloballyObstructedError:  # the obstructed fixtures
+            pass
+        for _, fan in spec.domain_items:
+            assert "_vector_index" not in vars(fan), path.name
 
 
 def test_each_pair_is_matched_once(monkeypatch) -> None:
