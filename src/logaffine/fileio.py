@@ -146,6 +146,9 @@ def _parse_bracket_list(path: str, number: int, token: str) -> list[str]:
 
 
 _FACE_REF = re.compile(r"^(\d+)\.(\S+)$")
+# a whole pair line that the checks token by token accept, read at once:
+# the name runs to the first "=", and exactly one "~" splits the rest
+_PAIR = re.compile(r"pair\s+([^=\s][^=]*?)\s*=\s*(\d+)\.([^\s~]+)\s*~\s*(\d+)\.([^\s~]+)")
 
 
 def _parse_face_ref(path: str, number: int, token: str) -> tuple[int, str]:
@@ -273,15 +276,21 @@ def parse_welding_text(text: str, path: str = "<string>", base: Path | None = No
             declared.add(domain_id)
             domain_fans.append((domain_id, rest))
         elif directive == "pair":
-            name, rest = _split_assignment(path, number, line, "pair")
+            fields = _PAIR.fullmatch(line)
+            if fields:
+                name, d1, r1, d2, r2 = fields.groups()
+            else:  # the checks token by token, for their messages
+                name, rest = _split_assignment(path, number, line, "pair")
             if name in pair_labels:
                 raise SpecFileError(path, number, f"duplicate pair label {name!r}")
             pair_labels.add(name)
-            sides = rest.split("~")
-            if len(sides) != 2:
-                raise SpecFileError(path, number, "expected '<d>.<ray> ~ <d>.<ray>'")
-            left = _parse_face_ref(path, number, sides[0])
-            right = _parse_face_ref(path, number, sides[1])
+            if fields:
+                left, right = (int(d1), r1), (int(d2), r2)
+            else:
+                sides = rest.split("~")
+                if len(sides) != 2:
+                    raise SpecFileError(path, number, "expected '<d>.<ray> ~ <d>.<ray>'")
+                left, right = (_parse_face_ref(path, number, side) for side in sides)
             for ref in (left, right):
                 if ref[0] not in declared:
                     raise SpecFileError(path, number, f"unknown domain {ref[0]}")

@@ -12,49 +12,40 @@ faces are *coerced* into a weld of their own.  ``weld_pair`` takes
 the transitive closure of this coercion and fails atomically when
 any coerced pair is itself obstructed.
 
-The welds made so far live in one weld index (``_WeldIndex``), which
-``build_welded_space`` creates once and threads through every closure
-and the assembly: face -> partner face, face -> pair holding it, and
-face -> label correspondence across its weld (a label map of that
-pair's fan-ray pair, see below); ``WeldingSpec.fan`` is a mapping too.
+The weld runs on integer face ids: a spec numbers each face once, as
+its domain's offset plus its ray index (``WeldingSpec._faces``), and
+each ray of each ``Fan`` object once (its fan-ray id).  ``_resolve``
+reads a listed pair's labels once; labels and ``MatchedPair`` appear
+again only in fields, messages and witnesses.  One weld index
+(``_WeldIndex``) serves every closure and the assembly: lists, by face
+id, of the partner face, the pair and the ray-index map across a weld.
 A face is welded at most once, so a pair is welded exactly when its
-faces are each other's partners.  A closure runs a queue in which each
-pair gets one match check and one pass over its corners, which yields
-both the obstruction verdict and the pairs it coerces, so welding
-takes near-linear time in the number of welds.  The public checks
-(``is_locally_obstructed``, ``coerced_pairs``, ``weld_pair``) build the
-index of ``spec.pairs`` once per call.
+faces are each other's partners.  A closure runs a queue of face-id
+pairs, each getting one match check and one pass over its corners,
+which yields both the obstruction verdict and the pairs it coerces,
+so welding takes near-linear time in the number of welds.  A walk's
+state is the face it leaves by and the quadrant's other face: a step
+reads the exit face's partner, maps the other face's ray across that
+weld and swaps the two, so no step hashes.
 
-A chain walk steps on labels: its state is (domain, exit label, other
-label), and a step looks up the exit face's partner, renames the other
-label across that weld and swaps the two, so no step builds a set.
-Witnesses and cluster links are read off ``holder`` only where used,
-and a ``Quadrant``'s label frozenset is built once per cluster member.
+Matching is derived once per fan-ray pair: ``_match_rays`` pairs the
+two rays' neighbours (``Fan.corner_neighbours``, sorted by vector) by
+position, the stars agree when each position holds equal vectors and
+the pairing maps the cones about one ray onto those about the other,
+and the ray-index maps (left to right and back) are that pairing.  A
+spec memoizes them by fan-ray ids: a grid of one fan compares rays
+once per distinct pair of labels.
 
-Matching is derived once per fan-ray pair.  Whether two rays match,
-and how the labels around them correspond, depends only on the two
-fans and the two rays: ``_match_rays`` pairs the rays' neighbours
-(``Fan.corner_neighbours``, sorted by vector) by position, the stars
-agree when each position holds equal vectors and the pairing maps the
-cones about one ray onto those about the other, and the label maps are
-that pairing.  Each spec keeps one memo of its verdict and label maps
-(left to right and back) keyed by ``(id(left fan), left ray, id(right
-fan), right ray)``; the ids are stable because the spec holds its fans.
-``_match`` checks the faces of every pair (unknown domain or label,
-both faces in one domain) on the lookups that key needs, and
-``is_matched_pair`` reads its answer.  On a grid of one fan, parsing
-the spec and welding it compare rays once per distinct pair of labels.
-
-The assembly reads the strata off the index through one table per
-``Fan`` object, not per domain: the fan's quadrants in sorted-label
-order with their positions, and for each ray its vector and its tail
-and head quadrants (``Fan.turns``).  Quadrants are visited in (domain
-id, sorted labels) order, so each corner cluster is named when its
-least quadrant is met.  A crossing's closed walk alternates the
-corner's two rays, so it joins link i to link i + 2, and
-``connected_runs`` gathers the joined welded edges into divisor
-components.  The Fractions of a fan's vectors are hashed a fixed
-number of times per fan, whatever the number of domains.
+The assembly reads the strata through one table per ``Fan`` object,
+not per domain: the fan's quadrants in sorted-label order with their
+rays and positions, and per fan-ray id its vector and the rays of its
+tail and head quadrants (``Fan.turns``).  Quadrants are visited in
+(domain id, sorted labels) order, so each corner cluster is named when
+its least quadrant is met, and is keyed by its quadrants' face ids.  A
+crossing's closed walk alternates the corner's two rays, so it joins
+link i to link i + 2, and ``connected_runs`` gathers the joined welded
+edges into divisor components.  The Fractions of a fan's vectors are
+hashed a fixed number of times per fan, whatever the number of domains.
 """
 
 from __future__ import annotations
@@ -78,6 +69,8 @@ from .rational import Vector
 
 FaceRef = tuple[int, str]
 Quadrant = tuple[int, frozenset[str]]
+RayMap = dict[int, int]
+Match = tuple[str | None, RayMap | None, RayMap | None]  # a reason, else the ray maps
 
 
 @dataclass(frozen=True)
@@ -123,13 +116,31 @@ class WeldingSpec:
         return dict(self.domain_items)
 
     @cached_property
-    def _matches(self) -> dict[tuple[int, str, int, str], tuple]:
-        """``_match``'s memo: reasons and label maps both ways per fan-ray pair."""
+    def _faces(self) -> tuple[dict[int, int], list[int], list[int], list[int]]:
+        """Face ids: each domain's offset; per face, its domain, the domain's
+        offset and its fan-ray id, the same ray's face in the fan's first domain."""
+        offsets, doms, base, kinds, first = {}, [], [], [], {}
+        for domain_id, fan in self.domain_items:
+            offsets[domain_id] = offset = len(doms)
+            k = first.setdefault(id(fan), offset)
+            doms += [domain_id] * len(fan.labels)
+            base += [offset] * len(fan.labels)
+            kinds += range(k, k + len(fan.labels))
+        return offsets, doms, base, kinds
+
+    @cached_property
+    def _listed(self) -> list[tuple]:
+        """``_resolve`` of each listed pair: parsing and welding read each once."""
+        return [_resolve(self, pair) for pair in self.pairs]
+
+    @cached_property
+    def _matches(self) -> dict[tuple[int, int], tuple]:
+        """``_match``'s memo: reasons and ray-index maps both ways per fan-ray pair."""
         return {}
 
     def __getstate__(self) -> dict:
-        # the memo is keyed by object ids, which a copy's fans do not share
-        return {k: v for k, v in self.__dict__.items() if k != "_matches"}
+        # a copy numbers its faces and compares its rays afresh: no cache
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
 
 
 @dataclass(frozen=True)
@@ -152,10 +163,7 @@ class WeldResult:
     added: tuple[MatchedPair, ...]
 
 
-def make_welding_spec(
-    domains: Mapping[int, Fan],
-    pairs: Sequence[MatchedPair],
-) -> WeldingSpec:
+def make_welding_spec(domains: Mapping[int, Fan], pairs: Sequence[MatchedPair]) -> WeldingSpec:
     """Validate and assemble a welding specification.
 
     Each distinct fan is validated once (``InvalidFanError``) and equal
@@ -173,24 +181,25 @@ def make_welding_spec(
         fan = domains[domain_id]
         shared = by_identity.get(id(fan))
         if shared is None:
-            shared = validated.get(fan)
-            if shared is None:
+            shared = by_identity[id(fan)] = validated.setdefault(fan, fan)
+            if shared is fan:  # the first of its value
                 report = validate_fan(fan)
                 if not report.ok:
                     raise InvalidFanError(list(report.violations))
-                shared = validated[fan] = fan
-            by_identity[id(fan)] = shared
         items.append((domain_id, shared))
     dims = {fan.dim for _, fan in items}
     if len(dims) > 1:
         raise DimensionMismatchError(f"domains of mixed dimensions {sorted(dims)}")
     dim = dims.pop() if dims else 2
     spec = WeldingSpec(dim=dim, domain_items=tuple(items), pairs=tuple(pairs))
-    # only the face -> pair holders: the listed pairs are welded later
-    listed = _WeldIndex(spec)
-    for pair in spec.pairs:
-        listed.require_free_matched(pair)
-        listed.holder[pair.left] = listed.holder[pair.right] = pair
+    holder: dict[FaceRef, MatchedPair] = {}  # the listed pairs are welded later
+    for pair, (reason, *_) in zip(spec.pairs, spec._listed):
+        if reason is not None:
+            raise NotMatchedError(f"pair {pair.describe()}: {reason}")
+        for face in (pair.left, pair.right):
+            if face in holder:
+                raise _in_use(face, holder[face])
+        holder[pair.left] = holder[pair.right] = pair
     return spec
 
 
@@ -201,54 +210,52 @@ def is_matched_pair(spec: WeldingSpec, pair: MatchedPair) -> MatchResult:
     the left side to the face of the same adjacent vector on the
     right side.
     """
-    reason, forward, _ = _match(spec, pair)
+    reason, _, _, forward, _ = _resolve(spec, pair)
     if forward is None:
         return MatchResult(False, reason, None)
-    left, right = pair.left[0], pair.right[0]
-    return MatchResult(True, None, {(left, a): (right, b) for a, b in forward.items()})
+    (left, _), (right, _) = pair.faces()
+    at_l, at_r = spec._fans[left].labels, spec._fans[right].labels
+    return MatchResult(True, None, {(left, at_l[i]): (right, at_r[j]) for i, j in forward.items()})
 
 
-def _match(
-    spec: WeldingSpec, pair: MatchedPair
-) -> tuple[str | None, dict[str, str] | None, dict[str, str] | None]:
-    """Whether ``pair`` is matched, through the spec's memo.
-
-    Returns the reason ``pair`` is not matched (None when it is) and,
-    when it is, the map from the left domain's labels around the welded
-    ray to the right domain's and its inverse (else None twice).  The
-    faces are checked on every call, the rays once per fan-ray pair
-    (``_match_rays``).  The maps are shared: do not modify them.
-    """
-    rays: list = []
-    for domain_id, label in pair.faces():
+def _resolve(spec: WeldingSpec, pair: MatchedPair) -> tuple:
+    """Whether ``pair`` is matched, as ``_match`` (reason, maps), with the
+    ids of its left and right faces after the reason (None where unknown)."""
+    offsets, ids = spec._faces[0], []
+    for domain_id, label in (pair.left, pair.right):
         fan = spec._fans.get(domain_id)
         if fan is None:
-            return f"unknown domain {domain_id}", None, None
-        ray = fan._label_index.get(label)
-        if ray is None:
-            return f"domain {domain_id} has no ray {label!r}", None, None
-        rays += (fan, ray)
-    if pair.left[0] == pair.right[0]:
+            return f"unknown domain {domain_id}", None, None, None, None
+        if label not in fan._label_index:
+            return f"domain {domain_id} has no ray {label!r}", None, None, None, None
+        ids.append(offsets[domain_id] + fan._label_index[label])
+    reason, forward, backward = _match(spec, *ids)
+    return reason, *ids, forward, backward
+
+
+def _match(spec: WeldingSpec, f: int, g: int) -> Match:
+    """Whether faces ``f`` and ``g`` form a matched pair: the reason they do
+    not (else None) and the map from the ray indices of ``f``'s domain around
+    the welded ray to ``g``'s and its inverse (else None twice).  The domains
+    are checked on every call, the rays once per fan-ray pair (``_match_rays``);
+    the maps are shared: do not modify them."""
+    _, doms, base, kinds = spec._faces
+    if base[f] == base[g]:
         return "both faces belong to the same domain", None, None
-    left, i, right, j = rays
-    key = (id(left), i, id(right), j)
+    key = (kinds[f], kinds[g])
     found = spec._matches.get(key)
     if found is None:
-        found = spec._matches[key] = _match_rays(left, i, right, j)
+        left, right = spec._fans[doms[f]], spec._fans[doms[g]]
+        found = spec._matches[key] = _match_rays(left, f - base[f], right, g - base[g])
     return found
 
 
-def _match_rays(
-    left: Fan, i: int, right: Fan, j: int
-) -> tuple[str | None, dict[str, str] | None, dict[str, str] | None]:
+def _match_rays(left: Fan, i: int, right: Fan, j: int) -> Match:
     """Whether ray ``i`` of ``left`` matches ray ``j`` of ``right``, as ``_match``."""
     v_left, v_right = left.vectors[i], right.vectors[j]
     if v_left != v_right:
-        return (
-            f"face vectors differ: {tuple(map(str, v_left))} vs {tuple(map(str, v_right))}",
-            None,
-            None,
-        )
+        reason = f"face vectors differ: {tuple(map(str, v_left))} vs {tuple(map(str, v_right))}"
+        return reason, None, None
     # Cones are closed under subsets, so every ray sharing a cone with the
     # welded one is a corner neighbour of it.  Both lists sort by vector and
     # a fan's vectors are distinct, so equal stars pair the neighbours
@@ -261,136 +268,131 @@ def _match_rays(
         frozenset(map(to_right.get, c)) for c in left.cones if i in c
     } != {c for c in right.cones if j in c}:
         return "the stars of the welded ray differ", None, None
-    forward = {left.labels[k]: right.labels[m] for k, m in zip(ks, ls)}
-    return None, forward, {b: a for a, b in forward.items()}
+    return None, dict(zip(ks, ls)), dict(zip(ls, ks))
+
+
+def _in_use(face: FaceRef, holder: MatchedPair) -> FaceInUseError:
+    message = f"face {face[0]}.{face[1]} is already welded in {holder.describe()}"
+    return FaceInUseError(message, face, holder)
 
 
 # ------------------------------------------------------- quadrant chains
 
 
 class _WeldIndex:
-    """The welds made so far over the domains of ``spec``, as lookups.
+    """The welds made so far over the domains of ``spec``, as lists by
+    face id (``WeldingSpec._faces``).
 
     A new index holds no welds, whatever ``spec.pairs`` lists; ``add``
-    records one matched pair.  ``partner`` and ``holder`` map each
-    welded face to the face across its weld and to its pair, and
-    ``across`` to the labels of its domain renamed to the partner's
-    (one of the pair's two label maps from ``_match``), so a chain steps
-    over a weld with three lookups.  A face is welded at most once, so
-    a pair is welded exactly when ``partner`` maps its left face to its
-    right one.  Nothing is undone when a check raises: a caller that
-    meets an error drops the index.
+    records one matched pair.  ``partner`` and ``holder`` give a welded
+    face the face across its weld and its pair (None if free), and
+    ``across`` the map of its domain's ray indices to the partner's (from
+    ``_match``), so a chain steps over a weld with three list reads.
+    Nothing is undone when a check raises: a caller drops the index.
     """
 
     def __init__(self, spec: WeldingSpec) -> None:
         self.spec = spec
-        self.partner: dict[FaceRef, FaceRef] = {}
-        self.holder: dict[FaceRef, MatchedPair] = {}
-        self.across: dict[FaceRef, dict[str, str]] = {}
+        _, self.doms, self.base, _ = spec._faces
+        n = len(self.doms)
+        self.partner: list[int | None] = [None] * n
+        self.holder: list[MatchedPair | None] = [None] * n
+        self.across: list[RayMap | None] = [None] * n
 
     @classmethod
     def of(cls, spec: WeldingSpec) -> _WeldIndex:
-        """The index of ``spec.pairs`` (matched, as ``make_welding_spec``
-        checks), every listed pair welded."""
+        """The index of ``spec.pairs``, matched as ``make_welding_spec`` checks."""
         index = cls(spec)
-        for pair in spec.pairs:
-            index.add(pair, *_match(spec, pair)[1:])
+        for pair, resolved in zip(spec.pairs, spec._listed):
+            index.add(pair, *resolved[1:])
         return index
 
-    def add(
-        self, pair: MatchedPair, forward: Mapping[str, str], backward: Mapping[str, str]
-    ) -> None:
-        """Weld ``pair``, whose left labels ``forward`` renames to its right
-        ones and ``backward`` back."""
-        self.partner[pair.left] = pair.right
-        self.partner[pair.right] = pair.left
-        self.holder[pair.left] = self.holder[pair.right] = pair
-        self.across[pair.left] = forward
-        self.across[pair.right] = backward
+    def add(self, pair: MatchedPair, f: int, g: int, forward: RayMap, backward: RayMap) -> None:
+        """Weld ``pair``, of faces ``f`` (left) and ``g``, whose rays around
+        ``f`` ``forward`` maps to those around ``g`` and ``backward`` back."""
+        self.partner[f], self.partner[g] = g, f
+        self.holder[f] = self.holder[g] = pair
+        self.across[f], self.across[g] = forward, backward
 
-    def require_free(self, pair: MatchedPair) -> None:
-        for face in pair.faces():
-            holder = self.holder.get(face)
+    def require_free(self, f: int, g: int) -> None:
+        for face in (f, g):
+            holder = self.holder[face]
             if holder is not None:
-                raise FaceInUseError(
-                    f"face {face[0]}.{face[1]} is already welded in {holder.describe()}",
-                    face,
-                    holder,
-                )
+                raise _in_use(self.ref(face), holder)
 
-    def require_free_matched(self, pair: MatchedPair) -> Mapping[str, str]:
-        """The label map of ``pair``, which must be matched and free."""
-        reason, forward, _ = _match(self.spec, pair)
-        if forward is None:
+    def ref(self, f: int) -> FaceRef:
+        return self.doms[f], self.spec._fans[self.doms[f]].labels[f - self.base[f]]
+
+    def require_free_matched(self, pair: MatchedPair) -> tuple[int, int, RayMap, RayMap]:
+        """The face ids and ray maps of ``pair``, which must be matched and free."""
+        reason, f, g, forward, backward = _resolve(self.spec, pair)
+        if reason is not None:
             raise NotMatchedError(f"pair {pair.describe()}: {reason}")
-        self.require_free(pair)
-        return forward
+        self.require_free(f, g)
+        return f, g, forward, backward
 
-    def walk(self, domain: int, exit_label: str, other_label: str) -> tuple[list, FaceRef | None]:
-        """Follow welds from a quadrant of ``domain`` out of its face
-        ``exit_label``: the quadrants met as (domain, exit label, other
-        label) and the free face at the far end (None when the chain
-        closes on its start, in either label order)."""
-        d, x, y = start = (domain, exit_label, other_label)
-        flipped = (domain, other_label, exit_label)
+    def walk(self, exit_face: int, other_face: int) -> tuple[list, int | None]:
+        """Follow welds out of ``exit_face`` from its quadrant with
+        ``other_face``: the quadrants met as (exit face, other face) and the
+        free face at the far end (None when the chain closes on its start)."""
+        x, y = start = (exit_face, other_face)
         quads = [start]
+        partner, across, base = self.partner, self.across, self.base
         while True:
-            face = (d, x)
-            partner = self.partner.get(face)
-            if partner is None:
-                return quads, face
-            # the face entered is the next quadrant's other label
-            quad = d, x, y = partner[0], self.across[face][y], partner[1]
-            if quad == start or quad == flipped:
+            p = partner[x]
+            if p is None:
+                return quads, x
+            # the face entered is the next quadrant's other face; a chain
+            # enters no quadrant by the face it was left by, so a closed one
+            # comes back to its start in the same face order
+            quad = x, y = base[p] + across[x][y - base[x]], p
+            if quad == start:
                 return quads, None
             quads.append(quad)
 
     def links(self, quads: list) -> list[MatchedPair]:
         """The pairs a walk over ``quads`` crossed, in walk order."""
-        return [self.holder[(d, x)] for d, x, _ in quads if (d, x) in self.partner]
+        return [self.holder[x] for x, _ in quads if self.partner[x] is not None]
 
-    def corners(
-        self, pair: MatchedPair, forward: Mapping[str, str]
-    ) -> tuple[ObstructionResult, tuple[MatchedPair, ...]]:
-        """One pass over the corners of the matched, free ``pair``, whose
-        left labels ``forward`` renames to its right ones.
+    def corners(self, f: int, g: int, forward: RayMap) -> tuple[ObstructionResult, list]:
+        """One pass over the corners of the matched, free faces ``f`` and
+        ``g``, whose rays around ``f`` ``forward`` maps to those around ``g``.
 
         At each 2-cone of the welded ray the chains through the two
         quadrants leave by the face *not* being welded.  Welding is
-        obstructed when it would close a cycle of length other than
-        four or chain more than four quadrants; two chains of four
-        quadrants in all coerce their free end faces.  Returns the
-        verdict and, when unobstructed, the coerced pairs.
+        obstructed when it would close a cycle of length other than four
+        or chain more than four quadrants; two chains of four quadrants in
+        all coerce their free end faces.  Returns the verdict and, when
+        unobstructed, the coerced face-id pairs in (domain id, label) order.
         """
-        (d_l, x_l), (d_r, x_r) = pair.left, pair.right
-        fan = self.spec.fan(d_l)
-        ray = fan.index_of_label(x_l)
-        coerced: dict[tuple[FaceRef, FaceRef], MatchedPair] = {}
+        base_f, base_g = self.base[f], self.base[g]
+        fan, ray = self.spec._fans[self.doms[f]], f - base_f
+        coerced: dict[tuple[FaceRef, FaceRef], tuple[int, int]] = {}
         for j in fan.corner_neighbours[ray]:
-            l_w = fan.labels[j]
-            r_w = forward[l_w]
-            quads_l, end_l = self.walk(d_l, l_w, x_l)
-            if (d_r, x_r, r_w) in quads_l or (d_r, r_w, x_r) in quads_l:
-                if len(quads_l) != 4:
-                    reason = f"welding closes a {len(quads_l)}-quadrant cycle at"
-                    return _obstructed(reason, fan, ray, j, self.links(quads_l)), ()
+            w_f, w_g = base_f + j, base_g + forward[j]
+            quads_f, end_f = self.walk(w_f, f)
+            if (g, w_g) in quads_f or (w_g, g) in quads_f:
+                if len(quads_f) != 4:
+                    reason = f"welding closes a {len(quads_f)}-quadrant cycle at"
+                    return _obstructed(reason, fan, ray, j, self.links(quads_f)), []
                 continue  # the new weld itself closes this corner
-            quads_r, end_r = self.walk(d_r, r_w, x_r)
-            total = len(quads_l) + len(quads_r)
+            quads_g, end_g = self.walk(w_g, g)
+            total = len(quads_f) + len(quads_g)
             if total > 4:
                 reason = f"welding gathers {total} quadrants at"
-                links = self.links(quads_l) + self.links(quads_r)
-                return _obstructed(reason, fan, ray, j, links), ()
+                links = self.links(quads_f) + self.links(quads_g)
+                return _obstructed(reason, fan, ray, j, links), []
             if total == 4:
-                assert end_l is not None and end_r is not None
-                faces = (end_l, end_r) if end_l < end_r else (end_r, end_l)
-                coerced.setdefault(faces, MatchedPair(*faces))
-        return ObstructionResult(False, None, ()), tuple(coerced[k] for k in sorted(coerced))
+                a, b = self.ref(end_f), self.ref(end_g)
+                key, ends = ((a, b), (end_f, end_g)) if a < b else ((b, a), (end_g, end_f))
+                coerced.setdefault(key, ends)
+        return _UNOBSTRUCTED, [coerced[k] for k in sorted(coerced)]
 
 
-def _obstructed(
-    reason: str, fan: Fan, ray: int, other: int, links: list[MatchedPair]
-) -> ObstructionResult:
+_UNOBSTRUCTED = ObstructionResult(False, None, ())
+
+
+def _obstructed(reason: str, fan: Fan, ray: int, other: int, links: list) -> ObstructionResult:
     v, w = fan.vectors[ray], fan.vectors[other]
     corner_name = f"corner {{{tuple(map(str, v))}, {tuple(map(str, w))}}}"
     return ObstructionResult(True, f"{reason} {corner_name}", tuple(links))
@@ -404,7 +406,7 @@ def is_locally_obstructed(spec: WeldingSpec, pair: MatchedPair) -> ObstructionRe
     more than four quadrants together.
     """
     index = _WeldIndex.of(spec)
-    return index.corners(pair, index.require_free_matched(pair))[0]
+    return index.corners(*index.require_free_matched(pair)[:3])[0]
 
 
 def coerced_pairs(spec: WeldingSpec, pair: MatchedPair) -> tuple[MatchedPair, ...]:
@@ -413,10 +415,10 @@ def coerced_pairs(spec: WeldingSpec, pair: MatchedPair) -> tuple[MatchedPair, ..
     Requires the pair to be unobstructed.
     """
     index = _WeldIndex.of(spec)
-    result, coerced = index.corners(pair, index.require_free_matched(pair))
+    result, coerced = index.corners(*index.require_free_matched(pair)[:3])
     if result.obstructed:
         raise WeldingError(f"pair {pair.describe()} is obstructed: {result.reason}")
-    return coerced
+    return tuple(MatchedPair(index.ref(a), index.ref(b)) for a, b in coerced)
 
 
 def weld_pair(spec: WeldingSpec, pair: MatchedPair) -> WeldResult:
@@ -426,48 +428,43 @@ def weld_pair(spec: WeldingSpec, pair: MatchedPair) -> WeldResult:
     added, in welding order.  Raises ``GloballyObstructedError`` when
     any pair in the closure is obstructed or unmatched.
     """
-    added = _weld_closure(_WeldIndex.of(spec), pair)
+    index = _WeldIndex.of(spec)
+    welded = _weld_closure(index, pair, *index.require_free_matched(pair))
+    added = tuple(index.holder[f] for f in welded)
     return WeldResult(replace(spec, pairs=spec.pairs + added), added)
 
 
-def _weld_closure(index: _WeldIndex, pair: MatchedPair) -> tuple[MatchedPair, ...]:
-    """Weld ``pair`` and its coercion closure into ``index``, in queue order.
-
-    Each queued pair gets one match check and one pass over its
-    corners.  Until the first weld, the pair checked is ``pair``
-    itself: it must be free, and unmatched it raises
-    ``NotMatchedError``; a coerced pair that is already welded is
-    skipped.
-    """
-    queue = deque([pair])
-    added: list[MatchedPair] = []
+def _weld_closure(
+    index: _WeldIndex, pair: MatchedPair, f: int, g: int, forward: RayMap, backward: RayMap
+) -> list[int]:
+    """Weld the matched ``pair`` of faces ``f`` and ``g`` (maps as ``add``)
+    and its coercion closure into ``index``; returns one face id of each
+    pair welded, in queue order.  Each queued pair gets one match check and
+    one pass over its corners; a coerced pair already welded is skipped."""
+    queue = deque([(f, g)])
+    welded: list[int] = []
+    partner = index.partner
     while queue:
-        item = queue.popleft()
-        if added and index.partner.get(item.left) == item.right:
+        a, b = queue.popleft()
+        if not welded:
+            item = pair
+        elif partner[a] == b:
             continue
-        reason, forward, backward = _match(index.spec, item)
-        if forward is None:
-            if not added:
-                raise NotMatchedError(f"pair {pair.describe()}: {reason}")
-            raise GloballyObstructedError(
-                f"coerced pair {item.describe()} is not matched: {reason}",
-                pair,
-                item,
-                (),
-            )
-        index.require_free(item)
-        obstruction, coerced = index.corners(item, forward)
+        else:
+            item = MatchedPair(index.ref(a), index.ref(b))
+            reason, forward, backward = _match(index.spec, a, b)
+            if forward is None:
+                message = f"coerced pair {item.describe()} is not matched: {reason}"
+                raise GloballyObstructedError(message, pair, item, ())
+        index.require_free(a, b)
+        obstruction, coerced = index.corners(a, b, forward)
         if obstruction.obstructed:
-            raise GloballyObstructedError(
-                f"pair {item.describe()} is obstructed: {obstruction.reason}",
-                pair,
-                item,
-                obstruction.witnesses,
-            )
+            message = f"pair {item.describe()} is obstructed: {obstruction.reason}"
+            raise GloballyObstructedError(message, pair, item, obstruction.witnesses)
         queue.extend(coerced)
-        index.add(item, forward, backward)
-        added.append(item)
-    return tuple(added)
+        index.add(item, a, b, forward, backward)
+        welded.append(a)
+    return welded
 
 
 # ------------------------------------------------------- space assembly
@@ -618,17 +615,20 @@ def build_welded_space(spec: WeldingSpec) -> WeldedSpace:
     index serves every closure and the assembly.
     """
     index = _WeldIndex(spec)
-    welded: list[MatchedPair] = []
-    for pair in spec.pairs:
-        if index.partner.get(pair.left) == pair.right:
+    partner, holder = index.partner, index.holder
+    welded: list[int] = []
+    for pair, (reason, f, g, forward, backward) in zip(spec.pairs, spec._listed):
+        if reason is not None:
+            raise NotMatchedError(f"pair {pair.describe()}: {reason}")
+        if partner[f] == g:
             if pair.label:
-                index.holder[pair.left] = index.holder[pair.right] = pair
+                holder[f] = holder[g] = pair
             continue
-        welded += _weld_closure(index, pair)
+        welded += _weld_closure(index, pair, f, g, forward, backward)
     auto = 0
     final_pairs: list[MatchedPair] = []
-    for p in welded:
-        final = index.holder[p.left]
+    for f in welded:
+        final = holder[f]
         if final.label is None or final.right < final.left:
             label = final.label
             if label is None:
@@ -636,115 +636,106 @@ def build_welded_space(spec: WeldingSpec) -> WeldedSpace:
                 label = f"auto{auto}"
             final = MatchedPair(*sorted(final.faces()), label=label)
             # cluster links carry the final labels
-            index.holder[final.left] = index.holder[final.right] = final
+            holder[f] = holder[partner[f]] = final
         final_pairs.append(final)
-    return _assemble(replace(spec, pairs=tuple(final_pairs)), index)
+    final_spec = replace(spec, pairs=tuple(final_pairs))
+    vars(final_spec)["_fans"] = spec._fans  # the same domains
+    return _assemble(final_spec, index, welded)
 
 
-def _quadrant_text(quad: Quadrant) -> str:
-    """A quadrant by its sorted labels, whatever the string hash seed."""
-    return f"quadrant {{{', '.join(sorted(quad[1]))}}} of domain {quad[0]}"
-
-
-def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
-    """Strata of the welds in ``index``, which holds exactly ``spec.pairs``.
+def _assemble(spec: WeldingSpec, index: _WeldIndex, welded: list[int]) -> WeldedSpace:
+    """Strata of the welds in ``index``, which holds exactly ``spec.pairs``,
+    one face of each in ``welded``.
 
     Domains are read in id order, whatever the order of ``spec.domain_items``.
     """
     pairs = spec.pairs
     plane = spec.dim == 2
     domains = sorted(spec.domain_items, key=lambda item: item[0])
+    offsets, doms, base, kinds = index.spec._faces
 
-    # --- one table per Fan object: its quadrants (sorted labels, label
-    # set, position) in sorted-label order, and per ray label its vector
-    # and tail and head quadrant label sets
-    tables: dict[int, tuple[Fan, list, dict]] = {}
-    for _, fan in domains:
+    # --- one table per Fan object: its quadrants (sorted labels, rays in
+    # that order, position) in sorted-label order; and per fan-ray id its
+    # vector and tail and head neighbours (a quadrant's other ray)
+    tables: dict[int, tuple[Fan, list]] = {}
+    rays: dict[int, tuple] = {}
+    for domain_id, fan in domains:
         if id(fan) in tables:
             continue
-        cones = fan.two_cones() if plane else []
-        corner = {cone: frozenset(fan.labels[i] for i in cone) for cone in cones}
-        quads = sorted(
-            (sorted(labels), labels, frozenset(fan.vectors[i] for i in cone))
-            for cone, labels in corner.items()
-        )
-        rays = {}
+        labels, cones = fan.labels, fan.two_cones() if plane else []
+        rows = [sorted(c, key=labels.__getitem__) for c in cones]
+        quads = [([labels[i] for i in r], r, frozenset(fan.vectors[i] for i in r)) for r in rows]
+        tables[id(fan)] = (fan, sorted(quads))
         for i, v in enumerate(fan.vectors):
             # a missing turn (None) names no 2-cone: no quadrant on that side
-            ends = [corner.get(frozenset((i, j))) for j in fan.turns[i]] if plane else [None] * 2
-            rays[fan.labels[i]] = (v, *ends)
-        tables[id(fan)] = (fan, quads, rays)
+            rays[kinds[offsets[domain_id] + i]] = (v, *(fan.turns[i] if plane else (None, None)))
 
     # --- corner clusters (dimension 2 only), met in (domain id, sorted
-    # labels) order: a cluster's first quadrant met is its least
+    # labels) order: a cluster's first quadrant met is its least; each is
+    # keyed by its quadrants' face ids x, y as x * n + y, in either order
     clusters: list[CornerCluster] = []
-    cluster_of_quadrant: dict[Quadrant, str] = {}
+    cluster_of: dict[int, str] = {}
+    n = len(doms)
     for domain_id, fan in domains:
-        for (l1, l2), labels, position in tables[id(fan)][1]:
-            quad = (domain_id, labels)
-            if quad in cluster_of_quadrant:
+        offset = offsets[domain_id]
+        for (l1, l2), (i1, i2), position in tables[id(fan)][1]:
+            x, y = offset + i1, offset + i2
+            if x * n + y in cluster_of:
                 continue
-            members, end = index.walk(domain_id, l1, l2)
+            members, end = index.walk(x, y)
             closed = end is None
             if closed:
                 if len(members) != 4:
                     raise GeometryError(
-                        f"corner cycle of length {len(members)} at {_quadrant_text(quad)}"
+                        f"corner cycle of length {len(members)} at "
+                        f"quadrant {{{l1}, {l2}}} of domain {domain_id}"
                     )
                 links = index.links(members)
             else:
-                back, _ = index.walk(domain_id, l2, l1)
+                back, _ = index.walk(y, x)
                 links = index.links(back)[::-1] + index.links(members)
                 members = back[:0:-1] + members
                 if len(members) > 3:
                     raise GeometryError(
                         f"unresolved corner chain of length {len(members)} "
-                        f"at {_quadrant_text(quad)}"
+                        f"at quadrant {{{l1}, {l2}}} of domain {domain_id}"
                     )
             cluster_id = f"c{len(clusters) + 1}"
-            quadrants = tuple((d, frozenset((x, y))) for d, x, y in members)
-            for q in quadrants:
-                cluster_of_quadrant[q] = cluster_id
-            clusters.append(CornerCluster(cluster_id, position, quadrants, closed, tuple(links)))
+            quads = []
+            for x, y in members:
+                o, labels = base[x], spec._fans[doms[x]].labels
+                quads.append((doms[x], frozenset((labels[x - o], labels[y - o]))))
+                cluster_of[x * n + y] = cluster_of[y * n + x] = cluster_id
+            clusters.append(CornerCluster(cluster_id, position, tuple(quads), closed, tuple(links)))
 
     # --- edge strata
-    def ray(face: FaceRef) -> tuple:
-        """The vector and tail and head quadrant labels of ``face``'s ray."""
-        return tables[id(spec.fan(face[0]))][2][face[1]]
-
     edges: dict[str, EdgeStratum] = {}
 
-    def add_edge(
-        label: str,
-        kind: str,
-        face: FaceRef,
-        faces: tuple[FaceRef, ...],
-        domain_ids: tuple[int, ...],
-    ) -> None:
+    def add_edge(label: str, kind: str, f: int, faces: tuple, domain_ids: tuple) -> None:
         # the by-label lookups (WeldedSpace.edge, the components) need
         # one edge per label; a listed label is never renamed
         if label in edges:
             raise WeldingError(f"edge label {label!r} names two edges")
-        v, tail, head = ray(face)
+        v, tail, head = rays[kinds[f]]
         edges[label] = EdgeStratum(
             label=label,
             kind=kind,
             faces=faces,
             residue=v,
             domain_ids=domain_ids,
-            tail=None if tail is None else cluster_of_quadrant[(face[0], tail)],
-            head=None if head is None else cluster_of_quadrant[(face[0], head)],
+            tail=None if tail is None else cluster_of[f * n + base[f] + tail],
+            head=None if head is None else cluster_of[f * n + base[f] + head],
         )
 
-    for p in pairs:
+    # either face of a welded edge reads its ends: a matched pair's stars agree
+    for p, f in zip(pairs, welded):
         # the faces of a matched pair lie in two domains
         a, b = (p.left, p.right) if p.left < p.right else (p.right, p.left)
-        add_edge(p.label, "welded", p.left, (a, b), (a[0], b[0]))
+        add_edge(p.label, "welded", f, (a, b), (a[0], b[0]))
     for domain_id, fan in domains:
-        for label in fan.labels:
-            face = (domain_id, label)
-            if face not in index.partner:
-                add_edge(f"{domain_id}.{label}", "boundary", face, (face,), (domain_id,))
+        for f, label in enumerate(fan.labels, offsets[domain_id]):
+            if index.partner[f] is None:
+                add_edge(f"{domain_id}.{label}", "boundary", f, ((domain_id, label),), (domain_id,))
 
     # --- divisor components: welded edges joined at crossings, where a
     # closed walk's links alternate the corner's two rays, so link i and
@@ -761,7 +752,7 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex) -> WeldedSpace:
     compact: bool | None = None
     if spec.dim <= 2:
         # domains built from one fan share the Fan object: test each once
-        compact = all(is_complete(fan) for fan, _, _ in tables.values())
+        compact = all(is_complete(fan) for fan, _ in tables.values())
     return WeldedSpace(
         spec=spec,
         dim=spec.dim,

@@ -4,15 +4,19 @@ import json
 import subprocess
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from conftest import FIXTURES, fixture_path, other_python
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from logaffine import fileio
 from logaffine.errors import FaceInUseError, NotMatchedError, SpecFileError
 from logaffine.fileio import (
     _fraction,
+    _parse_face_ref,
+    _split_assignment,
     load_workspace_file,
     parse_bundle_text,
     parse_fan_text,
@@ -467,3 +471,89 @@ def test_number_tokens_read_as_by_fraction_on_other_pythons(version: str) -> Non
     )
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == [len(TOKEN_EXAMPLES) + 3000, []]
+
+
+# ------------------------------------------------------------- pair lines
+
+# Five lines before the pair line under test: domains 1 to 3, label "p" taken.
+PAIR_HEAD = "logaffine welding 1\nfan S = square.fan\n" + "".join(
+    f"domain {i} = S\n" for i in (1, 2, 3)
+) + "pair p = 1.a ~ 2.a\n"
+
+
+def pair_by_tokens(line: str):
+    """The pair line ``line`` (stripped, line 7 of ``p``) read token by
+    token, as the welding parser read it before one pattern did: the
+    pair's faces and label, or the ``SpecFileError`` text."""
+    try:
+        name, rest = _split_assignment("p", 7, line, "pair")
+        if name == "p":
+            raise SpecFileError("p", 7, f"duplicate pair label {name!r}")
+        sides = rest.split("~")
+        if len(sides) != 2:
+            raise SpecFileError("p", 7, "expected '<d>.<ray> ~ <d>.<ray>'")
+        left = _parse_face_ref("p", 7, sides[0])
+        right = _parse_face_ref("p", 7, sides[1])
+        for ref in (left, right):
+            if ref[0] not in (1, 2, 3):
+                raise SpecFileError("p", 7, f"unknown domain {ref[0]}")
+        return left, right, name
+    except SpecFileError as err:
+        return str(err)
+
+
+def pair_by_fileio(line: str):
+    # the pairs as parsed, before make_welding_spec matches them
+    with mock.patch.object(fileio, "make_welding_spec", lambda domains, pairs: pairs):
+        try:
+            pair = parse_welding_text(PAIR_HEAD + line + "\n", "p", base=FIXTURES).spec[-1]
+        except SpecFileError as err:
+            return str(err)
+    return pair.left, pair.right, pair.label
+
+
+# Whitespace that str.strip and the pattern's \s both take (NBSP and the
+# unit separator among it), but no line break: the line stays one line.
+SPACES = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\x1f"])
+DOMAIN_TOKENS = st.sampled_from(["1", "2", "3", "٣", "01", "4", "0", "", "x", "²"])
+
+
+@st.composite
+def pair_lines(draw) -> str:
+    """Pair lines near the well-formed ones: names with inner spaces, "~"
+    or the taken label "p"; "=" and "~" missing, doubled or moved; labels
+    holding "=", "~" or "."; Unicode digits; undeclared domains."""
+
+    def side() -> str:
+        dot = draw(st.sampled_from([".", ".", "", ".."]))
+        return draw(DOMAIN_TOKENS) + dot + draw(st.text(alphabet="ab=~.", max_size=3))
+
+    parts = [
+        "pair",
+        draw(st.sampled_from([" ", "\t", "\u00a0 ", "\x1f"])),
+        draw(st.text(alphabet="pq ~.1", max_size=4)),
+        draw(SPACES),
+        draw(st.sampled_from(["=", "=", "", "==", "= ="])),
+        draw(SPACES),
+        side(),
+        draw(SPACES),
+        draw(st.sampled_from(["~", "~", "", "~~", " ~ ~"])),
+        draw(SPACES),
+        side(),
+        draw(SPACES),
+    ]
+    return "".join(parts)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(line=st.one_of(pair_lines(), st.text(alphabet="pq1٣.~= ", max_size=12).map("pair ".__add__)))
+@example(line="pair q r = 1.a ~ 2.b")
+@example(line="pair p = 1.a ~ 3.a")
+@example(line="pair q = ٣.a ~ 01.b=")
+@example(line="pair q = 1.a ~ 4.a")
+@example(line="pair q~ = 1.a ~~ 2.a")
+@example(line="pair q = 1.a~2.b \x1f")
+@example(line="pair  = 1.a ~ 2.a")
+def test_pair_lines_read_as_token_by_token(line: str) -> None:
+    got, want = pair_by_fileio(line), pair_by_tokens(line.strip())
+    assert (type(got), got) == (type(want), want)

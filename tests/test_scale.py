@@ -51,8 +51,9 @@ settled, so the moduli are pinned on the closed grids only.
 Parsing a grid's welding file reads its one fan file once, and the
 fan's validation eliminates the rays' integer rows: it constructs no
 Fraction on any fixture fan.  The parse, the weld and the log cohomology
-of a grid each keep a pinned budget of calls into the package per domain
-at m = 3 and 6 that grows linearly.
+of a grid, and the topology and moduli of its whole-space polytope, each
+keep a pinned budget of calls into the package per domain at m = 3 and 6
+that grows at most linearly.
 
 A Delzant k-gon chopped from a square, with or without redundant
 constraints, has the area the benchmark's oracle gives in closed form.
@@ -238,7 +239,7 @@ def test_the_whole_grid_build_compares_no_fraction(monkeypatch, variant: str) ->
 
 
 @pytest.mark.parametrize("variant", ["torus", "comb"])
-def test_the_weld_walks_on_labels_and_builds_no_pair_key(monkeypatch, variant: str) -> None:
+def test_the_weld_walks_on_face_ids_and_builds_no_pair_key(monkeypatch, variant: str) -> None:
     """On n = 576 domains the 2n welds, listed or coerced, walk both
     chains at each of their two corners (8n), but one chain at the
     weld that closes each of the n corners (-n), and the assembly walks
@@ -407,15 +408,15 @@ def test_fan_validation_constructs_no_fraction(monkeypatch) -> None:
 
 
 # Package calls per domain of parsing a grid's welding file, pinned at the
-# counts on Python 3.10 and 3.11 once a weld pairs the two rays'
-# neighbours by position: 26.03, 19.36, 24.69 and 23.36 per domain at
-# m = 3, 19.26, 11.92, 18.59 and 17.92 at m = 6 (torus, comb, cylinder,
-# disc).  The comparison of Fraction stars before made 27.36, 20.69, 26.03
-# and 24.69 at m = 3, and the Fraction fan validation before that 27.78,
-# 21.11, 26.44 and 25.11.  Python 3.12 and 3.13 count fewer (20.06 to
-# 23.83 at m = 3).  A budget may fall freely; raising one loosens the
-# check, and CHANGES.md must say why.
-PARSE_CALLS_PER_DOMAIN = {"torus": 27, "comb": 20, "cylinder": 25, "disc": 24}
+# counts on Python 3.10 and 3.11 once a pair line is read with one pattern
+# and its faces are resolved to integer ids once per spec: 13.86, 12.19,
+# 13.53 and 13.19 per domain at m = 3, 7.22, 5.38, 7.05 and 6.88 at m = 6
+# (torus, comb, cylinder, disc).  The token-by-token parse before made
+# 26.03, 19.36, 24.69 and 23.36 at m = 3, the comparison of Fraction stars
+# before that 27.36, 20.69, 26.03 and 24.69.  Python 3.12 and 3.13 count
+# fewer (9.08 to 11.86 at m = 3).  A budget may fall freely; raising one
+# loosens the check, and CHANGES.md must say why.
+PARSE_CALLS_PER_DOMAIN = {"torus": 14, "comb": 13, "cylinder": 14, "disc": 14}
 
 
 @pytest.mark.parametrize("variant", ["torus", "comb", "cylinder", "disc"])
@@ -430,13 +431,14 @@ def test_parsing_a_grid_keeps_its_call_budget(variant: str) -> None:
 
 
 # Package calls per domain of welding a parsed grid and of its log
-# cohomology, pinned at the counts on Python 3.10 and 3.11: the weld 59.86,
-# 60.56, 57.83 and 56.00 per domain at m = 3 and 57.84, 58.68, 56.83 and
-# 55.83 at m = 6 (torus, comb, cylinder, disc), the cohomology 46.61,
-# 46.61, 48.67 and 50.86 at m = 3 and 44.99, 44.99, 46.04 and 47.13 at
-# m = 6.  Python 3.12 and 3.13 count no more.  A budget may fall freely;
-# raising one loosens the check, and CHANGES.md must say why.
-WELD_CALLS_PER_DOMAIN = {"torus": 60, "comb": 61, "cylinder": 58, "disc": 56}
+# cohomology, pinned at the counts on Python 3.10 and 3.11: the weld on
+# integer face ids 43.89, 44.58, 41.61 and 39.94 per domain at m = 3 and
+# 42.47, 43.31, 41.32 and 40.40 at m = 6 (torus, comb, cylinder, disc; the
+# weld on labels before made 59.86, 60.56, 57.83 and 56.00 at m = 3), the
+# cohomology 46.61, 46.61, 48.67 and 50.86 at m = 3 and 44.99, 44.99,
+# 46.04 and 47.13 at m = 6.  Python 3.12 and 3.13 count no more.  A budget
+# may fall freely; raising one loosens the check, and CHANGES.md must say why.
+WELD_CALLS_PER_DOMAIN = {"torus": 44, "comb": 45, "cylinder": 42, "disc": 41}
 COHOMOLOGY_CALLS_PER_DOMAIN = {"torus": 47, "comb": 47, "cylinder": 49, "disc": 51}
 
 
@@ -449,6 +451,42 @@ def test_welding_a_grid_and_its_cohomology_keep_their_call_budgets(variant: str)
         counts["weld"].append(package_calls(lambda: build_welded_space(spec)))
         space = build_welded_space(spec)
         counts["cohomology"].append(package_calls(lambda: log_cohomology_dims(space)))
+        for name, budget in budgets.items():
+            assert counts[name][-1] <= budget[variant] * 4 * m * m, (name, m)
+    for name, (small, large) in counts.items():
+        assert Fraction(large, small) <= 4 * (1 + GROWTH_SLACK), name
+
+
+# Package calls per domain of the topology and the moduli of a grid's
+# whole-space polytope, pinned at the counts on Python 3.10 and 3.11: the
+# topology 11.78, 11.78, 17.67 and 23.56 per domain at m = 3 and 11.19,
+# 11.19, 14.12 and 17.06 at m = 6 (torus, comb, cylinder, disc), the moduli
+# 14, 14, 7 and 2 calls at m = 3 and 26, 26, 13 and 2 at m = 6, which the
+# budget's fraction of a call per domain bounds.  Python 3.12 and 3.13
+# count no more.  A budget may fall freely; raising one loosens the check,
+# and CHANGES.md must say why.
+TOPOLOGY_CALLS_PER_DOMAIN = {"torus": 12, "comb": 12, "cylinder": 18, "disc": 24}
+MODULI_CALLS_PER_DOMAIN = {
+    "torus": Fraction(2, 5),
+    "comb": Fraction(2, 5),
+    "cylinder": Fraction(1, 5),
+    "disc": Fraction(1, 16),
+}
+
+
+@pytest.mark.parametrize("variant", ["torus", "comb", "cylinder", "disc"])
+def test_the_whole_grid_topology_and_moduli_keep_their_call_budgets(variant: str) -> None:
+    budgets = {"topology": TOPOLOGY_CALLS_PER_DOMAIN, "moduli": MODULI_CALLS_PER_DOMAIN}
+    counts: dict[str, list[int]] = {name: [] for name in budgets}
+    for m in (3, 6):
+        spec = parse_welding_text(grid_text(variant, m), base=FIXTURES).spec
+        space = build_welded_space(spec)
+        polytope_spec = make_polytope_spec(spec, [])
+        # each on a fresh build: neither reads what the other cached
+        p = build_polytope(space, polytope_spec)
+        counts["topology"].append(package_calls(lambda: polytope_topology(p)))
+        p = build_polytope(space, polytope_spec)
+        counts["moduli"].append(package_calls(lambda: polytope_moduli(p)))
         for name, budget in budgets.items():
             assert counts[name][-1] <= budget[variant] * 4 * m * m, (name, m)
     for name, (small, large) in counts.items():

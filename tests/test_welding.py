@@ -31,7 +31,7 @@ from logaffine.fileio import parse_welding_file, parse_welding_text
 from logaffine.welding import (
     MatchedPair,
     _assemble,
-    _match,
+    _resolve,
     _WeldIndex,
     build_welded_space,
     coerced_pairs,
@@ -494,10 +494,13 @@ def assemble_unclosed(faces) -> GeometryError:
     ``faces`` alone, without the closure."""
     spec = quadrant_spec(4, faces)
     index = _WeldIndex(spec)
+    lefts = []
     for pair in spec.pairs:
-        index.add(pair, *_match(spec, pair)[1:])
+        _, f, g, forward, backward = _resolve(spec, pair)
+        index.add(pair, f, g, forward, backward)
+        lefts.append(f)
     with pytest.raises(GeometryError) as err:
-        _assemble(spec, index)
+        _assemble(spec, index, lefts)
     return err.value
 
 
@@ -560,9 +563,9 @@ def test_each_distinct_fan_is_built_once(monkeypatch) -> None:
 
 def test_a_shared_fan_is_hashed_per_object_not_per_domain(monkeypatch) -> None:
     """A frozen ``Fan`` hashes every Fraction of its vectors, so the
-    parse of a grid whose domains share one fan hashes it by value a
-    fixed number of times, and the Fractions with it, whatever the
-    number of domains; an equal but distinct fan is hashed once more."""
+    parse of a grid whose domains share one fan hashes it by value
+    once, and the Fractions with it, whatever the number of domains;
+    an equal but distinct fan is hashed once more."""
     hashes = {"fan": 0, "fraction": 0}
     fan_hash, fraction_hash = Fan.__hash__, Fraction.__hash__
 
@@ -584,12 +587,12 @@ def test_a_shared_fan_is_hashed_per_object_not_per_domain(monkeypatch) -> None:
         counts.append(dict(hashes))
         hashes.update(fan=0, fraction=0)
     assert counts[0] == counts[1]
-    assert counts[1]["fan"] == 2
+    assert counts[1]["fan"] == 1
 
     quad = quadrant_fan()
     monkeypatch.setattr(Fan, "__hash__", counting_fan)
     make_welding_spec({1: quad, 2: quadrant_fan(), 3: quad, 4: quad}, [])
-    assert hashes["fan"] == 3
+    assert hashes["fan"] == 2
 
 
 # ------------------------------------------------- closure against oracle
@@ -688,6 +691,28 @@ def test_closure_matches_the_slow_oracle(spec, data) -> None:
 def test_closure_matches_the_slow_oracle_on_fixtures(name: str) -> None:
     spec = load_welding(name).spec
     assert outcome(build_welded_space, spec) == outcome(weld_oracle.build_welded_space, spec)
+
+
+@pytest.mark.parametrize(
+    "faces",
+    [
+        [((1, "a"), (2, "b"))],  # vectors differ
+        [((1, "a"), (3, "a"))],  # no domain 3
+        [((1, "a"), (1, "b"))],  # one domain
+        [((1, "a"), (2, "a")), ((2, "a"), (1, "b"))],  # face 2.a twice
+    ],
+)
+def test_a_spec_built_without_checks_welds_as_the_oracle_does(faces) -> None:
+    """``build_welded_space`` checks the listed pairs of a spec that
+    ``make_welding_spec`` did not check, with the oracle's errors."""
+    quad = quadrant_fan()
+    spec = replace(
+        make_welding_spec({1: quad, 2: quad}, []),
+        pairs=tuple(MatchedPair(left, right) for left, right in faces),
+    )
+    got = outcome(build_welded_space, spec)
+    assert got[0] in (NotMatchedError, FaceInUseError)
+    assert got == outcome(weld_oracle.build_welded_space, spec)
 
 
 @pytest.mark.parametrize("variant", ["torus", "comb", "cylinder", "disc"])
