@@ -12,33 +12,33 @@ constraint lines sorted by angle and their half-planes intersected with
 a deque (``_cycle``), in O(k log k) for k constraints.  The cycle runs
 on Python ints: a line is its primitive covector ``a`` and its constant
 ``p / q``, and a vertex is homogeneous, ``(x, y, w)`` with ``w > 0``, so
-no step divides.  A kept vertex becomes a pair of Fractions once, and a
-face's bound along its line (``_along``) and a trace's ends are each
-one Fraction of ints: the polytope's fields hold Fractions, as the
-input does.  The build reads everything about the region off that
-cycle: feasibility, each face's segment as two vertices of the cycle
-(or the fault that rejects it) and each edge trace from the tightest
-constraints perpendicular to the residue.  A line the cycle drops is
-checked once, at the vertex its normal points to.  A region without
-interior is told from an empty one by the cycle of the half-planes
-moved outwards by an infinitesimal.  Compactness is read off the ends
-the build finds: the polytope is compact when no face escapes outside
-the fan's support, every unbounded trace end runs into a corner, and
-no domain is the whole plane over a fan without rays (the argument is
-at ``_build_2d``'s ``compact``).  In dimension 1 the region is the
-interval between the tightest bounds on its two sides, read off the
-table of the tightest constraints on each covector (``_tightest``) that
-the cycle is built from.
+no step divides, and vertices rank by point over the lcm of their ``w``.
+A kept vertex becomes a pair of Fractions once; a face's bound along its
+line (``_along``), a landing's position and a trace's ends are each one
+Fraction of ints: the fields hold Fractions, as the input does.  The
+build reads everything about the region off that cycle: feasibility,
+each face's segment as two vertices of the cycle (or the fault that
+rejects it) and each edge trace from the tightest constraints
+perpendicular to the residue, and keeps the cycles outside the
+polytope's fields.  A line the cycle drops is checked once, at the
+vertex its normal points to.  A region without interior is told from an
+empty one by the cycle of the half-planes moved outwards by an
+infinitesimal.  Compactness is read off the ends the build finds: the
+polytope is compact when no face escapes outside the fan's support,
+every unbounded trace end runs into a corner, and no domain is the whole
+plane over a fan without rays (the argument is at ``_build_2d``'s
+``compact``).  In dimension 1 the region is the interval between the
+tightest bounds on its two sides, read off the table of the tightest
+constraints on each covector (``_tightest``).
 
 The volume cuts each domain off at a symbolic cutoff ``T`` by one more
-half-plane per ray, and its measures are polynomials in ``T``
-(``_TPoly``), whose arithmetic skips zero coefficients.  The cutoffs
-join the constraints in the same ``_tightest`` table: in dimension 1
-the length is the sum of the tightest constants on the two sides, and
-in dimension 2 twice the area is the shoelace sum over the vertex cycle
-``_intersect`` makes of the table's lines, with ``_TPoly`` constants
-where there are rays.  As ``_TPoly`` has no reflected operator, those
-constants come first in every operation of the cycle and the sum.
+half-plane per ray; its measures are polynomials in ``T`` (``_TPoly``,
+whose arithmetic skips zero coefficients).  The cutoffs join the kept
+``_tightest`` table: the length is the sum of the tightest constants on
+the two sides, and twice the area the shoelace sum over the kept cycle
+without rays, else over the cycle ``_intersect`` makes of the table's
+lines, ``_TPoly`` constants first as they have no reflected operator.
+The lattice test at a vertex of two faces is their determinant being ±1.
 
 The planar build numbers its vertices through one table, from a key to
 the labels of the faces through the vertex: ``(0, domain id, rank)``
@@ -353,6 +353,10 @@ class LogPolytope:
     def _trace_index(self) -> dict[str, int]:
         return _first_index([t.edge_label for t in self.traces])
 
+    @functools.cached_property
+    def _regions(self) -> dict:  # kept by the planar build, else made on first use
+        return _feasible(self.space, self.spec, _cycle if self.dim == 2 else _interval)
+
 
 @dataclass(frozen=True)
 class DelzantResult:
@@ -502,14 +506,16 @@ class _Cycle:
     of the cycle as a pair of Fractions, the other names vanishing
     there, sorted, its bound along the line (``_along``) and its rank by point.
     ``tightest`` maps each covector to its tightest constant ``p / q``,
-    as ``p`` and ``q``, and the names attaining it, sorted.
+    as ``p`` and ``q``, and the names attaining it, sorted; ``vertices``
+    are the cycle's, homogeneous, as ``_intersect`` makes them.
     """
 
-    __slots__ = ("faces", "tightest")
+    __slots__ = ("faces", "tightest", "vertices")
 
-    def __init__(self, faces: dict, tightest: dict) -> None:
+    def __init__(self, faces: dict, tightest: dict, vertices: list) -> None:
         self.faces = faces
         self.tightest = tightest
+        self.vertices = vertices
 
     def face(self, ref: ConstraintRef):
         """The segment of constraint ``ref`` on the region: ``None`` when
@@ -605,7 +611,7 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
     the constants become ``1 + c T``.
     """
     if not items:
-        return True, True, _Cycle({}, {})
+        return True, True, _Cycle({}, {}, [])
     tightest = _tightest(_lines(items))
     lines, gap = _turn_order(tightest)
     cycle = _intersect(lines, gap)
@@ -614,7 +620,9 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
         return _intersect(moved, gap) is not None, False, None
     kept, vertices, touching = cycle
     points = [v and (Fraction(v[0], v[2]), Fraction(v[1], v[2])) for v in vertices]
-    rank = {j: r for r, (_, j) in enumerate(sorted([(v, j) for j, v in enumerate(points) if v]))}
+    lcm = math.lcm(*[v[2] for v in vertices if v])  # ranked by point on ints, over the lcm
+    scaled = [(v[0] * (lcm // v[2]), v[1] * (lcm // v[2]), j) for j, v in enumerate(vertices) if v]
+    rank = {j: r for r, (_, _, j) in enumerate(sorted(scaled))}
     names = [tightest[a][2] for a, _, _ in lines]
     at: list[list[str]] = [[] for _ in vertices]  # the names vanishing at each vertex
     p = len(kept)
@@ -643,7 +651,7 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
                 )
                 for j in spans[i]
             )
-    return True, True, _Cycle(faces, tightest)
+    return True, True, _Cycle(faces, tightest, vertices)
 
 
 def _interval(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, dict]:
@@ -768,6 +776,10 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     feasible = list(regions)
     face_label = _face_labels(spec)
     edge_at = {f: i for i, e in enumerate(space.edges) for f in e.faces}
+    scaled = []  # each edge's residue as r / n, r integer, scaled once per edge
+    for e in space.edges:
+        (rx, nx), (ry, ny) = e.residue[0].as_integer_ratio(), e.residue[1].as_integer_ratio()
+        scaled.append(((rx * ny, ry * nx), nx * ny))
 
     # face segments: the vertex-table key at each end, a vertex of the
     # cycle or, at an unbounded end, the landing of its escape (None
@@ -796,8 +808,10 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
                 edge = _escape(ref[0], fan, direction, edge_at)
                 key = None
                 if edge is not None:
-                    position = dot(rot90(space.edges[edge].residue), base)
-                    key = 1, edge, position
+                    # rot90(residue) . base on ints: where c residue lies along the line
+                    (r, n), (p, q) = scaled[edge], fn.constant.as_integer_ratio()
+                    a = fn.linear[0].numerator, fn.linear[1].numerator
+                    key = 1, edge, _along(a, (p * r[0], p * r[1], q * n))
                     table.setdefault(key, set()).add(face_label[ref])
                 bounds.append(None)
             keys.append(key)
@@ -808,9 +822,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     traced: dict[int, tuple[str, tuple[int, ...], tuple]] = {}
     required_pairs: list[tuple[ConstraintRef, ConstraintRef, str]] = []
     for i, e in enumerate(space.edges):
-        (rx, nx), (ry, ny) = e.residue[0].as_integer_ratio(), e.residue[1].as_integer_ratio()
-        r, n = (rx * ny, ry * nx), nx * ny  # the residue as r / n, scaled once per edge
-        sides = [(d, regions[d].trace(r, n)) for d, _ in e.faces if d in regions]
+        sides = [(d, regions[d].trace(*scaled[i])) for d, _ in e.faces if d in regions]
         present = [(d, t) for d, t in sides if t is not None]
         if not present:
             continue
@@ -827,7 +839,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
                 )
             kind = "divisor"
             required_pairs += [((d1, x[1]), (d2, y[1]), e.label) for x, y in zip(t1, t2) if x]
-        traced[i] = kind, tuple(d for d, _ in present), bounds[0], (r, n)
+        traced[i] = kind, tuple(d for d, _ in present), bounds[0], scaled[i]
 
     # continuation: forced pairs must be declared, declared groups must
     # be forced together
@@ -989,7 +1001,7 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
     )
     orientable = _crossing_signs(space, feasible, traces) is not None
 
-    return LogPolytope(
+    built = LogPolytope(
         spec=spec,
         space=space,
         dim=2,
@@ -1005,6 +1017,8 @@ def _build_2d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
         orientable=orientable,
         elementary=len(feasible) == 1,
     )
+    built.__dict__["_regions"] = regions  # kept for the volume
+    return built
 
 
 def _build_1d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
@@ -1108,8 +1122,12 @@ def delzant_check(p: LogPolytope) -> DelzantResult:
         if len(labels) < 2:
             continue
         rows = tuple(covector_of_face[f] for f in labels)
-        # the spec's covectors are integral: their numerators are the rows
-        if not is_saturated_lattice_basis([[x.numerator for x in row] for row in rows]):
+        ints = [[x.numerator for x in row] for row in rows]  # the spec's covectors are integral
+        if len(ints) == 2 == len(ints[0]) == len(ints[1]):  # a basis when the determinant is a unit
+            saturated = ints[0][0] * ints[1][1] - ints[0][1] * ints[1][0] in (1, -1)
+        else:
+            saturated = is_saturated_lattice_basis(ints)
+        if not saturated:
             return DelzantResult(False, ((vertex.vertex_id, rows),))
     return DelzantResult(True, ())
 
@@ -1259,29 +1277,29 @@ class _TPoly:
 
 
 def _clipped_measure(p: LogPolytope, domain_id: int):
-    """Length or area, a ``Fraction`` or a ``_TPoly``, of the domain region
-    cut off at ``r.u + T|r|^2 >= 0`` for each ray ``r = s a``, ``a``
-    primitive: the half-plane ``a.u + T s |a|^2 >= 0``.  The length is
-    ``c+ + c-``, the tightest constants on ``(1,)`` and ``(-1,)``; twice
-    the area is the shoelace sum over the vertex cycle, closed as the
-    polytope is compact, over the product of the vertices' ``w``.  Where
-    there are rays the constraints' constants are made ``_TPoly`` once;
-    with no reflected operator, one is the left operand of every mix."""
-    lines = _lines(p.spec.domain_constraints(domain_id).items())
-    rays = p.space.fan(domain_id).vectors
+    """Length or area, a ``Fraction`` or a ``_TPoly``, of the region the build
+    kept, cut off at ``a.u + T s |a|^2 >= 0`` for each ray ``r = s a``, ``a``
+    primitive: a cutoff joins the ``_tightest`` table where no constraint,
+    tighter by the ``T`` term, is on its covector.  The length is ``c+ + c-``;
+    twice the area is the shoelace sum over the vertex cycle, closed as the
+    polytope is compact (the build's without rays), over the product of the
+    vertices' ``w``.  Where there are rays the constants are made ``_TPoly``
+    once; with no reflected operator, one is the left operand of every mix."""
+    region, rays = p._regions[domain_id], p.space.fan(domain_id).vectors
+    tightest = region if p.dim == 1 else region.tightest
     if rays:
-        lines = [(name, a, _TPoly(c), q) for name, a, c, q in lines]
+        cutoffs = []
         for r in rays:  # r = s a with s = g / n
             n = math.lcm(*(x.denominator for x in r))
             ints = [x.numerator * (n // x.denominator) for x in r]
             g = math.gcd(*ints)
             a = tuple(x // g for x in ints)
-            lines.append((None, a, _TPoly(0, g * sum(x * x for x in a)), n))
-    tightest = _tightest(lines)
+            cutoffs.append((None, a, _TPoly(0, g * sum(x * x for x in a)), n))
+        tightest = {**_tightest(cutoffs), **{a: (_TPoly(c), *t) for a, (c, *t) in tightest.items()}}
     if p.dim == 1:
         (c, q, _), (d, s, _) = tightest[(1,)], tightest[(-1,)]
         return (c * s + d * q) * Fraction(1, q * s)
-    _, vertices, _ = _intersect(*_turn_order(tightest))
+    vertices = _intersect(*_turn_order(tightest))[1] if rays else region.vertices
     twice, den = 0, 1
     for (x, y, w), (x1, y1, w1) in zip(vertices, vertices[1:] + vertices[:1]):
         twice = (x * y1 - x1 * y) * den + twice * (w * w1)

@@ -47,6 +47,13 @@ infinitesimal rerun, since the package's ``_TPoly`` takes no number on
 its left); the build now runs the same steps on homogeneous integer
 points.
 
+``fraction_ranks`` is the vertex cycle's old rank, which sorts the
+vertices as pairs of Fractions; the cycle now sorts them on ints,
+brought to the lcm of their ``w``.  ``landing_position`` is the build's
+old landing, the Fraction dot product ``rot90(residue) . base``; the
+build now makes one Fraction from the covector, the constant's integer
+ratio and the residue's ``(r, n)``.
+
 ``cyclic_order`` and ``is_complete_2d`` are the package's old
 completeness test, which sorts the rays by angle and looks up the cone
 of each pair of neighbours; ``fans.is_complete`` now reads ``Fan.turns``.
@@ -654,6 +661,20 @@ def _intersect(lines: list, gap: int | None):
         elif _value(lines[i], vertices[j % len(kept)]) == 0:
             touching[i] = j % len(kept)
     return kept, vertices, touching
+
+
+def fraction_ranks(vertices: list) -> dict[int, int]:
+    """The rank by point of each finite homogeneous vertex ``(x, y, w)``
+    of a cycle, by its position: its point as a pair of Fractions, sorted
+    with the position breaking ties."""
+    points = [v and (Fraction(v[0], v[2]), Fraction(v[1], v[2])) for v in vertices]
+    return {j: r for r, (_, j) in enumerate(sorted([(v, j) for j, v in enumerate(points) if v]))}
+
+
+def landing_position(residue: Vector, base: Vector) -> Fraction:
+    """Where a face line through ``base`` meets the edge stratum with
+    the residue ``residue``, in the stratum coordinate."""
+    return dot(rot90(residue), base)
 
 
 def cyclic_order(fan: Fan) -> list[int]:

@@ -3,10 +3,12 @@ condition, topology and regularized volume."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import hashlib
 import math
+import pickle
 import random
 import re
 from dataclasses import replace
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from logaffine.errors import (
     ContinuationError,
     DegenerateVertexError,
+    DimensionMismatchError,
     GeometryError,
     NonCompactError,
     NonIntegerEntryError,
@@ -40,7 +43,7 @@ from logaffine.polytopes import (
 )
 from logaffine.fans import _direction_cmp, make_fan
 from logaffine.fileio import parse_polytope_text, parse_welding_text
-from logaffine.rational import AffineFunctional, cross2, vector
+from logaffine.rational import AffineFunctional, cross2, is_saturated_lattice_basis, vector
 from logaffine.welding import build_welded_space, make_welding_spec
 
 import polytope_oracle
@@ -493,6 +496,45 @@ def test_lattice_check_rejects_non_integer_covector() -> None:
     )
     with pytest.raises(NonIntegerEntryError):
         replace(p.spec, constraints=doctored_constraints)
+
+
+# entries near zero, of both signs, and far beyond a machine word
+ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(ENTRIES, ENTRIES), min_size=2, max_size=2))
+@example(rows=[(1, 0), (0, 1)])
+@example(rows=[(0, -1), (1, 0)])
+@example(rows=[(1, 0), (1, 2)])  # delzfail.poly's corner
+@example(rows=[(2**70 + 1, 2**70), (1, 1)])  # determinant 1 from large entries
+@example(rows=[(2**70 + 1, 2**70), (-1, -1)])  # and -1
+@example(rows=[(3, 5), (-5, -3)])
+def test_the_delzant_determinant_is_the_saturated_basis_test(rows) -> None:
+    """At a vertex of two faces, ``delzant_check`` takes two rows of two
+    as a basis exactly when their determinant is 1 or -1: on the corner
+    of the two half-planes ``a.u >= 0`` and ``b.u >= 0`` it agrees with
+    the gcd of the maximal minors, ``is_saturated_lattice_basis``."""
+    (a, b), (c, d) = rows
+    assert (a * d - b * c in (1, -1)) == is_saturated_lattice_basis(rows)
+    assume(math.gcd(a, b) == math.gcd(c, d) == 1 and a * d != b * c)
+    p = single_domain_polytope([fn(a, b), fn(c, d)])
+    (corner,) = [v for v in p.vertices if len(v.faces) == 2]
+    result = delzant_check(p)
+    assert result.ok == is_saturated_lattice_basis(rows)
+    if not result.ok:
+        assert result.witnesses == ((corner.vertex_id, (vector(a, b), vector(c, d))),)
+
+
+def test_a_vertex_on_three_faces_keeps_the_minors_test() -> None:
+    """Only two rows of two are tested by their determinant: any other
+    row set still goes to ``is_saturated_lattice_basis``, which refuses
+    three rows of two as before."""
+    p = load_built_polytope("unitsquare.poly")
+    labels = tuple(f.label for f in p.nonsingular_faces[:3])
+    crowded = replace(p.vertices[0], faces=labels)
+    with pytest.raises(DimensionMismatchError, match="more rows than columns"):
+        delzant_check(replace(p, vertices=(crowded, *p.vertices[1:])))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1338,13 +1380,14 @@ def test_the_cycle_measure_matches_the_segment_clip(p) -> None:
         assert measure_coefficients(polytopes._clipped_measure(p, d)) == expected
 
 
-def test_the_build_and_the_volume_intersect_once_per_domain(monkeypatch, tmp_path) -> None:
+def test_the_volume_intersects_again_only_beside_rays(monkeypatch, tmp_path) -> None:
     """The build reads each face and edge trace from its domain's vertex
     cycle, also for the strips of the ``polygon`` benchmark beside their
-    rays, and calls ``_line_of`` once per face segment.  The volume
-    intersects each feasible domain's half-planes and cutoffs once, in a
-    closed cycle, on ints where there are no rays, and calls no
-    ``_line_of``; in dimension 1 it reads the tightest cutoffs only."""
+    rays, and calls ``_line_of`` once per face segment.  The volume of a
+    domain without rays reads the cycle the build kept: it intersects
+    nothing and calls no ``_line_of``.  Beside rays it intersects the
+    kept lines and the cutoffs once per domain, in a closed cycle with
+    ``_TPoly`` constants; in dimension 1 it reads the tightest cutoffs only."""
     k = 16
     lines, calls = [], []
     line_of, intersect = polytopes._line_of, polytopes._intersect
@@ -1371,14 +1414,15 @@ def test_the_build_and_the_volume_intersect_once_per_domain(monkeypatch, tmp_pat
     polygon = gen.delzant_polygon(random.Random(k), k, k // 2)
     p = single_domain_polytope(polygon_functionals(polygon))
     assert len(lines) == len(p.segments) == k
-    lines.clear()
-    calls.clear()
-    assert regularized_volume(p) == oracles.polygon_area(polygon)
-    assert lines == []
     ((cycle, gap),) = calls
     assert gap is None
     assert all(type(c) is int and type(q) is int for _, c, q in cycle)
+    lines.clear()
+    calls.clear()
+    assert regularized_volume(p) == oracles.polygon_area(polygon)
+    assert lines == calls == []
     gen1 = load_built_polytope("gen1.poly")
+    assert all(gen1.space.fan(d).vectors for d in gen1.feasible)
     calls.clear()
     regularized_volume(gen1)
     assert [gap for _, gap in calls] == [None] * len(gen1.feasible)
@@ -1388,6 +1432,25 @@ def test_the_build_and_the_volume_intersect_once_per_domain(monkeypatch, tmp_pat
     assert len(line.faces) == 2
     regularized_volume(line)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["gen1.poly", "rect.poly", "line1d.poly", "unitsquare.poly"])
+def test_a_copied_polytope_has_the_volume_of_the_built_one(name) -> None:
+    """The regions the planar build keeps sit outside the polytope's
+    fields: a copy by ``dataclasses.replace`` makes them anew on first
+    use, as a 1-D polytope does, and a shallow copy or a pickle round trip
+    carries them; each copy compares equal to the built polytope and has
+    its volume."""
+    pf = load_polytope(name)
+    p = build_polytope(build_welded_space(pf.spec.welding), pf.spec)
+    assert ("_regions" in vars(p)) == (p.dim == 2)
+    volume = regularized_volume(p)
+    replaced = replace(p)
+    assert "_regions" not in vars(replaced)
+    for copied in (replaced, copy.copy(p), pickle.loads(pickle.dumps(p))):
+        assert copied == p
+        assert regularized_volume(copied) == volume
+        assert set(copied._regions) == set(p.feasible)
 
 
 # ---------------------------------------- the kernel of the symbolic cutoff
@@ -1636,6 +1699,78 @@ def test_the_vertex_cycle_makes_no_fraction_on_the_polygon_family(monkeypatch) -
     assert len(cycles) == 8 and None not in cycles
 
 
+def ranks_and_landings_checked(p) -> tuple[int, int]:
+    """Check a planar polytope's vertex ranks and landing positions, made
+    on ints, against the Fraction oracles: the vertex a face end's rank
+    picks in Fraction order is at the end's point, and a landing lies at
+    ``rot90(residue) . base`` of each segment ending there.  Returns how
+    many face ends and landings it checked."""
+    ranked = landed = 0
+    for d in p.feasible:
+        region = p._regions[d]
+        at_rank = {r: j for j, r in polytope_oracle.fraction_ranks(region.vertices).items()}
+        for along, *ends in region.faces.values():
+            for end in ends:
+                if along is None and end is not None:
+                    x, y, w = region.vertices[at_rank[end[3]]]
+                    assert (F(x, w), F(y, w)) == end[0]
+                    ranked += 1
+    for segment in p.segments:
+        for vertex_id in (segment.lower_vertex, segment.upper_vertex):
+            vertex = vertex_id and p.vertex(vertex_id)
+            if vertex and vertex.kind == "landing":
+                residue = p.space.edge(vertex.edge_label).residue
+                assert vertex.position == polytope_oracle.landing_position(residue, segment.base)
+                landed += 1
+    return ranked, landed
+
+
+def test_ranks_and_landings_match_the_fraction_oracles_on_fixtures_and_strips(tmp_path) -> None:
+    counts = []
+    for path in sorted(FIXTURES.glob("*.poly")):
+        try:
+            p = load_built_polytope(path.name)
+        except GeometryError:
+            continue
+        if p.dim == 2:
+            counts.append(ranks_and_landings_checked(p))
+    for name, text in gen.LIBRARY.items():
+        (tmp_path / name).write_text(text)
+    for s in gen.STRIP_SHEARS:
+        for text in gen.strip_texts(s):
+            pf = parse_polytope_text(text, "strip.poly", base=tmp_path)
+            p = build_polytope(build_welded_space(pf.spec.welding), pf.spec)
+            assert ranks_and_landings_checked(p) == (0, 4)
+    ranked, landed = map(sum, zip(*counts))
+    assert ranked > 20 and landed > 10
+
+
+@st.composite
+def strips_beside_rays(draw):
+    """The strip ``lo <= y - s x <= lo + width`` beside the rays of a
+    line fan, ``+-(1, s)`` scaled by a positive Fraction so that the
+    residues have denominators, cut at one end by a cap most of the
+    time; built, or the error its build raised."""
+    s = draw(st.integers(-8, 8))
+    scale = draw(st.fractions(F(1, 7), 7, max_denominator=7))
+    fan = make_fan([vector(scale, scale * s), vector(-scale, -scale * s)], [(), (0,), (1,)])
+    lo = draw(st.fractions(-5, 5, max_denominator=6))
+    width = draw(st.fractions(F(1, 6), 5, max_denominator=6))
+    fns = [fn(-s, 1, c=-lo), fn(s, -1, c=lo + width)]
+    cap = draw(st.sampled_from([None, (1, 0), (-1, 0), (1, 1), (-2, 3), (3, -1)]))
+    if cap is not None and cross2(cap, (-s, 1)) != 0:
+        fns.append(fn(*cap, c=draw(st.fractions(-5, 5, max_denominator=6))))
+    return single_domain_polytope(fns, fan)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=strips_beside_rays())
+def test_ranks_and_landings_match_the_fraction_oracles_on_random_strips(p) -> None:
+    assume(not isinstance(p, GeometryError))
+    ranked, landed = ranks_and_landings_checked(p)
+    assert landed >= 2
+
+
 # ------------------------------------------- the cone test of the fan support
 
 
@@ -1817,7 +1952,8 @@ def test_the_planar_build_keeps_the_invariants_it_does_not_check(system) -> None
     with mock.patch.object(polytopes, "_intersect", recording):
         for d in p.feasible:
             polytopes._clipped_measure(p, d)
-    assert calls == [None] * len(p.feasible)
+    # only beside rays is the kept cycle cut off and intersected again
+    assert calls == [None] * sum(1 for d in p.feasible if p.space.fan(d).vectors)
 
 
 @settings(max_examples=1500, deadline=None, derandomize=True)
