@@ -146,10 +146,9 @@ def _parse_bracket_list(path: str, number: int, token: str) -> list[str]:
 
 
 _FACE_REF = re.compile(r"^(\d+)\.(\S+)$")
-# pair lines the token checks accept, and domain lines as they split them, read
-# at once: a name runs to the first "=", exactly one "~" splits a pair's rest
+# a whole pair line that the checks token by token accept, read at once:
+# the name runs to the first "=", and exactly one "~" splits the rest
 _PAIR = re.compile(r"pair\s+([^=\s][^=]*?)\s*=\s*(\d+)\.([^\s~]+)\s*~\s*(\d+)\.([^\s~]+)")
-_DOMAIN = re.compile(r"domain\s+(\d+)\s*=\s*(\S.*)")
 
 
 def _parse_face_ref(path: str, number: int, token: str) -> tuple[int, str]:
@@ -266,8 +265,7 @@ def parse_welding_text(text: str, path: str = "<string>", base: Path | None = No
             fans[alias] = parse_fan_file(fan_path)
             fan_files.append((alias, rest))
         elif directive == "domain":
-            fields = _DOMAIN.fullmatch(line)  # a line it misses gets the token checks' messages
-            name, rest = fields.groups() if fields else _split_assignment(path, number, line, "domain")
+            name, rest = _split_assignment(path, number, line, "domain")
             if not name.isdecimal() or int(name) < 1:  # int reads what isdecimal takes
                 raise SpecFileError(path, number, f"invalid domain id {name!r}")
             domain_id = int(name)

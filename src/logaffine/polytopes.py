@@ -620,7 +620,9 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
         return _intersect(moved, gap) is not None, False, None
     kept, vertices, touching = cycle
     points = [v and (Fraction(v[0], v[2]), Fraction(v[1], v[2])) for v in vertices]
-    lcm = math.lcm(*[v[2] for v in vertices if v])  # ranked by point on ints, over the lcm
+    # ranked by point on ints over the lcm of the w, which grows with the distinct w:
+    # 256 vertices over 256 odd primes make 2,300-bit keys, still quicker to sort than Fractions
+    lcm = math.lcm(*[v[2] for v in vertices if v])
     scaled = [(v[0] * (lcm // v[2]), v[1] * (lcm // v[2]), j) for j, v in enumerate(vertices) if v]
     rank = {j: r for r, (_, _, j) in enumerate(sorted(scaled))}
     names = [tightest[a][2] for a, _, _ in lines]

@@ -565,66 +565,22 @@ def test_pair_lines_read_as_token_by_token(line: str) -> None:
 DOMAIN_HEAD = "logaffine welding 1\nfan S = square.fan\ndomain 2 = S\n"
 
 
-def domain_by_tokens(line: str):
-    """The domain line ``line`` (stripped, line 4 of ``d``) read token by
-    token, as the welding parser read it before one pattern did: its id
-    and fan alias, or the ``SpecFileError`` text.  An id of digits that
-    ``int`` does not read, such as "²", is an invalid id here; the
-    token checks once passed it to ``int``, which raised ``ValueError``."""
-    try:
-        directive = line.split(None, 1)[0]
-        if directive != "domain":
-            raise SpecFileError("d", 4, f"unknown directive {directive!r}")
-        name, rest = _split_assignment("d", 4, line, "domain")
-        if not name.isdecimal() or int(name) < 1:
-            raise SpecFileError("d", 4, f"invalid domain id {name!r}")
-        if int(name) == 2:
-            raise SpecFileError("d", 4, "duplicate domain id 2")
-        if rest != "S":
-            raise SpecFileError("d", 4, f"unknown fan alias {rest!r}")
-        return int(name), rest
-    except SpecFileError as err:
-        return str(err)
-
-
-def domain_by_fileio(line: str):
+@pytest.mark.parametrize(
+    "line, want",
+    [
+        ("domain 007 = S", (7, "S")),
+        ("domain \u0663 = S", (3, "S")),  # a decimal digit int reads
+        ("domain \u00b2 = S", "d:4: invalid domain id '\u00b2'"),  # a digit int does not read
+        ("domain 0 = S", "d:4: invalid domain id '0'"),
+        ("domain 2 = S", "d:4: duplicate domain id 2"),
+        ("domain 1 = T", "d:4: unknown fan alias 'T'"),
+    ],
+)
+def test_a_domain_id_is_decimal_digits_int_reads(line: str, want) -> None:
     try:
         wf = parse_welding_text(DOMAIN_HEAD + line + "\n", "d", base=FIXTURES)
     except SpecFileError as err:
-        return str(err)
-    (domain_id, alias), = [item for item in wf.domain_fans if item[0] != 2]
-    return domain_id, alias
-
-
-@st.composite
-def domain_lines(draw) -> str:
-    """Domain lines near the well-formed ones: ids with leading zeros,
-    zero, Unicode digits, the taken id 2 or inner spaces; "=" missing,
-    doubled or moved; aliases unknown, empty, holding "=" or spaces."""
-    parts = [
-        "domain",
-        draw(st.sampled_from([" ", "\t", "\u00a0 ", "\x1f", ""])),
-        draw(st.sampled_from(["1", "3", "01", "0", "00", "2", "٣", "²", "1 2", "", "x", "-1"])),
-        draw(SPACES),
-        draw(st.sampled_from(["=", "=", "", "==", "= ="])),
-        draw(SPACES),
-        draw(st.sampled_from(["S", "S", "T", "", "S=S", "S S", "=S"])),
-        draw(SPACES),
-    ]
-    return "".join(parts)
-
-
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(line=st.one_of(domain_lines(), st.text(alphabet="S1٣0²= ", max_size=10).map("domain ".__add__)))
-@example(line="domain 1 = S")
-@example(line="domain 007 = S")
-@example(line="domain 0 = S")
-@example(line="domain ² = S")
-@example(line="domain ٣ = S")
-@example(line="domain 2 = S")
-@example(line="domain 1 = S = S")
-@example(line="domain 1=S \x1f")
-@example(line="domain  = S")
-def test_domain_lines_read_as_token_by_token(line: str) -> None:
-    got, want = domain_by_fileio(line), domain_by_tokens(line.strip())
-    assert (type(got), got) == (type(want), want)
+        got = str(err)
+    else:
+        got = wf.domain_fans[-1]
+    assert got == want

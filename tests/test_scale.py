@@ -64,8 +64,11 @@ k = 16 and 64 neither constructs a Fraction, and each keeps a pinned
 budget of calls into the package per side that four times the sides
 raise about fourfold.  Its build and its volume keep pinned budgets
 of calls per side too: the build's grow about fourfold with the sides,
-and the volume's about sixfold, as its turn order sorts with a
-comparator (k log k: 64 * 6 / (16 * 4) = 6).
+and the volume's not at all, as it reads the vertex cycle the build kept.
+With each constraint moved by 1 / p for its own odd prime p, the
+vertices' homogeneous weights w are distinct and their lcm is a multiple
+of every such p, and the cycle still ranks its vertices by point as the
+Fraction oracle does.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 from conftest import FIXTURES, benchmark_module, grid_text
@@ -97,6 +101,8 @@ from logaffine.polytopes import (
 )
 from logaffine.topology import betti_numbers, log_cohomology_dims
 from logaffine.welding import MatchedPair, build_welded_space
+
+import polytope_oracle
 
 
 def closed_forms(variant: str, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -408,16 +414,15 @@ def test_fan_validation_constructs_no_fraction(monkeypatch) -> None:
 
 
 # Package calls per domain of parsing a grid's welding file, pinned at the
-# counts on Python 3.10 and 3.11 once a pair line and a domain line are
-# each read with one pattern and the faces are resolved to integer ids
-# once per spec: 12.86, 11.19, 12.53 and 12.19 per domain at m = 3, 6.22,
-# 4.38, 6.05 and 5.88 at m = 6 (torus, comb, cylinder, disc).  Domain lines
-# read token by token made 13.86, 12.19, 13.53 and 13.19 at m = 3, pair
-# lines too 26.03, 19.36, 24.69 and 23.36, the comparison of Fraction
-# stars before that 27.36, 20.69, 26.03 and 24.69.  Python 3.12 and 3.13
-# count fewer (8.08 to 10.86 at m = 3).  A budget may fall freely; raising
-# one loosens the check, and CHANGES.md must say why.
-PARSE_CALLS_PER_DOMAIN = {"torus": 13, "comb": 12, "cylinder": 13, "disc": 13}
+# counts on Python 3.10 and 3.11 once a pair line is read with one pattern
+# and its faces are resolved to integer ids once per spec: 13.86, 12.19,
+# 13.53 and 13.19 per domain at m = 3, 7.22, 5.38, 7.05 and 6.88 at m = 6
+# (torus, comb, cylinder, disc).  The token-by-token parse before made
+# 26.03, 19.36, 24.69 and 23.36 at m = 3, the comparison of Fraction stars
+# before that 27.36, 20.69, 26.03 and 24.69.  Python 3.12 and 3.13 count
+# fewer (9.08 to 11.86 at m = 3).  A budget may fall freely; raising one
+# loosens the check, and CHANGES.md must say why.
+PARSE_CALLS_PER_DOMAIN = {"torus": 14, "comb": 13, "cylinder": 14, "disc": 14}
 
 
 @pytest.mark.parametrize("variant", ["torus", "comb", "cylinder", "disc"])
@@ -566,3 +571,40 @@ def test_the_polygon_build_hashes_no_fraction(tmp_path, monkeypatch, k: int) -> 
     monkeypatch.undo()
     assert hashes == []
     assert len(p.vertices) == k
+
+
+def odd_primes(n: int) -> list[int]:
+    primes: list[int] = []
+    c = 3
+    while len(primes) < n:
+        if all(c % p for p in primes if p * p <= c):
+            primes.append(c)
+        c += 2
+    return primes
+
+
+def test_vertices_of_many_distinct_weights_rank_as_fraction_points(tmp_path) -> None:
+    """The cycle ranks its vertices on ints brought to the lcm of their
+    w, so a key is as long as that lcm: here 256 vertices of distinct w
+    whose lcm is a multiple of 256 odd primes.  The rank a face end holds picks, among the vertices
+    sorted as Fraction points, the one at the end's point."""
+    k = 256
+    polygon = gen.delzant_polygon(random.Random(k), k)
+    for name, text in gen.LIBRARY.items():
+        (tmp_path / name).write_text(text)
+    lines = ["logaffine polytope 1", "welding plane.weld", "orientation +"]
+    primes = odd_primes(k)
+    for i, (((a, b), c), q) in enumerate(zip(polygon.sides, primes)):
+        moved = Fraction(c * q + 1, q)
+        lines.append(f"constraint 1.f{i} = ({a}, {b}) {'+' if moved >= 0 else '-'} {abs(moved)}")
+    spec = parse_polytope_text("\n".join(lines) + "\n", "p.poly", base=tmp_path).spec
+    p = build_polytope(build_welded_space(spec.welding), spec)
+    region = p._regions[1]
+    weights = [w for _, _, w in region.vertices]
+    assert len(set(weights)) == k and lcm(*weights) % prod(primes) == 0
+    at_rank = {r: j for j, r in polytope_oracle.fraction_ranks(region.vertices).items()}
+    ends = [end for along, *ends in region.faces.values() for end in ends]
+    assert len(ends) == 2 * k and None not in ends
+    for point, _, _, rank in ends:
+        x, y, w = region.vertices[at_rank[rank]]
+        assert (Fraction(x, w), Fraction(y, w)) == point
