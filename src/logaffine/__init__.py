@@ -35,7 +35,6 @@ _EXPORTS = {
         "ContinuationError",
         "DegenerateVertexError",
         "DelzantError",
-        "DependentGeneratorsError",
         "DimensionMismatchError",
         "FaceInUseError",
         "GeometryError",
@@ -45,7 +44,6 @@ _EXPORTS = {
         "NonIntegerEntryError",
         "NonOrientableError",
         "NotMatchedError",
-        "ObstructionUnknownError",
         "PolytopeError",
         "SingularFaceError",
         "SpecFileError",
@@ -80,7 +78,7 @@ _EXPORTS = {
         "polytope_topology",
         "regularized_volume",
     ),
-    "rational": ("AffineFunctional", "is_saturated_lattice_basis", "vector"),
+    "rational": ("AffineFunctional", "vector"),
     "render": ("render_fan", "render_polytope", "render_welding"),
     "topology": (
         "CellComplex",

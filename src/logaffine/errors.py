@@ -11,10 +11,6 @@ class DimensionMismatchError(GeometryError):
     """Vectors or objects of incompatible dimensions were combined."""
 
 
-class DependentGeneratorsError(GeometryError):
-    """A cone operation received linearly dependent generators."""
-
-
 class NonIntegerEntryError(GeometryError):
     """A lattice operation received a non-integer entry."""
 
@@ -99,10 +95,6 @@ class NonCompactError(PolytopeError):
 
 class DelzantError(PolytopeError):
     """The smoothness (lattice saturation) criterion failed."""
-
-
-class ObstructionUnknownError(GeometryError):
-    """A construction needs the bundle lifting obstruction to vanish."""
 
 
 class SpecFileError(Exception):

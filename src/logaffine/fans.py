@@ -21,9 +21,10 @@ from .rational import Vector, as_vector, cross2, is_zero
 @dataclass(frozen=True)
 class Fan:
     """An immutable fan; cones store indices into ``vectors``.  Its rays as
-    integer rows (``directions``), each ray's 2-cone neighbours by vector
-    (``corner_neighbours``), a plane fan's rays in turn order (``ray_order``)
-    and their neighbours on either side (``turns``) are computed once per fan."""
+    primitive integer rows (``directions``) and their scales (``scales``),
+    each ray's 2-cone neighbours by vector (``corner_neighbours``), a plane
+    fan's rays in turn order (``ray_order``) and their neighbours on either
+    side (``turns``) are computed once per fan."""
 
     dim: int
     vectors: tuple[Vector, ...]
@@ -88,12 +89,24 @@ class Fan:
 
     @functools.cached_property
     def directions(self) -> tuple[tuple[int, ...], ...]:
-        """Each ray times the product of its denominators, so that angles
-        compare and cones eliminate without fractions; (1/2, 0) and (1, 0) share a row."""
+        """Each ray's primitive integer direction, so that angles compare and
+        cones eliminate without fractions; (1/2, 0) and (3, 0) share the row (1, 0)."""
         out = []
         for v in self.vectors:
-            scale = math.prod([c.denominator for c in v])
-            out.append(tuple([c.numerator * (scale // c.denominator) for c in v]))
+            n = math.lcm(*[c.denominator for c in v])
+            ints = [c.numerator * (n // c.denominator) for c in v]
+            g = math.gcd(*ints)
+            out.append(tuple([x // g for x in ints]))
+        return tuple(out)
+
+    @functools.cached_property
+    def scales(self) -> tuple[tuple[int, int], ...]:
+        """Each ray as ``(g, n)``, ``g / n`` times its row of ``directions``:
+        the gcd of its numerators over the lcm of its denominators, as each
+        entry is in lowest terms."""
+        out = []
+        for v in self.vectors:
+            out.append((math.gcd(*[c.numerator for c in v]), math.lcm(*[c.denominator for c in v])))
         return tuple(out)
 
     @functools.cached_property

@@ -188,7 +188,7 @@ def parse_fan_text(text: str, path: str = "<string>") -> Fan:
             if dim is not None:
                 raise SpecFileError(path, number, "duplicate dim line")
             token = line[3:].strip()
-            if not token.isdigit() or int(token) < 1:
+            if not token.isdecimal() or int(token) < 1:
                 raise SpecFileError(path, number, f"invalid dimension {token!r}")
             dim = int(token)
         elif directive == "vector":
@@ -450,14 +450,14 @@ def parse_bundle_text(text: str, path: str = "<string>") -> LogBundle:
             if rank is not None:
                 raise SpecFileError(path, number, "duplicate rank line")
             token = line[4:].strip()
-            if not token.isdigit() or int(token) < 1:
+            if not token.isdecimal() or int(token) < 1:
                 raise SpecFileError(path, number, f"invalid rank {token!r}")
             rank = int(token)
         elif directive == "chern":
             if rank is None:
                 raise SpecFileError(path, number, "rank must come before chern lines")
             name, rest = _split_assignment(path, number, line, "chern")
-            if not name.isdigit() or not (1 <= int(name) <= rank):
+            if not name.isdecimal() or not (1 <= int(name) <= rank):
                 raise SpecFileError(path, number, f"chern index {name!r} out of range")
             index = int(name)
             if index in chern:

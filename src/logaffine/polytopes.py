@@ -31,13 +31,17 @@ plane over a fan without rays (the argument is at ``_build_2d``'s
 tightest bounds on its two sides, read off the table of the tightest
 constraints on each covector (``_tightest``).
 
-The volume cuts each domain off at a symbolic cutoff ``T`` by one more
-half-plane per ray; its measures are polynomials in ``T`` (``_TPoly``,
-whose arithmetic skips zero coefficients).  The cutoffs join the kept
-``_tightest`` table: the length is the sum of the tightest constants on
-the two sides, and twice the area the shoelace sum over the kept cycle
-without rays, else over the cycle ``_intersect`` makes of the table's
-lines, ``_TPoly`` constants first as they have no reflected operator.
+The volume cuts each domain off at a cutoff ``T`` by one more
+half-plane per ray, which joins the kept ``_tightest`` table where no
+constraint is on its covector.  Every value it then compares or sums is
+a polynomial in ``T`` of degree at most 2 whose int coefficients the
+table's ints bound, so ``T`` is one int past that bound (``_cutoff``),
+not a search: each comparison has there the sign it has for every large
+``T``, the build's int kernels run unchanged, and the balanced digits
+of a shoelace term in that base are its coefficients (``_digits``).
+The length is the sum of the tightest constants on the two sides, and
+twice the area the shoelace sum over the kept cycle without rays (with
+no ``T``), else over the cycle ``_intersect`` makes of the table's lines.
 The lattice test at a vertex of two faces is their determinant being ±1.
 
 The planar build numbers its vertices through one table, from a key to
@@ -68,6 +72,7 @@ from typing import Collection, Iterable, Mapping
 from .errors import (
     ContinuationError,
     DegenerateVertexError,
+    DimensionMismatchError,
     GeometryError,
     NonCompactError,
     NonIntegerEntryError,
@@ -82,7 +87,6 @@ from .rational import (
     Vector,
     cross2,
     dot,
-    is_saturated_lattice_basis,
     rot90,
     vec_neg,
 )
@@ -399,8 +403,7 @@ def _meet(f, g) -> tuple:
     """The point where the lines ``q a.u + p = 0`` of ``f = (a, p, q)``
     and ``g`` cross, homogeneous: ``(x, y, w)`` for ``(x / w, y / w)``,
     with ``w > 0`` when ``g`` turns counterclockwise from ``f`` by less
-    than a half turn.  A constant may be a ``_TPoly``, which has no
-    reflected operator, so it comes first: ``x``, ``y`` are ``_TPoly`` too."""
+    than a half turn."""
     (a, p, q), (b, r, s) = f, g
     w = (a[0] * b[1] - a[1] * b[0]) * q * s
     return r * (a[1] * q) - p * (b[1] * s), p * (b[0] * s) - r * (a[0] * q), w
@@ -409,8 +412,7 @@ def _meet(f, g) -> tuple:
 def _value(f, vertex: tuple):
     """``q a.u + p`` of ``f = (a, p, q)`` at the homogeneous vertex
     ``(x, y, w)``, times ``w``: its sign is the side of the line the
-    vertex lies on.  The coordinates and the constant may be ``_TPoly``,
-    which has no reflected operator, so they come first in each product."""
+    vertex lies on."""
     (a, p, q), (x, y, w) = f, vertex
     return (x * a[0] + y * a[1]) * q + p * w
 
@@ -429,14 +431,25 @@ def _half_turn(a: Vector, b: Vector) -> bool:
     return c < 0 or c == 0 and (a == b or dot(a, b) < 0)
 
 
+def _cutoff(ints: Iterable[int]) -> int:
+    """The int that stands for a cutoff ``T`` in lines ``(a, c0 + c1 T, q)``,
+    ``ints`` their ``a``, ``c0``, ``c1`` and ``q``.  With ``h`` the largest
+    ``|int|``, a ``_meet`` coordinate has coefficients of at most ``2h^3``
+    and an int ``w`` of at most ``2h^4``, a ``_value`` at most ``6h^5``, a
+    slab test or a ``_tightest`` comparison ``2h^2``, and a shoelace term
+    ``x y1 - x1 y`` ``16h^6``.  Past ``64h^6`` each coefficient is below
+    half the cutoff, so every value there has the sign of its highest
+    nonzero coefficient, as for every large ``T``, and ``_digits`` reads
+    a term's coefficients back exactly."""
+    return 1 << (6 * max(map(abs, ints)).bit_length() + 6)
+
+
 def _intersect(lines: list, gap: int | None):
     """Intersect the half-planes ``a.u + p / q >= 0`` of ``lines``,
-    triples ``(a, p, q)`` on distinct primitive integer covectors
-    sorted counterclockwise, with ``q > 0`` an int and ``p`` an int or
-    a ``_TPoly`` with int coefficients, first in every operation as it
-    has no reflected operator; ``gap`` is the line after which the next
-    turns by a half turn or more (``None``: the covectors surround the
-    origin and the region is bounded), as ``_turn_order`` finds it.
+    triples ``(a, p, q)`` of ints on distinct primitive covectors sorted
+    counterclockwise, with ``q > 0``; ``gap`` is the line after which the
+    next turns by a half turn or more (``None``: the covectors surround
+    the origin and the region is bounded), as ``_turn_order`` finds it.
 
     Returns ``None`` when the intersection has no interior, otherwise
     ``(kept, vertices, touching)``: ``kept`` indexes the lines holding
@@ -444,8 +457,7 @@ def _intersect(lines: list, gap: int | None):
     where the edge of ``kept[j - 1]`` ends and that of ``kept[j]``
     starts, homogeneous as ``_meet`` makes it (``None`` at infinity);
     ``touching`` maps every other line that meets the region to the
-    vertex it touches there.  Nothing is divided, so with int
-    constants every step is on ints.
+    vertex it touches there.  Nothing is divided: every step is on ints.
     """
     m = len(lines)
     constant = {a: (p, q) for a, p, q in lines}
@@ -578,7 +590,7 @@ def _lines(items: Iterable[tuple[str, AffineFunctional]]) -> list[tuple]:
 def _tightest(lines: Iterable[tuple]) -> dict[Vector, tuple]:
     """Each covector of the half-planes ``(name, a, p, q)``, with its
     tightest (least) constant as ``(p, q)`` and the names attaining it,
-    in order.  ``p`` may be a ``_TPoly``, first as it has no reflected operator."""
+    in order."""
     tightest: dict[Vector, tuple] = {}
     for name, a, p, q in lines:
         best = tightest.get(a)
@@ -608,7 +620,7 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
     looser one misses it, and one tied with it lies along the same line.
     Without interior, the region is nonempty exactly when the half-planes
     moved out by an infinitesimal ``1/T`` have interior: scaled by ``T``,
-    the constants become ``1 + c T``.
+    the constants become ``1 + c T``, at the int ``T`` of ``_cutoff``.
     """
     if not items:
         return True, True, _Cycle({}, {}, [])
@@ -616,7 +628,8 @@ def _cycle(items: list[tuple[str, AffineFunctional]]) -> tuple[bool, bool, _Cycl
     lines, gap = _turn_order(tightest)
     cycle = _intersect(lines, gap)
     if cycle is None:
-        moved = [(a, _TPoly(q, p), q) for a, p, q in lines]  # (q + p T) / q = 1 + c T
+        t = _cutoff([x for a, p, q in lines for x in (*a, p, q)])
+        moved = [(a, q + p * t, q) for a, p, q in lines]  # (q + p T) / q = 1 + c T
         return _intersect(moved, gap) is not None, False, None
     kept, vertices, touching = cycle
     points = [v and (Fraction(v[0], v[2]), Fraction(v[1], v[2])) for v in vertices]
@@ -1114,22 +1127,26 @@ def _build_1d(space: WeldedSpace, spec: PolytopeSpec) -> LogPolytope:
 
 def delzant_check(p: LogPolytope) -> DelzantResult:
     """Saturated-basis test on the covectors of the nonsingular faces
-    through each stratum of the polytope, stopping at the first failure."""
+    through each stratum of the polytope, stopping at the first failure.
+
+    One primitive row is always saturated, and the build puts at most two
+    nonsingular faces on a vertex: a third line through a cycle's vertex is
+    a ``DegenerateVertexError``, each side of an edge lands at most one face
+    at a position (two would share a line or bound a slab without
+    interior), a corner carries none and a 1-D vertex one.  So only two
+    rows of two are tested, a basis when their determinant is a unit."""
     covector_of_face: dict[str, Vector] = {}
     for face in p.nonsingular_faces:
         covector_of_face[face.label] = p.spec.constraint(face.members[0]).linear
-    # one primitive row is always saturated: only a vertex on two faces can fail
     for vertex in p.vertices:
         labels = [f for f in vertex.faces if f in covector_of_face]
         if len(labels) < 2:
             continue
         rows = tuple(covector_of_face[f] for f in labels)
-        ints = [[x.numerator for x in row] for row in rows]  # the spec's covectors are integral
-        if len(ints) == 2 == len(ints[0]) == len(ints[1]):  # a basis when the determinant is a unit
-            saturated = ints[0][0] * ints[1][1] - ints[0][1] * ints[1][0] in (1, -1)
-        else:
-            saturated = is_saturated_lattice_basis(ints)
-        if not saturated:
+        if len(rows) > len(rows[0]):
+            raise DimensionMismatchError("more rows than columns")
+        a, b, c, d = [x.numerator for row in rows for x in row]  # integral covectors
+        if a * d - b * c not in (1, -1):
             return DelzantResult(False, ((vertex.vertex_id, rows),))
     return DelzantResult(True, ())
 
@@ -1217,105 +1234,56 @@ def polytope_moduli(p: LogPolytope) -> int:
 # ------------------------------------------------- regularized volume
 
 
-class _TPoly:
-    """A polynomial in the cutoff ``T`` with exact coefficients, constant
-    first, ordered as its values are for every large ``T``: by the
-    highest coefficient in which two differ.  Zero coefficients are
-    skipped.  A scalar is only a right operand (there is no reflected
-    operator, division or ``>``) and touches the constant or scales
-    each coefficient only."""
-
-    __slots__ = ("coefs",)
-
-    def __init__(self, *coefs) -> None:
-        self.coefs = coefs
-
-    def __add__(self, other) -> _TPoly:
-        a = self.coefs
-        if not isinstance(other, _TPoly):
-            return _TPoly(a[0] + other, *a[1:]) if other else self
-        b = other.coefs
-        if len(a) < len(b):
-            a, b = b, a
-        return _TPoly(*[x + y if x and y else x or y for x, y in zip(a, b)], *a[len(b):])
-
-    def __mul__(self, other) -> _TPoly:
-        if not isinstance(other, _TPoly):
-            return _TPoly(*[x and x * other for x in self.coefs])
-        out = [0] * (len(self.coefs) + len(other.coefs) - 1)
-        for i, x in enumerate(self.coefs):
-            if x:
-                for j, y in enumerate(other.coefs):
-                    if y:
-                        out[i + j] += x * y
-        return _TPoly(*out)
-
-    def __neg__(self) -> _TPoly:
-        return _TPoly(*[-x for x in self.coefs])
-
-    def __sub__(self, other) -> _TPoly:
-        return self + -other
-
-    def _lead(self, other):
-        """The highest coefficient of ``self - other`` that is not zero,
-        else 0, without forming the difference."""
-        a = self.coefs
-        b = other.coefs if isinstance(other, _TPoly) else (other,)
-        for k in range(max(len(a), len(b)) - 1, -1, -1):
-            x = a[k] if k < len(a) else 0
-            y = b[k] if k < len(b) else 0
-            if x != y:
-                return x - y
-        return 0
-
-    def __eq__(self, other) -> bool:
-        return self._lead(other) == 0
-
-    def __lt__(self, other) -> bool:
-        return self._lead(other) < 0
-
-    def __le__(self, other) -> bool:
-        return self._lead(other) <= 0
+def _digits(v: int, t: int) -> list[int]:
+    """The balanced base-``t`` digits ``[c0, c1, c2]`` of ``v = c0 + c1 t + c2 t^2``
+    with ``c0`` and ``c1`` in ``[-t/2, t/2)``: a term's coefficients when
+    ``_cutoff`` bounds them."""
+    half = t // 2
+    high, c0 = divmod(v + half, t)
+    c2, c1 = divmod(high + half, t)
+    return [c0 - half, c1 - half, c2]
 
 
-def _clipped_measure(p: LogPolytope, domain_id: int):
-    """Length or area, a ``Fraction`` or a ``_TPoly``, of the region the build
-    kept, cut off at ``a.u + T s |a|^2 >= 0`` for each ray ``r = s a``, ``a``
-    primitive: a cutoff joins the ``_tightest`` table where no constraint,
-    tighter by the ``T`` term, is on its covector.  The length is ``c+ + c-``;
-    twice the area is the shoelace sum over the vertex cycle, closed as the
-    polytope is compact (the build's without rays), over the product of the
-    vertices' ``w``.  Where there are rays the constants are made ``_TPoly``
-    once; with no reflected operator, one is the left operand of every mix."""
-    region, rays = p._regions[domain_id], p.space.fan(domain_id).vectors
+def _clipped_measure(p: LogPolytope, domain_id: int) -> list:
+    """Length or area of the region the build kept, cut off at
+    ``a.u + T g |a|^2 / n >= 0`` for each ray ``(g / n) a`` of ``Fan.directions``
+    and ``Fan.scales``, as its coefficients of ``1, T, T^2``: a cutoff joins
+    the ``_tightest`` table where no constraint, tighter by the ``T`` term, is
+    on its covector, and ``T`` is the int ``_cutoff`` past the table's ints.
+    The length is ``c+ + c-``; twice the area is the shoelace sum over the
+    vertex cycle, closed as the polytope is compact (the build's without
+    rays), over the product of the vertices' ``w``, each term split into its
+    coefficients (``_digits``) where there are rays."""
+    region, fan = p._regions[domain_id], p.space.fan(domain_id)
     tightest = region if p.dim == 1 else region.tightest
-    if rays:
-        cutoffs = []
-        for r in rays:  # r = s a with s = g / n
-            n = math.lcm(*(x.denominator for x in r))
-            ints = [x.numerator * (n // x.denominator) for x in r]
-            g = math.gcd(*ints)
-            a = tuple(x // g for x in ints)
-            cutoffs.append((None, a, _TPoly(0, g * sum(x * x for x in a)), n))
-        tightest = {**_tightest(cutoffs), **{a: (_TPoly(c), *t) for a, (c, *t) in tightest.items()}}
+    if p.dim == 2 and not fan.vectors:
+        twice, den, vertices = 0, 1, region.vertices
+        for (x, y, w), (x1, y1, w1) in zip(vertices, vertices[1:] + vertices[:1]):
+            twice = (x * y1 - x1 * y) * den + twice * (w * w1)
+            den *= w * w1
+        return [Fraction(twice, 2 * den), 0, 0]
+    cutoffs = [(a, g * sum([x * x for x in a]), n) for a, (g, n) in zip(fan.directions, fan.scales)]
+    lines = [*cutoffs, *[(a, c, q) for a, (c, q, _) in tightest.items()]]
+    t = _cutoff([x for a, c, q in lines for x in (*a, c, q)])
+    tightest = {**_tightest([(None, a, k * t, n) for a, k, n in cutoffs]), **tightest}
     if p.dim == 1:
         (c, q, _), (d, s, _) = tightest[(1,)], tightest[(-1,)]
-        return (c * s + d * q) * Fraction(1, q * s)
-    vertices = _intersect(*_turn_order(tightest))[1] if rays else region.vertices
-    twice, den = 0, 1
+        return [e and Fraction(e, q * s) for e in _digits(c * s + d * q, t)]
+    vertices = _intersect(*_turn_order(tightest))[1]
+    twice, den = [0, 0, 0], 1
     for (x, y, w), (x1, y1, w1) in zip(vertices, vertices[1:] + vertices[:1]):
-        twice = (x * y1 - x1 * y) * den + twice * (w * w1)
+        twice = [e * den + s * (w * w1) for e, s in zip(_digits(x * y1 - x1 * y, t), twice)]
         den *= w * w1
-    return twice * Fraction(1, 2 * den)
+    return [e and Fraction(e, 2 * den) for e in twice]
 
 
 def regularized_volume(p: LogPolytope, eps: Fraction | None = None) -> Fraction:
     """Principal-value volume of a compact oriented polytope without
     singular faces.
 
-    Each domain is clipped once at a symbolic log-distance ``T`` from
-    every stratum; the signed measures, summed with alternating domain
-    signs, are the exact ``a0 + a1 T + a2 T^2`` for every large ``T``.
+    Each domain is clipped once at a log-distance ``T`` from every
+    stratum; the signed measures, summed with alternating domain signs,
+    are the exact ``a0 + a1 T + a2 T^2`` for every large ``T``.
     The volume is ``a0`` if ``a1 = a2 = 0`` and diverges otherwise.
     The excision ``eps`` must lie in (0, 1) but does not change it."""
     if not p.orientable:
@@ -1333,8 +1301,11 @@ def regularized_volume(p: LogPolytope, eps: Fraction | None = None) -> Fraction:
     signs = _crossing_signs(p.space, p.feasible, p.traces)
     assert signs is not None
     norm = signs[min(p.feasible)] * p.spec.orientation
-    total = sum((_clipped_measure(p, d) * (signs[d] * norm) for d in p.feasible), _TPoly(0))
-    const, *growth = total.coefs
+    total = [0, 0, 0]
+    for d in p.feasible:
+        for k, m in enumerate(_clipped_measure(p, d)):
+            total[k] += m * (signs[d] * norm)
+    const, *growth = total
     if any(growth):
         terms = ", ".join(f"T^{k}: {c}" for k, c in enumerate(growth, 1) if c)
         raise GeometryError(f"the regularized volume diverges: nonzero coefficients {terms}")

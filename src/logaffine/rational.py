@@ -1,21 +1,19 @@
-"""Exact rational vectors, affine functionals and the lattice test.
+"""Exact rational vectors and affine functionals.
 
 Vectors are plain tuples of ``fractions.Fraction`` so they hash and
-compare structurally.  The decisions on them run on integers: the
-lattice-saturation test reads the gcd of the maximal minors of an
-integer matrix, and fan validation (``fans.validate_fan``) eliminates
-its rays' integer rows without fractions.
+compare structurally.  The decisions on them run on integers: fan
+validation (``fans.validate_fan``) eliminates its rays' integer rows
+without fractions, and the lattice test at a polytope's vertex
+(``polytopes.delzant_check``) is a 2 x 2 determinant.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, NonIntegerEntryError
+from .errors import DimensionMismatchError
 
 Vector = tuple[Fraction, ...]
 
@@ -71,49 +69,3 @@ class AffineFunctional:
         body = ", ".join(str(c) for c in self.linear)
         sign = "-" if self.constant < 0 else "+"
         return f"({body}) {sign} {abs(self.constant)}"
-
-
-# ------------------------------------------------------- lattice test
-
-
-def _as_int(entry) -> int:
-    f = Fraction(entry)
-    if f.denominator != 1:
-        raise NonIntegerEntryError(f"non-integer entry {entry}")
-    return f.numerator
-
-
-def _as_int_matrix(rows: Sequence[Sequence]) -> list[list[int]]:
-    out = [[x if type(x) is int else _as_int(x) for x in row] for row in rows]
-    widths = {len(r) for r in out}
-    if len(widths) > 1:
-        raise DimensionMismatchError("ragged integer matrix")
-    return out
-
-
-def _det(mat: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, by cofactors of its first row."""
-    if len(mat) < 2:
-        return mat[0][0] if mat else 1
-    return sum(
-        (-1) ** j * x * _det([row[:j] + row[j + 1 :] for row in mat[1:]])
-        for j, x in enumerate(mat[0])
-    )
-
-
-def is_saturated_lattice_basis(rows: Sequence[Sequence]) -> bool:
-    """Whether integer row vectors extend to a basis of the full lattice.
-
-    True exactly when the ``k x k`` minors of the ``k x n`` matrix
-    (``k <= n``) have gcd one, i.e. the rows span a saturated rank-``k``
-    sublattice (the gcd is the product of the Smith divisors).
-    """
-    mat = _as_int_matrix(rows)
-    if mat and len(mat) > len(mat[0]):
-        raise DimensionMismatchError("more rows than columns")
-    columns = range(len(mat[0]) if mat else 0)
-    minors = (
-        _det([[row[j] for j in cols] for row in mat])
-        for cols in itertools.combinations(columns, len(mat))
-    )
-    return math.gcd(*minors) == 1

@@ -42,10 +42,9 @@ points and the build's faults off it.
 
 ``_intersect``, ``_meet`` and ``_value`` are the vertex cycle's old
 kernel, which intersects the half-planes ``a.u + c >= 0`` with Fraction
-points (``c`` a Fraction, or a ``volume_oracle.TPoly`` for the
-infinitesimal rerun, since the package's ``_TPoly`` takes no number on
-its left); the build now runs the same steps on homogeneous integer
-points.
+points (``c`` a Fraction, or a ``volume_oracle.TPoly`` in the symbol
+``T`` for the infinitesimal rerun); the build now runs the same steps
+on homogeneous integer points, the rerun at one int ``T``.
 
 ``fraction_ranks`` is the vertex cycle's old rank, which sorts the
 vertices as pairs of Fractions; the cycle now sorts them on ints,

@@ -9,21 +9,33 @@ fraction-free integer elimination per cone, on the rays' integer rows
 with every other ray as a carried column, and must give the same
 violations in the same order.
 
-``smith_normal_form`` is the package's old integer elimination: the
-lattice test ``rational.is_saturated_lattice_basis`` now reads the gcd
-of the maximal minors, which must be one exactly when every Smith
-divisor is.
+``smith_normal_form`` is the package's old integer elimination.
+``is_saturated_lattice_basis``, the package's old lattice test, reads
+the gcd of the maximal minors, which must be one exactly when every
+Smith divisor is; ``polytopes.delzant_check`` now tests two rows of two
+by their determinant, which must be a unit exactly when the minors' gcd
+is one.  ``DependentGeneratorsError`` and ``ObstructionUnknownError``
+are the package's old error classes that nothing there raises any more.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
 
-from logaffine.errors import DependentGeneratorsError, DimensionMismatchError
+from logaffine.errors import DimensionMismatchError, GeometryError, NonIntegerEntryError
 from logaffine.fans import Fan
-from logaffine.rational import Vector, _as_int_matrix, as_vector, is_zero
+from logaffine.rational import Vector, as_vector, is_zero
+
+
+class DependentGeneratorsError(GeometryError):
+    """A cone operation received linearly dependent generators."""
+
+
+class ObstructionUnknownError(GeometryError):
+    """A construction needs the bundle lifting obstruction to vanish."""
 
 
 def gauss_jordan(rows: list[list[Fraction]], columns: int) -> list[int]:
@@ -223,3 +235,49 @@ def smith_normal_form(rows: Sequence[Sequence]) -> tuple[int, ...]:
     while len(divisors) < size:
         divisors.append(0)
     return tuple(divisors)
+
+
+# ------------------------------------------------------- lattice test
+
+
+def _as_int(entry) -> int:
+    f = Fraction(entry)
+    if f.denominator != 1:
+        raise NonIntegerEntryError(f"non-integer entry {entry}")
+    return f.numerator
+
+
+def _as_int_matrix(rows: Sequence[Sequence]) -> list[list[int]]:
+    out = [[x if type(x) is int else _as_int(x) for x in row] for row in rows]
+    widths = {len(r) for r in out}
+    if len(widths) > 1:
+        raise DimensionMismatchError("ragged integer matrix")
+    return out
+
+
+def _det(mat: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, by cofactors of its first row."""
+    if len(mat) < 2:
+        return mat[0][0] if mat else 1
+    return sum(
+        (-1) ** j * x * _det([row[:j] + row[j + 1 :] for row in mat[1:]])
+        for j, x in enumerate(mat[0])
+    )
+
+
+def is_saturated_lattice_basis(rows: Sequence[Sequence]) -> bool:
+    """Whether integer row vectors extend to a basis of the full lattice.
+
+    True exactly when the ``k x k`` minors of the ``k x n`` matrix
+    (``k <= n``) have gcd one, i.e. the rows span a saturated rank-``k``
+    sublattice (the gcd is the product of the Smith divisors).
+    """
+    mat = _as_int_matrix(rows)
+    if mat and len(mat) > len(mat[0]):
+        raise DimensionMismatchError("more rows than columns")
+    columns = range(len(mat[0]) if mat else 0)
+    minors = (
+        _det([[row[j] for j in cols] for row in mat])
+        for cols in itertools.combinations(columns, len(mat))
+    )
+    return math.gcd(*minors) == 1

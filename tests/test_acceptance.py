@@ -27,7 +27,7 @@ from logaffine.polytopes import (
     polytope_topology,
     regularized_volume,
 )
-from logaffine.rational import AffineFunctional, is_saturated_lattice_basis, vector
+from logaffine.rational import AffineFunctional, vector
 from logaffine.topology import (
     betti_numbers,
     classify_closed_surface,
@@ -43,6 +43,7 @@ from logaffine.welding import (
 )
 
 from polytope_oracle import is_compact_2d
+from rational_oracle import is_saturated_lattice_basis
 from conftest import (
     fixture_path,
     load_built_polytope,

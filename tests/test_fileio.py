@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logaffine import fileio
+from logaffine.cli import main
 from logaffine.errors import FaceInUseError, NotMatchedError, SpecFileError
 from logaffine.fileio import (
     _fraction,
@@ -584,3 +585,25 @@ def test_a_domain_id_is_decimal_digits_int_reads(line: str, want) -> None:
     else:
         got = wf.domain_fans[-1]
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("logaffine fan 1\ndim \u00b2\n", "n:2: invalid dimension '\u00b2'"),
+        ("logaffine bundle 1\nrank \u00b2\n", "n:2: invalid rank '\u00b2'"),
+        (
+            "logaffine bundle 1\nrank 1\nchern \u00b2 = (0)\n",
+            "n:3: chern index '\u00b2' out of range",
+        ),
+    ],
+)
+def test_a_dimension_rank_or_chern_index_is_decimal_digits(tmp_path, capsys, text, want) -> None:
+    """A digit that ``int`` does not read, as ``\u00b2``, is a parse error
+    with its line, and the CLI exits 2 on it, as on a domain id."""
+    parse = parse_fan_text if text.startswith("logaffine fan") else parse_bundle_text
+    assert str(parse_error(parse, text, path="n")) == want
+    path = tmp_path / "n"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert want.split(": ", 1)[1] in capsys.readouterr().err

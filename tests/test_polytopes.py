@@ -43,7 +43,7 @@ from logaffine.polytopes import (
 )
 from logaffine.fans import _direction_cmp, make_fan
 from logaffine.fileio import parse_polytope_text, parse_welding_text
-from logaffine.rational import AffineFunctional, cross2, is_saturated_lattice_basis, vector
+from logaffine.rational import AffineFunctional, cross2, vector
 from logaffine.welding import build_welded_space, make_welding_spec
 
 import polytope_oracle
@@ -57,7 +57,7 @@ from polytope_oracle import (
     faces_1d,
     is_compact_2d,
 )
-from rational_oracle import cone_contains, primitive
+from rational_oracle import cone_contains, is_saturated_lattice_basis, primitive
 from conftest import (
     FAR_RECTANGLE,
     FIXTURES,
@@ -428,28 +428,6 @@ def test_volume_fixture_list_is_every_fixture_with_a_volume() -> None:
     assert regularized_volume(_without_singular_faces("figmodel.poly")) == F(-1, 2)
 
 
-@pytest.mark.parametrize("name", VOLUME_FIXTURES)
-def test_the_volume_reflects_no_operation_onto_a_tpoly(name) -> None:
-    """``_TPoly`` has no reflected operator, no division and no ``>``, so
-    a number on its left raises ``TypeError``; every volume, which takes
-    ``_TPoly`` constants where there are rays, is still the oracle's."""
-    t = polytopes._TPoly(1, 1)
-    for method in ("__radd__", "__rmul__", "__rsub__", "__truediv__", "__gt__", "__ge__"):
-        assert method not in vars(polytopes._TPoly)
-    for reflected in (
-        lambda: 1 + t,
-        lambda: F(1) * t,
-        lambda: 2 - t,
-        lambda: t / 2,
-        lambda: F(1) < t,
-        lambda: t > 0,
-    ):
-        with pytest.raises(TypeError):
-            reflected()
-    p = load_built_polytope(name)
-    assert regularized_volume(p) == volume_oracle.symbolic_volume(p)
-
-
 def test_divergent_volume_names_its_growth_in_the_cutoff() -> None:
     """Stripping the singular faces of ``compdelt.poly`` skips the
     singular-face check; the clipped area then grows as ``T^2 / 2``."""
@@ -527,9 +505,9 @@ def test_the_delzant_determinant_is_the_saturated_basis_test(rows) -> None:
 
 
 def test_a_vertex_on_three_faces_keeps_the_minors_test() -> None:
-    """Only two rows of two are tested by their determinant: any other
-    row set still goes to ``is_saturated_lattice_basis``, which refuses
-    three rows of two as before."""
+    """Only two rows of two are tested, by their determinant: the build
+    puts no more on a vertex, and a hand-crowded vertex of three rows of
+    two is refused as the old minors test refused it."""
     p = load_built_polytope("unitsquare.poly")
     labels = tuple(f.label for f in p.nonsingular_faces[:3])
     crowded = replace(p.vertices[0], faces=labels)
@@ -1351,9 +1329,9 @@ def polytopes_over_rays(draw):
 
 
 def measure_coefficients(measure) -> list:
-    """The coefficients in ``T`` of a scalar or polynomial measure, the
-    trailing zeros dropped."""
-    coefs = list(getattr(measure, "coefs", (measure,)))
+    """The coefficients in ``T`` of a measure, the package's list of them
+    or the oracle's scalar or polynomial, the trailing zeros dropped."""
+    coefs = measure if isinstance(measure, list) else list(getattr(measure, "coefs", (measure,)))
     while coefs and coefs[-1] == 0:
         coefs.pop()
     return coefs
@@ -1387,7 +1365,7 @@ def test_the_volume_intersects_again_only_beside_rays(monkeypatch, tmp_path) -> 
     domain without rays reads the cycle the build kept: it intersects
     nothing and calls no ``_line_of``.  Beside rays it intersects the
     kept lines and the cutoffs once per domain, in a closed cycle with
-    ``_TPoly`` constants; in dimension 1 it reads the tightest cutoffs only."""
+    int constants; in dimension 1 it reads the tightest cutoffs only."""
     k = 16
     lines, calls = [], []
     line_of, intersect = polytopes._line_of, polytopes._intersect
@@ -1426,7 +1404,7 @@ def test_the_volume_intersects_again_only_beside_rays(monkeypatch, tmp_path) -> 
     calls.clear()
     regularized_volume(gen1)
     assert [gap for _, gap in calls] == [None] * len(gen1.feasible)
-    assert all(isinstance(c, polytopes._TPoly) for cycle, _ in calls for _, c, _ in cycle)
+    assert all(type(c) is int and type(q) is int for cycle, _ in calls for _, c, q in cycle)
     calls.clear()
     line = load_built_polytope("line1d.poly")
     assert len(line.faces) == 2
@@ -1453,47 +1431,108 @@ def test_a_copied_polytope_has_the_volume_of_the_built_one(name) -> None:
         assert set(copied._regions) == set(p.feasible)
 
 
-# ---------------------------------------- the kernel of the symbolic cutoff
+# ----------------------------------------------------- the int cutoff
 
 
-COEFFICIENTS = st.one_of(
-    st.sampled_from([0, F(0)]), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)
+# numerators up to 2^64 over denominators up to 2^32, most of them past a machine word
+BIG_CONSTANTS = st.builds(
+    F,
+    st.one_of(st.integers(2**63, 2**64), st.integers(1, 2**64)),
+    st.one_of(st.integers(2**31, 2**32), st.integers(1, 2**32)),
 )
-# a polynomial of degree 0 to 2 in T as its coefficients, or a scalar
-TERMS = st.one_of(st.lists(COEFFICIENTS, min_size=1, max_size=3), COEFFICIENTS)
+LINE_FAN = make_fan([vector(1), vector(-1)], [(), (0,), (1,)], dim=1)
 
 
-def coefficients(x) -> tuple:
-    return x.coefs if isinstance(x, (polytopes._TPoly, volume_oracle.TPoly)) else (x,)
+@st.composite
+def big_polytopes_over_rays(draw):
+    """A polytope over fans with rays, or the error its build raised: in
+    one domain, an interval over the line's two rays or fewer, or a planar
+    region, its constraints on distinct covectors with constants of
+    numerators up to 2^64 and denominators up to 2^32, so that they hold
+    strictly at the origin, half the time with the bounding triangle
+    (interval) scaled by one shared large int; or a system of
+    ``welded_systems`` on a closed welding with every constant scaled by
+    one such constant, so that domains cancel as in ``gen1.poly``."""
+    kind = draw(st.sampled_from(["interval", "region", "welded"]))
+    if kind == "welded":
+        name, constraints = draw(
+            welded_systems().filter(lambda system: PLANAR_SPACES[system[0]].compact)
+        )
+        scale = draw(BIG_CONSTANTS)
+        scaled = [(ref, fn(*f.linear, c=f.constant * scale)) for ref, f in constraints]
+        return build_declaring_faces(name, scaled)
+    dim = 1 if kind == "interval" else 2
+    if dim == 1:
+        fan = draw(st.sampled_from([LINE_FAN, load_fan("halfline.fan"), RATIONAL_RAY_FANS[1]]))
+    else:
+        fan = draw(st.sampled_from([*map(load_fan, RAY_FANS), RATIONAL_RAY_FANS[2]]))
+    covectors = draw(st.lists(st.sampled_from(COVECTORS[dim]), min_size=1, max_size=6, unique=True))
+    rows = [(a, draw(BIG_CONSTANTS)) for a in covectors]
+    if draw(st.booleans()):
+        scale = draw(st.integers(1, 2**64))
+        rows += [(a, c * scale) for a, c in BOUNDS[dim]]
+    return single_domain_polytope([fn(*a, c=c) for a, c in rows], fan)
 
 
-@settings(max_examples=300, deadline=None)
-@given(x=st.lists(COEFFICIENTS, min_size=1, max_size=3), y=TERMS)
-def test_the_cutoff_kernel_computes_as_the_old_one(x, y) -> None:
-    """Sums, differences, products, negation and comparison, with the
-    ``_TPoly`` on the left, the only side the kernel takes, give the
-    coefficients and the order that the zero-filling kernel the volume
-    oracle measures with gives."""
-    kernels = [
-        [k(*v) if isinstance(v, list) else v for v in (x, y)]
-        for k in (polytopes._TPoly, volume_oracle.TPoly)
-    ]
-    (a, b), (c, d) = kernels
-    for op in (
-        lambda u, v: u + v,
-        lambda u, v: u - v,
-        lambda u, v: u * v,
-        lambda u, v: -u,
-        lambda u, v: -v,
-    ):
-        assert coefficients(op(a, b)) == coefficients(op(c, d))
-    for compare in (
-        lambda u, v: u == v,
-        lambda u, v: u != v,
-        lambda u, v: u < v,
-        lambda u, v: u <= v,
-    ):
-        assert compare(a, b) == compare(c, d)
+def scaled_fixture(name: str, scale: Fraction):
+    """A fixture's polytope with every constant times ``scale > 0``, a
+    homothety, which keeps its faces."""
+    pf = load_polytope(name)
+    constraints = [(ref, fn(*f.linear, c=f.constant * scale)) for ref, f in pf.spec.constraints]
+    spec = make_polytope_spec(pf.spec.welding, constraints, pf.spec.groups, pf.spec.orientation)
+    return build_polytope(build_welded_space(pf.spec.welding), spec)
+
+
+BIG = F(2**64 - 59, 2**32 - 5)
+
+
+def volume_or_text(volume, p):
+    try:
+        return volume(p)
+    except GeometryError as err:
+        return str(err)
+
+
+def oracle_volume(p) -> Fraction:
+    """The oracle's constant term, or the package's divergence text made
+    from the oracle's coefficients of ``T`` and ``T^2``."""
+    const, *growth = volume_oracle.signed_total(p).coefs
+    if any(growth):
+        terms = ", ".join(f"T^{k}: {c}" for k, c in enumerate(growth, 1) if c)
+        raise GeometryError(f"the regularized volume diverges: nonzero coefficients {terms}")
+    return F(const)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=big_polytopes_over_rays())
+@example(p=scaled_fixture("rect.poly", BIG))  # four domains
+@example(p=scaled_fixture("figmodel.poly", BIG))  # two domains and a singular face
+@example(p=scaled_fixture("line1d.poly", BIG))
+@example(p=scaled_fixture("symm1d.poly", 1 / BIG))
+# a region receding into two rays' strata: its area grows as T^2 and T
+@example(p=single_domain_polytope([fn(-1, 1, c=BIG), fn(0, 1, c=BIG**2)], RATIONAL_RAY_FANS[2]))
+def test_the_int_cutoff_gives_the_symbolic_volume_on_big_constants(p) -> None:
+    """With constants far past a machine word, the volume at the one int
+    cutoff is the symbolic oracle's, and a divergence names the oracle's
+    coefficients of ``T`` and ``T^2``: singular faces, where a region
+    reaches a ray's stratum, are stripped, so that its measure grows."""
+    if isinstance(p, GeometryError) or not (p.compact and p.orientable):
+        return
+    p = replace(p, faces=p.nonsingular_faces)
+    assert volume_or_text(regularized_volume, p) == volume_or_text(oracle_volume, p)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(h=st.integers(1, 2**200), data=st.data())
+def test_the_digit_split_returns_each_coefficient(h, data) -> None:
+    """For ``c0, c1, c2`` in ``[-t/2, t/2)``, its ends included, the split
+    of ``c0 + c1 t + c2 t^2`` at the cutoff ``t`` past ``h`` gives them back."""
+    t = polytopes._cutoff([h, -h])
+    assert t > 64 * h**6
+    half = t // 2
+    digit = st.one_of(st.sampled_from([-half, -half + 1, 0, half - 1]), st.integers(-half, half - 1))
+    c = [data.draw(digit) for _ in range(3)]
+    assert polytopes._digits(c[0] + c[1] * t + c[2] * t * t, t) == c
 
 
 # ------------------------------------------- the polytope oracles at large
@@ -1611,7 +1650,16 @@ WIDE_COVECTORS = [(a, b) for a in range(-5, 6) for b in range(-5, 6) if math.gcd
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(fns=systems(2, WIDE_COVECTORS, st.fractions(-3, 3, max_denominator=4)))
+@given(
+    fns=systems(
+        2,
+        WIDE_COVECTORS,
+        st.one_of(
+            st.fractions(-3, 3, max_denominator=4),
+            st.builds(F, st.integers(-(2**64), 2**64), st.integers(1, 2**32)),
+        ),
+    )
+)
 @example(fns=STRIP)  # a strip: a vertex at infinity
 @example(fns=[fn(1, 0, c=F(1, 2)), fn(-1, 0, c=F(-1, 2))])  # a slab without interior
 @example(fns=[fn(1, 0, c=-1), fn(-1, 0)])  # an empty slab
@@ -1622,12 +1670,16 @@ WIDE_COVECTORS = [(a, b) for a in range(-5, 6) for b in range(-5, 6) if math.gcd
 @example(fns=[fn(1, 0, c=100), fn(0, 1, c=1), fn(-1, 0, c=1), fn(1, -1, c=1)])
 # three lines meeting in the region's only point: no interior, not empty
 @example(fns=[fn(1, 0, c=F(1, 2)), fn(0, 1, c=F(1, 3)), fn(-1, -1, c=F(-5, 6))])
+# the same far past a machine word, and a slab without interior there
+@example(fns=[fn(1, 0, c=BIG / 2), fn(0, 1, c=BIG / 3), fn(-1, -1, c=-5 * BIG / 6)])
+@example(fns=[fn(1, 0, c=BIG), fn(-1, 0, c=-BIG)])
 def test_the_integer_cycle_matches_the_fraction_kernel(fns) -> None:
     """``_intersect`` on homogeneous integer points keeps the lines,
     vertices and touching lines that the old Fraction kernel keeps, and
     ``_cycle`` reads the same verdict off it, with the infinitesimal
-    rerun for a region without interior; each face end lies at its
-    bound along ``_line_of``."""
+    rerun at the int cutoff for a region without interior, also on
+    constants of numerators up to 2^64 over denominators up to 2^32;
+    each face end lies at its bound along ``_line_of``."""
     items = sorted((f"c{i}", f) for i, f in enumerate(fns))
     calls = []
     intersect = polytopes._intersect

@@ -11,6 +11,8 @@ dunders, whether or not the class is exported.  Every field of a
 private top-level class, an annotated name or a ``__slots__`` entry of
 its body, must be read as an attribute by package code, or the class
 keeps state that nothing uses.
+Every exported error class is constructed by package code, or is the
+base of another class: one that nothing raises leaves ``__all__``.
 Every dataclass is frozen: the match memo and the cached properties
 key on object identity, which is sound only for values that never
 change.
@@ -150,6 +152,19 @@ def unread_fields(sources: dict[str, str]) -> list[str]:
     ]
 
 
+def constructed_or_derived(sources: dict[str, str]) -> set[str]:
+    """The names the package's code calls, as it does to construct an
+    error it raises, or derives a class from."""
+    found: set[str] = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                found.add(node.func.id)
+            elif isinstance(node, ast.ClassDef):
+                found.update(b.id for b in node.bases if isinstance(b, ast.Name))
+    return found
+
+
 def is_dataclass_decorator(node: ast.expr) -> bool:
     target = node.func if isinstance(node, ast.Call) else node
     return (isinstance(target, ast.Name) and target.id == "dataclass") or (
@@ -259,6 +274,15 @@ def test_guard_flags_an_unfrozen_dataclass() -> None:
     assert unfrozen_dataclasses(sources) == ["a.A", "a.C", "b.E"]
 
 
+def test_guard_finds_constructed_and_derived_names() -> None:
+    sources = {
+        "a": "class Base(Exception): pass\nclass Raised(Base): pass\nclass Idle(Base): pass\n",
+        "b": "def f(): raise Raised('x')\ndef g(): return Made\n",
+    }
+    # a name only read, not called, is neither
+    assert constructed_or_derived(sources) == {"Exception", "Base", "Raised"}
+
+
 def test_guard_compares_bound_names_with_all() -> None:
     source = (
         "from __future__ import annotations\n"
@@ -300,3 +324,11 @@ def test_no_unread_fields() -> None:
 
 def test_every_dataclass_is_frozen() -> None:
     assert unfrozen_dataclasses(package_sources()) == []
+
+
+def test_every_exported_error_is_raised_or_a_base() -> None:
+    """An exported error class that no package code constructs, or
+    derives another class from, is raised by nothing: it leaves
+    ``__all__``, with a note under "Removed" in the README."""
+    used = constructed_or_derived(package_sources())
+    assert [name for name in logaffine._EXPORTS["errors"] if name not in used] == []

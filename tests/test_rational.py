@@ -9,20 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logaffine.errors import (
-    DependentGeneratorsError,
-    DimensionMismatchError,
-    NonIntegerEntryError,
-)
-from logaffine.rational import (
-    AffineFunctional,
-    cross2,
-    is_saturated_lattice_basis,
-    rot90,
-    vector,
-)
+from logaffine.errors import DimensionMismatchError, NonIntegerEntryError
+from logaffine.rational import AffineFunctional, cross2, rot90, vector
 from rational_oracle import (
+    DependentGeneratorsError,
     cone_contains,
+    is_saturated_lattice_basis,
     linear_independent,
     primitive,
     rank,

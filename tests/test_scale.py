@@ -65,6 +65,8 @@ budget of calls into the package per side that four times the sides
 raise about fourfold.  Its build and its volume keep pinned budgets
 of calls per side too: the build's grow about fourfold with the sides,
 and the volume's not at all, as it reads the vertex cycle the build kept.
+The volume of a fixture whose domains all have rays keeps a pinned
+budget of calls per feasible domain.
 With each constraint moved by 1 / p for its own odd prime p, the
 vertices' homogeneous weights w are distinct and their lcm is a multiple
 of every such p, and the cycle still ranks its vertices by point as the
@@ -88,6 +90,7 @@ from logaffine.classification import make_invariant_record, records_equivalent
 from logaffine.fileio import (
     parse_bundle_text,
     parse_fan_file,
+    parse_polytope_file,
     parse_polytope_text,
     parse_welding_text,
 )
@@ -419,9 +422,12 @@ def test_fan_validation_constructs_no_fraction(monkeypatch) -> None:
 # 13.53 and 13.19 per domain at m = 3, 7.22, 5.38, 7.05 and 6.88 at m = 6
 # (torus, comb, cylinder, disc).  The token-by-token parse before made
 # 26.03, 19.36, 24.69 and 23.36 at m = 3, the comparison of Fraction stars
-# before that 27.36, 20.69, 26.03 and 24.69.  Python 3.12 and 3.13 count
-# fewer (9.08 to 11.86 at m = 3).  A budget may fall freely; raising one
-# loosens the check, and CHANGES.md must say why.
+# before that 27.36, 20.69, 26.03 and 24.69.  Primitive ray rows
+# (``Fan.directions``) cost the fan's validation one call per ray more:
+# 13.97, 12.31, 13.64 and 13.31 at m = 3, within 1 to 5 calls of the
+# budget.  Python 3.12 and 3.13 count fewer (9.08 to 11.86 at m = 3).  A
+# budget may fall freely; raising one loosens the check, and CHANGES.md
+# must say why.
 PARSE_CALLS_PER_DOMAIN = {"torus": 14, "comb": 13, "cylinder": 14, "disc": 14}
 
 
@@ -551,6 +557,28 @@ def test_the_polygon_build_and_volume_keep_their_call_budgets(tmp_path) -> None:
             assert calls[-1] <= POLYGON_CALLS_PER_SIDE[name] * k, (name, k)
     for name, (small, large) in counts.items():
         assert Fraction(large, small) <= POLYGON_GROWTH[name] * (1 + GROWTH_SLACK), name
+
+
+# Package calls per feasible domain of the volume of a freshly built
+# fixture whose every domain has rays, which cuts each domain off at one
+# int cutoff and intersects its lines once, pinned at the counts on
+# Python 3.10 and 3.11: 91 on gen1.poly, 64.5 on rect.poly and 26.5 on
+# line1d.poly, each including the first read of its fans' ray scales and,
+# on line1d.poly, whose 1-D build keeps no regions, making them.  With the
+# cutoff a polynomial in T they were 663.25, 405.75 and 47.  Python 3.12
+# and 3.13 inline list comprehensions (PEP 709), so they count fewer
+# (70.75, 50.25-51.75 and 18).  A budget may fall freely; raising one
+# loosens the check, and CHANGES.md must say why.
+RAY_VOLUME_CALLS_PER_DOMAIN = {"gen1.poly": 91, "line1d.poly": 27, "rect.poly": 65}
+
+
+@pytest.mark.parametrize("name", sorted(RAY_VOLUME_CALLS_PER_DOMAIN))
+def test_the_volume_beside_rays_keeps_its_call_budget(name: str) -> None:
+    pf = parse_polytope_file(FIXTURES / name)
+    p = build_polytope(build_welded_space(pf.spec.welding), pf.spec)
+    assert all(p.space.fan(d).vectors for d in p.feasible)
+    calls = package_calls(lambda: regularized_volume(p))
+    assert calls <= RAY_VOLUME_CALLS_PER_DOMAIN[name] * len(p.feasible)
 
 
 @pytest.mark.parametrize("k", [16, 64])

@@ -10,7 +10,8 @@ as a number or, by default, as the symbol.
 ``TPoly`` is the polynomial in ``T`` the volume was first computed
 with: every sum zero-fills the shorter coefficient list, every product
 multiplies each pair of coefficients and negation multiplies by -1.
-The oracle measures with it, not with the kernel that it checks.
+The oracle measures with it in the symbol ``T``, which the package
+takes as one int past a bound on the coefficients.
 
 ``segment_measure`` is the volume's earlier per-domain measure: the
 build's face segments clipped by the cutoff lines only, and each cutoff
