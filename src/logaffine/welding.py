@@ -37,15 +37,16 @@ spec memoizes them by fan-ray ids: a grid of one fan compares rays
 once per distinct pair of labels.
 
 The assembly reads the strata through one table per ``Fan`` object,
-not per domain: the fan's quadrants in sorted-label order with their
-rays and positions, and per fan-ray id its vector and the rays of its
-tail and head quadrants (``Fan.turns``).  Quadrants are visited in
-(domain id, sorted labels) order, so each corner cluster is named when
-its least quadrant is met, and is keyed by its quadrants' face ids.  A
-crossing's closed walk alternates the corner's two rays, so it joins
-link i to link i + 2, and ``connected_runs`` gathers the joined welded
-edges into divisor components.  The Fractions of a fan's vectors are
-hashed a fixed number of times per fan, whatever the number of domains.
+not per domain, so it hashes a fan's Fractions a fixed number of times
+whatever the number of domains: the quadrants in sorted-label order
+with their rays, positions and label sets (keyed by fan-ray ids), and
+per fan-ray id its vector and the rays of its tail and head quadrants
+(``Fan.turns``).  Quadrants are visited in (domain id, sorted labels)
+order, so each corner cluster is numbered when its least quadrant is
+met, and keyed by its quadrants' face ids.  A crossing's closed walk
+alternates the corner's two rays, so it joins the pair of link i to
+that of link i + 2; ``connected_runs`` gathers the joined pair indices
+into divisor components, read out as labels at the end.
 """
 
 from __future__ import annotations
@@ -368,15 +369,19 @@ class _WeldIndex:
         base_f, base_g = self.base[f], self.base[g]
         fan, ray = self.spec._fans[self.doms[f]], f - base_f
         coerced: dict[tuple[FaceRef, FaceRef], tuple[int, int]] = {}
+        walk = self.walk
         for j in fan.corner_neighbours[ray]:
             w_f, w_g = base_f + j, base_g + forward[j]
-            quads_f, end_f = self.walk(w_f, f)
-            if (g, w_g) in quads_f or (w_g, g) in quads_f:
+            quads_f, end_f = walk(w_f, f)
+            # the chain meets g's quadrant iff it ends at g: no walk enters
+            # the free face g; a walk keeps its quadrant's two vectors, and
+            # a fan's are distinct, so a quadrant of g on it is {g, w_g}
+            if end_f == g:
                 if len(quads_f) != 4:
                     reason = f"welding closes a {len(quads_f)}-quadrant cycle at"
                     return _obstructed(reason, fan, ray, j, self.links(quads_f)), []
                 continue  # the new weld itself closes this corner
-            quads_g, end_g = self.walk(w_g, g)
+            quads_g, end_g = walk(w_g, g)
             total = len(quads_f) + len(quads_g)
             if total > 4:
                 reason = f"welding gathers {total} quadrants at"
@@ -629,12 +634,12 @@ def build_welded_space(spec: WeldingSpec) -> WeldedSpace:
     final_pairs: list[MatchedPair] = []
     for f in welded:
         final = holder[f]
-        if final.label is None or final.right < final.left:
-            label = final.label
+        a, b, label = final.left, final.right, final.label
+        if label is None or b < a:
             if label is None:
                 auto += 1
                 label = f"auto{auto}"
-            final = MatchedPair(*sorted(final.faces()), label=label)
+            final = MatchedPair(a, b, label) if a < b else MatchedPair(b, a, label)
             # cluster links carry the final labels
             holder[f] = holder[partner[f]] = final
         final_pairs.append(final)
@@ -645,44 +650,52 @@ def build_welded_space(spec: WeldingSpec) -> WeldedSpace:
 
 def _assemble(spec: WeldingSpec, index: _WeldIndex, welded: list[int]) -> WeldedSpace:
     """Strata of the welds in ``index``, which holds exactly ``spec.pairs``,
-    one face of each in ``welded``.
-
-    Domains are read in id order, whatever the order of ``spec.domain_items``.
-    """
-    pairs = spec.pairs
-    plane = spec.dim == 2
+    each in face order, one face of each in ``welded``; domains are read in
+    id order, whatever the order of ``spec.domain_items``."""
+    pairs, plane = spec.pairs, spec.dim == 2
     domains = sorted(spec.domain_items, key=lambda item: item[0])
     offsets, doms, base, kinds = index.spec._faces
+    n = len(doms)
+    partner, holder, walk, links_of = index.partner, index.holder, index.walk, index.links
 
     # --- one table per Fan object: its quadrants (sorted labels, rays in
-    # that order, position) in sorted-label order; and per fan-ray id its
-    # vector and tail and head neighbours (a quadrant's other ray)
+    # that order, position) in sorted-label order; each one's label set by
+    # its fan-ray ids x, y as x * n + y, in either order; and per fan-ray
+    # id its vector and tail and head neighbours
     tables: dict[int, tuple[Fan, list]] = {}
+    quad_labels: dict[int, frozenset[str]] = {}
     rays: dict[int, tuple] = {}
     for domain_id, fan in domains:
         if id(fan) in tables:
             continue
-        labels, cones = fan.labels, fan.two_cones() if plane else []
-        rows = [sorted(c, key=labels.__getitem__) for c in cones]
-        quads = [([labels[i] for i in r], r, frozenset(fan.vectors[i] for i in r)) for r in rows]
+        labels, vectors, quads = fan.labels, fan.vectors, []
+        first = kinds[offsets[domain_id]] if labels else 0  # a fan without rays has no id
+        for cone in fan.two_cones() if plane else ():
+            i, j = sorted(cone, key=labels.__getitem__)
+            x, y = first + i, first + j
+            quad_labels[x * n + y] = quad_labels[y * n + x] = frozenset((labels[i], labels[j]))
+            quads.append(((labels[i], labels[j]), i, j, frozenset((vectors[i], vectors[j]))))
         tables[id(fan)] = (fan, sorted(quads))
-        for i, v in enumerate(fan.vectors):
+        for i, v in enumerate(vectors):
             # a missing turn (None) names no 2-cone: no quadrant on that side
-            rays[kinds[offsets[domain_id] + i]] = (v, *(fan.turns[i] if plane else (None, None)))
+            rays[first + i] = (v, *(fan.turns[i] if plane else (None, None)))
 
     # --- corner clusters (dimension 2 only), met in (domain id, sorted
-    # labels) order: a cluster's first quadrant met is its least; each is
-    # keyed by its quadrants' face ids x, y as x * n + y, in either order
+    # labels) order: a cluster's first quadrant met is its least; each
+    # quadrant's face ids x, y key its cluster's index as x * n + y, in
+    # either order.  A crossing's closed walk alternates the corner's two
+    # rays, so it joins the pair of link i to that of link i + 2.
     clusters: list[CornerCluster] = []
-    cluster_of: dict[int, str] = {}
-    n = len(doms)
+    cluster_of, joins, pair_of = {}, [], [0] * n  # pair_of: a face's pair index
+    for k, f in enumerate(welded):
+        pair_of[f] = pair_of[partner[f]] = k
     for domain_id, fan in domains:
         offset = offsets[domain_id]
-        for (l1, l2), (i1, i2), position in tables[id(fan)][1]:
+        for (l1, l2), i1, i2, position in tables[id(fan)][1]:
             x, y = offset + i1, offset + i2
             if x * n + y in cluster_of:
                 continue
-            members, end = index.walk(x, y)
+            members, end = walk(x, y)
             closed = end is None
             if closed:
                 if len(members) != 4:
@@ -690,69 +703,55 @@ def _assemble(spec: WeldingSpec, index: _WeldIndex, welded: list[int]) -> Welded
                         f"corner cycle of length {len(members)} at "
                         f"quadrant {{{l1}, {l2}}} of domain {domain_id}"
                     )
-                links = index.links(members)
+                (x0, _), (x1, _), (x2, _), (x3, _) = members
+                links = [holder[x0], holder[x1], holder[x2], holder[x3]]
+                joins += ((pair_of[x0], pair_of[x2]), (pair_of[x1], pair_of[x3]))
             else:
-                back, _ = index.walk(y, x)
-                links = index.links(back)[::-1] + index.links(members)
+                back, _ = walk(y, x)
+                links = links_of(back)[::-1] + links_of(members)
                 members = back[:0:-1] + members
                 if len(members) > 3:
                     raise GeometryError(
                         f"unresolved corner chain of length {len(members)} "
                         f"at quadrant {{{l1}, {l2}}} of domain {domain_id}"
                     )
-            cluster_id = f"c{len(clusters) + 1}"
-            quads = []
+            c, quads = len(clusters), []
             for x, y in members:
-                o, labels = base[x], spec._fans[doms[x]].labels
-                quads.append((doms[x], frozenset((labels[x - o], labels[y - o]))))
-                cluster_of[x * n + y] = cluster_of[y * n + x] = cluster_id
-            clusters.append(CornerCluster(cluster_id, position, tuple(quads), closed, tuple(links)))
+                cluster_of[x * n + y] = cluster_of[y * n + x] = c
+                quads.append((doms[x], quad_labels[kinds[x] * n + kinds[y]]))
+            cluster = CornerCluster(f"c{c + 1}", position, tuple(quads), closed, tuple(links))
+            clusters.append(cluster)
 
     # --- edge strata
     edges: dict[str, EdgeStratum] = {}
 
     def add_edge(label: str, kind: str, f: int, faces: tuple, domain_ids: tuple) -> None:
-        # the by-label lookups (WeldedSpace.edge, the components) need
-        # one edge per label; a listed label is never renamed
+        # WeldedSpace.edge needs one edge per label; a listed label is never renamed
         if label in edges:
             raise WeldingError(f"edge label {label!r} names two edges")
         v, tail, head = rays[kinds[f]]
-        edges[label] = EdgeStratum(
-            label=label,
-            kind=kind,
-            faces=faces,
-            residue=v,
-            domain_ids=domain_ids,
-            tail=None if tail is None else cluster_of[f * n + base[f] + tail],
-            head=None if head is None else cluster_of[f * n + base[f] + head],
-        )
+        tail = None if tail is None else clusters[cluster_of[f * n + base[f] + tail]].cluster_id
+        head = None if head is None else clusters[cluster_of[f * n + base[f] + head]].cluster_id
+        edges[label] = EdgeStratum(label, kind, faces, v, domain_ids, tail, head)
 
-    # either face of a welded edge reads its ends: a matched pair's stars agree
+    # either face of a welded edge reads its ends: a matched pair's stars
+    # agree, and its faces lie in two domains
     for p, f in zip(pairs, welded):
-        # the faces of a matched pair lie in two domains
-        a, b = (p.left, p.right) if p.left < p.right else (p.right, p.left)
-        add_edge(p.label, "welded", f, (a, b), (a[0], b[0]))
+        add_edge(p.label, "welded", f, (p.left, p.right), (p.left[0], p.right[0]))
     for domain_id, fan in domains:
         for f, label in enumerate(fan.labels, offsets[domain_id]):
-            if index.partner[f] is None:
+            if partner[f] is None:
                 add_edge(f"{domain_id}.{label}", "boundary", f, ((domain_id, label),), (domain_id,))
 
-    # --- divisor components: welded edges joined at crossings, where a
-    # closed walk's links alternate the corner's two rays, so link i and
-    # link i + 2 cross it on one ray
-    joins = [(c.links[i].label, c.links[i + 2].label) for c in clusters if c.closed for i in (0, 1)]
-    components = [
-        DivisorComponent(
-            label=f"D{k + 1}", edge_labels=run, residue=edges[run[0]].residue, closed=closed
-        )
-        for k, (run, closed) in enumerate(connected_runs((p.label for p in pairs), joins))
-    ]
+    # --- divisor components: the welded edges joined at crossings
+    components = []
+    for k, (run, closed) in enumerate(connected_runs(range(len(pairs)), joins)):
+        edge_labels, residue = tuple([pairs[i].label for i in run]), rays[kinds[welded[run[0]]]][0]
+        components.append(DivisorComponent(f"D{k + 1}", edge_labels, residue, closed))
 
-    signs, holds = two_colour((i for i, _ in domains), ((p.left[0], p.right[0], -1) for p in pairs))
-    compact: bool | None = None
-    if spec.dim <= 2:
-        # domains built from one fan share the Fan object: test each once
-        compact = all(is_complete(fan) for fan, _ in tables.values())
+    signs, holds = two_colour([i for i, _ in domains], [(p.left[0], p.right[0], -1) for p in pairs])
+    # domains built from one fan share the Fan object: test each once
+    compact = all(is_complete(fan) for fan, _ in tables.values()) if spec.dim <= 2 else None
     return WeldedSpace(
         spec=spec,
         dim=spec.dim,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -690,6 +691,55 @@ def test_closure_matches_the_slow_oracle(spec, data) -> None:
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.weld")))
 def test_closure_matches_the_slow_oracle_on_fixtures(name: str) -> None:
     spec = load_welding(name).spec
+    assert outcome(build_welded_space, spec) == outcome(weld_oracle.build_welded_space, spec)
+
+
+def benchmark_grid(variant: str, m: int, seed: int):
+    """A 2m x 2m square-fan grid drawn as the benchmark draws it: every
+    pair labelled, ``p1`` to ``pN``, in a seeded order and orientation."""
+    rng = random.Random(seed)
+    pairs = grid_pairs(variant, m)
+    rng.shuffle(pairs)
+    listed = []
+    for k, (d1, r1, d2, r2) in enumerate(pairs, start=1):
+        left, right = ((d1, r1), (d2, r2)) if rng.random() < 0.5 else ((d2, r2), (d1, r1))
+        listed.append(MatchedPair(left, right, label=f"p{k}"))
+    square = load_fan("square.fan")
+    return make_welding_spec({i: square for i in range(1, 4 * m * m + 1)}, listed)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("variant", ["torus", "comb", "cylinder", "disc"])
+def test_a_labelled_grid_welds_as_the_oracle_does(variant: str, seed: int) -> None:
+    """On a labelled grid in shuffled order a closure welds some pairs
+    before they are listed; each such listed pair then takes over the
+    coerced weld with its label, and the strata read the final labels."""
+    spec = benchmark_grid(variant, 3, seed)
+    got = outcome(build_welded_space, spec)
+    assert got == outcome(weld_oracle.build_welded_space, spec)
+    welded, listed = [p.label for p in got[0]], [p.label for p in spec.pairs]
+    # some listed pair was welded by an earlier pair's closure
+    assert [label for label in welded if label in listed] != listed
+    if variant != "comb":  # every pair is listed: no automatic label
+        assert sorted(welded) == sorted(listed)
+
+
+@pytest.mark.parametrize("empty_ids", [(1, 2), (3, 4), (5, 6), (1, 4, 7)])
+@pytest.mark.parametrize("variant", ["torus", "disc"])
+def test_domains_without_rays_weld_as_the_oracle_does(variant: str, empty_ids) -> None:
+    """A domain whose fan has no rays numbers no face: its offset is the
+    count of the faces before it, the spec's face count when it comes
+    last.  Its empty fan's domains go before, between or after a square
+    grid's, whose domain ids are the others in order."""
+    square, empty = load_fan("square.fan"), load_fan("emptyfan.fan")
+    ids = [i for i in range(1, len(empty_ids) + 5) if i not in empty_ids]
+    domains = {i: empty for i in empty_ids} | {i: square for i in ids}
+    pairs = [
+        MatchedPair((ids[d1 - 1], r1), (ids[d2 - 1], r2), label=f"p{k}")
+        for k, (d1, r1, d2, r2) in enumerate(grid_pairs(variant, 1), start=1)
+    ]
+    spec = make_welding_spec(domains, pairs)
+    build_welded_space(spec)  # welds
     assert outcome(build_welded_space, spec) == outcome(weld_oracle.build_welded_space, spec)
 
 
